@@ -5,6 +5,12 @@ initialization, batch order and pairing all derive from the run seed, so
 repeated runs produce bit-identical metrics rows. The per-step ordering is
 pinned: loss -> backward -> optimizer step -> EMA update -> DINO center
 update -> diagnostics.
+
+The partner and negative samplers draw in bulk from rectangular index tables
+but consume the pair stream draw for draw as per-item loops do: a partner is
+one ``integers(group size)`` per row, drawn again while it picks the row
+itself; a negative is one draw for the other class, then one for its member.
+The seed CSVs are therefore byte-identical to those of the per-item loops.
 """
 
 from __future__ import annotations
@@ -13,9 +19,9 @@ import csv
 import dataclasses
 import json
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -245,6 +251,25 @@ def apply_overrides(cfg: ExperimentConfig, overrides: dict[str, object]) -> Expe
 # training
 # ---------------------------------------------------------------------------
 
+def _index_table(keys: np.ndarray, what: str
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows grouped by key: a (keys x size) table of row indices, ascending
+    within each key, plus each row's table row and its position in that row.
+
+    Raises ParameterError unless every key has the same number of rows.
+    """
+    _, row, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    sizes = sorted(set(counts.tolist()))
+    if len(sizes) > 1:
+        raise ParameterError(f"{what} sizes differ: {sizes}; the pair "
+                             "samplers need equal sizes")
+    size = sizes[0] if sizes else 0
+    order = np.argsort(row, kind="stable")
+    pos = np.empty_like(order)
+    pos[order] = np.tile(np.arange(size), counts.shape[0])
+    return order.reshape(counts.shape[0], size), row, pos
+
+
 def _build_dataset(spec: DatasetSpec, seed: int) -> ToyDataset:
     if spec.kind == "blobs":
         return toydata.gen_blobs(spec.n_per_class, spec.num_classes,
@@ -276,15 +301,14 @@ class Trainer:
         self.dataset = _build_dataset(cfg.dataset, seed)
         aug = cfg.augmentation
         self.aug_model = AugmentationModel(
-            kind={"class": "class", "centered": "centered", "shifted": "shifted"}[aug.kind],
-            sigma=aug.sigma,
+            kind=aug.kind, sigma=aug.sigma,
             shift=None if aug.shift is None else np.asarray(aug.shift, dtype=np.float64),
             views=aug.views)
         self.augmented = augment(self.dataset, self.aug_model, seed=seed + 20_000)
-        self.members = self.augmented.group_members()
-        self.label_members = {
-            int(lab): np.flatnonzero(self.augmented.labels == lab)
-            for lab in np.unique(self.augmented.labels)}
+        self.group_table, self.group_row, self.group_pos = _index_table(
+            self.augmented.group, "group")
+        self.label_table, self.label_row, _ = _index_table(
+            self.augmented.labels, "class")
 
         enc_spec = cfg.encoder
         encoder = init_encoder(enc_spec.dims, seed + 10_000, scheme=enc_spec.scheme,
@@ -321,28 +345,32 @@ class Trainer:
 
     # -- batch construction ---------------------------------------------
     def _partners(self, idx: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        partners = np.empty(idx.shape[0], dtype=np.int64)
-        group = self.augmented.group
-        for i, item in enumerate(idx):
-            pool = self.members[int(group[item])]
-            if pool.shape[0] == 1:
-                partners[i] = item
-                continue
-            j = int(pool[rng.integers(pool.shape[0])])
-            while j == item:
-                j = int(pool[rng.integers(pool.shape[0])])
-            partners[i] = j
-        return partners
+        """A uniform other member of each row's group (the row itself if alone)."""
+        size = self.group_table.shape[1]
+        if size == 1:
+            return idx.copy()
+        n = idx.shape[0]
+        picks = [0] * n
+        draws, k = [], 0
+        for i, own in enumerate(self.group_pos[idx].tolist()):
+            while True:
+                if k == len(draws):
+                    # every row from i on needs at least one more draw
+                    draws, k = rng.integers(size, size=n - i).tolist(), 0
+                pick = draws[k]
+                k += 1
+                if pick != own:
+                    break
+            picks[i] = pick
+        return self.group_table[self.group_row[idx], picks]
 
     def _negatives(self, idx: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        labels = self.augmented.labels
-        negatives = np.empty(idx.shape[0], dtype=np.int64)
-        for i, item in enumerate(idx):
-            other = [pool for lab, pool in self.label_members.items()
-                     if lab != int(labels[item])]
-            pool = other[rng.integers(len(other))]
-            negatives[i] = int(pool[rng.integers(pool.shape[0])])
-        return negatives
+        """A uniform class other than each row's own, then a uniform member of it."""
+        classes, size = self.label_table.shape
+        draws = rng.integers(0, np.tile([classes - 1, size], idx.shape[0]))
+        other = draws[0::2]
+        other += other >= self.label_row[idx]
+        return self.label_table[other, draws[1::2]]
 
     # -- one optimizer step ---------------------------------------------
     def train_step(self, idx: np.ndarray, rng: np.random.Generator) -> float:
@@ -466,6 +494,9 @@ def _write_row(fh, seed: int, epoch: int, step: int, loss: float | None,
     return row
 
 
+# collections.abc, not typing: typing caches subscripted aliases for the life
+# of the process, so each re-import of this package would keep the previous
+# diagnostics module alive through its CollapseReport class
 TickCallback = Callable[["Trainer", int, CollapseReport, np.ndarray], None]
 
 

@@ -1,13 +1,19 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+from centerlab.autodiff import ParameterError
 from centerlab.cli import main as cli_main
+from centerlab.data import AugmentedSet, gen_blobs
 from centerlab.harness import (METRICS_HEADER, ComparisonError, ConfigError,
                                DatasetSpec, ExperimentConfig, NumericAbort,
-                               OptimizerSpec, Trainer, apply_overrides,
-                               compare_runs, experiment_names,
+                               OptimizerSpec, Trainer, _index_table,
+                               apply_overrides, compare_runs, experiment_names,
                                named_experiment, run_experiment)
 from centerlab.losses import LOSS_KINDS, LossConfig
 
@@ -124,6 +130,148 @@ class TestTrainer:
         assert report.delta_dist == 0.0  # first tick has no previous mean
 
 
+def loop_partners(trainer, members, idx, rng):
+    """Per-item rejection loop that the bulk partner sampler must match."""
+    partners = np.empty(idx.shape[0], dtype=np.int64)
+    group = trainer.augmented.group
+    for i, item in enumerate(idx):
+        pool = members[int(group[item])]
+        if pool.shape[0] == 1:
+            partners[i] = item
+            continue
+        j = int(pool[rng.integers(pool.shape[0])])
+        while j == item:
+            j = int(pool[rng.integers(pool.shape[0])])
+        partners[i] = j
+    return partners
+
+
+def loop_negatives(trainer, label_members, idx, rng):
+    """Per-item loop that the bulk negative sampler must match."""
+    labels = trainer.augmented.labels
+    negatives = np.empty(idx.shape[0], dtype=np.int64)
+    for i, item in enumerate(idx):
+        other = [pool for lab, pool in label_members.items()
+                 if lab != int(labels[item])]
+        pool = other[rng.integers(len(other))]
+        negatives[i] = int(pool[rng.integers(pool.shape[0])])
+    return negatives
+
+
+def registry_config(experiment, variant, **overrides):
+    return apply_overrides(dict(named_experiment(experiment))[variant], overrides)
+
+
+class TestPairSamplersMatchLoop:
+    """The bulk samplers return the loop's indices and leave the pair RNG in
+    the loop's state, batch after batch, as `run_experiment` calls them."""
+
+    def _assert_same_stream(self, cfg, epochs, seed=3, negatives=False):
+        """Compare over `epochs` epochs; returns the batch sizes seen."""
+        trainer = Trainer(cfg, seed=seed)
+        aug = trainer.augmented
+        members = aug.group_members()
+        label_members = {int(lab): np.flatnonzero(aug.labels == lab)
+                         for lab in np.unique(aug.labels)}
+        batch_sizes = set()
+        for epoch in range(1, epochs + 1):
+            rng = np.random.default_rng([seed + 40_000, epoch])
+            ref = np.random.default_rng([seed + 40_000, epoch])
+            for idx in trainer.sampler.epoch_batches(aug.n, epoch):
+                batch_sizes.add(idx.shape[0])
+                np.testing.assert_array_equal(
+                    trainer._partners(idx, rng),
+                    loop_partners(trainer, members, idx, ref))
+                assert rng.bit_generator.state == ref.bit_generator.state
+                if negatives:
+                    np.testing.assert_array_equal(
+                        trainer._negatives(idx, rng),
+                        loop_negatives(trainer, label_members, idx, ref))
+                    assert rng.bit_generator.state == ref.bit_generator.state
+        return batch_sizes
+
+    def test_s21_full_batch(self):
+        cfg = registry_config("s21-collapse-grid", "full-shifted")
+        assert self._assert_same_stream(cfg, epochs=4) == {1000}
+
+    def test_s21_mini_batch(self):
+        cfg = registry_config("s21-collapse-grid", "mini-centered")
+        assert self._assert_same_stream(cfg, epochs=3) == {50}
+
+    @pytest.mark.parametrize("variant", ["simple-blobs", "simple-moons"])
+    def test_class_augmentation(self, variant):
+        cfg = registry_config("fig3-simple-vs-simsiam", variant)
+        self._assert_same_stream(cfg, epochs=5)
+
+    def test_single_view_draws_nothing(self):
+        cfg = registry_config("s21-collapse-grid", "mini-centered",
+                              **{"augmentation.views": 1})
+        trainer = Trainer(cfg, seed=0)
+        rng = np.random.default_rng(7)
+        before = rng.bit_generator.state
+        idx = np.arange(trainer.augmented.n)
+        np.testing.assert_array_equal(trainer._partners(idx, rng), idx)
+        assert rng.bit_generator.state == before
+        self._assert_same_stream(cfg, epochs=3)
+
+    def test_trailing_short_batch(self):
+        cfg = apply_overrides(tiny_config(), {"dataset.n_per_class": 11})
+        assert self._assert_same_stream(cfg, epochs=6) == {15, 3}
+
+    @pytest.mark.parametrize("dataset", ["blobs", "moons"])
+    def test_triplet_negatives(self, dataset):
+        cfg = registry_config("fig3-simple-vs-simsiam", f"simple-{dataset}",
+                              **{"loss.kind": "triplet"})
+        self._assert_same_stream(cfg, epochs=5, negatives=True)
+
+    def test_two_classes_draw_no_class(self):
+        # with one other class the class draw has high 1 and consumes nothing
+        cfg = apply_overrides(tiny_config(kind="triplet"),
+                              {"dataset.num_classes": 2})
+        self._assert_same_stream(cfg, epochs=4, negatives=True)
+
+
+class TestIndexTables:
+    def test_every_registry_variant_is_rectangular(self):
+        for name in experiment_names():
+            for label, cfg in named_experiment(name):
+                trainer = Trainer(cfg, seed=0)
+                aug = trainer.augmented
+                for table, row, keys in (
+                        (trainer.group_table, trainer.group_row, aug.group),
+                        (trainer.label_table, trainer.label_row, aug.labels)):
+                    # every row index appears once, in the table row of its key
+                    np.testing.assert_array_equal(np.sort(table.ravel()),
+                                                  np.arange(aug.n))
+                    assert np.all(row[table] == np.arange(table.shape[0])[:, None])
+                    assert np.all(keys[table] == keys[table[:, :1]]), (name, label)
+                pos = trainer.group_pos
+                np.testing.assert_array_equal(
+                    trainer.group_table[trainer.group_row, pos], np.arange(aug.n))
+
+    def test_ragged_augmented_set_rejected(self):
+        ds = gen_blobs(4, num_classes=2, seed=0)
+        ragged = AugmentedSet(ds.points, ds.labels,
+                              np.array([0, 0, 1, 1, 1, 2, 2, 2]), ds)
+        with pytest.raises(ParameterError, match=r"group sizes differ: \[2, 3\]"):
+            _index_table(ragged.group, "group")
+        ragged.labels = np.array([0, 0, 0, 0, 0, 1, 1, 1])
+        with pytest.raises(ParameterError, match=r"class sizes differ: \[3, 5\]"):
+            _index_table(ragged.labels, "class")
+
+    def test_trainer_rejects_ragged_groups(self, monkeypatch):
+        from centerlab import harness as H
+
+        def ragged_augment(ds, model, seed=0):
+            group = np.arange(ds.n) // 4
+            group[-1] = group[0]
+            return AugmentedSet(ds.points, ds.labels, group, ds)
+
+        monkeypatch.setattr(H, "augment", ragged_augment)
+        with pytest.raises(ParameterError, match="group sizes differ"):
+            Trainer(tiny_config(), seed=0)
+
+
 class TestRunExperiment:
     def test_outputs_and_schema(self, tmp_path):
         cfg = tiny_config()
@@ -174,6 +322,28 @@ class TestRunExperiment:
         run_experiment(cfg, tmp_path,
                        tick_callback=lambda tr, ep, rep, emb: seen.append((tr.seed, ep)))
         assert seen == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
+
+
+def test_reimport_frees_previous_modules():
+    # a process that re-imports centerlab (a benchmark, a notebook reload)
+    # must not keep the previous import's classes alive
+    script = textwrap.dedent("""
+        import gc, importlib, sys, weakref
+        def fresh():
+            for name in [m for m in sys.modules if m.split(".")[0] == "centerlab"]:
+                del sys.modules[name]
+            gc.collect()
+            return importlib.import_module("centerlab")
+        old = [weakref.ref(getattr(fresh().diagnostics, n))
+               for n in ("CollapseReport", "KnnResult", "CenterEstimate")]
+        fresh()
+        gc.collect()
+        print(sum(r() is not None for r in old))
+        """)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "0"
 
 
 class TestRegistry:
