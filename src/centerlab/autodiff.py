@@ -166,8 +166,14 @@ def _make(values: np.ndarray, parents: Sequence[Tensor],
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
     if t.grad is None:
-        t.grad = np.zeros_like(t.values)
-    t.grad += g
+        # an owned copy, since g may be another node's grad or a view of one;
+        # C order, since later sums over an F-ordered g.T (from transpose)
+        # would run in another order and round differently. Unlike zeros + g,
+        # a copy keeps a -0.0 entry as -0.0; downstream that can flip the
+        # sign of an exact zero, never a value.
+        t.grad = np.array(g, dtype=np.float64, order="C")
+    else:
+        t.grad += g
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +288,7 @@ def tensor_sum(a, axis: int | None = None) -> Tensor:
         out_vals = a.values.sum(axis=axis, keepdims=True)
 
     def bwd(g):
-        _accum(a, np.broadcast_to(g, a.shape).copy())
+        _accum(a, np.broadcast_to(g, a.shape))
 
     return _make(out_vals, (a,), bwd)
 

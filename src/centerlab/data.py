@@ -89,12 +89,6 @@ class AugmentedSet:
     def n(self) -> int:
         return self.points.shape[0]
 
-    def group_members(self) -> dict[int, np.ndarray]:
-        members: dict[int, np.ndarray] = {}
-        for g in np.unique(self.group):
-            members[int(g)] = np.flatnonzero(self.group == g)
-        return members
-
 
 def default_blob_centers(num_classes: int = 3, radius: float = 3.0) -> np.ndarray:
     """Class centers evenly spaced on a circle (equilateral triangle for 3)."""

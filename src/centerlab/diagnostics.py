@@ -141,19 +141,61 @@ def knn_eval(train_emb: np.ndarray, train_labels: np.ndarray,
     dists = 1.0 - unit(eval_emb) @ unit(train_emb).T
     if leave_one_out:
         np.fill_diagonal(dists, np.inf)
-    correct = 0
-    for i in range(eval_emb.shape[0]):
-        nearest = np.argsort(dists[i], kind="stable")[:k]
-        votes: dict[int, tuple[int, float]] = {}
-        for j in nearest:
-            label = int(train_labels[j])
-            count, total = votes.get(label, (0, 0.0))
-            votes[label] = (count + 1, total + dists[i][j])
-        # most votes, then smallest summed distance, then lowest label id
-        winner = min(votes.items(), key=lambda kv: (-kv[1][0], kv[1][1], kv[0]))[0]
-        if winner == int(eval_labels[i]):
-            correct += 1
+    nearest = _nearest(dists, k)
+    label_values, label_ids = np.unique(train_labels.astype(np.int64),
+                                        return_inverse=True)
+    winner = label_values[_vote(label_ids[nearest],
+                                np.take_along_axis(dists, nearest, axis=1),
+                                label_values.shape[0])]
+    correct = int(np.count_nonzero(winner == eval_labels.astype(np.int64)))
     return KnnResult(k=k, accuracy=correct / eval_emb.shape[0])
+
+
+def _nearest(dists: np.ndarray, k: int) -> np.ndarray:
+    """Row-wise ``np.argsort(dists, kind="stable")[:, :k]``, sorting only k columns.
+
+    A row whose k-th smallest distance is tied with a column beyond the k, or
+    is NaN (which compares false), is sorted whole instead.
+    """
+    part = np.argpartition(dists, k - 1, axis=1)
+    kth = np.take_along_axis(dists, part[:, k - 1:k], axis=1)
+    cols = np.sort(part[:, :k], axis=1)
+    order = np.argsort(np.take_along_axis(dists, cols, axis=1), axis=1, kind="stable")
+    nearest = np.take_along_axis(cols, order, axis=1)
+    redo = np.flatnonzero(np.count_nonzero(dists <= kth, axis=1) != k)
+    if redo.size:
+        nearest[redo] = np.argsort(dists[redo], axis=1, kind="stable")[:, :k]
+    return nearest
+
+
+def _vote(labels: np.ndarray, dists: np.ndarray, num_labels: int) -> np.ndarray:
+    """Per-row winning label id among k neighbours given in distance order.
+
+    The winner has the most votes, then the smallest summed distance, then
+    the lowest label id. Sums are accumulated in neighbour order, and labels
+    are compared in first-seen order, keeping the current best unless the
+    next one is strictly better; so a NaN sum keeps the earlier label, as
+    ``min`` over a first-seen vote dict does.
+    """
+    m, k = labels.shape
+    rows = np.arange(m)
+    counts = np.zeros((m, num_labels), dtype=np.int64)
+    totals = np.zeros((m, num_labels))
+    first_seen = np.empty((m, k), dtype=bool)
+    for j in range(k):
+        lab = labels[:, j]
+        first_seen[:, j] = counts[rows, lab] == 0
+        counts[rows, lab] += 1
+        totals[rows, lab] += dists[:, j]
+    best = labels[:, 0].copy()
+    for j in range(1, k):
+        lab = labels[:, j]
+        c, c_best = counts[rows, lab], counts[rows, best]
+        t, t_best = totals[rows, lab], totals[rows, best]
+        better = (c > c_best) | ((c == c_best) & (
+            (t < t_best) | ((t == t_best) & (lab < best))))
+        np.copyto(best, lab, where=first_seen[:, j] & better)
+    return best
 
 
 @dataclass

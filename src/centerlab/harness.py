@@ -149,12 +149,13 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
 
     def _validate(self) -> None:
-        ds, enc, opt, diag = self.dataset, self.encoder, self.optimizer, self.diagnostics
+        ds, aug, enc = self.dataset, self.augmentation, self.encoder
+        opt, diag = self.optimizer, self.diagnostics
         if ds.kind not in ("blobs", "moons", "gaussian"):
             raise ConfigError(f"dataset.kind: unknown kind {ds.kind!r}")
-        if self.augmentation.kind not in ("class", "centered", "shifted"):
-            raise ConfigError(f"augmentation.kind: unknown kind {self.augmentation.kind!r}")
-        if ds.kind == "gaussian" and self.augmentation.kind == "class":
+        if aug.kind not in ("class", "centered", "shifted"):
+            raise ConfigError(f"augmentation.kind: unknown kind {aug.kind!r}")
+        if ds.kind == "gaussian" and aug.kind == "class":
             raise ConfigError("augmentation.kind: gaussian data has a single class; "
                               "use a jitter augmentation")
         if len(enc.dims) < 2:
@@ -168,12 +169,28 @@ class ExperimentConfig:
             raise ConfigError("optimizer.lr: must be >= 0")
         if opt.batch_mode not in ("mini", "full"):
             raise ConfigError(f"optimizer.batch_mode: unknown mode {opt.batch_mode!r}")
+        if opt.batch_mode == "mini" and opt.batch_size < 1:
+            raise ConfigError("optimizer.batch_size: must be >= 1 in mini mode")
+        if aug.views < 1:
+            raise ConfigError("augmentation.views: must be >= 1")
+        if aug.sigma < 0:
+            raise ConfigError("augmentation.sigma: must be >= 0")
         if diag.cadence < 1 or diag.knn_cadence < 1:
             raise ConfigError("diagnostics cadences must be >= 1")
+        if ds.kind != "gaussian":
+            if ds.n_per_class < 1:
+                raise ConfigError("dataset.n_per_class: must be >= 1")
+            # kNN runs leave-one-out on the base points, so k < pool; the
+            # class count comes from the built data, as in the trainer
+            base = _build_dataset(ds, self.base_seed)
+            pool = base.n
+            if base.num_classes >= 2 and not 1 <= diag.knn_k <= pool - 1:
+                raise ConfigError(f"diagnostics.knn_k: must lie in [1, {pool - 1}] "
+                                  f"for a pool of {pool} points")
         if self.num_seeds < 1:
             raise ConfigError("num_seeds: must be >= 1")
         self.loss.validate()
-        if self.loss.kind in ("triplet", "infonce") and self.augmentation.kind != "class":
+        if self.loss.kind in ("triplet", "infonce") and aug.kind != "class":
             raise ConfigError("loss.kind: contrastive losses need class-as-augmentation "
                               "data for negatives")
 

@@ -201,6 +201,83 @@ class TestBackward:
         assert rep.max_rel_err < 1e-4
 
 
+
+def zeros_then_add(t, g):
+    """`_accum` as it was: allocate zeros on the first write, then add."""
+    if t.grad is None:
+        t.grad = np.zeros_like(t.values)
+    t.grad += g
+
+
+class TestAccum:
+    """First writes copy the incoming gradient into an owned C-ordered array."""
+
+    def test_grads_c_contiguous_after_transposed_matmul(self):
+        rng = np.random.default_rng(5)
+        x = leaf(rng.standard_normal((6, 3)))
+        z = ad.tanh(x)
+        zt = z.T
+        backward(ad.tensor_sum(ad.matmul(zt, z)))
+        # y's only gradient arrives through transpose's backward, as g.T
+        y = leaf(rng.standard_normal((6, 3)))
+        backward(ad.tensor_sum(ad.matmul(y.T, Tensor(rng.standard_normal((6, 2))))))
+        for t in (x, z, zt, y):
+            assert t.grad.flags.c_contiguous
+
+    def test_add_operands_never_share_a_grad(self):
+        a, b = leaf(np.ones((2, 3))), leaf(np.ones((2, 3)))
+        out = a + b
+        backward(ad.tensor_sum(out))
+        assert a.grad is not b.grad
+        for g, h in ((a.grad, b.grad), (a.grad, out.grad), (b.grad, out.grad)):
+            assert not np.shares_memory(g, h)
+
+    def test_self_add_accumulates_into_its_own_array(self):
+        x = leaf(np.ones((2, 3)))
+        out = x + x
+        backward(ad.tensor_sum(out))
+        assert not np.shares_memory(x.grad, out.grad)
+        np.testing.assert_array_equal(x.grad, np.full((2, 3), 2.0))
+        np.testing.assert_array_equal(out.grad, np.ones((2, 3)))
+
+    def test_transpose_matmul_grads_bit_equal_to_zeros_then_add(self, monkeypatch):
+        def grads():
+            rng = np.random.default_rng(8)
+            x = leaf(rng.standard_normal((64, 16)))
+            b = leaf(rng.standard_normal((1, 16)))
+            w = leaf(rng.standard_normal((16, 16)))
+            # h's first gradient is the F-ordered g.T; b's is its column sum
+            h = ad.matmul(x, w) + b
+            v = Tensor(rng.standard_normal((64, 3)))
+            backward(ad.tensor_sum(ad.tanh(ad.matmul(h.T, v))))
+            return [t.grad for t in (x, b, w)]
+
+        new = grads()
+        monkeypatch.setattr(ad, "_accum", zeros_then_add)
+        old = grads()
+        for g_new, g_old in zip(new, old):
+            assert g_new.flags.c_contiguous and g_old.flags.c_contiguous
+            assert g_new.tobytes() == g_old.tobytes()
+
+    def test_relu_signed_zero_grads_equal_to_zeros_then_add(self, monkeypatch):
+        def grads():
+            # relu's backward gives x[0, 0] a -0.0 (a negative g times a
+            # False mask); zeros + g turned it into +0.0, a copy keeps it
+            x = leaf(np.array([[-1.0, 2.0], [3.0, -4.0]]))
+            w = leaf(np.array([[1.0, 1.0], [-1.0, -1.0]]))
+            backward(ad.tensor_sum(ad.matmul(ad.relu(x), w) * -1.0))
+            return [x.grad, w.grad]
+
+        new = grads()
+        monkeypatch.setattr(ad, "_accum", zeros_then_add)
+        old = grads()
+        # equal values; the only bit that differs is the sign of that zero
+        np.testing.assert_array_equal(new[0], old[0])
+        sign_flips = np.signbit(new[0]) != np.signbit(old[0])
+        np.testing.assert_array_equal(sign_flips, [[True, False], [False, False]])
+        assert new[1].tobytes() == old[1].tobytes()
+
+
 class TestGradCheck:
     def test_sum_is_exact(self):
         rep = grad_check(ad.tensor_sum, Tensor(np.random.default_rng(0).standard_normal((3, 3))))

@@ -156,6 +156,114 @@ class TestKnn:
             knn_eval(emb, labels, np.ones((1, 3)), np.zeros(1), k=4)
 
 
+def loop_knn_winners(train_emb, train_labels, eval_emb, k, leave_one_out):
+    """Each eval row's winning label from the per-row vote loop that
+    `knn_eval` ran before it was vectorised (the oracle)."""
+    def unit(x):
+        return x / np.sqrt((x * x).sum(axis=1, keepdims=True) + 1e-24)
+
+    dists = 1.0 - unit(eval_emb) @ unit(train_emb).T
+    if leave_one_out:
+        np.fill_diagonal(dists, np.inf)
+    winners = []
+    for i in range(eval_emb.shape[0]):
+        nearest = np.argsort(dists[i], kind="stable")[:k]
+        votes: dict[int, tuple[int, float]] = {}
+        for j in nearest:
+            label = int(train_labels[j])
+            count, total = votes.get(label, (0, 0.0))
+            votes[label] = (count + 1, total + dists[i][j])
+        winners.append(min(votes.items(),
+                           key=lambda kv: (-kv[1][0], kv[1][1], kv[0]))[0])
+    return np.array(winners)
+
+
+def grid_embeddings(seed, n, span=2, dim=2):
+    """Integer-grid points: many exactly equal cosine distances."""
+    return np.random.default_rng(seed).integers(-span, span + 1, (n, dim)).astype(float)
+
+
+def sum_order_set():
+    """Training points where the vote's distance sums decide by one ulp.
+
+    Seen from the query (1, 0), label 1 has distances 1 - c, 1, 1 + c
+    (c = cos of (3, 16)) and label 0 has 1, 1, 1. Summed in neighbour order,
+    label 1's total is exactly 3.0, a tie that the lower label 0 wins; summed
+    farthest first it is 3 - 2**-51 and label 1 wins. Label 1's points are
+    stored farthest first, so index order is the wrong order too. A far point
+    of label 2 makes k = pool - 1 pick exactly the six.
+    """
+    emb = np.array([[-3.0, 16.0], [0.0, 1.0], [0.0, 1.0], [0.0, 1.0],
+                    [0.0, 1.0], [3.0, 16.0], [-1.0, 0.0]])
+    labels = np.array([1, 0, 1, 0, 0, 1, 2])
+    return emb, labels
+
+
+def knn_case(name):
+    """(train_emb, train_labels, eval_emb, eval_labels, ks, leave_one_out)."""
+    rng = np.random.default_rng(11)
+    labels = rng.permutation(np.repeat([0, 1, 2], 30))
+    if name == "grid":
+        emb = grid_embeddings(1, 90)
+        return emb, labels, emb, labels, (7,), True
+    if name == "collapsed":
+        # unit rows are exactly (0, 1, 0), so every distance is exactly 0
+        emb = np.tile([[0.0, 2.0, 0.0]], (40, 1))
+        labels = rng.permutation(np.arange(40) % 3)
+        return emb, labels, emb, labels, (6, 13), True
+    if name == "k-extremes":
+        emb, train_labels = sum_order_set()
+        query = np.array([[1.0, 0.0], [5.0, 0.0], [1.0, 1.0], [0.0, -1.0]])
+        return emb, train_labels, query, np.array([0, 1, 1, 2]), (1, 6), False
+    if name == "queries":
+        emb = grid_embeddings(4, 90)
+        query = grid_embeddings(5, 50, span=3)
+        return emb, labels, query, rng.integers(0, 3, 50), (8,), False
+    if name == "odd-labels":
+        emb = grid_embeddings(6, 90)
+        odd = np.array([-4, 7, 30])[labels]
+        return emb, odd, emb, odd, (7,), True
+    if name == "nan-rows":
+        emb = grid_embeddings(7, 90, span=1)
+        emb[rng.random(90) < 0.3] = np.nan
+        return emb, labels, emb, labels, (9,), True
+    raise KeyError(name)
+
+
+class TestKnnMatchesLoop:
+    """The vectorised vote picks the loop's neighbours, in the loop's order,
+    and the loop's winner on every row, ties and NaN sums included."""
+
+    @pytest.mark.parametrize("name", ["grid", "collapsed", "k-extremes",
+                                      "queries", "odd-labels", "nan-rows"])
+    def test_same_winners_as_loop(self, name):
+        train_emb, train_labels, eval_emb, eval_labels, ks, loo = knn_case(name)
+        for k in ks:
+            with np.errstate(invalid="ignore"):
+                winners = loop_knn_winners(train_emb, train_labels, eval_emb, k, loo)
+                res = knn_eval(train_emb, train_labels, eval_emb, eval_labels,
+                               k=k, leave_one_out=loo)
+                # scored against the loop's own winners, every row must agree
+                per_row = knn_eval(train_emb, train_labels, eval_emb, winners,
+                                   k=k, leave_one_out=loo)
+            expected = np.count_nonzero(winners == eval_labels) / eval_emb.shape[0]
+            assert res.accuracy == expected
+            assert per_row.accuracy == 1.0
+
+    def test_sum_order_set_decides_by_one_ulp(self):
+        emb, labels = sum_order_set()
+        # knn_eval's own normalisation; the query (1, 0) picks the x column
+        unit = emb / np.sqrt((emb * emb).sum(axis=1, keepdims=True) + 1e-24)
+        d = 1.0 - unit[labels == 1, 0]
+        nearest_first = farthest_first = 0.0
+        for v, w in zip(np.sort(d), np.sort(d)[::-1]):
+            nearest_first += v
+            farthest_first += w
+        assert nearest_first == 3.0 and farthest_first < 3.0
+        query = np.array([[1.0, 0.0]])
+        assert loop_knn_winners(emb, labels, query, 6, False).tolist() == [0]
+
+
 class TestCollapseVerdict:
     def test_collapsed_cloud_flagged(self):
         rng = np.random.default_rng(4)

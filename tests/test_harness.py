@@ -58,6 +58,32 @@ class TestConfigSchema:
                 {"loss": {"kind": "infonce"},
                  "augmentation": {"kind": "centered"}})
 
+    def test_knn_k_must_leave_one_out_of_the_pool(self):
+        def cfg(dataset, knn_k, aug="class"):
+            return {"dataset": dataset, "augmentation": {"kind": aug},
+                    "encoder": {"dims": [dataset.get("dim", 2), 4, 2]},
+                    "diagnostics": {"knn_k": knn_k}}
+
+        blobs = {"kind": "blobs", "n_per_class": 10, "num_classes": 4}
+        moons = {"kind": "moons", "n_per_class": 10, "three_classes": False}
+        ExperimentConfig.from_dict(cfg(blobs, 39))
+        ExperimentConfig.from_dict(cfg(moons, 19))
+        for dataset, knn_k in ((blobs, 40), (moons, 20), (blobs, 0)):
+            with pytest.raises(ConfigError, match="diagnostics.knn_k"):
+                ExperimentConfig.from_dict(cfg(dataset, knn_k))
+        # gaussian data has one class and never runs kNN
+        ExperimentConfig.from_dict(cfg({"kind": "gaussian", "dim": 2}, 10_000,
+                                       aug="centered"))
+
+    def test_dataset_the_builder_rejects_is_a_config_error(self):
+        # validate() builds the base points to size the kNN pool
+        with pytest.raises(ConfigError, match="num_classes must be >= 2"):
+            ExperimentConfig.from_dict({"dataset": {"kind": "blobs", "num_classes": 1}})
+
+    def test_full_batch_ignores_batch_size(self):
+        ExperimentConfig.from_dict({"optimizer": {"batch_mode": "full",
+                                                  "batch_size": 0}})
+
     def test_roundtrip_through_dict(self):
         cfg = tiny_config(kind="byol")
         again = ExperimentConfig.from_dict(cfg.to_dict())
@@ -170,7 +196,8 @@ class TestPairSamplersMatchLoop:
         """Compare over `epochs` epochs; returns the batch sizes seen."""
         trainer = Trainer(cfg, seed=seed)
         aug = trainer.augmented
-        members = aug.group_members()
+        members = {int(g): np.flatnonzero(aug.group == g)
+                   for g in np.unique(aug.group)}
         label_members = {int(lab): np.flatnonzero(aug.labels == lab)
                          for lab in np.unique(aug.labels)}
         batch_sizes = set()
@@ -443,6 +470,21 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "fig7-byol-momentum" / "byol-momentum-0.5"
                 / "seed0.csv").exists()
+
+    @pytest.mark.parametrize("override", [
+        "optimizer.batch_size=0",
+        "augmentation.views=0",
+        "augmentation.sigma=-0.1",
+        "diagnostics.knn_k=0",
+        "diagnostics.knn_k=300",  # the pool is 3 x 100 blobs
+        "dataset.n_per_class=0",
+    ])
+    def test_named_invalid_override_exits_2(self, tmp_path, capsys, override):
+        code = cli_main(["--out-dir", str(tmp_path), "--quiet",
+                         "named", "fig3-simple-vs-simsiam", "--override", override])
+        assert code == 2
+        assert override.split("=")[0] in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_named_unknown_key_exits_2(self, capsys):
         assert cli_main(["named", "not-an-experiment"]) == 2
