@@ -6,9 +6,7 @@ returns a bit-identical dataset.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,8 +22,6 @@ __all__ = [
     "gen_gaussian_points",
     "augment",
     "default_blob_centers",
-    "export_csv",
-    "import_csv",
 ]
 
 
@@ -198,25 +194,3 @@ class BatchSampler:
         return [perm[i:i + self.batch_size]
                 for i in range(0, n_items, self.batch_size)]
 
-
-def export_csv(ds: ToyDataset, path) -> None:
-    """Write points and labels with header x0..xd,label."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i}" for i in range(ds.dim)] + ["label"])
-        for row, label in zip(ds.points, ds.labels):
-            writer.writerow([f"{v:.17g}" for v in row] + [int(label)])
-
-
-def import_csv(path, tag: str = "imported", seed: int = -1) -> ToyDataset:
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if not header or header[-1] != "label":
-            raise ValueError(f"{path}: expected trailing 'label' column")
-        rows = [(list(map(float, r[:-1])), int(r[-1])) for r in reader]
-    points = np.array([r[0] for r in rows], dtype=np.float64)
-    labels = np.array([r[1] for r in rows], dtype=np.int64)
-    return ToyDataset(points, labels, tag, seed)

@@ -6,7 +6,7 @@ the autodiff graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,7 +14,6 @@ from .autodiff import ParameterError
 
 __all__ = [
     "CenterEstimate",
-    "EmaCenterTracker",
     "CollapseReport",
     "KnnResult",
     "estimate_center",
@@ -29,41 +28,19 @@ __all__ = [
 
 @dataclass
 class CenterEstimate:
-    """The batch/dataset center s_hat with its estimation strategy."""
+    """The center s_hat of a set of embeddings."""
     s_hat: np.ndarray
-    strategy: str
     norm: float
     sample_count: int
 
 
-@dataclass
-class EmaCenterTracker:
-    """Folds batch centers with momentum for small-batch center estimation."""
-    momentum: float = 0.9
-    center: np.ndarray | None = None
-    count: int = 0
-
-    def update(self, embeddings: np.ndarray) -> CenterEstimate:
-        batch_mean = np.asarray(embeddings, dtype=np.float64).mean(axis=0)
-        if self.center is None:
-            self.center = batch_mean
-        else:
-            self.center = self.momentum * self.center + (1.0 - self.momentum) * batch_mean
-        self.count += embeddings.shape[0]
-        return CenterEstimate(self.center.copy(), "ema-of-batches",
-                              float(np.linalg.norm(self.center)), self.count)
-
-
-def estimate_center(embeddings: np.ndarray, strategy: str = "batch") -> CenterEstimate:
-    """Mean of embedding rows (use EmaCenterTracker for the streaming strategy)."""
+def estimate_center(embeddings: np.ndarray) -> CenterEstimate:
+    """Mean of embedding rows."""
     embeddings = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
     if embeddings.shape[0] < 1:
         raise ParameterError("estimate_center needs at least one embedding")
-    if strategy not in ("batch", "full-dataset-pass"):
-        raise ParameterError(f"unknown strategy {strategy!r}")
     s_hat = embeddings.mean(axis=0)
-    return CenterEstimate(s_hat, strategy, float(np.linalg.norm(s_hat)),
-                          embeddings.shape[0])
+    return CenterEstimate(s_hat, float(np.linalg.norm(s_hat)), embeddings.shape[0])
 
 
 def residual_stats(embeddings: np.ndarray,
@@ -110,7 +87,6 @@ def angle_to_direction(center: CenterEstimate, direction: np.ndarray) -> float:
 class KnnResult:
     k: int
     accuracy: float
-    distance: str = "cosine"
 
 
 def knn_eval(train_emb: np.ndarray, train_labels: np.ndarray,

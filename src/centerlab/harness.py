@@ -2,9 +2,11 @@
 
 A run is a pure function of its config (seeds included): generation,
 initialization, batch order and pairing all derive from the run seed, so
-repeated runs produce bit-identical metrics rows. The per-step ordering is
-pinned: loss -> backward -> optimizer step -> EMA update -> DINO center
-update -> diagnostics.
+repeated runs produce bit-identical metrics rows. What each loss kind needs
+(its heads, negatives, class views, smallest batch and step) is one row of
+``_OBJECTIVES``. The per-step ordering is pinned: loss -> backward ->
+optimizer step -> EMA twin update -> the loss's post-step hook (DINO's center
+update, SwAV's prototype renormalization) -> diagnostics.
 
 The partner and negative samplers draw in bulk from rectangular index tables
 but consume the pair stream draw for draw as per-item loops do: a partner is
@@ -18,6 +20,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import numbers
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
@@ -31,9 +34,10 @@ from .autodiff import ParameterError, Tensor, backward, batch_norm_cols
 from .data import AugmentationModel, BatchSampler, ToyDataset, augment
 from .diagnostics import (CollapseReport, collapse_verdict, estimate_center,
                           knn_eval)
-from .layers import (EmaTwin, EncoderStack, Param, PredictorHead,
-                     PrototypeBank, init_encoder, init_predictor,
-                     init_prototypes, save_checkpoint, sgd_step)
+from .layers import (_ACTIVATIONS, _INIT_SCHEMES, EmaTwin, EncoderStack,
+                     Param, PredictorHead, PrototypeBank, init_encoder,
+                     init_predictor, init_prototypes, save_checkpoint,
+                     sgd_step)
 from .losses import DinoCenterState, LossConfig
 
 __all__ = [
@@ -56,10 +60,10 @@ __all__ = [
     "METRICS_HEADER",
 ]
 
-METRICS_HEADER = ("seed,epoch,step,loss,center_norm,mean_residual_norm,"
-                  "std_mean,delta_dist,knn_accuracy,wall_time_ms")
-_METRIC_COLS = ("loss", "center_norm", "mean_residual_norm", "std_mean",
-                "delta_dist", "knn_accuracy")
+_COLUMNS = ("seed", "epoch", "step", "loss", "center_norm", "mean_residual_norm",
+            "std_mean", "delta_dist", "knn_accuracy", "wall_time_ms")
+METRICS_HEADER = ",".join(_COLUMNS)
+_METRIC_COLS = _COLUMNS[3:9]
 
 
 class ConfigError(ValueError):
@@ -150,7 +154,9 @@ class ExperimentConfig:
 
     def _validate(self) -> None:
         ds, aug, enc = self.dataset, self.augmentation, self.encoder
-        opt, diag = self.optimizer, self.diagnostics
+        opt, diag, lc = self.optimizer, self.diagnostics, self.loss
+        for path, spec in [("", self)] + [(f"{n}.", getattr(self, n)) for n in _NESTED]:
+            _check_numbers(spec, path)
         if ds.kind not in ("blobs", "moons", "gaussian"):
             raise ConfigError(f"dataset.kind: unknown kind {ds.kind!r}")
         if aug.kind not in ("class", "centered", "shifted"):
@@ -158,15 +164,28 @@ class ExperimentConfig:
         if ds.kind == "gaussian" and aug.kind == "class":
             raise ConfigError("augmentation.kind: gaussian data has a single class; "
                               "use a jitter augmentation")
+        if aug.kind == "shifted" and (aug.shift is None
+                                      or len(aug.shift) != ds.input_dim):
+            raise ConfigError(f"augmentation.shift: shifted views need a shift "
+                              f"vector of the data dim {ds.input_dim}")
         if len(enc.dims) < 2:
             raise ConfigError("encoder.dims: need at least input and output dims")
+        if any(d < 1 for d in enc.dims):
+            raise ConfigError(f"encoder.dims: every dim must be >= 1, got {enc.dims}")
         if enc.dims[0] != ds.input_dim:
             raise ConfigError(f"encoder.dims: first dim {enc.dims[0]} does not match "
                               f"dataset input dim {ds.input_dim}")
+        if enc.activation not in _ACTIVATIONS:
+            raise ConfigError(f"encoder.activation: unknown activation "
+                              f"{enc.activation!r}")
+        if enc.scheme not in _INIT_SCHEMES:
+            raise ConfigError(f"encoder.scheme: unknown init scheme {enc.scheme!r}")
         if opt.epochs < 0:
             raise ConfigError("optimizer.epochs: must be >= 0")
         if opt.lr < 0:
             raise ConfigError("optimizer.lr: must be >= 0")
+        if opt.predictor_lr_multiplier <= 0:
+            raise ConfigError("optimizer.predictor_lr_multiplier: must be > 0")
         if opt.batch_mode not in ("mini", "full"):
             raise ConfigError(f"optimizer.batch_mode: unknown mode {opt.batch_mode!r}")
         if opt.batch_mode == "mini" and opt.batch_size < 1:
@@ -177,26 +196,36 @@ class ExperimentConfig:
             raise ConfigError("augmentation.sigma: must be >= 0")
         if diag.cadence < 1 or diag.knn_cadence < 1:
             raise ConfigError("diagnostics cadences must be >= 1")
-        if ds.kind != "gaussian":
-            if ds.n_per_class < 1:
-                raise ConfigError("dataset.n_per_class: must be >= 1")
-            # kNN runs leave-one-out on the base points, so k < pool; the
-            # class count comes from the built data, as in the trainer
-            base = _build_dataset(ds, self.base_seed)
-            pool = base.n
-            if base.num_classes >= 2 and not 1 <= diag.knn_k <= pool - 1:
-                raise ConfigError(f"diagnostics.knn_k: must lie in [1, {pool - 1}] "
-                                  f"for a pool of {pool} points")
+        for name in ("center_hi", "std_lo"):
+            if not 0.0 < getattr(diag, name) < 1.0:
+                raise ConfigError(f"diagnostics.{name}: must lie in (0, 1)")
+        if ds.kind != "gaussian" and ds.n_per_class < 1:
+            raise ConfigError("dataset.n_per_class: must be >= 1")
         if self.num_seeds < 1:
             raise ConfigError("num_seeds: must be >= 1")
-        self.loss.validate()
-        if self.loss.kind in ("triplet", "infonce") and aug.kind != "class":
-            raise ConfigError("loss.kind: contrastive losses need class-as-augmentation "
-                              "data for negatives")
-
-    def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        return d
+        lc.validate()
+        objective = _OBJECTIVES[lc.kind]
+        if objective.class_views and aug.kind != "class":
+            raise ConfigError(f"loss.kind: {lc.kind} needs class-as-augmentation "
+                              "data")
+        if "prototypes" in objective.heads and lc.num_prototypes < 2:
+            raise ConfigError("loss.num_prototypes: must be >= 2")
+        # kNN runs leave-one-out on the base points, so k < pool; the class
+        # count comes from the built data, as in the trainer
+        base = _build_dataset(ds, self.base_seed)
+        pool = base.n
+        if base.num_classes >= 2 and not 1 <= diag.knn_k <= pool - 1:
+            raise ConfigError(f"diagnostics.knn_k: must lie in [1, {pool - 1}] "
+                              f"for a pool of {pool} points")
+        # augment() keeps the points as class views and makes `views` jittered
+        # copies otherwise; the last mini batch holds the remainder
+        rows = pool if aug.kind == "class" else pool * aug.views
+        smallest = (rows if opt.batch_mode == "full"
+                    else rows % opt.batch_size or opt.batch_size)
+        if smallest < objective.min_batch:
+            raise ConfigError(f"optimizer.batch_size: {lc.kind} needs batches of >= "
+                              f"{objective.min_batch} rows; {rows} rows leave one of "
+                              f"{smallest}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -222,6 +251,15 @@ _NESTED = {
     "optimizer": OptimizerSpec,
     "diagnostics": DiagnosticsSpec,
 }
+
+
+def _check_numbers(spec, path: str) -> None:
+    """Every ``int``/``float`` field of a config dataclass holds a number."""
+    for f in fields(spec):
+        want = {"int": numbers.Integral, "float": numbers.Real}.get(f.type)
+        value = getattr(spec, f.name)
+        if want and (isinstance(value, bool) or not isinstance(value, want)):
+            raise ConfigError(f"{path}{f.name}: expected {f.type}, got {value!r}")
 
 
 def _from_dict(cls, raw: dict, path: str):
@@ -250,7 +288,7 @@ def _from_dict(cls, raw: dict, path: str):
 
 def apply_overrides(cfg: ExperimentConfig, overrides: dict[str, object]) -> ExperimentConfig:
     """Rebuild a config with dotted-path overrides (e.g. 'optimizer.lr')."""
-    raw = cfg.to_dict()
+    raw = dataclasses.asdict(cfg)
     for key, value in overrides.items():
         node = raw
         parts = key.split(".")
@@ -308,6 +346,76 @@ class TrainState:
     step: int = 0
 
 
+@dataclass(frozen=True)
+class _Objective:
+    """What one loss kind needs from the trainer.
+
+    ``step(state, loss config, x_a, x_b, x_n)`` returns the loss and a hook to
+    run after the optimizer and EMA twin updates, or None; ``x_n`` is None
+    unless the objective draws negatives. Steps look each loss function up on
+    the losses module at call time, so wrappers installed there (the
+    benchmark's tracer) see every call.
+    """
+    step: Callable[..., tuple[Tensor, Callable[[], None] | None]]
+    heads: frozenset[str] = frozenset()  # TrainState fields it builds
+    optional_predictor: bool = False     # the predictor follows loss.use_predictor
+    negatives: bool = False              # draws one negative per row
+    class_views: bool = False            # needs class-as-augmentation data
+    min_batch: int = 1
+
+
+def _embed(st: TrainState, *xs: np.ndarray) -> list[Tensor]:
+    return [st.encoder.forward(Tensor(x)) for x in xs]
+
+
+def _dino(st, lc, x_a, x_b, x_n):
+    loss, teacher_mean = L.dino_loss(st.encoder, st.twin, st.dino_center, x_a, x_b,
+                                     lc.student_temperature, lc.teacher_temperature,
+                                     use_centering=lc.use_centering)
+    return loss, lambda: st.dino_center.update(teacher_mean)
+
+
+def _barlow_twins(st, lc, x_a, x_b, x_n):
+    z_a = batch_norm_cols(st.encoder.forward(Tensor(x_a)), eps=1e-12)
+    z_b = batch_norm_cols(st.encoder.forward(Tensor(x_b)), eps=1e-12)
+    return L.barlow_twins_loss(z_a, z_b, lc.bt_lambda,
+                               use_decorrelation=lc.use_decorrelation), None
+
+
+_OBJECTIVES: dict[str, _Objective] = {
+    "invariance": _Objective(
+        lambda st, lc, a, b, n: (L.invariance_loss(*_embed(st, a, b)), None)),
+    "triplet": _Objective(
+        lambda st, lc, a, b, n: (L.triplet_loss(*_embed(st, a, b, n), lc.margin), None),
+        negatives=True, class_views=True),
+    "infonce": _Objective(
+        lambda st, lc, a, b, n: (L.infonce_loss(*_embed(st, a, b),
+                                                temperature=lc.temperature), None),
+        class_views=True, min_batch=2),
+    "simsiam": _Objective(
+        lambda st, lc, a, b, n: (L.simsiam_loss(
+            st.encoder, st.predictor, a, b, use_stop_gradient=lc.use_stop_gradient,
+            use_predictor=lc.use_predictor), None),
+        frozenset({"predictor"}), optional_predictor=True),
+    "byol": _Objective(
+        lambda st, lc, a, b, n: (L.byol_loss(st.encoder, st.predictor, st.twin, a, b),
+                                 None),
+        frozenset({"predictor", "twin"})),
+    "dino": _Objective(_dino, frozenset({"twin", "dino_center"})),
+    "swav": _Objective(
+        lambda st, lc, a, b, n: (L.swav_loss(
+            st.encoder, st.prototypes, a, b, temperature=lc.temperature,
+            sinkhorn_eps=lc.sinkhorn_eps, sinkhorn_iters=lc.sinkhorn_iters),
+            st.prototypes.renormalize),
+        frozenset({"prototypes"})),
+    "barlow_twins": _Objective(_barlow_twins, min_batch=2),
+    "simple": _Objective(
+        lambda st, lc, a, b, n: (L.simple_objective(
+            *_embed(st, a, b), lc.center_penalty_weight,
+            squared=lc.center_penalty_squared), None)),
+}
+
+
 class Trainer:
     """Single-seed training run for one experiment config."""
 
@@ -333,20 +441,22 @@ class Trainer:
                                output_normalize=enc_spec.output_normalize)
         d = enc_spec.dims[-1]
         lc = cfg.loss
-        predictor = twin = prototypes = dino_center = None
-        if lc.needs_predictor:
-            predictor = init_predictor(
+        self.objective = _OBJECTIVES[lc.kind]
+        heads = self.objective.heads
+        if self.objective.optional_predictor and not lc.use_predictor:
+            heads = heads - {"predictor"}
+        st = self.state = TrainState(encoder)
+        if "predictor" in heads:
+            st.predictor = init_predictor(
                 d, seed + 11_000, hidden_multiple=enc_spec.predictor_hidden_multiple,
-                activation=enc_spec.activation,
-                learning_rate_multiplier=cfg.optimizer.predictor_lr_multiplier)
-        if lc.needs_twin:
-            twin = EmaTwin(encoder, lc.ema_momentum)
-        if lc.needs_prototypes:
-            prototypes = init_prototypes(lc.num_prototypes, d, seed + 12_000,
-                                         trainable=lc.prototypes_trainable)
-        if lc.kind == "dino":
-            dino_center = DinoCenterState(np.zeros(d), lc.dino_center_momentum)
-        self.state = TrainState(encoder, predictor, twin, prototypes, dino_center)
+                activation=enc_spec.activation)
+        if "twin" in heads:
+            st.twin = EmaTwin(encoder, lc.ema_momentum)
+        if "prototypes" in heads:
+            st.prototypes = init_prototypes(lc.num_prototypes, d, seed + 12_000,
+                                            trainable=lc.prototypes_trainable)
+        if "dino_center" in heads:
+            st.dino_center = DinoCenterState(np.zeros(d), lc.dino_center_momentum)
         self.sampler = BatchSampler(cfg.optimizer.batch_mode,
                                     cfg.optimizer.batch_size, seed + 30_000)
         self.prev_mean: np.ndarray | None = None
@@ -392,68 +502,21 @@ class Trainer:
     # -- one optimizer step ---------------------------------------------
     def train_step(self, idx: np.ndarray, rng: np.random.Generator) -> float:
         cfg, st = self.cfg, self.state
-        lc = cfg.loss
         pts = self.augmented.points
         x_a = pts[idx]
         x_b = pts[self._partners(idx, rng)]
-        pending_center: np.ndarray | None = None
-
-        if lc.kind == "invariance":
-            loss = L.invariance_loss(st.encoder.forward(Tensor(x_a)),
-                                     st.encoder.forward(Tensor(x_b)))
-        elif lc.kind == "simple":
-            loss = L.simple_objective(st.encoder.forward(Tensor(x_a)),
-                                      st.encoder.forward(Tensor(x_b)),
-                                      lc.center_penalty_weight,
-                                      squared=lc.center_penalty_squared)
-        elif lc.kind == "triplet":
-            x_n = pts[self._negatives(idx, rng)]
-            loss = L.triplet_loss(st.encoder.forward(Tensor(x_a)),
-                                  st.encoder.forward(Tensor(x_b)),
-                                  st.encoder.forward(Tensor(x_n)), lc.margin)
-        elif lc.kind == "infonce":
-            loss = L.infonce_loss(st.encoder.forward(Tensor(x_a)),
-                                  st.encoder.forward(Tensor(x_b)),
-                                  temperature=lc.temperature)
-        elif lc.kind == "simsiam":
-            loss = L.simsiam_loss(st.encoder, st.predictor, x_a, x_b,
-                                  use_stop_gradient=lc.use_stop_gradient,
-                                  use_predictor=lc.use_predictor)
-        elif lc.kind == "byol":
-            loss = L.byol_loss(st.encoder, st.predictor, st.twin, x_a, x_b)
-        elif lc.kind == "dino":
-            loss, pending_center = L.dino_loss(
-                st.encoder, st.twin, st.dino_center, x_a, x_b,
-                lc.student_temperature, lc.teacher_temperature,
-                use_centering=lc.use_centering)
-        elif lc.kind == "swav":
-            loss = L.swav_loss(st.encoder, st.prototypes, x_a, x_b,
-                               temperature=lc.temperature,
-                               sinkhorn_eps=lc.sinkhorn_eps,
-                               sinkhorn_iters=lc.sinkhorn_iters)
-        elif lc.kind == "barlow_twins":
-            bt_lambda = (1.0 / np.sqrt(idx.shape[0])
-                         if lc.bt_lambda_batch_coupled else lc.bt_lambda)
-            z_a = batch_norm_cols(st.encoder.forward(Tensor(x_a)), eps=1e-12)
-            z_b = batch_norm_cols(st.encoder.forward(Tensor(x_b)), eps=1e-12)
-            loss = L.barlow_twins_loss(z_a, z_b, bt_lambda,
-                                       use_decorrelation=lc.use_decorrelation)
-        else:  # pragma: no cover - validate() excludes this
-            raise ConfigError(f"unknown loss kind {lc.kind!r}")
-
+        x_n = pts[self._negatives(idx, rng)] if self.objective.negatives else None
+        loss, hook = self.objective.step(st, cfg.loss, x_a, x_b, x_n)
         value = loss.item()
         if not np.isfinite(value):
             raise NumericAbort(f"non-finite loss at step {st.step}")
         backward(loss)
         sgd_step(self.parameters(), cfg.optimizer.lr,
                  {"predictor": cfg.optimizer.predictor_lr_multiplier})
-        if st.prototypes is not None and st.prototypes.trainable:
-            m = st.prototypes.matrix.values
-            m /= np.sqrt((m * m).sum(axis=1, keepdims=True))
         if st.twin is not None:
             st.twin.update(st.encoder)
-        if st.dino_center is not None and pending_center is not None:
-            st.dino_center.update(pending_center)
+        if hook is not None:
+            hook()
         st.step += 1
         return value
 
@@ -488,25 +551,18 @@ class Trainer:
 def _fmt(value: float | None) -> str:
     if value is None:
         return ""
+    if isinstance(value, int):
+        return str(value)
     return f"{value:.12g}"
 
 
 def _write_row(fh, seed: int, epoch: int, step: int, loss: float | None,
                report: CollapseReport, knn: float | None,
                wall_ms: int | None) -> dict:
-    row = {
-        "seed": seed, "epoch": epoch, "step": step, "loss": loss,
-        "center_norm": report.center_norm,
-        "mean_residual_norm": report.mean_residual_norm,
-        "std_mean": report.std_mean,
-        "delta_dist": report.delta_dist,
-        "knn_accuracy": knn,
-        "wall_time_ms": wall_ms,
-    }
-    fh.write(f"{seed},{epoch},{step},{_fmt(loss)},{_fmt(report.center_norm)},"
-             f"{_fmt(report.mean_residual_norm)},{_fmt(report.std_mean)},"
-             f"{_fmt(report.delta_dist)},{_fmt(knn)},"
-             f"{'' if wall_ms is None else wall_ms}\n")
+    row = dict(zip(_COLUMNS, (seed, epoch, step, loss, report.center_norm,
+                              report.mean_residual_norm, report.std_mean,
+                              report.delta_dist, knn, wall_ms)))
+    fh.write(",".join(_fmt(v) for v in row.values()) + "\n")
     fh.flush()
     return row
 

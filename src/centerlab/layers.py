@@ -35,6 +35,7 @@ _ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
     "relu": (ad.relu, lambda v: np.maximum(v, 0.0)),
     "identity": (lambda t: t, lambda v: v),
 }
+_INIT_SCHEMES = ("uniform", "biased")
 
 
 @dataclass(frozen=True)
@@ -105,16 +106,12 @@ class EncoderStack:
 
 
 class PredictorHead(EncoderStack):
-    """Encoder-shaped head with matching in/out dimension and its own lr scale."""
+    """Encoder-shaped head with matching in/out dimension."""
 
-    def __init__(self, weights, biases, activations, output_normalize=True,
-                 learning_rate_multiplier: float = 1.0):
+    def __init__(self, weights, biases, activations, output_normalize=True):
         super().__init__(weights, biases, activations, output_normalize)
         if self.input_dim != self.output_dim:
             raise ShapeError("predictor input and output dims must match")
-        if learning_rate_multiplier <= 0:
-            raise ParameterError("learning_rate_multiplier must be positive")
-        self.learning_rate_multiplier = float(learning_rate_multiplier)
 
     def parameters(self, group: str = "predictor") -> list[Param]:
         return super().parameters(group)
@@ -122,7 +119,7 @@ class PredictorHead(EncoderStack):
 
 def init_encoder(dims: list[int], seed: int, scheme: str = "uniform",
                  activation: str = "tanh", output_normalize: bool = True,
-                 cls=EncoderStack, **kwargs):
+                 cls=EncoderStack):
     """Build an MLP with fan-in-scaled uniform weights.
 
     ``scheme="biased"`` adds a constant positive offset to every weight so the
@@ -133,7 +130,7 @@ def init_encoder(dims: list[int], seed: int, scheme: str = "uniform",
         raise ParameterError("need at least input and output dims")
     if any(d <= 0 for d in dims):
         raise ParameterError(f"dims must be positive, got {dims}")
-    if scheme not in ("uniform", "biased"):
+    if scheme not in _INIT_SCHEMES:
         raise ParameterError(f"unknown init scheme {scheme!r}")
     rng = np.random.default_rng(seed)
     weights, biases, acts = [], [], []
@@ -149,12 +146,11 @@ def init_encoder(dims: list[int], seed: int, scheme: str = "uniform",
         weights.append(Tensor(w, requires_grad=True))
         biases.append(Tensor(b, requires_grad=True))
         acts.append(activation if i < n_layers - 1 else "identity")
-    return cls(weights, biases, acts, output_normalize=output_normalize, **kwargs)
+    return cls(weights, biases, acts, output_normalize=output_normalize)
 
 
 def init_predictor(dim: int, seed: int, hidden_multiple: int = 4,
-                   activation: str = "tanh",
-                   learning_rate_multiplier: float = 1.0) -> PredictorHead:
+                   activation: str = "tanh") -> PredictorHead:
     """Predictor head D -> hidden_multiple*D -> D (linear map when 0).
 
     The linear variant starts at identity plus a small random perturbation so
@@ -164,14 +160,12 @@ def init_predictor(dim: int, seed: int, hidden_multiple: int = 4,
         raise ParameterError("hidden_multiple must be >= 0")
     if hidden_multiple == 0:
         head = init_encoder([dim, dim], seed,
-                            activation=activation, cls=PredictorHead,
-                            learning_rate_multiplier=learning_rate_multiplier)
+                            activation=activation, cls=PredictorHead)
         head.weights[0].values *= 0.1
         head.weights[0].values += np.eye(dim)
         return head
     return init_encoder([dim, hidden_multiple * dim, dim], seed,
-                        activation=activation, cls=PredictorHead,
-                        learning_rate_multiplier=learning_rate_multiplier)
+                        activation=activation, cls=PredictorHead)
 
 
 class EmaTwin:
@@ -214,6 +208,12 @@ class PrototypeBank:
         if not self.trainable:
             return []
         return [Param("prototypes.matrix", self.matrix, "prototypes")]
+
+    def renormalize(self) -> None:
+        """Project a trainable bank's rows back onto the unit sphere, in place."""
+        if self.trainable:
+            m = self.matrix.values
+            m /= np.sqrt((m * m).sum(axis=1, keepdims=True))
 
 
 def init_prototypes(num_prototypes: int, dim: int, seed: int,

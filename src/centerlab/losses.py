@@ -10,7 +10,7 @@ join the computation graph; only the student branch carries gradients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +51,6 @@ class LossConfig:
     teacher_temperature: float = 0.04   # DINO teacher (sharper)
     margin: float | None = None         # triplet; None = infinite-margin mode
     bt_lambda: float = 5e-3             # Barlow Twins off-diagonal weight
-    bt_lambda_batch_coupled: bool = False  # lambda = 1/sqrt(batch) instead
     center_penalty_weight: float = -1.0    # lagrange multiplier of the simple objective
     center_penalty_squared: bool = True    # squared center norm (raw norm if False)
     ema_momentum: float = 0.99          # BYOL / DINO teacher momentum
@@ -81,18 +80,6 @@ class LossConfig:
             raise ParameterError("ema_momentum must be in [0, 1)")
         if not (0.0 <= self.dino_center_momentum < 1.0):
             raise ParameterError("dino_center_momentum must be in [0, 1)")
-
-    @property
-    def needs_predictor(self) -> bool:
-        return (self.kind == "simsiam" and self.use_predictor) or self.kind == "byol"
-
-    @property
-    def needs_twin(self) -> bool:
-        return self.kind in ("byol", "dino")
-
-    @property
-    def needs_prototypes(self) -> bool:
-        return self.kind == "swav"
 
 
 @dataclass

@@ -3,8 +3,8 @@ import pytest
 
 from centerlab.autodiff import ParameterError
 from centerlab.data import (AugmentationModel, BatchSampler, augment,
-                            default_blob_centers, export_csv, gen_blobs,
-                            gen_gaussian_points, gen_moons, import_csv)
+                            default_blob_centers, gen_blobs,
+                            gen_gaussian_points, gen_moons)
 
 
 class TestGenerators:
@@ -146,19 +146,3 @@ class TestBatchSampler:
             BatchSampler(mode="stream")
         with pytest.raises(ParameterError):
             BatchSampler(mode="mini", batch_size=0)
-
-
-def test_csv_roundtrip(tmp_path):
-    ds = gen_moons(25, noise=0.05, seed=8)
-    path = tmp_path / "moons.csv"
-    export_csv(ds, path)
-    back = import_csv(path)
-    np.testing.assert_array_equal(back.points, ds.points)
-    np.testing.assert_array_equal(back.labels, ds.labels)
-
-
-def test_csv_rejects_missing_label_column(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("x0,x1\n1.0,2.0\n")
-    with pytest.raises(ValueError):
-        import_csv(path)

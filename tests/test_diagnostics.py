@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from centerlab.autodiff import ParameterError
-from centerlab.diagnostics import (CenterEstimate, EmaCenterTracker,
-                                   angle_to_direction, collapse_verdict,
-                                   delta_dist, estimate_center, knn_eval,
-                                   residual_stats, second_moment_gap)
+from centerlab.diagnostics import (CenterEstimate, angle_to_direction,
+                                   collapse_verdict, delta_dist,
+                                   estimate_center, knn_eval, residual_stats,
+                                   second_moment_gap)
 
 
 def unit_rows(rng, m, d):
@@ -26,21 +26,6 @@ class TestEstimateCenter:
         z = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
         assert estimate_center(z).norm == 0.0
 
-    def test_unknown_strategy(self):
-        with pytest.raises(ParameterError):
-            estimate_center(np.ones((2, 2)), strategy="median")
-
-    def test_ema_tracker_first_batch_seeds_center(self):
-        tracker = EmaCenterTracker(momentum=0.9)
-        est = tracker.update(np.ones((4, 2)))
-        np.testing.assert_allclose(est.s_hat, [1.0, 1.0])
-
-    def test_ema_tracker_folds_with_momentum(self):
-        tracker = EmaCenterTracker(momentum=0.5)
-        tracker.update(np.zeros((2, 2)))
-        est = tracker.update(np.ones((2, 2)))
-        np.testing.assert_allclose(est.s_hat, [0.5, 0.5])
-        assert est.sample_count == 4
 
 
 class TestResiduals:
@@ -60,7 +45,7 @@ class TestResiduals:
         np.testing.assert_allclose(per_dim_std, 0.0, atol=1e-12)
 
     def test_dimension_mismatch(self):
-        est = CenterEstimate(np.zeros(3), "batch", 0.0, 1)
+        est = CenterEstimate(np.zeros(3), 0.0, 1)
         with pytest.raises(ParameterError):
             residual_stats(np.ones((4, 2)), est)
 
@@ -74,7 +59,7 @@ class TestSecondMomentGap:
     def test_identity_breaks_for_wrong_center(self):
         rng = np.random.default_rng(2)
         z = rng.standard_normal((50, 4))
-        wrong = CenterEstimate(np.full(4, 2.0), "batch", float(np.sqrt(16.0)), 50)
+        wrong = CenterEstimate(np.full(4, 2.0), float(np.sqrt(16.0)), 50)
         assert second_moment_gap(z, wrong) > 1.0
 
 

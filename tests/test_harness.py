@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -86,7 +87,7 @@ class TestConfigSchema:
 
     def test_roundtrip_through_dict(self):
         cfg = tiny_config(kind="byol")
-        again = ExperimentConfig.from_dict(cfg.to_dict())
+        again = ExperimentConfig.from_dict(dataclasses.asdict(cfg))
         assert again == cfg
 
     def test_from_file_rejects_bad_json(self, tmp_path):
@@ -123,6 +124,24 @@ class TestTrainer:
         first = trainer.train_step(idx, rng)
         assert np.isfinite(first)
         assert trainer.state.step == 1
+
+    def test_post_step_hooks(self):
+        # SwAV puts a trainable bank back on the sphere after the SGD step and
+        # leaves a frozen one untouched; DINO folds the teacher mean into its center
+        idx = np.arange(15)
+        learnable = Trainer(tiny_config(kind="swav"), seed=0)
+        before = learnable.state.prototypes.matrix.values.copy()
+        learnable.train_step(idx, np.random.default_rng(0))
+        after = learnable.state.prototypes.matrix.values
+        assert not np.array_equal(after, before)
+        np.testing.assert_allclose(np.linalg.norm(after, axis=1), 1.0, atol=1e-12)
+        frozen = Trainer(tiny_config(kind="swav", prototypes_trainable=False), seed=0)
+        before = frozen.state.prototypes.matrix.values.copy()
+        frozen.train_step(idx, np.random.default_rng(0))
+        np.testing.assert_array_equal(frozen.state.prototypes.matrix.values, before)
+        dino = Trainer(tiny_config(kind="dino"), seed=0)
+        dino.train_step(idx, np.random.default_rng(0))
+        assert np.any(dino.state.dino_center.center != 0.0)
 
     def test_partners_stay_within_group(self):
         trainer = Trainer(tiny_config(), seed=0)
@@ -484,6 +503,29 @@ class TestCli:
                          "named", "fig3-simple-vs-simsiam", "--override", override])
         assert code == 2
         assert override.split("=")[0] in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    # bad configs that used to pass validate() and crash with a traceback
+    # during training (or, for "3", inside validate() itself)
+    @pytest.mark.parametrize("overrides, field", [
+        # 3 x 67 = 201 points in batches of 50 leave a last batch of 1
+        (["loss.kind=barlow_twins", "dataset.n_per_class=67"], "optimizer.batch_size"),
+        (["loss.kind=infonce", "dataset.n_per_class=67"], "optimizer.batch_size"),
+        (["optimizer.predictor_lr_multiplier=0"], "optimizer.predictor_lr_multiplier"),
+        (["encoder.dims=[2,0,2]"], "encoder.dims"),
+        (["encoder.activation=gelu"], "encoder.activation"),
+        (["encoder.scheme=xavier"], "encoder.scheme"),
+        (["diagnostics.center_hi=1.5"], "diagnostics.center_hi"),
+        (["augmentation.kind=shifted"], "augmentation.shift"),
+        (["loss.kind=swav", "loss.num_prototypes=1"], "loss.num_prototypes"),
+        (['optimizer.epochs="3"'], "optimizer.epochs"),
+    ])
+    def test_named_crashing_config_exits_2(self, tmp_path, capsys, overrides, field):
+        argv = ["--out-dir", str(tmp_path), "--quiet", "named", "fig3-simple-vs-simsiam"]
+        for override in overrides:
+            argv += ["--override", override]
+        assert cli_main(argv) == 2
+        assert field in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
     def test_named_unknown_key_exits_2(self, capsys):

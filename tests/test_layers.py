@@ -126,6 +126,18 @@ class TestPrototypes:
     def test_frozen_bank_has_no_parameters(self):
         assert init_prototypes(8, 4, seed=0, trainable=False).parameters() == []
 
+    def test_renormalize_after_a_step(self):
+        bank = init_prototypes(8, 4, seed=0)
+        bank.matrix.values -= 0.3 * np.random.default_rng(1).standard_normal((8, 4))
+        bank.renormalize()
+        np.testing.assert_allclose(np.linalg.norm(bank.matrix.values, axis=1), 1.0,
+                                   atol=1e-15)
+        frozen = init_prototypes(8, 4, seed=0, trainable=False)
+        frozen.matrix.values *= 2.0
+        before = frozen.matrix.values.copy()
+        frozen.renormalize()
+        np.testing.assert_array_equal(frozen.matrix.values, before)
+
     def test_too_small_bank_rejected(self):
         with pytest.raises(ParameterError):
             init_prototypes(1, 4, seed=0)

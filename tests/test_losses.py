@@ -3,8 +3,9 @@ import pytest
 
 from centerlab import autodiff as ad
 from centerlab.autodiff import ParameterError, ShapeError, Tensor, backward, grad_check
+from centerlab.harness import _OBJECTIVES, DatasetSpec, ExperimentConfig, Trainer
 from centerlab.layers import EmaTwin, init_encoder, init_predictor, init_prototypes
-from centerlab.losses import (DinoCenterState, LossConfig, NumericError,
+from centerlab.losses import (LOSS_KINDS, DinoCenterState, LossConfig, NumericError,
                               barlow_twins_loss, byol_loss, dino_loss,
                               infonce_loss, invariance_loss, simple_objective,
                               simsiam_loss, sinkhorn_knopp, swav_loss,
@@ -39,13 +40,21 @@ class TestLossConfig:
             LossConfig(**kwargs).validate()
 
     def test_component_requirements(self):
-        assert LossConfig(kind="simsiam").needs_predictor
-        assert not LossConfig(kind="simsiam", use_predictor=False).needs_predictor
-        assert LossConfig(kind="byol").needs_predictor
-        assert LossConfig(kind="byol").needs_twin
-        assert LossConfig(kind="dino").needs_twin
-        assert LossConfig(kind="swav").needs_prototypes
-        assert not LossConfig(kind="infonce").needs_twin
+        cases = [  # (kind, use_predictor, heads the trainer builds)
+            ("invariance", True, set()), ("triplet", True, set()),
+            ("infonce", True, set()), ("simsiam", True, {"predictor"}),
+            ("simsiam", False, set()), ("byol", True, {"predictor", "twin"}),
+            ("dino", True, {"twin", "dino_center"}), ("swav", True, {"prototypes"}),
+            ("barlow_twins", True, set()), ("simple", True, set()),
+        ]
+        assert set(_OBJECTIVES) == set(LOSS_KINDS) == {kind for kind, _, _ in cases}
+        for kind, use_predictor, heads in cases:
+            cfg = ExperimentConfig(dataset=DatasetSpec(n_per_class=10),
+                                   loss=LossConfig(kind=kind, use_predictor=use_predictor))
+            state = Trainer(cfg, 0).state
+            built = {name for name in ("predictor", "twin", "prototypes", "dino_center")
+                     if getattr(state, name) is not None}
+            assert built == heads, (kind, use_predictor)
 
 
 class TestInvariance:
