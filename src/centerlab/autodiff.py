@@ -24,6 +24,7 @@ __all__ = [
     "neg",
     "power",
     "matmul",
+    "linear",
     "transpose",
     "tensor_sum",
     "tensor_mean",
@@ -271,6 +272,42 @@ def matmul(a, b) -> Tensor:
     return _make(out_vals, (a, b), bwd)
 
 
+# activation name -> (forward, backward rule); the rule maps the output's
+# gradient g, the pre-activation and the output to the pre-activation's
+# gradient with the expressions of the composed ``tanh`` and ``relu`` nodes
+_ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
+    "tanh": (np.tanh, lambda g, pre, out: g * (1.0 - out ** 2)),
+    "relu": (lambda v: np.maximum(v, 0.0), lambda g, pre, out: g * (pre > 0.0)),
+    "identity": (lambda v: v, lambda g, pre, out: g),
+}
+
+
+def linear(h, w, b, act: str) -> Tensor:
+    """``act(h @ w + b)`` as one node, for act in ``_ACTIVATIONS``.
+
+    The backward replays the composed ``matmul``, ``add`` and activation
+    nodes expression for expression, so values and gradients are
+    bit-identical to that graph's.
+    """
+    h, w, b = _wrap(h), _wrap(w), _wrap(b)
+    if h.shape[1] != w.shape[0]:
+        raise ShapeError(f"linear inner dims disagree: {h.shape} @ {w.shape}")
+    forward, rule = _ACTIVATIONS[act]
+    pre = h.values @ w.values + b.values
+    out_vals = forward(pre)
+
+    def bwd(g):
+        g = rule(g, pre, out_vals)
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g, b.shape))
+        if h.requires_grad:
+            _accum(h, g @ w.values.T)
+        if w.requires_grad:
+            _accum(w, h.values.T @ g)
+
+    return _make(out_vals, (h, w, b), bwd)
+
+
 def transpose(a) -> Tensor:
     a = _wrap(a)
 
@@ -366,13 +403,24 @@ def log(a) -> Tensor:
 def l2_normalize_rows(x, eps: float = 1e-12) -> Tensor:
     """Scale each row to unit L2 norm with an eps-regularized denominator.
 
-    The backward pass is the projection Jacobian (I - zz^T)/||x|| obtained by
-    composition; zero rows map to zero rows.
+    One node that replays the composed ``x / (sum(x * x, 1) + eps^2) ** 0.5``
+    graph: the backward runs that graph's div, power, sum and mul rules in
+    its order, not the analytic Jacobian (I - zz^T)/||x||, so gradients are
+    bit-identical to it. Zero rows map to zero rows.
     """
     x = _wrap(x)
-    sumsq = tensor_sum(x * x, axis=1)
-    denom = power(sumsq + eps * eps, 0.5)
-    return x / denom
+    s = (x.values * x.values).sum(axis=1, keepdims=True) + eps * eps
+    d = s ** 0.5
+
+    def bwd(g):
+        gd = _unbroadcast(-g * x.values / (d ** 2), d.shape)
+        # x * x hands each operand the same term
+        t = gd * 0.5 * s ** -0.5 * x.values
+        _accum(x, g / d)
+        _accum(x, t)
+        _accum(x, t)
+
+    return _make(x.values / d, (x,), bwd)
 
 
 def softmax_rows(x, temperature: float = 1.0) -> Tensor:

@@ -30,14 +30,14 @@ import numpy as np
 
 from . import data as toydata
 from . import losses as L
-from .autodiff import ParameterError, Tensor, backward, batch_norm_cols
+from .autodiff import (_ACTIVATIONS, ParameterError, Tensor, backward,
+                       batch_norm_cols)
 from .data import AugmentationModel, BatchSampler, ToyDataset, augment
 from .diagnostics import (CollapseReport, collapse_verdict, estimate_center,
                           knn_eval)
-from .layers import (_ACTIVATIONS, _INIT_SCHEMES, EmaTwin, EncoderStack,
-                     Param, PredictorHead, PrototypeBank, init_encoder,
-                     init_predictor, init_prototypes, save_checkpoint,
-                     sgd_step)
+from .layers import (_INIT_SCHEMES, EmaTwin, EncoderStack, Param, PredictorHead,
+                     PrototypeBank, init_encoder, init_predictor,
+                     init_prototypes, save_checkpoint, sgd_step)
 from .losses import DinoCenterState, LossConfig
 
 __all__ = [
@@ -180,6 +180,8 @@ class ExperimentConfig:
                               f"{enc.activation!r}")
         if enc.scheme not in _INIT_SCHEMES:
             raise ConfigError(f"encoder.scheme: unknown init scheme {enc.scheme!r}")
+        if enc.predictor_hidden_multiple < 0:
+            raise ConfigError("encoder.predictor_hidden_multiple: must be >= 0")
         if opt.epochs < 0:
             raise ConfigError("optimizer.epochs: must be >= 0")
         if opt.lr < 0:
@@ -208,8 +210,12 @@ class ExperimentConfig:
         if objective.class_views and aug.kind != "class":
             raise ConfigError(f"loss.kind: {lc.kind} needs class-as-augmentation "
                               "data")
-        if "prototypes" in objective.heads and lc.num_prototypes < 2:
-            raise ConfigError("loss.num_prototypes: must be >= 2")
+        if "prototypes" in objective.heads:
+            if lc.num_prototypes < 2:
+                raise ConfigError("loss.num_prototypes: must be >= 2")
+            if enc.dims[-1] < 2:
+                raise ConfigError(f"encoder.dims: {lc.kind} needs an output dim >= 2 "
+                                  "for its prototypes")
         # kNN runs leave-one-out on the base points, so k < pool; the class
         # count comes from the built data, as in the trainer
         base = _build_dataset(ds, self.base_seed)
@@ -253,12 +259,38 @@ _NESTED = {
 }
 
 
+_NUMBER_TYPES = {"int": numbers.Integral, "float": numbers.Real}
+
+
+def _fits(value, annotation: str) -> bool:
+    """Whether a value fits a field annotation such as ``list[float] | None``.
+
+    Only the numeric parts are checked: a str, bool or nested spec option
+    accepts anything (the string fields are checked against their kinds).
+    """
+    for option in annotation.split(" | "):
+        if option == "None":
+            if value is None:
+                return True
+        elif option.startswith("list[") and option.endswith("]"):
+            if (isinstance(value, (list, tuple))
+                    and all(_fits(v, option[5:-1]) for v in value)):
+                return True
+        elif option in _NUMBER_TYPES:
+            if (isinstance(value, _NUMBER_TYPES[option])
+                    and not isinstance(value, bool)):
+                return True
+        else:
+            return True
+    return False
+
+
 def _check_numbers(spec, path: str) -> None:
-    """Every ``int``/``float`` field of a config dataclass holds a number."""
+    """Every numeric field of a config dataclass holds numbers of its type,
+    inside lists and ``| None`` unions too."""
     for f in fields(spec):
-        want = {"int": numbers.Integral, "float": numbers.Real}.get(f.type)
         value = getattr(spec, f.name)
-        if want and (isinstance(value, bool) or not isinstance(value, want)):
+        if not _fits(value, f.type):
             raise ConfigError(f"{path}{f.name}: expected {f.type}, got {value!r}")
 
 
@@ -457,18 +489,18 @@ class Trainer:
                                             trainable=lc.prototypes_trainable)
         if "dino_center" in heads:
             st.dino_center = DinoCenterState(np.zeros(d), lc.dino_center_momentum)
+        self.params = encoder.parameters("encoder")
+        if st.predictor is not None:
+            self.params += st.predictor.parameters("predictor")
+        if st.prototypes is not None:
+            self.params += st.prototypes.parameters()
         self.sampler = BatchSampler(cfg.optimizer.batch_mode,
                                     cfg.optimizer.batch_size, seed + 30_000)
         self.prev_mean: np.ndarray | None = None
 
     # -- parameter plumbing ---------------------------------------------
     def parameters(self) -> list[Param]:
-        params = list(self.state.encoder.parameters("encoder"))
-        if self.state.predictor is not None:
-            params += self.state.predictor.parameters("predictor")
-        if self.state.prototypes is not None:
-            params += self.state.prototypes.parameters()
-        return params
+        return self.params
 
     # -- batch construction ---------------------------------------------
     def _partners(self, idx: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -511,7 +543,7 @@ class Trainer:
         if not np.isfinite(value):
             raise NumericAbort(f"non-finite loss at step {st.step}")
         backward(loss)
-        sgd_step(self.parameters(), cfg.optimizer.lr,
+        sgd_step(self.params, cfg.optimizer.lr,
                  {"predictor": cfg.optimizer.predictor_lr_multiplier})
         if st.twin is not None:
             st.twin.update(st.encoder)

@@ -9,12 +9,12 @@ and never join the computation graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ParameterError, ShapeError, Tensor
+from .autodiff import _ACTIVATIONS, ParameterError, ShapeError, Tensor
 
 __all__ = [
     "Param",
@@ -30,11 +30,6 @@ __all__ = [
     "load_checkpoint",
 ]
 
-_ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
-    "tanh": (ad.tanh, np.tanh),
-    "relu": (ad.relu, lambda v: np.maximum(v, 0.0)),
-    "identity": (lambda t: t, lambda v: v),
-}
 _INIT_SCHEMES = ("uniform", "biased")
 
 
@@ -76,8 +71,7 @@ class EncoderStack:
                 f"input dim {x.shape[1]} does not match encoder dim {self.input_dim}")
         h = x
         for w, b, act in zip(self.weights, self.biases, self.activations):
-            h = ad.matmul(h, w) + b
-            h = _ACTIVATIONS[act][0](h)
+            h = ad.linear(h, w, b, act)
         if self.output_normalize:
             h = ad.l2_normalize_rows(h)
         return h
@@ -86,7 +80,7 @@ class EncoderStack:
         """Numpy-only forward; used by EMA teachers and diagnostics (off-graph)."""
         h = np.atleast_2d(np.asarray(x, dtype=np.float64))
         for w, b, act in zip(self.weights, self.biases, self.activations):
-            h = _ACTIVATIONS[act][1](h @ w.values + b.values)
+            h = _ACTIVATIONS[act][0](h @ w.values + b.values)
         if self.output_normalize:
             h = h / np.sqrt((h * h).sum(axis=1, keepdims=True) + 1e-24)
         return h

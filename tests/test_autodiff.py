@@ -44,6 +44,82 @@ class TestMatmul:
         assert rep.max_rel_err < 1e-6
 
 
+# The composed graphs that `ad.linear` and `ad.l2_normalize_rows` replace:
+# oracles that the fused nodes must match bit for bit.
+def composed_linear(h, w, b, act):
+    out = ad.matmul(h, w) + b
+    return {"tanh": ad.tanh, "relu": ad.relu, "identity": lambda t: t}[act](out)
+
+
+def composed_l2_normalize_rows(x, eps=1e-12):
+    x = ad._wrap(x)
+    sumsq = ad.tensor_sum(x * x, axis=1)
+    denom = ad.power(sumsq + eps * eps, 0.5)
+    return x / denom
+
+
+def assert_bits_equal(got, want):
+    """Equal values and equal signs of zeros; None only matches None."""
+    if want is None:
+        assert got is None
+        return
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+# every activation in the table; one without an oracle above fails
+ACTIVATIONS = sorted(ad._ACTIVATIONS)
+
+
+class TestLinear:
+    @staticmethod
+    def two_layer_grads(layer, normalize, act, h_grad, views=1):
+        """Values and every gradient of a two-layer, normalized stack whose
+        parameters `views` forwards share, under one scalar loss."""
+        rng = np.random.default_rng(17)
+        w0, b0 = leaf(rng.standard_normal((3, 8))), leaf(rng.standard_normal((1, 8)))
+        w1, b1 = leaf(rng.standard_normal((8, 4))), leaf(rng.standard_normal((1, 4)))
+        xs = [Tensor(rng.standard_normal((20, 3)), requires_grad=h_grad)
+              for _ in range(views)]
+        outs = [normalize(layer(layer(x, w0, b0, act), w1, b1, "identity"))
+                for x in xs]
+        loss = ad.tensor_sum(outs[0] * rng.standard_normal((20, 4)))
+        for out in outs[1:]:
+            loss = loss + ad.tensor_sum(out * outs[0]) * -0.5
+        backward(loss)
+        return ([out.values for out in outs]
+                + [t.grad for t in [w0, b0, w1, b1] + xs])
+
+    @pytest.mark.parametrize("views", [1, 3])
+    @pytest.mark.parametrize("h_grad", [False, True])
+    @pytest.mark.parametrize("act", ACTIVATIONS)
+    def test_stack_matches_composed(self, act, h_grad, views):
+        # three forwards through one set of parameters accumulate three
+        # gradients into each, so the order of the additions matters
+        got = self.two_layer_grads(ad.linear, ad.l2_normalize_rows, act, h_grad, views)
+        want = self.two_layer_grads(composed_linear, composed_l2_normalize_rows,
+                                    act, h_grad, views)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_bits_equal(g, w)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeError):
+            ad.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))),
+                      Tensor(np.zeros((1, 3))), "tanh")
+
+    @pytest.mark.parametrize("act", ACTIVATIONS)
+    def test_backward_matches_finite_differences(self, act):
+        rng = np.random.default_rng(23)
+        h, w = rng.standard_normal((5, 3)), rng.standard_normal((3, 4))
+        b, probe = rng.standard_normal((1, 4)), rng.standard_normal((5, 4))
+        for f, x in ((lambda t: ad.linear(t, Tensor(w), Tensor(b), act), h),
+                     (lambda t: ad.linear(Tensor(h), t, Tensor(b), act), w),
+                     (lambda t: ad.linear(Tensor(h), Tensor(w), t, act), b)):
+            rep = grad_check(lambda t: ad.tensor_sum(f(t) * probe), Tensor(x), tol=1e-6)
+            assert rep.max_rel_err < 1e-6
+
+
 class TestL2NormalizeRows:
     def test_345_triple(self):
         out = ad.l2_normalize_rows(Tensor([[3.0, 4.0]]))
@@ -64,6 +140,25 @@ class TestL2NormalizeRows:
         proxy = ad.tensor_sum(out * z)
         backward(proxy)
         np.testing.assert_allclose(grad_of(x), np.zeros_like(x.values), atol=1e-9)
+
+    @pytest.mark.parametrize("cols", [1, 5])
+    def test_matches_composed_with_a_zero_row(self, cols):
+        def grads(normalize):
+            rng = np.random.default_rng(31)
+            x = leaf(rng.standard_normal((40, cols)))
+            upstream = rng.standard_normal((40, cols))
+            # a zero row, and a row of -0.0 that meets a -0.0 gradient: the
+            # sign of its input gradient depends on the composed sum order
+            x.values[7] = 0.0
+            x.values[8] = upstream[8] = -0.0
+            out = normalize(x)
+            backward(ad.tensor_sum(out * upstream))
+            return out.values, x.grad
+
+        got, want = grads(ad.l2_normalize_rows), grads(composed_l2_normalize_rows)
+        np.testing.assert_array_equal(got[0][7:9], 0.0)
+        for g, w in zip(got, want):
+            assert_bits_equal(g, w)
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=25, deadline=None)

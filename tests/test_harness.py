@@ -16,7 +16,9 @@ from centerlab.harness import (METRICS_HEADER, ComparisonError, ConfigError,
                                OptimizerSpec, Trainer, _index_table,
                                apply_overrides, compare_runs, experiment_names,
                                named_experiment, run_experiment)
+from centerlab.layers import EncoderStack
 from centerlab.losses import LOSS_KINDS, LossConfig
+from test_autodiff import composed_l2_normalize_rows, composed_linear
 
 
 def tiny_config(**loss_kw) -> ExperimentConfig:
@@ -142,6 +144,45 @@ class TestTrainer:
         dino = Trainer(tiny_config(kind="dino"), seed=0)
         dino.train_step(idx, np.random.default_rng(0))
         assert np.any(dino.state.dino_center.center != 0.0)
+
+    @pytest.mark.parametrize("overrides", [
+        *({"loss.kind": kind} for kind in LOSS_KINDS),
+        {"loss.kind": "simsiam", "loss.use_predictor": False},
+        {"loss.kind": "simsiam", "loss.use_stop_gradient": False},
+        {"loss.kind": "simsiam", "loss.use_predictor": False,
+         "loss.use_stop_gradient": False},
+        {"loss.kind": "simsiam", "encoder.activation": "relu"},
+    ], ids=lambda kw: "-".join(str(v) for v in kw.values()))
+    def test_fused_forward_matches_composed(self, monkeypatch, overrides):
+        # one linear node per layer and one normalization node must train
+        # exactly as the matmul + add + activation and five-node graphs did
+        cfg = apply_overrides(tiny_config(), overrides)
+
+        def state_after_three_steps():
+            trainer = Trainer(cfg, seed=0)
+            rng = np.random.default_rng(0)
+            for idx in (np.arange(15), np.arange(15, 30), np.arange(30)):
+                trainer.train_step(idx, rng)
+            st = trainer.state
+            arrays = [p.tensor.values for p in trainer.parameters()]
+            if st.twin is not None:
+                arrays += [t.values for t in st.twin.shadow.weights + st.twin.shadow.biases]
+            if st.dino_center is not None:
+                arrays.append(st.dino_center.center)
+            return arrays
+
+        def composed_forward(self, x):
+            h = x
+            for w, b, act in zip(self.weights, self.biases, self.activations):
+                h = composed_linear(h, w, b, act)
+            return composed_l2_normalize_rows(h) if self.output_normalize else h
+
+        fused = state_after_three_steps()
+        monkeypatch.setattr(EncoderStack, "forward", composed_forward)
+        composed = state_after_three_steps()
+        assert len(fused) == len(composed)
+        for a, b in zip(fused, composed):
+            assert a.tobytes() == b.tobytes()
 
     def test_partners_stay_within_group(self):
         trainer = Trainer(tiny_config(), seed=0)
@@ -506,7 +547,7 @@ class TestCli:
         assert not any(tmp_path.iterdir())
 
     # bad configs that used to pass validate() and crash with a traceback
-    # during training (or, for "3", inside validate() itself)
+    # during training (or, for the wrong types, inside validate() itself)
     @pytest.mark.parametrize("overrides, field", [
         # 3 x 67 = 201 points in batches of 50 leave a last batch of 1
         (["loss.kind=barlow_twins", "dataset.n_per_class=67"], "optimizer.batch_size"),
@@ -519,6 +560,12 @@ class TestCli:
         (["augmentation.kind=shifted"], "augmentation.shift"),
         (["loss.kind=swav", "loss.num_prototypes=1"], "loss.num_prototypes"),
         (['optimizer.epochs="3"'], "optimizer.epochs"),
+        (["loss.kind=swav", "encoder.dims=[2,16,1]"], "encoder.dims"),
+        (["encoder.predictor_hidden_multiple=-1"], "encoder.predictor_hidden_multiple"),
+        (['encoder.dims=["2",16,2]'], "encoder.dims"),
+        (['loss.margin="x"'], "loss.margin"),
+        # used to be accepted silently
+        (["augmentation.shift=1"], "augmentation.shift"),
     ])
     def test_named_crashing_config_exits_2(self, tmp_path, capsys, overrides, field):
         argv = ["--out-dir", str(tmp_path), "--quiet", "named", "fig3-simple-vs-simsiam"]

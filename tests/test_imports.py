@@ -1,4 +1,5 @@
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -28,3 +29,19 @@ def unused_imports(path: Path) -> list[str]:
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_exported_names_exist(path):
+    """Every name in a module's ``__all__`` exists, and every name a module
+    imports from a sibling (the package's re-exports) is defined there."""
+    module = importlib.import_module(
+        "centerlab" if path.name == "__init__.py" else f"centerlab.{path.stem}")
+    missing = [name for name in getattr(module, "__all__", ())
+               if not hasattr(module, name)]
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            source = ".".join(filter(None, ("centerlab", node.module)))
+            missing += [f"{source}.{alias.name}" for alias in node.names
+                        if not hasattr(importlib.import_module(source), alias.name)]
+    assert missing == []
