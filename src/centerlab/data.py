@@ -61,7 +61,9 @@ class AugmentationModel:
 
     def __post_init__(self):
         if self.kind not in ("class", "centered", "shifted"):
-            raise ParameterError(f"unknown augmentation kind {self.kind!r}")
+            raise ParameterError(f"kind: unknown augmentation kind {self.kind!r}")
+        if self.sigma < 0:
+            raise ParameterError("sigma must be >= 0")
         if self.views < 1:
             raise ParameterError("views must be >= 1")
         if self.shift is not None:
@@ -96,6 +98,8 @@ def gen_blobs(n_per_class: int, num_classes: int = 3,
               centers: np.ndarray | None = None, sigma: float = 0.5,
               seed: int = 0) -> ToyDataset:
     """Isotropic Gaussian clusters in 2-D (or centers' dimension)."""
+    if n_per_class < 1:
+        raise ParameterError("n_per_class must be >= 1")
     if num_classes < 2:
         raise ParameterError("num_classes must be >= 2")
     if sigma <= 0:
@@ -122,6 +126,8 @@ def gen_moons(n_per_class: int, noise: float = 0.1, seed: int = 0,
     angular sectors (they stay separable under cosine distance); set
     ``three_classes=False`` for the standard two-moon construction.
     """
+    if n_per_class < 1:
+        raise ParameterError("n_per_class must be >= 1")
     if noise < 0:
         raise ParameterError("noise must be >= 0")
     rng = np.random.default_rng(seed)
@@ -141,8 +147,10 @@ def gen_moons(n_per_class: int, noise: float = 0.1, seed: int = 0,
 
 def gen_gaussian_points(n: int, dim: int, seed: int = 0) -> ToyDataset:
     """Standard-normal points centered at the origin, single dummy class."""
-    if n < 1 or dim < 1:
-        raise ParameterError("need n >= 1 and dim >= 1")
+    if n < 1:
+        raise ParameterError("n must be >= 1")
+    if dim < 1:
+        raise ParameterError("dim must be >= 1")
     rng = np.random.default_rng(seed)
     points = rng.standard_normal((n, dim))
     return ToyDataset(points, np.zeros(n, dtype=np.int64), "gaussian", seed)
@@ -162,10 +170,10 @@ def augment(ds: ToyDataset, model: AugmentationModel, seed: int = 0) -> Augmente
     shift = np.zeros(ds.dim)
     if model.kind == "shifted":
         if model.shift is None:
-            raise ParameterError("shifted augmentation requires a shift vector")
+            raise ParameterError("shift: shifted views need a shift vector")
         if model.shift.shape[0] != ds.dim:
-            raise ParameterError(
-                f"shift dim {model.shift.shape[0]} != data dim {ds.dim}")
+            raise ParameterError(f"shift: dim {model.shift.shape[0]} does not match "
+                                 f"the data dim {ds.dim}")
         shift = model.shift
     reps = np.repeat(np.arange(ds.n), model.views)
     noise = model.sigma * rng.standard_normal((ds.n * model.views, ds.dim))
@@ -182,7 +190,7 @@ class BatchSampler:
 
     def __post_init__(self):
         if self.mode not in ("mini", "full"):
-            raise ParameterError(f"unknown batch mode {self.mode!r}")
+            raise ParameterError(f"batch_mode: unknown batch mode {self.mode!r}")
         if self.mode == "mini" and self.batch_size < 1:
             raise ParameterError("batch_size must be >= 1")
 

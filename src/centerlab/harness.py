@@ -23,6 +23,7 @@ import json
 import numbers
 import time
 from collections.abc import Callable
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -30,15 +31,15 @@ import numpy as np
 
 from . import data as toydata
 from . import losses as L
-from .autodiff import (_ACTIVATIONS, ParameterError, Tensor, backward,
-                       batch_norm_cols)
-from .data import AugmentationModel, BatchSampler, ToyDataset, augment
+from .autodiff import ParameterError, Tensor, backward, batch_norm_cols
+from .data import (AugmentationModel, AugmentedSet, BatchSampler, ToyDataset,
+                   augment)
 from .diagnostics import (CollapseReport, collapse_verdict, estimate_center,
                           knn_eval)
-from .layers import (_INIT_SCHEMES, EmaTwin, EncoderStack, Param, PredictorHead,
-                     PrototypeBank, init_encoder, init_predictor,
-                     init_prototypes, save_checkpoint, sgd_step)
-from .losses import DinoCenterState, LossConfig
+from .layers import (EmaTwin, EncoderStack, Param, PredictorHead, PrototypeBank,
+                     init_encoder, init_predictor, init_prototypes,
+                     save_checkpoint, sgd_step)
+from .losses import DinoCenterState, LossConfig, NumericError
 
 __all__ = [
     "DatasetSpec",
@@ -93,10 +94,6 @@ class DatasetSpec:
     noise: float = 0.1                 # moons jitter
     three_classes: bool = True
 
-    @property
-    def input_dim(self) -> int:
-        return self.dim if self.kind == "gaussian" else 2
-
 
 @dataclass
 class AugmentationSpec:
@@ -147,39 +144,52 @@ class ExperimentConfig:
     record_wall_time: bool = True
 
     def validate(self) -> None:
-        try:
-            self._validate()
-        except ParameterError as exc:
-            raise ConfigError(str(exc)) from exc
+        """Raise ConfigError, naming the field, unless a trainer can be built."""
+        self.build(self.base_seed)
 
-    def _validate(self) -> None:
-        ds, aug, enc = self.dataset, self.augmentation, self.encoder
-        opt, diag, lc = self.optimizer, self.diagnostics, self.loss
+    def build(self, seed: int) -> tuple[ToyDataset, AugmentedSet, EncoderStack,
+                                        BatchSampler]:
+        """Check the config and build what a trainer for `seed` runs on: the
+        base points, their augmented view pool, the encoder and the batch
+        sampler.
+
+        Each constructor runs in the section of its fields, so its
+        ParameterError becomes a ConfigError under that section's path.
+        """
+        aug, enc = self.augmentation, self.encoder
         for path, spec in [("", self)] + [(f"{n}.", getattr(self, n)) for n in _NESTED]:
-            _check_numbers(spec, path)
-        if ds.kind not in ("blobs", "moons", "gaussian"):
-            raise ConfigError(f"dataset.kind: unknown kind {ds.kind!r}")
-        if aug.kind not in ("class", "centered", "shifted"):
-            raise ConfigError(f"augmentation.kind: unknown kind {aug.kind!r}")
-        if ds.kind == "gaussian" and aug.kind == "class":
-            raise ConfigError("augmentation.kind: gaussian data has a single class; "
-                              "use a jitter augmentation")
-        if aug.kind == "shifted" and (aug.shift is None
-                                      or len(aug.shift) != ds.input_dim):
-            raise ConfigError(f"augmentation.shift: shifted views need a shift "
-                              f"vector of the data dim {ds.input_dim}")
-        if len(enc.dims) < 2:
-            raise ConfigError("encoder.dims: need at least input and output dims")
-        if any(d < 1 for d in enc.dims):
-            raise ConfigError(f"encoder.dims: every dim must be >= 1, got {enc.dims}")
-        if enc.dims[0] != ds.input_dim:
+            _check_types(spec, path)
+        if self.base_seed < 0:  # numpy takes no negative seed
+            raise ConfigError("base_seed: must be >= 0")
+        with _section("dataset"):
+            base = _build_dataset(self.dataset, seed)
+        with _section("augmentation"):
+            aug_model = AugmentationModel(kind=aug.kind, sigma=aug.sigma,
+                                          shift=aug.shift, views=aug.views)
+            augmented = augment(base, aug_model, seed=seed + 20_000)
+        with _section("encoder"):
+            encoder = init_encoder(enc.dims, seed + 10_000, scheme=enc.scheme,
+                                   activation=enc.activation,
+                                   output_normalize=enc.output_normalize)
+        with _section("optimizer"):
+            sampler = BatchSampler(self.optimizer.batch_mode,
+                                   self.optimizer.batch_size, seed + 30_000)
+        with _section("loss"):
+            self.loss.validate()
+        self._validate(base, augmented)
+        return base, augmented, encoder, sampler
+
+    def _validate(self, base: ToyDataset, augmented: AugmentedSet) -> None:
+        """The rules no constructor makes: scalar bounds and cross-section
+        rules, checked against the built points."""
+        aug, enc = self.augmentation, self.encoder
+        opt, diag, lc = self.optimizer, self.diagnostics, self.loss
+        if aug.kind == "class" and base.num_classes < 2:
+            raise ConfigError(f"augmentation.kind: class views need >= 2 classes; "
+                              f"the data has {base.num_classes}")
+        if enc.dims[0] != base.dim:
             raise ConfigError(f"encoder.dims: first dim {enc.dims[0]} does not match "
-                              f"dataset input dim {ds.input_dim}")
-        if enc.activation not in _ACTIVATIONS:
-            raise ConfigError(f"encoder.activation: unknown activation "
-                              f"{enc.activation!r}")
-        if enc.scheme not in _INIT_SCHEMES:
-            raise ConfigError(f"encoder.scheme: unknown init scheme {enc.scheme!r}")
+                              f"the data dim {base.dim}")
         if enc.predictor_hidden_multiple < 0:
             raise ConfigError("encoder.predictor_hidden_multiple: must be >= 0")
         if opt.epochs < 0:
@@ -188,24 +198,13 @@ class ExperimentConfig:
             raise ConfigError("optimizer.lr: must be >= 0")
         if opt.predictor_lr_multiplier <= 0:
             raise ConfigError("optimizer.predictor_lr_multiplier: must be > 0")
-        if opt.batch_mode not in ("mini", "full"):
-            raise ConfigError(f"optimizer.batch_mode: unknown mode {opt.batch_mode!r}")
-        if opt.batch_mode == "mini" and opt.batch_size < 1:
-            raise ConfigError("optimizer.batch_size: must be >= 1 in mini mode")
-        if aug.views < 1:
-            raise ConfigError("augmentation.views: must be >= 1")
-        if aug.sigma < 0:
-            raise ConfigError("augmentation.sigma: must be >= 0")
         if diag.cadence < 1 or diag.knn_cadence < 1:
             raise ConfigError("diagnostics cadences must be >= 1")
         for name in ("center_hi", "std_lo"):
             if not 0.0 < getattr(diag, name) < 1.0:
                 raise ConfigError(f"diagnostics.{name}: must lie in (0, 1)")
-        if ds.kind != "gaussian" and ds.n_per_class < 1:
-            raise ConfigError("dataset.n_per_class: must be >= 1")
         if self.num_seeds < 1:
             raise ConfigError("num_seeds: must be >= 1")
-        lc.validate()
         objective = _OBJECTIVES[lc.kind]
         if objective.class_views and aug.kind != "class":
             raise ConfigError(f"loss.kind: {lc.kind} needs class-as-augmentation "
@@ -216,16 +215,13 @@ class ExperimentConfig:
             if enc.dims[-1] < 2:
                 raise ConfigError(f"encoder.dims: {lc.kind} needs an output dim >= 2 "
                                   "for its prototypes")
-        # kNN runs leave-one-out on the base points, so k < pool; the class
-        # count comes from the built data, as in the trainer
-        base = _build_dataset(ds, self.base_seed)
+        # kNN runs leave-one-out on the base points, so k < pool
         pool = base.n
         if base.num_classes >= 2 and not 1 <= diag.knn_k <= pool - 1:
             raise ConfigError(f"diagnostics.knn_k: must lie in [1, {pool - 1}] "
                               f"for a pool of {pool} points")
-        # augment() keeps the points as class views and makes `views` jittered
-        # copies otherwise; the last mini batch holds the remainder
-        rows = pool if aug.kind == "class" else pool * aug.views
+        # the last mini batch holds the remainder
+        rows = augmented.n
         smallest = (rows if opt.batch_mode == "full"
                     else rows % opt.batch_size or opt.batch_size)
         if smallest < objective.min_batch:
@@ -259,14 +255,14 @@ _NESTED = {
 }
 
 
-_NUMBER_TYPES = {"int": numbers.Integral, "float": numbers.Real}
+_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str, "bool": bool}
 
 
 def _fits(value, annotation: str) -> bool:
     """Whether a value fits a field annotation such as ``list[float] | None``.
 
-    Only the numeric parts are checked: a str, bool or nested spec option
-    accepts anything (the string fields are checked against their kinds).
+    A bool fits only ``bool``, not ``int`` or ``float``; a nested spec option
+    accepts anything (its own fields are checked in turn).
     """
     for option in annotation.split(" | "):
         if option == "None":
@@ -276,22 +272,32 @@ def _fits(value, annotation: str) -> bool:
             if (isinstance(value, (list, tuple))
                     and all(_fits(v, option[5:-1]) for v in value)):
                 return True
-        elif option in _NUMBER_TYPES:
-            if (isinstance(value, _NUMBER_TYPES[option])
-                    and not isinstance(value, bool)):
+        elif option in _TYPES:
+            if (isinstance(value, _TYPES[option])
+                    and (option == "bool") == isinstance(value, bool)):
                 return True
         else:
             return True
     return False
 
 
-def _check_numbers(spec, path: str) -> None:
-    """Every numeric field of a config dataclass holds numbers of its type,
+def _check_types(spec, path: str) -> None:
+    """Every field of a config dataclass holds values of its annotated type,
     inside lists and ``| None`` unions too."""
     for f in fields(spec):
         value = getattr(spec, f.name)
         if not _fits(value, f.type):
             raise ConfigError(f"{path}{f.name}: expected {f.type}, got {value!r}")
+
+
+@contextmanager
+def _section(name: str):
+    """Re-raise a constructor's ParameterError as a ConfigError under `name`;
+    the constructor's message starts with the field it names."""
+    try:
+        yield
+    except ParameterError as exc:
+        raise ConfigError(f"{name}.{exc}") from exc
 
 
 def _from_dict(cls, raw: dict, path: str):
@@ -364,7 +370,9 @@ def _build_dataset(spec: DatasetSpec, seed: int) -> ToyDataset:
     if spec.kind == "moons":
         return toydata.gen_moons(spec.n_per_class, noise=spec.noise, seed=seed,
                                  three_classes=spec.three_classes)
-    return toydata.gen_gaussian_points(spec.n, spec.dim, seed=seed)
+    if spec.kind == "gaussian":
+        return toydata.gen_gaussian_points(spec.n, spec.dim, seed=seed)
+    raise ParameterError(f"kind: unknown dataset kind {spec.kind!r}")
 
 
 @dataclass
@@ -452,25 +460,15 @@ class Trainer:
     """Single-seed training run for one experiment config."""
 
     def __init__(self, cfg: ExperimentConfig, seed: int):
-        cfg.validate()
+        self.dataset, self.augmented, encoder, self.sampler = cfg.build(seed)
         self.cfg = cfg
         self.seed = seed
-        self.dataset = _build_dataset(cfg.dataset, seed)
-        aug = cfg.augmentation
-        self.aug_model = AugmentationModel(
-            kind=aug.kind, sigma=aug.sigma,
-            shift=None if aug.shift is None else np.asarray(aug.shift, dtype=np.float64),
-            views=aug.views)
-        self.augmented = augment(self.dataset, self.aug_model, seed=seed + 20_000)
         self.group_table, self.group_row, self.group_pos = _index_table(
             self.augmented.group, "group")
         self.label_table, self.label_row, _ = _index_table(
             self.augmented.labels, "class")
 
         enc_spec = cfg.encoder
-        encoder = init_encoder(enc_spec.dims, seed + 10_000, scheme=enc_spec.scheme,
-                               activation=enc_spec.activation,
-                               output_normalize=enc_spec.output_normalize)
         d = enc_spec.dims[-1]
         lc = cfg.loss
         self.objective = _OBJECTIVES[lc.kind]
@@ -494,8 +492,6 @@ class Trainer:
             self.params += st.predictor.parameters("predictor")
         if st.prototypes is not None:
             self.params += st.prototypes.parameters()
-        self.sampler = BatchSampler(cfg.optimizer.batch_mode,
-                                    cfg.optimizer.batch_size, seed + 30_000)
         self.prev_mean: np.ndarray | None = None
 
     # -- parameter plumbing ---------------------------------------------
@@ -538,7 +534,10 @@ class Trainer:
         x_a = pts[idx]
         x_b = pts[self._partners(idx, rng)]
         x_n = pts[self._negatives(idx, rng)] if self.objective.negatives else None
-        loss, hook = self.objective.step(st, cfg.loss, x_a, x_b, x_n)
+        try:
+            loss, hook = self.objective.step(st, cfg.loss, x_a, x_b, x_n)
+        except NumericError as exc:
+            raise NumericAbort(f"{exc} at step {st.step}") from exc
         value = loss.item()
         if not np.isfinite(value):
             raise NumericAbort(f"non-finite loss at step {st.step}")
@@ -626,12 +625,18 @@ def _run_one_seed(cfg: ExperimentConfig, seed: int, csv_path: Path,
             return None
         return int(1000.0 * (time.monotonic() - start))
 
+    def tick(epoch: int, loss: float | None, aborted: bool = False) -> None:
+        """Diagnostics at `epoch` and one CSV row; an abort row has epoch -1
+        and reaches no callback."""
+        report, knn, emb = trainer.diagnostics_tick(epoch)
+        rows.append(_write_row(fh, seed, -1 if aborted else epoch, trainer.state.step,
+                               loss, report, knn, wall()))
+        if tick_callback and not aborted:
+            tick_callback(trainer, epoch, report, emb)
+
     with csv_path.open("w") as fh:
         fh.write(METRICS_HEADER + "\n")
-        report, knn, emb = trainer.diagnostics_tick(0)
-        rows.append(_write_row(fh, seed, 0, 0, None, report, knn, wall()))
-        if tick_callback:
-            tick_callback(trainer, 0, report, emb)
+        tick(0, None)
         try:
             for epoch in range(1, cfg.optimizer.epochs + 1):
                 epoch_losses = []
@@ -640,17 +645,10 @@ def _run_one_seed(cfg: ExperimentConfig, seed: int, csv_path: Path,
                 for idx in batches:
                     epoch_losses.append(trainer.train_step(idx, pair_rng))
                 if epoch % cfg.diagnostics.cadence == 0 or epoch == cfg.optimizer.epochs:
-                    report, knn, emb = trainer.diagnostics_tick(epoch)
-                    mean_loss = float(np.mean(epoch_losses))
-                    rows.append(_write_row(fh, seed, epoch, trainer.state.step,
-                                           mean_loss, report, knn, wall()))
-                    if tick_callback:
-                        tick_callback(trainer, epoch, report, emb)
+                    tick(epoch, float(np.mean(epoch_losses)))
         except NumericAbort:
             # flush a final row flagged non-finite, then re-raise
-            report, knn, emb = trainer.diagnostics_tick(cfg.optimizer.epochs)
-            rows.append(_write_row(fh, seed, -1, trainer.state.step,
-                                   float("nan"), report, knn, wall()))
+            tick(cfg.optimizer.epochs, float("nan"), aborted=True)
             raise
     return rows, trainer
 

@@ -121,11 +121,14 @@ def init_encoder(dims: list[int], seed: int, scheme: str = "uniform",
     initialization study); default is the symmetric scheme.
     """
     if len(dims) < 2:
-        raise ParameterError("need at least input and output dims")
-    if any(d <= 0 for d in dims):
-        raise ParameterError(f"dims must be positive, got {dims}")
+        raise ParameterError("dims: need at least input and output dims")
+    if any(d < 1 for d in dims):
+        raise ParameterError(f"dims: every dim must be >= 1, got {dims}")
     if scheme not in _INIT_SCHEMES:
-        raise ParameterError(f"unknown init scheme {scheme!r}")
+        raise ParameterError(f"scheme: unknown init scheme {scheme!r}")
+    # checked here too, since a one-layer encoder never passes it to a layer
+    if activation not in _ACTIVATIONS:
+        raise ParameterError(f"activation: unknown activation {activation!r}")
     rng = np.random.default_rng(seed)
     weights, biases, acts = [], [], []
     n_layers = len(dims) - 1

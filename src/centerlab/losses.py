@@ -66,7 +66,7 @@ class LossConfig:
 
     def validate(self) -> None:
         if self.kind not in LOSS_KINDS:
-            raise ParameterError(f"unknown loss kind {self.kind!r}")
+            raise ParameterError(f"kind: unknown loss kind {self.kind!r}")
         for name in ("temperature", "student_temperature", "teacher_temperature"):
             if getattr(self, name) <= 0:
                 raise ParameterError(f"{name} must be positive")

@@ -45,6 +45,14 @@ class TestGenerators:
             gen_blobs(10, num_classes=1)
         with pytest.raises(ParameterError):
             gen_blobs(10, sigma=0.0)
+        with pytest.raises(ParameterError, match="n_per_class"):
+            gen_blobs(0)
+
+    def test_moons_rejects_bad_params(self):
+        with pytest.raises(ParameterError, match="n_per_class"):
+            gen_moons(0)
+        with pytest.raises(ParameterError, match="noise"):
+            gen_moons(10, noise=-0.1)
 
     def test_moons_noise_free_points_lie_on_arcs(self):
         ds = gen_moons(80, noise=0.0, seed=0)
@@ -111,6 +119,10 @@ class TestAugment:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ParameterError):
             AugmentationModel(kind="mixup")
+
+    def test_negative_sigma_rejected(self):
+        with pytest.raises(ParameterError, match="sigma"):
+            AugmentationModel(kind="centered", sigma=-0.1)
 
     def test_augment_deterministic_in_seed(self):
         ds = gen_blobs(10, seed=0)

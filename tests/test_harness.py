@@ -3,17 +3,21 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from centerlab.autodiff import ParameterError
 from centerlab.cli import main as cli_main
 from centerlab.data import AugmentedSet, gen_blobs
-from centerlab.harness import (METRICS_HEADER, ComparisonError, ConfigError,
-                               DatasetSpec, ExperimentConfig, NumericAbort,
-                               OptimizerSpec, Trainer, _index_table,
+from centerlab.harness import (METRICS_HEADER, AugmentationSpec, ComparisonError,
+                               ConfigError, DatasetSpec, EncoderSpec,
+                               ExperimentConfig, NumericAbort, OptimizerSpec,
+                               Trainer, _index_table,
                                apply_overrides, compare_runs, experiment_names,
                                named_experiment, run_experiment)
 from centerlab.layers import EncoderStack
@@ -79,8 +83,8 @@ class TestConfigSchema:
                                        aug="centered"))
 
     def test_dataset_the_builder_rejects_is_a_config_error(self):
-        # validate() builds the base points to size the kNN pool
-        with pytest.raises(ConfigError, match="num_classes must be >= 2"):
+        # validate() builds what the trainer builds, the base points first
+        with pytest.raises(ConfigError, match=r"^dataset\.num_classes must be >= 2"):
             ExperimentConfig.from_dict({"dataset": {"kind": "blobs", "num_classes": 1}})
 
     def test_full_batch_ignores_batch_size(self):
@@ -114,6 +118,137 @@ class TestOverrides:
         cfg = tiny_config()
         apply_overrides(cfg, {"optimizer.lr": 0.9})
         assert cfg.optimizer.lr == 0.1
+
+
+# Override values for every config field, as (in range, anything) pairs of
+# strategies: "anything" adds out-of-range, non-finite and wrong-type values.
+# Sizes stay bounded: at most 60 points, dims of 8, 4 views, 8 prototypes.
+_WRONG = st.sampled_from([None, "x", [1], {"a": 1}, True])
+_ANY_FLOAT = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([np.nan, np.inf, -np.inf]))
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi), st.one_of(st.integers(lo - 2, hi), _WRONG)
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi), st.one_of(_ANY_FLOAT, _WRONG)
+
+
+def _kinds(*kinds):
+    return st.sampled_from(kinds), st.one_of(st.sampled_from(kinds + ("foo",)), _WRONG)
+
+
+def _bools():
+    return st.booleans(), st.one_of(st.booleans(), _WRONG)
+
+
+def _lists(valid, anything):
+    return valid, st.one_of(anything, st.none(), _WRONG)
+
+
+_OVERRIDES = {
+    "name": (st.just("prop"), st.one_of(st.just(""), _WRONG)),
+    "num_seeds": _ints(1, 1),
+    "base_seed": _ints(0, 3),
+    "record_wall_time": _bools(),
+    "dataset.kind": _kinds("blobs", "moons", "gaussian"),
+    "dataset.n_per_class": _ints(1, 20),
+    "dataset.n": _ints(1, 60),
+    "dataset.dim": _ints(1, 8),
+    "dataset.num_classes": _ints(2, 3),
+    "dataset.sigma": _floats(0.1, 2.0),
+    "dataset.noise": _floats(0.0, 0.5),
+    "dataset.three_classes": _bools(),
+    "augmentation.kind": _kinds("class", "centered", "shifted"),
+    "augmentation.sigma": _floats(0.0, 0.5),
+    "augmentation.shift": _lists(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4),
+                                 st.lists(_ANY_FLOAT, max_size=4)),
+    "augmentation.views": _ints(1, 4),
+    "encoder.dims": _lists(st.lists(st.integers(1, 8), min_size=1, max_size=3)
+                           .map(lambda rest: [2] + rest),
+                           st.lists(st.integers(-1, 8), max_size=4)),
+    "encoder.scheme": _kinds("uniform", "biased"),
+    "encoder.activation": _kinds("tanh", "relu", "identity"),
+    "encoder.output_normalize": _bools(),
+    "encoder.predictor_hidden_multiple": _ints(0, 2),
+    "loss.kind": _kinds(*LOSS_KINDS),
+    "loss.temperature": _floats(0.05, 1.0),
+    "loss.student_temperature": _floats(0.05, 1.0),
+    "loss.teacher_temperature": _floats(0.02, 1.0),
+    "loss.margin": _lists(st.one_of(st.none(), st.floats(0.0, 2.0)), _ANY_FLOAT),
+    "loss.bt_lambda": _floats(0.0, 0.1),
+    "loss.center_penalty_weight": _floats(-2.0, 2.0),
+    "loss.center_penalty_squared": _bools(),
+    "loss.ema_momentum": _floats(0.0, 0.99),
+    "loss.dino_center_momentum": _floats(0.0, 0.99),
+    "loss.sinkhorn_iters": _ints(1, 3),
+    "loss.sinkhorn_eps": _floats(0.01, 1.0),
+    "loss.num_prototypes": _ints(2, 8),
+    "loss.prototypes_trainable": _bools(),
+    "loss.use_stop_gradient": _bools(),
+    "loss.use_predictor": _bools(),
+    "loss.use_centering": _bools(),
+    "loss.use_decorrelation": _bools(),
+    "optimizer.lr": _floats(0.0, 1.0),
+    "optimizer.epochs": _ints(0, 1),
+    "optimizer.batch_mode": _kinds("mini", "full"),
+    "optimizer.batch_size": _ints(1, 70),
+    "optimizer.predictor_lr_multiplier": _floats(0.01, 2.0),
+    "diagnostics.cadence": _ints(1, 2),
+    "diagnostics.knn_cadence": _ints(1, 2),
+    "diagnostics.knn_k": _ints(1, 70),
+    "diagnostics.center_hi": _floats(0.01, 0.99),
+    "diagnostics.std_lo": _floats(0.01, 0.99),
+}
+
+
+@st.composite
+def _overrides(draw):
+    """Up to six in-range overrides, then up to two that may be anything."""
+    paths = st.sampled_from(sorted(_OVERRIDES))
+    out = {key: draw(_OVERRIDES[key][0])
+           for key in draw(st.lists(paths, max_size=6, unique=True))}
+    for key in draw(st.lists(paths, max_size=2, unique=True)):
+        out[key] = draw(_OVERRIDES[key][1])
+    return out
+
+
+def _property_base() -> ExperimentConfig:
+    return ExperimentConfig(
+        name="prop",
+        dataset=DatasetSpec(kind="blobs", n_per_class=10, n=20, dim=2),
+        augmentation=AugmentationSpec(views=2),
+        encoder=EncoderSpec(dims=[2, 8, 2]),
+        loss=LossConfig(num_prototypes=4),
+        optimizer=OptimizerSpec(epochs=1, batch_size=16),
+        num_seeds=1,
+        record_wall_time=False,
+    )
+
+
+def test_overrides_cover_every_field():
+    paths = set()
+    for key, value in dataclasses.asdict(_property_base()).items():
+        paths |= {f"{key}.{sub}" for sub in value} if isinstance(value, dict) else {key}
+    assert paths == set(_OVERRIDES)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_overrides())
+def test_any_config_is_rejected_or_trains(overrides):
+    """validate() raises ConfigError, or one epoch runs to completion or to
+    NumericAbort; nothing else escapes."""
+    try:
+        cfg = apply_overrides(_property_base(), overrides)
+    except ConfigError:
+        return
+    with tempfile.TemporaryDirectory() as out:
+        try:
+            run_experiment(cfg, out)
+        except NumericAbort:
+            pass
 
 
 class TestTrainer:
@@ -346,6 +481,19 @@ class TestIndexTables:
         with pytest.raises(ParameterError, match=r"class sizes differ: \[3, 5\]"):
             _index_table(ragged.labels, "class")
 
+    def test_trainer_builds_its_dataset_once(self, monkeypatch):
+        from centerlab import data
+        calls = []
+        original = data.gen_blobs
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(data, "gen_blobs", counted)
+        Trainer(tiny_config(), seed=0)
+        assert len(calls) == 1
+
     def test_trainer_rejects_ragged_groups(self, monkeypatch):
         from centerlab import harness as H
 
@@ -538,6 +686,16 @@ class TestCli:
         "diagnostics.knn_k=0",
         "diagnostics.knn_k=300",  # the pool is 3 x 100 blobs
         "dataset.n_per_class=0",
+        # rejected by a constructor that validate() runs in the field's section
+        "loss.temperature=0",
+        "loss.sinkhorn_iters=0",
+        "loss.kind=vicreg",
+        "dataset.sigma=-1",
+        "dataset.noise=-1",
+        "dataset.kind=foo",
+        "augmentation.kind=foo",
+        "optimizer.batch_mode=x",
+        "encoder.dims=[2]",
     ])
     def test_named_invalid_override_exits_2(self, tmp_path, capsys, override):
         code = cli_main(["--out-dir", str(tmp_path), "--quiet",
@@ -566,6 +724,11 @@ class TestCli:
         (['loss.margin="x"'], "loss.margin"),
         # used to be accepted silently
         (["augmentation.shift=1"], "augmentation.shift"),
+        (["loss.use_predictor=0"], "loss.use_predictor"),
+        (["record_wall_time=3"], "record_wall_time"),
+        # used to crash with a TypeError
+        (["name=null"], "name: expected str"),
+        (["encoder.activation=[1]"], "encoder.activation"),
     ])
     def test_named_crashing_config_exits_2(self, tmp_path, capsys, overrides, field):
         argv = ["--out-dir", str(tmp_path), "--quiet", "named", "fig3-simple-vs-simsiam"]
@@ -574,6 +737,22 @@ class TestCli:
         assert cli_main(argv) == 2
         assert field in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_named_numeric_error_exits_3(self, tmp_path, capsys):
+        # a huge step makes the learnable prototypes non-finite, so Sinkhorn
+        # sees non-finite scores; the run aborts and flags its last row
+        code = cli_main(["--out-dir", str(tmp_path), "--quiet",
+                         "named", "swav-fixed-protos",
+                         "--override", "optimizer.lr=1e200",
+                         "--override", "num_seeds=1",
+                         "--override", "optimizer.epochs=3"])
+        assert code == 3
+        assert "sinkhorn" in capsys.readouterr().err
+        csv_path = tmp_path / "swav-fixed-protos" / "swav-learnable" / "seed0.csv"
+        last = csv_path.read_text().splitlines()[-1].split(",")
+        assert last[1] == "-1"
+        assert last[3] == "nan"
 
     def test_named_unknown_key_exits_2(self, capsys):
         assert cli_main(["named", "not-an-experiment"]) == 2

@@ -19,6 +19,12 @@ class TestInitEncoder:
         with pytest.raises(ParameterError):
             init_encoder([4], seed=0)
 
+    def test_rejects_unknown_activation_without_hidden_layers(self):
+        # a one-layer encoder gives its only layer the identity, never the
+        # activation; init_encoder still rejects a name it does not know
+        with pytest.raises(ParameterError, match="activation"):
+            init_encoder([2, 2], seed=0, activation="gelu")
+
     def test_default_scheme_starts_near_centered(self):
         # Monte-Carlo: embedding cloud of standard-normal inputs sits near the
         # origin at init (measured ~0.03 over seeds; 0.3 leaves wide margin)
