@@ -12,6 +12,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .harness import (ComparisonError, ConfigError, ExperimentConfig,
                       NumericAbort, apply_overrides, compare_runs,
                       experiment_names, named_experiment, run_experiment)
@@ -49,6 +51,9 @@ def _parse_grid(specs: list[str]) -> list[dict[str, object]]:
     return [dict(combo) for combo in itertools.product(*axes)]
 
 
+# a diverging run reports itself as one `numeric abort` line; the overflow
+# warnings numpy would print on the way there change no value
+@np.errstate(all="ignore")
 def _run_configs(configs, out_dir, quiet: bool) -> int:
     for label, cfg in configs:
         try:

@@ -29,8 +29,6 @@ __all__ = [
 class ToyDataset:
     points: np.ndarray          # (N, d)
     labels: np.ndarray          # (N,), int class ids
-    tag: str
-    seed: int
 
     @property
     def n(self) -> int:
@@ -81,7 +79,6 @@ class AugmentedSet:
     points: np.ndarray
     labels: np.ndarray
     group: np.ndarray
-    base: ToyDataset
 
     @property
     def n(self) -> int:
@@ -115,7 +112,7 @@ def gen_blobs(n_per_class: int, num_classes: int = 3,
     for c in range(num_classes):
         points.append(centers[c] + sigma * rng.standard_normal((n_per_class, centers.shape[1])))
         labels.append(np.full(n_per_class, c, dtype=np.int64))
-    return ToyDataset(np.concatenate(points), np.concatenate(labels), "blobs", seed)
+    return ToyDataset(np.concatenate(points), np.concatenate(labels))
 
 
 def gen_moons(n_per_class: int, noise: float = 0.1, seed: int = 0,
@@ -142,7 +139,7 @@ def gen_moons(n_per_class: int, noise: float = 0.1, seed: int = 0,
     labels = np.concatenate([np.full(n_per_class, c, dtype=np.int64)
                              for c in range(len(arcs))])
     points = points + noise * rng.standard_normal(points.shape)
-    return ToyDataset(points, labels, "moons", seed)
+    return ToyDataset(points, labels)
 
 
 def gen_gaussian_points(n: int, dim: int, seed: int = 0) -> ToyDataset:
@@ -153,7 +150,7 @@ def gen_gaussian_points(n: int, dim: int, seed: int = 0) -> ToyDataset:
         raise ParameterError("dim must be >= 1")
     rng = np.random.default_rng(seed)
     points = rng.standard_normal((n, dim))
-    return ToyDataset(points, np.zeros(n, dtype=np.int64), "gaussian", seed)
+    return ToyDataset(points, np.zeros(n, dtype=np.int64))
 
 
 def augment(ds: ToyDataset, model: AugmentationModel, seed: int = 0) -> AugmentedSet:
@@ -165,7 +162,7 @@ def augment(ds: ToyDataset, model: AugmentationModel, seed: int = 0) -> Augmente
     """
     if model.kind == "class":
         return AugmentedSet(ds.points.copy(), ds.labels.copy(),
-                            ds.labels.astype(np.int64).copy(), ds)
+                            ds.labels.astype(np.int64).copy())
     rng = np.random.default_rng(seed)
     shift = np.zeros(ds.dim)
     if model.kind == "shifted":
@@ -178,7 +175,7 @@ def augment(ds: ToyDataset, model: AugmentationModel, seed: int = 0) -> Augmente
     reps = np.repeat(np.arange(ds.n), model.views)
     noise = model.sigma * rng.standard_normal((ds.n * model.views, ds.dim))
     points = ds.points[reps] + shift + noise
-    return AugmentedSet(points, ds.labels[reps].copy(), reps.astype(np.int64), ds)
+    return AugmentedSet(points, ds.labels[reps].copy(), reps.astype(np.int64))
 
 
 @dataclass

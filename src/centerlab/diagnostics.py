@@ -31,7 +31,6 @@ class CenterEstimate:
     """The center s_hat of a set of embeddings."""
     s_hat: np.ndarray
     norm: float
-    sample_count: int
 
 
 def estimate_center(embeddings: np.ndarray) -> CenterEstimate:
@@ -40,7 +39,7 @@ def estimate_center(embeddings: np.ndarray) -> CenterEstimate:
     if embeddings.shape[0] < 1:
         raise ParameterError("estimate_center needs at least one embedding")
     s_hat = embeddings.mean(axis=0)
-    return CenterEstimate(s_hat, float(np.linalg.norm(s_hat)), embeddings.shape[0])
+    return CenterEstimate(s_hat, float(np.linalg.norm(s_hat)))
 
 
 def residual_stats(embeddings: np.ndarray,
@@ -178,7 +177,6 @@ def _vote(labels: np.ndarray, dists: np.ndarray, num_labels: int) -> np.ndarray:
 class CollapseReport:
     center_norm: float
     mean_residual_norm: float
-    per_dimension_std: np.ndarray
     std_mean: float
     delta_dist: float
     collapsed: bool
@@ -200,7 +198,6 @@ def collapse_verdict(embeddings: np.ndarray, prev_mean: np.ndarray | None = None
     return CollapseReport(
         center_norm=center.norm,
         mean_residual_norm=mean_res,
-        per_dimension_std=per_dim_std,
         std_mean=std_mean,
         delta_dist=dd,
         collapsed=(center.norm > center_hi and std_mean < std_lo),

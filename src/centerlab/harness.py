@@ -4,9 +4,10 @@ A run is a pure function of its config (seeds included): generation,
 initialization, batch order and pairing all derive from the run seed, so
 repeated runs produce bit-identical metrics rows. What each loss kind needs
 (its heads, negatives, class views, smallest batch and step) is one row of
-``_OBJECTIVES``. The per-step ordering is pinned: loss -> backward ->
-optimizer step -> EMA twin update -> the loss's post-step hook (DINO's center
-update, SwAV's prototype renormalization) -> diagnostics.
+``_OBJECTIVES``. The per-step ordering is pinned: one student forward per
+view -> loss -> backward -> optimizer step -> EMA twin update -> the loss's
+post-step hook (DINO's center update, SwAV's prototype renormalization) ->
+diagnostics.
 
 The partner and negative samplers draw in bulk from rectangular index tables
 but consume the pair stream draw for draw as per-item loops do: a partner is
@@ -175,6 +176,8 @@ class ExperimentConfig:
             sampler = BatchSampler(self.optimizer.batch_mode,
                                    self.optimizer.batch_size, seed + 30_000)
         with _section("loss"):
+            if self.loss.kind not in _OBJECTIVES:
+                raise ParameterError(f"kind: unknown loss kind {self.loss.kind!r}")
             self.loss.validate()
         self._validate(base, augmented)
         return base, augmented, encoder, sampler
@@ -390,11 +393,13 @@ class TrainState:
 class _Objective:
     """What one loss kind needs from the trainer.
 
-    ``step(state, loss config, x_a, x_b, x_n)`` returns the loss and a hook to
-    run after the optimizer and EMA twin updates, or None; ``x_n`` is None
-    unless the objective draws negatives. Steps look each loss function up on
-    the losses module at call time, so wrappers installed there (the
-    benchmark's tracer) see every call.
+    ``step(state, loss config, x, z)`` returns the loss and a hook to run
+    after the optimizer and EMA twin updates, or None. ``x`` holds the step's
+    input views (x_a, x_b, and x_n if the objective draws negatives) and
+    ``z`` the student's embeddings of them; the trainer runs the student
+    forward once per view. Steps look each loss function up on the losses
+    module at call time, so wrappers installed there (the benchmark's tracer)
+    see every call.
     """
     step: Callable[..., tuple[Tensor, Callable[[], None] | None]]
     heads: frozenset[str] = frozenset()  # TrainState fields it builds
@@ -404,55 +409,45 @@ class _Objective:
     min_batch: int = 1
 
 
-def _embed(st: TrainState, *xs: np.ndarray) -> list[Tensor]:
-    return [st.encoder.forward(Tensor(x)) for x in xs]
-
-
-def _dino(st, lc, x_a, x_b, x_n):
-    loss, teacher_mean = L.dino_loss(st.encoder, st.twin, st.dino_center, x_a, x_b,
+def _dino(st, lc, x, z):
+    loss, teacher_mean = L.dino_loss(*z, *map(st.twin.forward_array, x), st.dino_center,
                                      lc.student_temperature, lc.teacher_temperature,
                                      use_centering=lc.use_centering)
     return loss, lambda: st.dino_center.update(teacher_mean)
 
 
-def _barlow_twins(st, lc, x_a, x_b, x_n):
-    z_a = batch_norm_cols(st.encoder.forward(Tensor(x_a)), eps=1e-12)
-    z_b = batch_norm_cols(st.encoder.forward(Tensor(x_b)), eps=1e-12)
+def _barlow_twins(st, lc, x, z):
+    z_a, z_b = (batch_norm_cols(v, eps=1e-12) for v in z)
     return L.barlow_twins_loss(z_a, z_b, lc.bt_lambda,
                                use_decorrelation=lc.use_decorrelation), None
 
 
 _OBJECTIVES: dict[str, _Objective] = {
-    "invariance": _Objective(
-        lambda st, lc, a, b, n: (L.invariance_loss(*_embed(st, a, b)), None)),
+    "invariance": _Objective(lambda st, lc, x, z: (L.invariance_loss(*z), None)),
     "triplet": _Objective(
-        lambda st, lc, a, b, n: (L.triplet_loss(*_embed(st, a, b, n), lc.margin), None),
+        lambda st, lc, x, z: (L.triplet_loss(*z, lc.margin), None),
         negatives=True, class_views=True),
     "infonce": _Objective(
-        lambda st, lc, a, b, n: (L.infonce_loss(*_embed(st, a, b),
-                                                temperature=lc.temperature), None),
+        lambda st, lc, x, z: (L.infonce_loss(*z, temperature=lc.temperature), None),
         class_views=True, min_batch=2),
     "simsiam": _Objective(
-        lambda st, lc, a, b, n: (L.simsiam_loss(
-            st.encoder, st.predictor, a, b, use_stop_gradient=lc.use_stop_gradient,
-            use_predictor=lc.use_predictor), None),
+        lambda st, lc, x, z: (L.simsiam_loss(*z, st.predictor, lc.use_stop_gradient),
+                              None),
         frozenset({"predictor"}), optional_predictor=True),
     "byol": _Objective(
-        lambda st, lc, a, b, n: (L.byol_loss(st.encoder, st.predictor, st.twin, a, b),
-                                 None),
+        lambda st, lc, x, z: (L.byol_loss(*z, st.predictor,
+                                          *map(st.twin.forward_array, x)), None),
         frozenset({"predictor", "twin"})),
     "dino": _Objective(_dino, frozenset({"twin", "dino_center"})),
     "swav": _Objective(
-        lambda st, lc, a, b, n: (L.swav_loss(
-            st.encoder, st.prototypes, a, b, temperature=lc.temperature,
-            sinkhorn_eps=lc.sinkhorn_eps, sinkhorn_iters=lc.sinkhorn_iters),
-            st.prototypes.renormalize),
+        lambda st, lc, x, z: (L.swav_loss(
+            *z, st.prototypes.matrix, lc.temperature, lc.sinkhorn_eps,
+            lc.sinkhorn_iters), st.prototypes.renormalize),
         frozenset({"prototypes"})),
     "barlow_twins": _Objective(_barlow_twins, min_batch=2),
     "simple": _Objective(
-        lambda st, lc, a, b, n: (L.simple_objective(
-            *_embed(st, a, b), lc.center_penalty_weight,
-            squared=lc.center_penalty_squared), None)),
+        lambda st, lc, x, z: (L.simple_objective(
+            *z, lc.center_penalty_weight, squared=lc.center_penalty_squared), None)),
 }
 
 
@@ -531,11 +526,12 @@ class Trainer:
     def train_step(self, idx: np.ndarray, rng: np.random.Generator) -> float:
         cfg, st = self.cfg, self.state
         pts = self.augmented.points
-        x_a = pts[idx]
-        x_b = pts[self._partners(idx, rng)]
-        x_n = pts[self._negatives(idx, rng)] if self.objective.negatives else None
+        x = [pts[idx], pts[self._partners(idx, rng)]]
+        if self.objective.negatives:
+            x.append(pts[self._negatives(idx, rng)])
+        z = [st.encoder.forward(Tensor(v)) for v in x]
         try:
-            loss, hook = self.objective.step(st, cfg.loss, x_a, x_b, x_n)
+            loss, hook = self.objective.step(st, cfg.loss, x, z)
         except NumericError as exc:
             raise NumericAbort(f"{exc} at step {st.step}") from exc
         value = loss.item()

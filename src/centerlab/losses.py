@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParameterError, ShapeError, Tensor
-from .layers import EmaTwin, EncoderStack, PredictorHead, PrototypeBank
+from .layers import PredictorHead
 
 __all__ = [
     "LossConfig",
@@ -34,9 +34,6 @@ __all__ = [
     "simple_objective",
 ]
 
-LOSS_KINDS = ("invariance", "triplet", "infonce", "simsiam", "byol", "dino",
-              "swav", "barlow_twins", "simple")
-
 
 class NumericError(ArithmeticError):
     """Raised on non-finite values where finiteness is a contract."""
@@ -45,7 +42,7 @@ class NumericError(ArithmeticError):
 @dataclass
 class LossConfig:
     """Discriminated selection of one objective with its hyperparameters."""
-    kind: str = "simsiam"
+    kind: str = "simsiam"               # a key of harness._OBJECTIVES
     temperature: float = 0.1            # InfoNCE / SwAV softmax temperature
     student_temperature: float = 0.1    # DINO student
     teacher_temperature: float = 0.04   # DINO teacher (sharper)
@@ -65,8 +62,6 @@ class LossConfig:
     use_decorrelation: bool = True
 
     def validate(self) -> None:
-        if self.kind not in LOSS_KINDS:
-            raise ParameterError(f"kind: unknown loss kind {self.kind!r}")
         for name in ("temperature", "student_temperature", "teacher_temperature"):
             if getattr(self, name) <= 0:
                 raise ParameterError(f"{name} must be positive")
@@ -162,72 +157,59 @@ def infonce_loss(z_a: Tensor, z_p: Tensor, negatives: Tensor | None = None,
 # predictor / EMA objectives
 # ---------------------------------------------------------------------------
 
-def simsiam_loss(enc: EncoderStack, pred: PredictorHead | None,
-                 x_a: np.ndarray, x_b: np.ndarray,
-                 use_stop_gradient: bool = True,
-                 use_predictor: bool = True) -> Tensor:
+def simsiam_loss(z_a: Tensor, z_b: Tensor, pred: PredictorHead | None = None,
+                 use_stop_gradient: bool = True) -> Tensor:
     """Symmetric negative cosine between predictor outputs and the twin view.
 
-    Both toggles are independently settable to reproduce the collapse
-    ablations: without the predictor p = z, without stop-gradient the target
-    branch stays on the graph.
+    Both ablations of the collapse study are reachable: with ``pred=None``
+    the prediction is the embedding itself, and without stop-gradient the
+    target branch stays on the graph.
     """
-    z_a = enc.forward(Tensor(x_a))
-    z_b = enc.forward(Tensor(x_b))
-    if use_predictor:
-        if pred is None:
-            raise ParameterError("use_predictor=True but no predictor given")
-        p_a, p_b = pred.forward(z_a), pred.forward(z_b)
-    else:
-        p_a, p_b = z_a, z_b
+    p_a, p_b = (z_a, z_b) if pred is None else (pred.forward(z_a), pred.forward(z_b))
     t_a = ad.stop_gradient(z_a) if use_stop_gradient else z_a
     t_b = ad.stop_gradient(z_b) if use_stop_gradient else z_b
     return (_mean_neg_cosine(p_a, t_b) + _mean_neg_cosine(p_b, t_a)) * 0.5
 
 
-def byol_loss(online: EncoderStack, pred: PredictorHead, twin: EmaTwin,
-              x_a: np.ndarray, x_b: np.ndarray) -> Tensor:
+def byol_loss(z_a: Tensor, z_b: Tensor, pred: PredictorHead,
+              t_a: np.ndarray, t_b: np.ndarray) -> Tensor:
     """Negative cosine between predicted online embeddings and EMA-teacher targets.
 
-    The teacher forward runs off-graph; the caller performs ``twin.update``
-    after the optimizer step.
+    ``t_a``, ``t_b`` are the teacher's off-graph embeddings of the same two
+    views; the caller performs ``twin.update`` after the optimizer step.
     """
-    p_a = pred.forward(online.forward(Tensor(x_a)))
-    p_b = pred.forward(online.forward(Tensor(x_b)))
-    t_a = Tensor(twin.forward_array(x_a))
-    t_b = Tensor(twin.forward_array(x_b))
-    return (_mean_neg_cosine(p_a, t_b) + _mean_neg_cosine(p_b, t_a)) * 0.5
+    p_a, p_b = pred.forward(z_a), pred.forward(z_b)
+    return (_mean_neg_cosine(p_a, Tensor(t_b))
+            + _mean_neg_cosine(p_b, Tensor(t_a))) * 0.5
 
 
-def dino_loss(student: EncoderStack, twin: EmaTwin, center: DinoCenterState,
-              x_a: np.ndarray, x_b: np.ndarray,
-              student_temperature: float = 0.1,
+def dino_loss(z_a: Tensor, z_b: Tensor, t_a: np.ndarray, t_b: np.ndarray,
+              center: DinoCenterState, student_temperature: float = 0.1,
               teacher_temperature: float = 0.04,
               use_centering: bool = True) -> tuple[Tensor, np.ndarray]:
     """Cross-entropy from centered, sharpened teacher distributions.
 
-    Returns (loss, teacher batch mean). The caller folds the mean into
-    ``center`` after the optimizer step (EMA ordering is pinned by the
-    harness); ``use_centering=False`` skips the center subtraction but the
-    mean is still returned.
+    ``z_a``, ``z_b`` are the student's embeddings of two views and ``t_a``,
+    ``t_b`` the teacher's off-graph embeddings of the same views. Returns
+    (loss, teacher batch mean). The caller folds the mean into ``center``
+    after the optimizer step (EMA ordering is pinned by the harness);
+    ``use_centering=False`` skips the center subtraction but the mean is
+    still returned.
     """
     if student_temperature <= 0 or teacher_temperature <= 0:
         raise ParameterError("temperatures must be positive")
-    t_a = twin.forward_array(x_a)
-    t_b = twin.forward_array(x_b)
     teacher_mean = np.concatenate([t_a, t_b]).mean(axis=0)
 
-    def direction(student_x, teacher_z):
+    def direction(s, teacher_z):
         logits = teacher_z - center.center if use_centering else teacher_z
         shifted = (logits - logits.max(axis=1, keepdims=True)) / teacher_temperature
         q = np.exp(shifted)
         q /= q.sum(axis=1, keepdims=True)
-        s = student.forward(Tensor(student_x))
         log_p = ad.log(ad.softmax_rows(s, student_temperature))
         weighted = Tensor(teacher_temperature * q) * (log_p * student_temperature)
         return ad.tensor_sum(weighted) * (-1.0 / q.shape[0])
 
-    loss = (direction(x_a, t_b) + direction(x_b, t_a)) * 0.5
+    loss = (direction(z_a, t_b) + direction(z_b, t_a)) * 0.5
     return loss, teacher_mean
 
 
@@ -258,19 +240,16 @@ def sinkhorn_knopp(scores, eps: float = 0.05, iters: int = 3) -> Tensor:
     return Tensor(p)
 
 
-def swav_loss(enc: EncoderStack, protos: PrototypeBank,
-              x_a: np.ndarray, x_b: np.ndarray, temperature: float = 0.1,
+def swav_loss(z_a: Tensor, z_b: Tensor, prototypes: Tensor, temperature: float = 0.1,
               sinkhorn_eps: float = 0.05, sinkhorn_iters: int = 3) -> Tensor:
     """Swapped prediction: each view predicts the other's Sinkhorn assignment.
 
-    Prototype gradients flow only when the bank is trainable; assignment
-    targets are always detached.
+    ``prototypes`` is the (K x D) bank matrix; it receives gradients only
+    when it requires them (a trainable bank). Assignment targets are always
+    detached.
     """
-    z_a = enc.forward(Tensor(x_a))
-    z_b = enc.forward(Tensor(x_b))
-    proto_t = protos.matrix if protos.trainable else Tensor(protos.matrix.values)
-    scores_a = ad.matmul(z_a, proto_t.T)
-    scores_b = ad.matmul(z_b, proto_t.T)
+    scores_a = ad.matmul(z_a, prototypes.T)
+    scores_b = ad.matmul(z_b, prototypes.T)
     q_a = sinkhorn_knopp(scores_a.values, sinkhorn_eps, sinkhorn_iters)
     q_b = sinkhorn_knopp(scores_b.values, sinkhorn_eps, sinkhorn_iters)
 

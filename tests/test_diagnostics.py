@@ -19,7 +19,6 @@ class TestEstimateCenter:
         z = rng.standard_normal((20, 3))
         est = estimate_center(z)
         np.testing.assert_allclose(est.s_hat, z.mean(axis=0), atol=1e-15)
-        assert est.sample_count == 20
         assert abs(est.norm - np.linalg.norm(z.mean(axis=0))) < 1e-15
 
     def test_symmetric_cloud_centers_at_origin(self):
@@ -45,7 +44,7 @@ class TestResiduals:
         np.testing.assert_allclose(per_dim_std, 0.0, atol=1e-12)
 
     def test_dimension_mismatch(self):
-        est = CenterEstimate(np.zeros(3), 0.0, 1)
+        est = CenterEstimate(np.zeros(3), 0.0)
         with pytest.raises(ParameterError):
             residual_stats(np.ones((4, 2)), est)
 
@@ -59,7 +58,7 @@ class TestSecondMomentGap:
     def test_identity_breaks_for_wrong_center(self):
         rng = np.random.default_rng(2)
         z = rng.standard_normal((50, 4))
-        wrong = CenterEstimate(np.full(4, 2.0), float(np.sqrt(16.0)), 50)
+        wrong = CenterEstimate(np.full(4, 2.0), float(np.sqrt(16.0)))
         assert second_moment_gap(z, wrong) > 1.0
 
 

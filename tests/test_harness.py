@@ -17,11 +17,11 @@ from centerlab.data import AugmentedSet, gen_blobs
 from centerlab.harness import (METRICS_HEADER, AugmentationSpec, ComparisonError,
                                ConfigError, DatasetSpec, EncoderSpec,
                                ExperimentConfig, NumericAbort, OptimizerSpec,
-                               Trainer, _index_table,
+                               Trainer, _OBJECTIVES, _index_table,
                                apply_overrides, compare_runs, experiment_names,
                                named_experiment, run_experiment)
 from centerlab.layers import EncoderStack
-from centerlab.losses import LOSS_KINDS, LossConfig
+from centerlab.losses import LossConfig
 from test_autodiff import composed_l2_normalize_rows, composed_linear
 
 
@@ -172,7 +172,7 @@ _OVERRIDES = {
     "encoder.activation": _kinds("tanh", "relu", "identity"),
     "encoder.output_normalize": _bools(),
     "encoder.predictor_hidden_multiple": _ints(0, 2),
-    "loss.kind": _kinds(*LOSS_KINDS),
+    "loss.kind": _kinds(*_OBJECTIVES),
     "loss.temperature": _floats(0.05, 1.0),
     "loss.student_temperature": _floats(0.05, 1.0),
     "loss.teacher_temperature": _floats(0.02, 1.0),
@@ -252,7 +252,7 @@ def test_any_config_is_rejected_or_trains(overrides):
 
 
 class TestTrainer:
-    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    @pytest.mark.parametrize("kind", list(_OBJECTIVES))
     def test_every_loss_kind_trains(self, kind):
         cfg = tiny_config(kind=kind)
         trainer = Trainer(cfg, seed=0)
@@ -276,12 +276,29 @@ class TestTrainer:
         before = frozen.state.prototypes.matrix.values.copy()
         frozen.train_step(idx, np.random.default_rng(0))
         np.testing.assert_array_equal(frozen.state.prototypes.matrix.values, before)
+        assert frozen.state.prototypes.matrix.grad is None
         dino = Trainer(tiny_config(kind="dino"), seed=0)
         dino.train_step(idx, np.random.default_rng(0))
         assert np.any(dino.state.dino_center.center != 0.0)
 
+    @pytest.mark.parametrize("kind", list(_OBJECTIVES))
+    def test_one_student_forward_per_view(self, monkeypatch, kind):
+        # the trainer embeds each view once and the losses take embeddings;
+        # counted on this encoder only, since predictor heads are EncoderStacks
+        trainer = Trainer(tiny_config(kind=kind), seed=0)
+        encoder = trainer.state.encoder
+        calls = []
+
+        def counted(x, forward=encoder.forward):
+            calls.append(x.shape)
+            return forward(x)
+
+        monkeypatch.setattr(encoder, "forward", counted)
+        trainer.train_step(np.arange(15), np.random.default_rng(0))
+        assert calls == [(15, 2)] * (3 if kind == "triplet" else 2)
+
     @pytest.mark.parametrize("overrides", [
-        *({"loss.kind": kind} for kind in LOSS_KINDS),
+        *({"loss.kind": kind} for kind in _OBJECTIVES),
         {"loss.kind": "simsiam", "loss.use_predictor": False},
         {"loss.kind": "simsiam", "loss.use_stop_gradient": False},
         {"loss.kind": "simsiam", "loss.use_predictor": False,
@@ -474,7 +491,7 @@ class TestIndexTables:
     def test_ragged_augmented_set_rejected(self):
         ds = gen_blobs(4, num_classes=2, seed=0)
         ragged = AugmentedSet(ds.points, ds.labels,
-                              np.array([0, 0, 1, 1, 1, 2, 2, 2]), ds)
+                              np.array([0, 0, 1, 1, 1, 2, 2, 2]))
         with pytest.raises(ParameterError, match=r"group sizes differ: \[2, 3\]"):
             _index_table(ragged.group, "group")
         ragged.labels = np.array([0, 0, 0, 0, 0, 1, 1, 1])
@@ -500,7 +517,7 @@ class TestIndexTables:
         def ragged_augment(ds, model, seed=0):
             group = np.arange(ds.n) // 4
             group[-1] = group[0]
-            return AugmentedSet(ds.points, ds.labels, group, ds)
+            return AugmentedSet(ds.points, ds.labels, group)
 
         monkeypatch.setattr(H, "augment", ragged_augment)
         with pytest.raises(ParameterError, match="group sizes differ"):
@@ -753,6 +770,19 @@ class TestCli:
         last = csv_path.read_text().splitlines()[-1].split(",")
         assert last[1] == "-1"
         assert last[3] == "nan"
+
+    def test_numeric_abort_prints_one_stderr_line(self, tmp_path):
+        # numpy's overflow warnings on the way to the abort stay off stderr
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run(
+            [sys.executable, "-m", "centerlab.cli", "--out-dir", str(tmp_path), "--quiet",
+             "named", "swav-fixed-protos", "--override", "optimizer.lr=1e200",
+             "--override", "num_seeds=1", "--override", "optimizer.epochs=3"],
+            capture_output=True, text=True, env=env)
+        assert out.returncode == 3
+        lines = out.stderr.splitlines()
+        assert len(lines) == 1, out.stderr
+        assert lines[0].startswith("numeric abort (learnable): sinkhorn_knopp")
 
     def test_named_unknown_key_exits_2(self, capsys):
         assert cli_main(["named", "not-an-experiment"]) == 2
