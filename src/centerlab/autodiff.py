@@ -1,4 +1,5 @@
-"""Minimal reverse-mode automatic differentiation over dense 2-D float64 arrays.
+"""Minimal reverse-mode automatic differentiation over dense 2-D float64 arrays
+(and the (V, m, k) view stack inside an ``mlp`` node).
 
 The engine is tape-free in the micrograd style: every operation returns a new
 ``Tensor`` holding closures that push gradients to its parents. A fresh graph
@@ -24,7 +25,7 @@ __all__ = [
     "neg",
     "power",
     "matmul",
-    "linear",
+    "mlp",
     "transpose",
     "tensor_sum",
     "tensor_mean",
@@ -32,7 +33,6 @@ __all__ = [
     "exp",
     "log",
     "concat_cols",
-    "l2_normalize_rows",
     "softmax_rows",
     "logsumexp_rows",
     "batch_norm_cols",
@@ -66,19 +66,19 @@ def _as_2d(values) -> np.ndarray:
 class Tensor:
     """Dense 2-D array participating in the computation graph.
 
-    ``grad`` has the same shape as ``values`` once populated. Leaves are
-    tensors with no parents; parameter leaves carry ``requires_grad=True``.
+    ``grad`` has the same shape as ``values`` once populated; an ``mlp``
+    node's values are 3-D and its grad is a dict (see ``_row_block``). Leaves
+    are tensors with no parents; parameter leaves carry ``requires_grad=True``.
     """
 
     __slots__ = ("values", "grad", "requires_grad", "_parents", "_backward_fn")
 
-    def __init__(self, values, requires_grad: bool = False,
-                 _parents: tuple = (), _backward_fn=None):
+    def __init__(self, values, requires_grad: bool = False):
         self.values = _as_2d(values)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self._parents = _parents
-        self._backward_fn = _backward_fn
+        self._parents: tuple = ()
+        self._backward_fn = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -149,10 +149,14 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 
 def _make(values: np.ndarray, parents: Sequence[Tensor],
           backward_fn: Callable[[np.ndarray], None] | None) -> Tensor:
+    """A node over `values` as numpy returned them (float64, 2-D; 3-D for an
+    ``mlp`` node), without ``_as_2d``'s conversion."""
     needs = any(p.requires_grad for p in parents)
-    return Tensor(values, requires_grad=needs,
-                  _parents=tuple(parents) if needs else (),
-                  _backward_fn=backward_fn if needs else None)
+    t = Tensor.__new__(Tensor)
+    t.values, t.grad, t.requires_grad = values, None, needs
+    t._parents = tuple(parents) if needs else ()
+    t._backward_fn = backward_fn if needs else None
+    return t
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
@@ -273,30 +277,80 @@ _ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
 }
 
 
-def linear(h, w, b, act: str) -> Tensor:
-    """``act(h @ w + b)`` as one node, for act in ``_ACTIVATIONS``.
+def mlp(x, weights: Sequence[Tensor], biases: Sequence[Tensor],
+        activations: Sequence[str], normalize: bool, eps: float = 1e-12) -> list[Tensor]:
+    """Layers ``act(h @ w + b)``, then optionally unit-norm rows, as one node.
 
-    The backward replays the composed ``matmul``, ``add`` and activation
-    nodes expression for expression, so values and gradients are
-    bit-identical to that graph's.
+    ``x`` is one view as a 2-D Tensor, which may carry a gradient, or V views
+    stacked as a (V, m, k) array, which does not. Returns V row blocks: 2-D
+    Tensors whose parent is the one node. Rows are normalised as
+    ``h / (sum(h * h, 1) + eps^2) ** 0.5``, so zero rows map to zero rows.
+
+    The products run as ``np.matmul`` over the view axis, bit-equal to each
+    view's own product; stacking the views as rows of one product is not.
+    The backward replays, batched over the view axis, the rules of the
+    composed matmul, add, activation, div, power, sum and mul nodes, not the
+    analytic normalisation Jacobian. Each parameter then gets its views'
+    gradients one at a time, in the order in which the row blocks ran their
+    backward: with three views that order sets the rounding of the sums. So
+    values and gradients are bit-identical to V composed graphs.
     """
-    h, w, b = _wrap(h), _wrap(w), _wrap(b)
-    if h.shape[1] != w.shape[0]:
-        raise ShapeError(f"linear inner dims disagree: {h.shape} @ {w.shape}")
-    forward, rule = _ACTIVATIONS[act]
-    pre = h.values @ w.values + b.values
-    out_vals = forward(pre)
+    one = isinstance(x, Tensor)
+    x_grad = one and x.requires_grad
+    hs = [x.values[None] if one else x]
+    pres = []
+    for w, b, act in zip(weights, biases, activations):
+        if hs[-1].shape[-1] != w.shape[0]:
+            raise ShapeError(f"mlp inner dims disagree: {hs[-1].shape} @ {w.shape}")
+        pres.append(np.matmul(hs[-1], w.values) + b.values)
+        hs.append(_ACTIVATIONS[act][0](pres[-1]))
+    h = hs[-1]
+    if normalize:
+        s = (h * h).sum(axis=2, keepdims=True) + eps * eps
+        d = s ** 0.5
+    out = h / d if normalize else h
+    m, n = h.shape[1:]
 
+    def bwd(grads: dict[int, np.ndarray]):
+        # views no row block reached hold zeros and hand out nothing
+        g = np.stack([grads[v] if v in grads else np.zeros((m, n))
+                      for v in range(len(out))])
+        if normalize:
+            gd = -g * h / (d ** 2)
+            if n != 1:  # as _unbroadcast to d's shape
+                gd = gd.sum(axis=2, keepdims=True)
+            # h * h hands each operand the same term
+            t = gd * 0.5 * s ** -0.5 * h
+            g = g / d + t + t
+        per_param = []
+        for i in reversed(range(len(weights))):
+            w, b = weights[i], biases[i]
+            g = _ACTIVATIONS[activations[i]][1](g, pres[i], hs[i + 1])
+            if b.requires_grad:  # as _unbroadcast: one row is handed on unsummed
+                per_param.append((b, g if m == 1 else g.sum(axis=1, keepdims=True)))
+            if w.requires_grad:
+                per_param.append((w, np.matmul(hs[i].transpose(0, 2, 1), g)))
+            if i or x_grad:
+                g = np.matmul(g, w.values.T)
+        if x_grad:
+            _accum(x, g[0])
+        for p, per_view in per_param:
+            for v in grads:
+                _accum(p, per_view[v])
+
+    node = _make(out, (x, *weights, *biases) if one else (*weights, *biases), bwd)
+    return [_row_block(node, v) for v in range(len(out))]
+
+
+def _row_block(node: Tensor, v: int) -> Tensor:
+    """View v of an ``mlp`` node; its backward files its gradient, in
+    arrival order, in the node's grad, a dict from view to gradient."""
     def bwd(g):
-        g = rule(g, pre, out_vals)
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g, b.shape))
-        if h.requires_grad:
-            _accum(h, g @ w.values.T)
-        if w.requires_grad:
-            _accum(w, h.values.T @ g)
+        if node.grad is None:
+            node.grad = {}
+        node.grad[v] = g
 
-    return _make(out_vals, (h, w, b), bwd)
+    return _make(node.values[v], (node,), bwd)
 
 
 def transpose(a) -> Tensor:
@@ -380,29 +434,6 @@ def log(a) -> Tensor:
 # ---------------------------------------------------------------------------
 # composite primitives used by the loss catalog
 # ---------------------------------------------------------------------------
-
-def l2_normalize_rows(x, eps: float = 1e-12) -> Tensor:
-    """Scale each row to unit L2 norm with an eps-regularized denominator.
-
-    One node that replays the composed ``x / (sum(x * x, 1) + eps^2) ** 0.5``
-    graph: the backward runs that graph's div, power, sum and mul rules in
-    its order, not the analytic Jacobian (I - zz^T)/||x||, so gradients are
-    bit-identical to it. Zero rows map to zero rows.
-    """
-    x = _wrap(x)
-    s = (x.values * x.values).sum(axis=1, keepdims=True) + eps * eps
-    d = s ** 0.5
-
-    def bwd(g):
-        gd = _unbroadcast(-g * x.values / (d ** 2), d.shape)
-        # x * x hands each operand the same term
-        t = gd * 0.5 * s ** -0.5 * x.values
-        _accum(x, g / d)
-        _accum(x, t)
-        _accum(x, t)
-
-    return _make(x.values / d, (x,), bwd)
-
 
 def softmax_rows(x, temperature: float = 1.0) -> Tensor:
     """Row-wise softmax of x / temperature, stabilized by row-max subtraction."""

@@ -4,10 +4,10 @@ A run is a pure function of its config (seeds included): generation,
 initialization, batch order and pairing all derive from the run seed, so
 repeated runs produce bit-identical metrics rows. What each loss kind needs
 (its heads, negatives, class views, smallest batch and step) is one row of
-``_OBJECTIVES``. The per-step ordering is pinned: one student forward per
-view -> loss -> backward -> optimizer step -> EMA twin update -> the loss's
-post-step hook (DINO's center update, SwAV's prototype renormalization) ->
-diagnostics.
+``_OBJECTIVES``. The per-step ordering is pinned: one student forward of
+the step's stacked views -> loss -> backward -> optimizer step -> EMA twin
+update -> the loss's post-step hook (DINO's center update, SwAV's prototype
+renormalization) -> diagnostics.
 
 The partner and negative samplers draw in bulk from rectangular index tables
 but consume the pair stream draw for draw as per-item loops do: a partner is
@@ -394,12 +394,12 @@ class _Objective:
     """What one loss kind needs from the trainer.
 
     ``step(state, loss config, x, z)`` returns the loss and a hook to run
-    after the optimizer and EMA twin updates, or None. ``x`` holds the step's
-    input views (x_a, x_b, and x_n if the objective draws negatives) and
-    ``z`` the student's embeddings of them; the trainer runs the student
-    forward once per view. Steps look each loss function up on the losses
-    module at call time, so wrappers installed there (the benchmark's tracer)
-    see every call.
+    after the optimizer and EMA twin updates, or None. ``x`` stacks the step's
+    input views as a (V, m, k) array (x_a, x_b, and x_n if the objective
+    draws negatives) and ``z`` holds the student's V embeddings of them; the
+    trainer runs the student forward once per step. Steps look each loss
+    function up on the losses module at call time, so wrappers installed
+    there (the benchmark's tracer) see every call.
     """
     step: Callable[..., tuple[Tensor, Callable[[], None] | None]]
     heads: frozenset[str] = frozenset()  # TrainState fields it builds
@@ -410,7 +410,7 @@ class _Objective:
 
 
 def _dino(st, lc, x, z):
-    loss, teacher_mean = L.dino_loss(*z, *map(st.twin.forward_array, x), st.dino_center,
+    loss, teacher_mean = L.dino_loss(*z, *st.twin.forward_array(x), st.dino_center,
                                      lc.student_temperature, lc.teacher_temperature,
                                      use_centering=lc.use_centering)
     return loss, lambda: st.dino_center.update(teacher_mean)
@@ -436,7 +436,7 @@ _OBJECTIVES: dict[str, _Objective] = {
         frozenset({"predictor"}), optional_predictor=True),
     "byol": _Objective(
         lambda st, lc, x, z: (L.byol_loss(*z, st.predictor,
-                                          *map(st.twin.forward_array, x)), None),
+                                          *st.twin.forward_array(x)), None),
         frozenset({"predictor", "twin"})),
     "dino": _Objective(_dino, frozenset({"twin", "dino_center"})),
     "swav": _Objective(
@@ -525,11 +525,11 @@ class Trainer:
     # -- one optimizer step ---------------------------------------------
     def train_step(self, idx: np.ndarray, rng: np.random.Generator) -> float:
         cfg, st = self.cfg, self.state
-        pts = self.augmented.points
-        x = [pts[idx], pts[self._partners(idx, rng)]]
+        views = [idx, self._partners(idx, rng)]
         if self.objective.negatives:
-            x.append(pts[self._negatives(idx, rng)])
-        z = [st.encoder.forward(Tensor(v)) for v in x]
+            views.append(self._negatives(idx, rng))
+        x = self.augmented.points[np.stack(views)]
+        z = st.encoder.forward(x)
         try:
             loss, hook = self.objective.step(st, cfg.loss, x, z)
         except NumericError as exc:
@@ -610,9 +610,9 @@ class RunResult:
     checkpoints: list[Path]
 
 
-def _run_one_seed(cfg: ExperimentConfig, seed: int, csv_path: Path,
-                  tick_callback: TickCallback | None) -> tuple[list[dict], Trainer]:
-    trainer = Trainer(cfg, seed)
+def _run_one_seed(trainer: Trainer, csv_path: Path,
+                  tick_callback: TickCallback | None) -> list[dict]:
+    cfg, seed = trainer.cfg, trainer.seed
     rows: list[dict] = []
     start = time.monotonic()
 
@@ -646,7 +646,7 @@ def _run_one_seed(cfg: ExperimentConfig, seed: int, csv_path: Path,
             # flush a final row flagged non-finite, then re-raise
             tick(cfg.optimizer.epochs, float("nan"), aborted=True)
             raise
-    return rows, trainer
+    return rows
 
 
 def _aggregate(rows_by_seed: dict[int, list[dict]], path: Path) -> None:
@@ -675,8 +675,11 @@ def _aggregate(rows_by_seed: dict[int, list[dict]], path: Path) -> None:
 def run_experiment(cfg: ExperimentConfig, out_dir,
                    tick_callback: TickCallback | None = None) -> RunResult:
     """Execute all seeds of a config; write per-seed CSVs, an aggregate, and
-    a final parameter checkpoint per seed."""
-    cfg.validate()
+    a final parameter checkpoint per seed.
+
+    The first seed's trainer builds, and so checks, the config: an invalid
+    one raises ConfigError before anything is written."""
+    trainer = Trainer(cfg, cfg.base_seed)
     out = Path(out_dir) / cfg.name
     out.mkdir(parents=True, exist_ok=True)
     seed_csvs, checkpoints = [], []
@@ -684,8 +687,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir,
     trainers: dict[int, Trainer] = {}
     for i in range(cfg.num_seeds):
         seed = cfg.base_seed + i
+        if i:
+            trainer = Trainer(cfg, seed)
         csv_path = out / f"seed{seed}.csv"
-        rows, trainer = _run_one_seed(cfg, seed, csv_path, tick_callback)
+        rows = _run_one_seed(trainer, csv_path, tick_callback)
         rows_by_seed[seed] = rows
         trainers[seed] = trainer
         seed_csvs.append(csv_path)

@@ -64,25 +64,24 @@ class EncoderStack:
     def output_dim(self) -> int:
         return self.weights[-1].shape[1]
 
-    def forward(self, x: Tensor) -> Tensor:
-        """Differentiable forward pass; rows come out unit-norm when configured."""
-        if x.shape[1] != self.input_dim:
+    def forward(self, x: Tensor | np.ndarray) -> Tensor | list[Tensor]:
+        """Differentiable forward pass as one ``autodiff.mlp`` node; rows come
+        out unit-norm when configured. A Tensor (m, k) gives a Tensor; V views
+        stacked as an array (V, m, k) give a list of V Tensors."""
+        if x.shape[-1] != self.input_dim:
             raise ShapeError(
-                f"input dim {x.shape[1]} does not match encoder dim {self.input_dim}")
-        h = x
-        for w, b, act in zip(self.weights, self.biases, self.activations):
-            h = ad.linear(h, w, b, act)
-        if self.output_normalize:
-            h = ad.l2_normalize_rows(h)
-        return h
+                f"input dim {x.shape[-1]} does not match encoder dim {self.input_dim}")
+        z = ad.mlp(x, self.weights, self.biases, self.activations, self.output_normalize)
+        return z[0] if isinstance(x, Tensor) else z
 
     def forward_array(self, x: np.ndarray) -> np.ndarray:
-        """Numpy-only forward; used by EMA teachers and diagnostics (off-graph)."""
+        """Numpy-only forward of rows (m, k) or stacked views (V, m, k); used
+        by EMA teachers and diagnostics (off-graph)."""
         h = np.atleast_2d(np.asarray(x, dtype=np.float64))
         for w, b, act in zip(self.weights, self.biases, self.activations):
             h = _ACTIVATIONS[act][0](h @ w.values + b.values)
         if self.output_normalize:
-            h = h / np.sqrt((h * h).sum(axis=1, keepdims=True) + 1e-24)
+            h = h / np.sqrt((h * h).sum(axis=-1, keepdims=True) + 1e-24)
         return h
 
     def parameters(self, group: str = "encoder") -> list[Param]:

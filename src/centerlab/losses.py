@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ParameterError, ShapeError, Tensor
+from .autodiff import ParameterError, ShapeError, Tensor, _accum, _make
 from .layers import PredictorHead
 
 __all__ = [
@@ -94,8 +94,20 @@ def _check_paired(a: Tensor, b: Tensor) -> int:
 
 
 def _mean_neg_cosine(a: Tensor, b: Tensor) -> Tensor:
-    m = _check_paired(a, b)
-    return ad.tensor_sum(a * b) * (-1.0 / m)
+    """-sum(a * b) / m as one node. The backward replays the composed
+    ``tensor_sum(a * b) * (-1 / m)`` graph's mul, sum and mul rules, with the
+    scalar broadcast in place of a filled (m, d) gradient, so gradients are
+    bit-identical to that graph's."""
+    scale = -1.0 / _check_paired(a, b)
+
+    def bwd(g):
+        g = g * scale
+        if a.requires_grad:
+            _accum(a, g * b.values)
+        if b.requires_grad:
+            _accum(b, g * a.values)
+
+    return _make((a.values * b.values).sum().reshape(1, 1) * scale, (a, b), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from centerlab import autodiff as ad
+from centerlab import losses as L
 from centerlab.autodiff import (ParameterError, ShapeError, Tensor, backward,
                                 grad_check)
 
@@ -44,8 +45,8 @@ class TestMatmul:
         assert rep.max_rel_err < 1e-6
 
 
-# The composed graphs that `ad.linear` and `ad.l2_normalize_rows` replace:
-# oracles that the fused nodes must match bit for bit.
+# The composed graphs that an `ad.mlp` node replaces: oracles that it must
+# match bit for bit.
 def composed_tanh(a):
     a = ad._wrap(a)
     out_vals = np.tanh(a.values)
@@ -68,6 +69,33 @@ def composed_l2_normalize_rows(x, eps=1e-12):
     return x / denom
 
 
+def composed_views(xs, weights, biases, acts, normalize):
+    """One composed graph per view Tensor in `xs`."""
+    outs = []
+    for h in xs:
+        for w, b, act in zip(weights, biases, acts):
+            h = composed_linear(h, w, b, act)
+        outs.append(composed_l2_normalize_rows(h) if normalize else h)
+    return outs
+
+
+def fused_views(xs, weights, biases, acts, normalize):
+    """The views through `ad.mlp`: one node over their (V, m, k) stack, or,
+    since only a 2-D input carries a gradient, one node per such view."""
+    if xs[0].requires_grad:
+        return [ad.mlp(x, weights, biases, acts, normalize)[0] for x in xs]
+    return ad.mlp(np.stack([x.values for x in xs]), weights, biases, acts, normalize)
+
+
+def fused_linear(h, w, b, act):
+    return ad.mlp(h, [w], [b], [act], normalize=False)[0]
+
+
+def normalize_rows(x):
+    """Row normalisation alone: an mlp node without layers."""
+    return ad.mlp(x, [], [], [], normalize=True)[0]
+
+
 def assert_bits_equal(got, want):
     """Equal values and equal signs of zeros; None only matches None."""
     if want is None:
@@ -83,68 +111,90 @@ ACTIVATIONS = sorted(ad._ACTIVATIONS)
 
 class TestLinear:
     @staticmethod
-    def two_layer_grads(layer, normalize, act, h_grad, views=1):
-        """Values and every gradient of a two-layer, normalized stack whose
-        parameters `views` forwards share, under one scalar loss."""
+    def two_layer_grads(views_fn, act, h_grad, views=1, normalize=True,
+                        loss_fn=None):
+        """Values and every gradient of a two-layer stack whose parameters
+        `views` forwards share, under one scalar loss (by default a probe of
+        the first view plus its products with the others)."""
         rng = np.random.default_rng(17)
         w0, b0 = leaf(rng.standard_normal((3, 8))), leaf(rng.standard_normal((1, 8)))
         w1, b1 = leaf(rng.standard_normal((8, 4))), leaf(rng.standard_normal((1, 4)))
         xs = [Tensor(rng.standard_normal((20, 3)), requires_grad=h_grad)
               for _ in range(views)]
-        outs = [normalize(layer(layer(x, w0, b0, act), w1, b1, "identity"))
-                for x in xs]
-        loss = ad.tensor_sum(outs[0] * rng.standard_normal((20, 4)))
-        for out in outs[1:]:
-            loss = loss + ad.tensor_sum(out * outs[0]) * -0.5
+        outs = views_fn(xs, [w0, w1], [b0, b1], [act, "identity"], normalize)
+        if loss_fn is None:
+            loss = ad.tensor_sum(outs[0] * rng.standard_normal((20, 4)))
+            for out in outs[1:]:
+                loss = loss + ad.tensor_sum(out * outs[0]) * -0.5
+        else:
+            loss = loss_fn(*outs)
         backward(loss)
         return ([out.values for out in outs]
                 + [t.grad for t in [w0, b0, w1, b1] + xs])
 
-    @pytest.mark.parametrize("views", [1, 3])
+    @pytest.mark.parametrize("views", [1, 2, 3])
     @pytest.mark.parametrize("h_grad", [False, True])
     @pytest.mark.parametrize("act", ACTIVATIONS)
     def test_stack_matches_composed(self, act, h_grad, views):
         # three forwards through one set of parameters accumulate three
         # gradients into each, so the order of the additions matters
-        got = self.two_layer_grads(ad.linear, ad.l2_normalize_rows, act, h_grad, views)
-        want = self.two_layer_grads(composed_linear, composed_l2_normalize_rows,
-                                    act, h_grad, views)
+        got = self.two_layer_grads(fused_views, act, h_grad, views)
+        want = self.two_layer_grads(composed_views, act, h_grad, views)
         assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_bits_equal(g, w)
+
+    # triplet's two modes reach its three views in different orders
+    @pytest.mark.parametrize("loss", ["probe", "invariance", "triplet-inf",
+                                      "triplet-margin"])
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("act", ACTIVATIONS)
+    def test_stacked_views_match_composed(self, act, normalize, loss):
+        probe = np.random.default_rng(5).standard_normal((20, 4))
+        views, loss_fn = {
+            "probe": (1, lambda z: ad.tensor_sum(z * probe)),
+            "invariance": (2, L.invariance_loss),
+            "triplet-inf": (3, L.triplet_loss),
+            "triplet-margin": (3, lambda *z: L.triplet_loss(*z, margin=0.5)),
+        }[loss]
+        got, want = (self.two_layer_grads(fn, act, False, views, normalize, loss_fn)
+                     for fn in (fused_views, composed_views))
+        assert len(got) == len(want) == 2 * views + 4
         for g, w in zip(got, want):
             assert_bits_equal(g, w)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            ad.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))),
-                      Tensor(np.zeros((1, 3))), "tanh")
+            fused_linear(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))),
+                         Tensor(np.zeros((1, 3))), "tanh")
 
     @pytest.mark.parametrize("act", ACTIVATIONS)
     def test_backward_matches_finite_differences(self, act):
         rng = np.random.default_rng(23)
         h, w = rng.standard_normal((5, 3)), rng.standard_normal((3, 4))
         b, probe = rng.standard_normal((1, 4)), rng.standard_normal((5, 4))
-        for f, x in ((lambda t: ad.linear(t, Tensor(w), Tensor(b), act), h),
-                     (lambda t: ad.linear(Tensor(h), t, Tensor(b), act), w),
-                     (lambda t: ad.linear(Tensor(h), Tensor(w), t, act), b)):
+        for f, x in ((lambda t: fused_linear(t, Tensor(w), Tensor(b), act), h),
+                     (lambda t: fused_linear(Tensor(h), t, Tensor(b), act), w),
+                     (lambda t: fused_linear(Tensor(h), Tensor(w), t, act), b)):
             rep = grad_check(lambda t: ad.tensor_sum(f(t) * probe), Tensor(x), tol=1e-6)
             assert rep.max_rel_err < 1e-6
 
 
 class TestL2NormalizeRows:
     def test_345_triple(self):
-        out = ad.l2_normalize_rows(Tensor([[3.0, 4.0]]))
+        out = normalize_rows(Tensor([[3.0, 4.0]]))
         np.testing.assert_allclose(out.values, [[0.6, 0.8]], atol=1e-12)
 
     def test_unit_row_fixed_point(self):
         row = np.array([[1.0 / np.sqrt(2), 1.0 / np.sqrt(2)]])
-        out = ad.l2_normalize_rows(Tensor(row))
+        out = normalize_rows(Tensor(row))
         np.testing.assert_allclose(out.values, row, atol=1e-12)
 
     def test_gradient_orthogonal_to_input_direction(self):
         # the normalization Jacobian annihilates the direction of x itself
         rng = np.random.default_rng(3)
         x = leaf(rng.standard_normal((1, 4)))
-        out = ad.l2_normalize_rows(x)
+        out = normalize_rows(x)
         # pushing the output along x's own unit direction gives zero input grad
         z = out.values
         proxy = ad.tensor_sum(out * z)
@@ -165,7 +215,7 @@ class TestL2NormalizeRows:
             backward(ad.tensor_sum(out * upstream))
             return out.values, x.grad
 
-        got, want = grads(ad.l2_normalize_rows), grads(composed_l2_normalize_rows)
+        got, want = grads(normalize_rows), grads(composed_l2_normalize_rows)
         np.testing.assert_array_equal(got[0][7:9], 0.0)
         for g, w in zip(got, want):
             assert_bits_equal(g, w)
@@ -177,7 +227,7 @@ class TestL2NormalizeRows:
         x = rng.standard_normal((5, 3))
         # keep row norms >= 1e-3 per the stated domain
         x += np.sign(x) * 1e-3
-        out = ad.l2_normalize_rows(Tensor(x))
+        out = normalize_rows(Tensor(x))
         norms = np.linalg.norm(out.values, axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-9)
 
@@ -298,7 +348,7 @@ class TestBackward:
         probe = rng.standard_normal((5, 4))
 
         def f(t):
-            z = ad.l2_normalize_rows(t)
+            z = normalize_rows(t)
             p = ad.softmax_rows(ad.matmul(z, Tensor(w)), 0.5)
             return ad.tensor_sum(p * probe)
 
@@ -429,7 +479,7 @@ def test_primitive_gradients_randomized(trial):
         lambda t: ad.tensor_sum(composed_tanh(t) * w),
         lambda t: ad.tensor_sum(ad.relu(t + 0.01) * w),
         lambda t: ad.tensor_sum(ad.exp(t * 0.3) * w),
-        lambda t: ad.tensor_sum(ad.l2_normalize_rows(t) * w),
+        lambda t: ad.tensor_sum(normalize_rows(t) * w),
         lambda t: ad.tensor_sum(ad.softmax_rows(t, 0.7) * w),
         lambda t: ad.tensor_sum(ad.logsumexp_rows(t, 0.7)),
         lambda t: ad.tensor_sum(ad.batch_norm_cols(t) * w),
@@ -447,7 +497,7 @@ def test_replay_determinism():
         rng = np.random.default_rng(seed)
         x = leaf(rng.standard_normal((6, 4)))
         w = Tensor(rng.standard_normal((4, 4)))
-        loss = ad.tensor_sum(ad.softmax_rows(ad.matmul(ad.l2_normalize_rows(x), w), 0.5) ** 2)
+        loss = ad.tensor_sum(ad.softmax_rows(ad.matmul(normalize_rows(x), w), 0.5) ** 2)
         backward(loss)
         return loss.item(), grad_of(x).copy()
 

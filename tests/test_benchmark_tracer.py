@@ -33,18 +33,24 @@ SCRIPT = textwrap.dedent("""
                 num_seeds=1, record_wall_time=False)
             harness.run_experiment(cfg, out)
     names = [tracer.names[n] for n in tracer.name]
-    steps = {}  # run label -> [steps, steps with a losses.loss child]
-    loss_parents = {tracer.parent[i] for i, n in enumerate(names) if n == "losses.loss"}
+    # run label -> [steps, steps with a losses.loss child, steps with a
+    # layers.forward child]
+    steps = {}
+    parents = {child: {tracer.parent[i] for i, n in enumerate(names) if n == child}
+               for child in ("losses.loss", "layers.forward")}
     for i, n in enumerate(names):
         if n == "harness.step":
-            counts = steps.setdefault(tracer.runs[tracer.run[i]], [0, 0])
+            counts = steps.setdefault(tracer.runs[tracer.run[i]], [0, 0, 0])
             counts[0] += 1
-            counts[1] += i in loss_parents
+            counts[1] += i in parents["losses.loss"]
+            counts[2] += i in parents["layers.forward"]
     print(json.dumps(steps))
     """)
 
 
 def test_tracer_records_a_loss_span_per_step_for_every_kind():
+    # and a student forward span: a trainer that bypassed
+    # EncoderStack.forward would leave layers.forward_s reading zero
     from centerlab.harness import _OBJECTIVES
 
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
@@ -53,4 +59,4 @@ def test_tracer_records_a_loss_span_per_step_for_every_kind():
     assert out.returncode == 0, out.stderr
     steps = json.loads(out.stdout.splitlines()[-1])
     # 30 blob points in batches of 15: two steps per (kind, seed 0) run
-    assert steps == {f"{kind}/0": [2, 2] for kind in _OBJECTIVES}
+    assert steps == {f"{kind}/0": [2, 2, 2] for kind in _OBJECTIVES}

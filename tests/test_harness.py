@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from centerlab.autodiff import ParameterError
+from centerlab.autodiff import ParameterError, Tensor
 from centerlab.cli import main as cli_main
 from centerlab.data import AugmentedSet, gen_blobs
 from centerlab.harness import (METRICS_HEADER, AugmentationSpec, ComparisonError,
@@ -22,7 +22,7 @@ from centerlab.harness import (METRICS_HEADER, AugmentationSpec, ComparisonError
                                named_experiment, run_experiment)
 from centerlab.layers import EncoderStack
 from centerlab.losses import LossConfig
-from test_autodiff import composed_l2_normalize_rows, composed_linear
+from test_autodiff import composed_views
 
 
 def tiny_config(**loss_kw) -> ExperimentConfig:
@@ -283,8 +283,9 @@ class TestTrainer:
 
     @pytest.mark.parametrize("kind", list(_OBJECTIVES))
     def test_one_student_forward_per_view(self, monkeypatch, kind):
-        # the trainer embeds each view once and the losses take embeddings;
-        # counted on this encoder only, since predictor heads are EncoderStacks
+        # the trainer embeds all views of a step in one call on their stack
+        # and the losses take embeddings; counted on this encoder only, since
+        # predictor heads are EncoderStacks
         trainer = Trainer(tiny_config(kind=kind), seed=0)
         encoder = trainer.state.encoder
         calls = []
@@ -295,7 +296,7 @@ class TestTrainer:
 
         monkeypatch.setattr(encoder, "forward", counted)
         trainer.train_step(np.arange(15), np.random.default_rng(0))
-        assert calls == [(15, 2)] * (3 if kind == "triplet" else 2)
+        assert calls == [(3 if kind == "triplet" else 2, 15, 2)]
 
     @pytest.mark.parametrize("overrides", [
         *({"loss.kind": kind} for kind in _OBJECTIVES),
@@ -306,9 +307,10 @@ class TestTrainer:
         {"loss.kind": "simsiam", "encoder.activation": "relu"},
     ], ids=lambda kw: "-".join(str(v) for v in kw.values()))
     def test_fused_forward_matches_composed(self, monkeypatch, overrides):
-        # one linear node per layer and one normalization node must train
-        # exactly as the matmul + add + activation and five-node graphs did
+        # one mlp node over the stacked views must train exactly as one
+        # matmul + add + activation and normalisation graph per view did
         cfg = apply_overrides(tiny_config(), overrides)
+        stacks = []
 
         def state_after_three_steps():
             trainer = Trainer(cfg, seed=0)
@@ -324,14 +326,17 @@ class TestTrainer:
             return arrays
 
         def composed_forward(self, x):
-            h = x
-            for w, b, act in zip(self.weights, self.biases, self.activations):
-                h = composed_linear(h, w, b, act)
-            return composed_l2_normalize_rows(h) if self.output_normalize else h
+            layers = self.weights, self.biases, self.activations, self.output_normalize
+            if isinstance(x, Tensor):
+                return composed_views([x], *layers)[0]
+            stacks.append(x.shape)
+            return composed_views([Tensor(v) for v in x], *layers)
 
         fused = state_after_three_steps()
         monkeypatch.setattr(EncoderStack, "forward", composed_forward)
         composed = state_after_three_steps()
+        # the student's stack took the composed path at every step
+        assert len(stacks) == 3
         assert len(fused) == len(composed)
         for a, b in zip(fused, composed):
             assert a.tobytes() == b.tobytes()
@@ -568,6 +573,14 @@ class TestRunExperiment:
         assert last[1] == "-1"
         assert last[3] == "nan"
 
+    def test_invalid_config_writes_nothing(self, tmp_path):
+        # no separate validation: the first trainer's build raises
+        cfg = tiny_config()
+        cfg.optimizer.epochs = -1
+        with pytest.raises(ConfigError, match="optimizer.epochs"):
+            run_experiment(cfg, tmp_path)
+        assert not any(tmp_path.iterdir())
+
     def test_tick_callback_sees_every_tick(self, tmp_path):
         cfg = tiny_config()
         seen = []
@@ -695,6 +708,24 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "fig7-byol-momentum" / "byol-momentum-0.5"
                 / "seed0.csv").exists()
+
+    def test_named_builds_each_config_three_times(self, tmp_path, monkeypatch):
+        # per variant: the override's validation, the CLI's check before any
+        # run, and the one trainer; run_experiment builds nothing of its own
+        from centerlab import data
+
+        calls = []
+
+        def counted(*args, gen_blobs=data.gen_blobs, **kwargs):
+            calls.append(args)
+            return gen_blobs(*args, **kwargs)
+
+        monkeypatch.setattr(data, "gen_blobs", counted)
+        assert cli_main(["--out-dir", str(tmp_path), "--quiet",
+                         "named", "s24-predictor-lr",
+                         "--override", "num_seeds=1",
+                         "--override", "optimizer.epochs=1"]) == 0
+        assert len(calls) == 9
 
     @pytest.mark.parametrize("override", [
         "optimizer.batch_size=0",

@@ -79,6 +79,32 @@ class TestInvariance:
         with pytest.raises(ShapeError):
             invariance_loss(Tensor(np.ones((3, 2))), Tensor(np.ones((4, 2))))
 
+    # a twin with gradient, one without, and one operand used as both
+    @pytest.mark.parametrize("pair", ["both", "one", "same"])
+    def test_fused_node_matches_composed(self, pair):
+        # the one node must replay tensor_sum(a * b) * (-1 / m): values,
+        # gradients and the signs of zeros
+        def run(loss_fn):
+            rng = np.random.default_rng(8)
+            a = leaf(rng.standard_normal((6, 3)))
+            b = {"both": leaf, "one": Tensor}.get(pair, lambda v: a)(
+                rng.standard_normal((6, 3)))
+            # -0.0 entries whose gradients keep their sign through the copy
+            a.values[2] = -0.0
+            b.values[4, 1] = -0.0
+            loss = loss_fn(a, b) * 0.5
+            backward(loss)
+            return [loss.values, a.grad, b.grad]
+
+        got = run(invariance_loss)
+        want = run(lambda a, b: ad.tensor_sum(a * b) * (-1.0 / a.shape[0]))
+        for g, w in zip(got, want):
+            if w is None:
+                assert g is None
+                continue
+            np.testing.assert_array_equal(g, w)
+            np.testing.assert_array_equal(np.signbit(g), np.signbit(w))
+
 
 class TestTriplet:
     def test_finite_margin_closed_form(self):
