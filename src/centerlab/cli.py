@@ -1,7 +1,8 @@
 """Command-line surface for the experiment harness.
 
 Subcommands: run, named, sweep, compare, list. Exit codes: 0 success,
-2 config validation error, 3 numeric abort, 4 comparison failure.
+2 config or I/O error, 3 numeric abort, 4 comparison failure or error;
+each failure prints one line to stderr.
 """
 
 from __future__ import annotations
@@ -57,12 +58,6 @@ def _parse_grid(specs: list[str]) -> list[dict[str, object]]:
 def _run_configs(configs, out_dir, quiet: bool) -> int:
     for label, cfg in configs:
         try:
-            cfg.validate()
-        except ConfigError as exc:
-            print(f"config error ({label}): {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-    for label, cfg in configs:
-        try:
             result = run_experiment(cfg, out_dir)
         except NumericAbort as exc:
             print(f"numeric abort ({label}): {exc}", file=sys.stderr)
@@ -112,40 +107,12 @@ def main(argv: list[str] | None = None) -> int:
                 print(name)
             return EXIT_OK
 
-        if args.command == "run":
-            cfg = ExperimentConfig.from_file(args.config)
-            if args.seed is not None:
-                cfg = apply_overrides(cfg, {"base_seed": args.seed})
-            return _run_configs([(cfg.name, cfg)], args.out_dir, args.quiet)
-
-        if args.command == "named":
-            try:
-                variants = named_experiment(args.key)
-            except KeyError as exc:
-                print(exc.args[0], file=sys.stderr)
-                return EXIT_CONFIG
-            overrides = _parse_overrides(args.override)
-            if args.seed is not None:
-                overrides["base_seed"] = args.seed
-            configs = [(label, apply_overrides(cfg, overrides) if overrides else cfg)
-                       for label, cfg in variants]
-            return _run_configs(configs, Path(args.out_dir) / args.key, args.quiet)
-
-        if args.command == "sweep":
-            base = ExperimentConfig.from_file(args.config)
-            if args.seed is not None:
-                base = apply_overrides(base, {"base_seed": args.seed})
-            configs = []
-            for combo in _parse_grid(args.grid):
-                cfg = apply_overrides(base, combo)
-                suffix = "-".join(f"{k.split('.')[-1]}{v}" for k, v in combo.items())
-                cfg.name = f"{base.name}-{suffix}"
-                configs.append((cfg.name, cfg))
-            return _run_configs(configs, args.out_dir, args.quiet)
-
         if args.command == "compare":
-            with open(args.spec) as fh:
-                spec = json.load(fh)
+            with open(args.spec, encoding="utf-8") as fh:
+                try:
+                    spec = json.load(fh)
+                except ValueError as exc:
+                    raise ComparisonError(f"{args.spec}: invalid JSON ({exc})") from exc
             results = compare_runs(spec)
             width = max(len(r["name"]) for r in results)
             all_passed = True
@@ -155,16 +122,40 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{r['name']:<{width}}  {status}  a={r['a']:.6g} "
                       f"b={r['b']:.6g} op={r['op']} margin={r['margin']:g}")
             return EXIT_OK if all_passed else EXIT_COMPARISON
+
+        # a run is a sweep over one empty grid point. --seed beats
+        # `named --override base_seed=...` and loses to a base_seed grid axis
+        seed = {} if args.seed is None else {"base_seed": args.seed}
+        if args.command == "named":
+            try:
+                variants = named_experiment(args.key)
+            except KeyError as exc:
+                print(exc.args[0], file=sys.stderr)
+                return EXIT_CONFIG
+            fixed, grid = {**_parse_overrides(args.override), **seed}, [{}]
+            out_dir = Path(args.out_dir) / args.key
+        else:
+            base = ExperimentConfig.from_file(args.config)
+            variants, fixed, out_dir = [(base.name, base)], seed, args.out_dir
+            grid = _parse_grid(args.grid) if args.command == "sweep" else [{}]
+        configs = []
+        for label, cfg in variants:
+            for combo in grid:
+                variant = apply_overrides(cfg, {**fixed, **combo}) if fixed or combo else cfg
+                if combo:
+                    suffix = "-".join(f"{k.split('.')[-1]}{v}" for k, v in combo.items())
+                    variant.name = f"{cfg.name}-{suffix}"
+                configs.append((variant.name if combo else label, variant))
+        return _run_configs(configs, out_dir, args.quiet)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ComparisonError as exc:
         print(f"comparison error: {exc}", file=sys.stderr)
         return EXIT_COMPARISON
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -22,6 +22,7 @@ import csv
 import dataclasses
 import json
 import numbers
+import os
 import time
 from collections.abc import Callable
 from contextlib import contextmanager
@@ -240,10 +241,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             try:
                 raw = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # bad JSON or bytes that are not UTF-8
                 raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
         return cls.from_dict(raw)
 
@@ -258,7 +259,8 @@ _NESTED = {
 }
 
 
-_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str, "bool": bool}
+_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str, "bool": bool,
+          "path": (str, os.PathLike)}
 
 
 def _fits(value, annotation: str) -> bool:
@@ -321,10 +323,7 @@ def _from_dict(cls, raw: dict, path: str):
         if sub is not None:
             value = _from_dict(sub, value, f"{path + '.' if path else ''}{f.name}")
         kwargs[f.name] = value
-    try:
-        return cls(**kwargs)
-    except (TypeError, ParameterError) as exc:
-        raise ConfigError(f"{path or 'config'}: {exc}") from exc
+    return cls(**kwargs)
 
 
 def apply_overrides(cfg: ExperimentConfig, overrides: dict[str, object]) -> ExperimentConfig:
@@ -855,15 +854,19 @@ def named_experiment(name: str) -> list[tuple[str, ExperimentConfig]]:
 # ---------------------------------------------------------------------------
 
 def _load_metric_file(path) -> dict[str, list]:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ComparisonError(f"{path}: empty metrics file")
-        cols: dict[str, list] = {name: [] for name in reader.fieldnames}
-        for row in reader:
-            for name in reader.fieldnames:
-                cell = row[name]
-                cols[name].append(float(cell) if cell not in ("", None) else None)
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None:
+                raise ComparisonError("empty metrics file")
+            cols: dict[str, list] = {name: [] for name in reader.fieldnames}
+            for row in reader:
+                for name in reader.fieldnames:
+                    cell = row[name]
+                    cols[name].append(float(cell) if cell not in ("", None) else None)
+        # an empty file, a cell that is no number, or bytes that are not UTF-8
+        except (ValueError, csv.Error) as exc:
+            raise ComparisonError(f"{path}: {exc}") from exc
     return cols
 
 
@@ -882,6 +885,11 @@ def _claim_value(cols: dict[str, list], column: str, stat: str) -> float:
     raise ComparisonError(f"unknown stat {stat!r}")
 
 
+# the fields of a claim and their types; only margin may be left out
+_CLAIM_FIELDS = {"name": "str", "file_a": "path", "file_b": "path", "column": "str",
+                 "stat": "str", "op": "str", "margin": "float"}
+
+
 def compare_runs(spec: dict) -> list[dict]:
     """Evaluate declared inequalities between metric files.
 
@@ -889,14 +897,24 @@ def compare_runs(spec: dict) -> list[dict]:
     op "gt" (a > b + margin) or "ge" (a >= b - margin). Files must share the
     (epoch, step) tick structure. Returns one verdict dict per claim.
     """
+    if not isinstance(spec, dict):
+        raise ComparisonError(f"comparison spec: expected an object, "
+                              f"got {type(spec).__name__}")
     claims = spec.get("claims")
     if not isinstance(claims, list) or not claims:
         raise ComparisonError("comparison spec needs a non-empty 'claims' list")
     results = []
-    for claim in claims:
-        missing = {"name", "file_a", "file_b", "column", "stat", "op"} - set(claim)
+    for i, claim in enumerate(claims):
+        if not isinstance(claim, dict):
+            raise ComparisonError(f"claims[{i}]: expected an object, "
+                                  f"got {type(claim).__name__}")
+        missing = set(_CLAIM_FIELDS) - {"margin"} - set(claim)
         if missing:
             raise ComparisonError(f"claim missing field(s): {sorted(missing)}")
+        for key, annotation in _CLAIM_FIELDS.items():
+            if key in claim and not _fits(claim[key], annotation):
+                raise ComparisonError(f"claims[{i}].{key}: expected {annotation}, "
+                                      f"got {claim[key]!r}")
         cols_a = _load_metric_file(claim["file_a"])
         cols_b = _load_metric_file(claim["file_b"])
         for key in ("epoch", "step"):

@@ -196,10 +196,6 @@ class PrototypeBank:
         self.matrix = matrix
         self.trainable = bool(trainable)
 
-    @property
-    def num_prototypes(self) -> int:
-        return self.matrix.shape[0]
-
     def parameters(self) -> list[Param]:
         if not self.trainable:
             return []

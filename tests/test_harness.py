@@ -709,9 +709,9 @@ class TestCli:
         assert (tmp_path / "fig7-byol-momentum" / "byol-momentum-0.5"
                 / "seed0.csv").exists()
 
-    def test_named_builds_each_config_three_times(self, tmp_path, monkeypatch):
-        # per variant: the override's validation, the CLI's check before any
-        # run, and the one trainer; run_experiment builds nothing of its own
+    def test_named_builds_each_config_twice(self, tmp_path, monkeypatch):
+        # per variant: the validation in apply_overrides and the one trainer;
+        # neither the CLI nor run_experiment builds anything of its own
         from centerlab import data
 
         calls = []
@@ -725,7 +725,7 @@ class TestCli:
                          "named", "s24-predictor-lr",
                          "--override", "num_seeds=1",
                          "--override", "optimizer.epochs=1"]) == 0
-        assert len(calls) == 9
+        assert len(calls) == 6
 
     @pytest.mark.parametrize("override", [
         "optimizer.batch_size=0",
@@ -826,6 +826,36 @@ class TestCli:
         assert (tmp_path / "runs" / "cli-tiny-lr0.1" / "seed0.csv").exists()
         assert (tmp_path / "runs" / "cli-tiny-lr0.2" / "seed0.csv").exists()
 
+    # --seed beats the config's base_seed; a sweep names each grid point
+    # after the last part of each axis key, in axis order, and a base_seed
+    # axis beats --seed
+    @pytest.mark.parametrize("command, seed_csvs", [
+        (["run"], {"cli-tiny/seed4.csv"}),
+        (["sweep", "--grid", "optimizer.lr=0.1,0.2"],
+         {"cli-tiny-lr0.1/seed4.csv", "cli-tiny-lr0.2/seed4.csv"}),
+        (["sweep", "--grid", "base_seed=1,2", "--grid", "optimizer.epochs=0"],
+         {"cli-tiny-base_seed1-epochs0/seed1.csv",
+          "cli-tiny-base_seed2-epochs0/seed2.csv"}),
+    ], ids=["run", "sweep", "sweep-base_seed-axis"])
+    def test_seed_option(self, tmp_path, command, seed_csvs):
+        argv = ["--out-dir", str(tmp_path / "runs"), "--quiet", "--seed", "4",
+                command[0], str(self._config_file(tmp_path)), *command[1:]]
+        assert cli_main(argv) == 0
+        written = {p.relative_to(tmp_path / "runs").as_posix()
+                   for p in (tmp_path / "runs").rglob("seed*.csv")}
+        assert written == seed_csvs
+
+    def test_seed_option_beats_named_base_seed_override(self, tmp_path):
+        key = "fig3-simple-vs-simsiam"
+        assert cli_main(["--out-dir", str(tmp_path), "--quiet", "--seed", "4",
+                         "named", key, "--override", "base_seed=3",
+                         "--override", "num_seeds=1",
+                         "--override", "optimizer.epochs=0"]) == 0
+        written = {p.relative_to(tmp_path).as_posix()
+                   for p in tmp_path.rglob("seed*.csv")}
+        assert written == {f"{key}/{cfg.name}/seed4.csv"
+                           for _, cfg in named_experiment(key)}
+
     def test_compare_failure_exits_4(self, tmp_path, capsys):
         metrics = tmp_path / "m.csv"
         metrics.write_text("epoch,step,loss\n0,0,1.0\n")
@@ -836,3 +866,53 @@ class TestCli:
             "op": "gt"}]}))
         assert cli_main(["compare", str(spec)]) == 4
         assert "FAIL" in capsys.readouterr().out
+
+    _CLAIM = {"name": "x", "file_a": "m.csv", "file_b": "m.csv", "column": "loss",
+              "stat": "final", "op": "gt"}
+
+    # each input once printed a traceback and exited 1; the last field is a
+    # part of the one stderr line: the path, field or file at fault
+    @pytest.mark.parametrize("argv, spec, code, names", [
+        (["compare", "spec.json"], b"{not json", 4, "spec.json: invalid JSON"),
+        (["compare", "spec.json"], b'{"claims": [\xff]}', 4, "spec.json: invalid JSON"),
+        (["compare", "spec.json"], [1, 2], 4, "spec: expected an object"),
+        (["compare", "spec.json"], {"claims": [5]}, 4, "claims[0]: expected an object"),
+        (["compare", "spec.json"], {"claims": [{**_CLAIM, "name": 3}]}, 4,
+         "claims[0].name"),
+        # open(0) would read stdin
+        (["compare", "spec.json"], {"claims": [{**_CLAIM, "file_a": 0}]}, 4,
+         "claims[0].file_a"),
+        (["compare", "spec.json"], {"claims": [{**_CLAIM, "file_b": 0}]}, 4,
+         "claims[0].file_b"),
+        (["compare", "spec.json"], {"claims": [{**_CLAIM, "column": ["loss"]}]}, 4,
+         "claims[0].column"),
+        (["compare", "spec.json"], {"claims": [{**_CLAIM, "margin": "x"}]}, 4,
+         "claims[0].margin"),
+        (["compare", "spec.json"], {"claims": [{**_CLAIM, "file_a": "cell.csv"}]}, 4,
+         "cell.csv: could not convert"),
+        (["compare", "spec.json"], {"claims": [{**_CLAIM, "file_b": "bytes.csv"}]}, 4,
+         "bytes.csv: 'utf-8' codec"),
+        (["run", "spec.json"], b'{"name": "\xff"}', 2, "spec.json: invalid JSON"),
+        (["run", "."], None, 2, "Is a directory"),
+        (["compare", "."], None, 2, "Is a directory"),
+        (["--out-dir", "m.csv", "named", "fig3-simple-vs-simsiam"], None, 2,
+         "Not a directory"),
+    ], ids=["spec-invalid-json", "spec-not-utf8", "spec-not-object", "claim-not-object",
+            "name-not-str", "file_a-not-path", "file_b-not-path", "column-not-str",
+            "margin-not-number", "cell-not-number", "metrics-not-utf8",
+            "config-not-utf8", "run-directory", "compare-directory", "out-dir-is-file"])
+    def test_bad_input_prints_one_line(self, tmp_path, argv, spec, code, names):
+        (tmp_path / "m.csv").write_text("epoch,step,loss\n0,0,1.0\n")
+        (tmp_path / "cell.csv").write_text("epoch,step,loss\n0,0,abc\n")
+        (tmp_path / "bytes.csv").write_bytes(b"epoch,step,loss\n0,0,\xff\n")
+        if spec is not None:
+            (tmp_path / "spec.json").write_bytes(
+                spec if isinstance(spec, bytes) else json.dumps(spec).encode())
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-m", "centerlab.cli", *argv],
+                             cwd=tmp_path, stdin=subprocess.DEVNULL,
+                             capture_output=True, text=True, env=env)
+        assert out.returncode == code, out.stderr
+        assert "Traceback" not in out.stderr
+        assert len(out.stderr.splitlines()) == 1, out.stderr
+        assert names in out.stderr

@@ -45,3 +45,36 @@ def test_exported_names_exist(path):
             missing += [f"{source}.{alias.name}" for alias in node.names
                         if not hasattr(importlib.import_module(source), alias.name)]
     assert missing == []
+
+
+_CATCH_ALL = {"Exception", "BaseException", "builtins.Exception", "builtins.BaseException"}
+
+
+def catch_all_handlers(source: str, name: str) -> list[str]:
+    """Bare ``except:`` clauses and handlers naming Exception or BaseException,
+    alone or in a tuple."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ExceptHandler):
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(t is None or ast.unparse(t) in _CATCH_ALL for t in caught):
+                found.append(f"{name}:{node.lineno}")
+    return found
+
+
+@pytest.mark.parametrize("body, flagged", [
+    ("except:", True),
+    ("except Exception:", True),
+    ("except (ValueError, BaseException) as exc:", True),
+    ("except (ValueError, OSError):", False),
+])
+def test_catch_all_lint_flags(body, flagged):
+    source = f"try:\n    pass\n{body}\n    pass\n"
+    assert bool(catch_all_handlers(source, "snippet")) == flagged
+
+
+# the CLI's one-line errors must come from the errors the program names,
+# never from a handler that would also swallow its bugs
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_catch_all_handlers(path):
+    assert catch_all_handlers(path.read_text(), path.name) == []
