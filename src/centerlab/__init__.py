@@ -11,8 +11,8 @@ from .diagnostics import (collapse_verdict, delta_dist, estimate_center,
                           knn_eval, residual_stats)
 from .harness import (ExperimentConfig, Trainer, compare_runs,
                       experiment_names, named_experiment, run_experiment)
-from .layers import (EmaTwin, EncoderStack, PredictorHead, PrototypeBank,
-                     init_encoder, init_predictor, init_prototypes, sgd_step)
+from .layers import (EmaTwin, EncoderStack, PrototypeBank, init_encoder,
+                     init_predictor, init_prototypes, sgd_step)
 from .losses import (DinoCenterState, LossConfig, barlow_twins_loss, byol_loss,
                      dino_loss, infonce_loss, invariance_loss, simple_objective,
                      simsiam_loss, sinkhorn_knopp, swav_loss, triplet_loss)

@@ -277,6 +277,25 @@ _ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
 }
 
 
+def _mlp_forward(h: np.ndarray, weights: Sequence[Tensor], biases: Sequence[Tensor],
+                 activations: Sequence[str], normalize: bool, eps: float = 1e-12):
+    """``mlp``'s values, off the graph, for rows (m, k) or views (V, m, k): the
+    layer inputs (the last layer's output last), the pre-activations, the row
+    norms squared plus eps^2 and their roots (None unnormalised), the output."""
+    hs, pres = [h], []
+    for w, b, act in zip(weights, biases, activations):
+        if hs[-1].shape[-1] != w.shape[0]:
+            raise ShapeError(f"mlp inner dims disagree: {hs[-1].shape} @ {w.shape}")
+        pres.append(np.matmul(hs[-1], w.values) + b.values)
+        hs.append(_ACTIVATIONS[act][0](pres[-1]))
+    h = hs[-1]
+    if not normalize:
+        return hs, pres, None, None, h
+    s = (h * h).sum(axis=-1, keepdims=True) + eps * eps
+    d = s ** 0.5
+    return hs, pres, s, d, h / d
+
+
 def mlp(x, weights: Sequence[Tensor], biases: Sequence[Tensor],
         activations: Sequence[str], normalize: bool, eps: float = 1e-12) -> list[Tensor]:
     """Layers ``act(h @ w + b)``, then optionally unit-norm rows, as one node.
@@ -297,18 +316,9 @@ def mlp(x, weights: Sequence[Tensor], biases: Sequence[Tensor],
     """
     one = isinstance(x, Tensor)
     x_grad = one and x.requires_grad
-    hs = [x.values[None] if one else x]
-    pres = []
-    for w, b, act in zip(weights, biases, activations):
-        if hs[-1].shape[-1] != w.shape[0]:
-            raise ShapeError(f"mlp inner dims disagree: {hs[-1].shape} @ {w.shape}")
-        pres.append(np.matmul(hs[-1], w.values) + b.values)
-        hs.append(_ACTIVATIONS[act][0](pres[-1]))
+    hs, pres, s, d, out = _mlp_forward(x.values[None] if one else x, weights, biases,
+                                       activations, normalize, eps)
     h = hs[-1]
-    if normalize:
-        s = (h * h).sum(axis=2, keepdims=True) + eps * eps
-        d = s ** 0.5
-    out = h / d if normalize else h
     m, n = h.shape[1:]
 
     def bwd(grads: dict[int, np.ndarray]):

@@ -56,6 +56,10 @@ def _parse_grid(specs: list[str]) -> list[dict[str, object]]:
 # warnings numpy would print on the way there change no value
 @np.errstate(all="ignore")
 def _run_configs(configs, out_dir, quiet: bool) -> int:
+    run_dirs = [Path(out_dir) / cfg.name for _, cfg in configs]
+    for i, run_dir in enumerate(run_dirs):  # checked before any run writes one
+        if run_dir in run_dirs[:i]:
+            raise ConfigError(f"{run_dir}: two configs would write this run directory")
     for label, cfg in configs:
         try:
             result = run_experiment(cfg, out_dir)

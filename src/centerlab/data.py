@@ -45,7 +45,8 @@ class ToyDataset:
 
 @dataclass
 class AugmentationModel:
-    """How positive views are produced from a dataset.
+    """How positive views are produced from a dataset; also the
+    ``augmentation`` section of an experiment config. ``augment`` checks it.
 
     kinds:
       class        -- samples of the same class are treated as views of one image
@@ -54,18 +55,8 @@ class AugmentationModel:
     """
     kind: str = "class"
     sigma: float = 0.1
-    shift: np.ndarray | None = None
+    shift: list[float] | None = None
     views: int = 1
-
-    def __post_init__(self):
-        if self.kind not in ("class", "centered", "shifted"):
-            raise ParameterError(f"kind: unknown augmentation kind {self.kind!r}")
-        if self.sigma < 0:
-            raise ParameterError("sigma must be >= 0")
-        if self.views < 1:
-            raise ParameterError("views must be >= 1")
-        if self.shift is not None:
-            self.shift = np.asarray(self.shift, dtype=np.float64).ravel()
 
 
 @dataclass
@@ -91,22 +82,16 @@ def default_blob_centers(num_classes: int = 3, radius: float = 3.0) -> np.ndarra
     return radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
 
-def gen_blobs(n_per_class: int, num_classes: int = 3,
-              centers: np.ndarray | None = None, sigma: float = 0.5,
+def gen_blobs(n_per_class: int, num_classes: int = 3, sigma: float = 0.5,
               seed: int = 0) -> ToyDataset:
-    """Isotropic Gaussian clusters in 2-D (or centers' dimension)."""
+    """Isotropic Gaussian clusters in 2-D around ``default_blob_centers``."""
     if n_per_class < 1:
         raise ParameterError("n_per_class must be >= 1")
     if num_classes < 2:
         raise ParameterError("num_classes must be >= 2")
     if sigma <= 0:
         raise ParameterError("sigma must be positive")
-    if centers is None:
-        centers = default_blob_centers(num_classes)
-    centers = np.asarray(centers, dtype=np.float64)
-    if centers.shape[0] != num_classes:
-        raise ParameterError(
-            f"got {centers.shape[0]} centers for {num_classes} classes")
+    centers = default_blob_centers(num_classes)
     rng = np.random.default_rng(seed)
     points, labels = [], []
     for c in range(num_classes):
@@ -160,6 +145,12 @@ def augment(ds: ToyDataset, model: AugmentationModel, seed: int = 0) -> Augmente
     by original index; class-as-augmentation keeps the points and groups them
     by label.
     """
+    if model.kind not in ("class", "centered", "shifted"):
+        raise ParameterError(f"kind: unknown augmentation kind {model.kind!r}")
+    if model.sigma < 0:
+        raise ParameterError("sigma must be >= 0")
+    if model.views < 1:
+        raise ParameterError("views must be >= 1")
     if model.kind == "class":
         return AugmentedSet(ds.points.copy(), ds.labels.copy(),
                             ds.labels.astype(np.int64).copy())
@@ -168,10 +159,10 @@ def augment(ds: ToyDataset, model: AugmentationModel, seed: int = 0) -> Augmente
     if model.kind == "shifted":
         if model.shift is None:
             raise ParameterError("shift: shifted views need a shift vector")
-        if model.shift.shape[0] != ds.dim:
-            raise ParameterError(f"shift: dim {model.shift.shape[0]} does not match "
+        shift = np.asarray(model.shift, dtype=np.float64).ravel()
+        if shift.shape[0] != ds.dim:
+            raise ParameterError(f"shift: dim {shift.shape[0]} does not match "
                                  f"the data dim {ds.dim}")
-        shift = model.shift
     reps = np.repeat(np.arange(ds.n), model.views)
     noise = model.sigma * rng.standard_normal((ds.n * model.views, ds.dim))
     points = ds.points[reps] + shift + noise

@@ -38,14 +38,12 @@ from .data import (AugmentationModel, AugmentedSet, BatchSampler, ToyDataset,
                    augment)
 from .diagnostics import (CollapseReport, collapse_verdict, estimate_center,
                           knn_eval)
-from .layers import (EmaTwin, EncoderStack, Param, PredictorHead, PrototypeBank,
-                     init_encoder, init_predictor, init_prototypes,
-                     save_checkpoint, sgd_step)
+from .layers import (EmaTwin, EncoderStack, PrototypeBank, init_encoder,
+                     init_predictor, init_prototypes, save_checkpoint, sgd_step)
 from .losses import DinoCenterState, LossConfig, NumericError
 
 __all__ = [
     "DatasetSpec",
-    "AugmentationSpec",
     "EncoderSpec",
     "OptimizerSpec",
     "DiagnosticsSpec",
@@ -98,14 +96,6 @@ class DatasetSpec:
 
 
 @dataclass
-class AugmentationSpec:
-    kind: str = "class"                # class | centered | shifted
-    sigma: float = 0.1
-    shift: list[float] | None = None
-    views: int = 1
-
-
-@dataclass
 class EncoderSpec:
     dims: list[int] = field(default_factory=lambda: [2, 16, 2])
     scheme: str = "uniform"
@@ -136,7 +126,7 @@ class DiagnosticsSpec:
 class ExperimentConfig:
     name: str = "experiment"
     dataset: DatasetSpec = field(default_factory=DatasetSpec)
-    augmentation: AugmentationSpec = field(default_factory=AugmentationSpec)
+    augmentation: AugmentationModel = field(default_factory=AugmentationModel)
     encoder: EncoderSpec = field(default_factory=EncoderSpec)
     loss: LossConfig = field(default_factory=LossConfig)
     optimizer: OptimizerSpec = field(default_factory=OptimizerSpec)
@@ -158,17 +148,14 @@ class ExperimentConfig:
         Each constructor runs in the section of its fields, so its
         ParameterError becomes a ConfigError under that section's path.
         """
-        aug, enc = self.augmentation, self.encoder
-        for path, spec in [("", self)] + [(f"{n}.", getattr(self, n)) for n in _NESTED]:
-            _check_types(spec, path)
+        _check_types(self, "")
+        enc = self.encoder
         if self.base_seed < 0:  # numpy takes no negative seed
             raise ConfigError("base_seed: must be >= 0")
         with _section("dataset"):
             base = _build_dataset(self.dataset, seed)
         with _section("augmentation"):
-            aug_model = AugmentationModel(kind=aug.kind, sigma=aug.sigma,
-                                          shift=aug.shift, views=aug.views)
-            augmented = augment(base, aug_model, seed=seed + 20_000)
+            augmented = augment(base, self.augmentation, seed=seed + 20_000)
         with _section("encoder"):
             encoder = init_encoder(enc.dims, seed + 10_000, scheme=enc.scheme,
                                    activation=enc.activation,
@@ -249,16 +236,6 @@ class ExperimentConfig:
         return cls.from_dict(raw)
 
 
-_NESTED = {
-    "dataset": DatasetSpec,
-    "augmentation": AugmentationSpec,
-    "encoder": EncoderSpec,
-    "loss": LossConfig,
-    "optimizer": OptimizerSpec,
-    "diagnostics": DiagnosticsSpec,
-}
-
-
 _TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str, "bool": bool,
           "path": (str, os.PathLike)}
 
@@ -266,8 +243,8 @@ _TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str, "bool": bo
 def _fits(value, annotation: str) -> bool:
     """Whether a value fits a field annotation such as ``list[float] | None``.
 
-    A bool fits only ``bool``, not ``int`` or ``float``; a nested spec option
-    accepts anything (its own fields are checked in turn).
+    A bool fits only ``bool``, not ``int`` or ``float``; a config section
+    fits none (``_check_types`` checks its fields in turn).
     """
     for option in annotation.split(" | "):
         if option == "None":
@@ -281,17 +258,18 @@ def _fits(value, annotation: str) -> bool:
             if (isinstance(value, _TYPES[option])
                     and (option == "bool") == isinstance(value, bool)):
                 return True
-        else:
-            return True
     return False
 
 
 def _check_types(spec, path: str) -> None:
     """Every field of a config dataclass holds values of its annotated type,
-    inside lists and ``| None`` unions too."""
+    inside lists, ``| None`` unions and config sections (the fields whose
+    default factory is a dataclass) too."""
     for f in fields(spec):
-        value = getattr(spec, f.name)
-        if not _fits(value, f.type):
+        value, section = getattr(spec, f.name), f.default_factory
+        if dataclasses.is_dataclass(section) and isinstance(value, section):
+            _check_types(value, f"{path}{f.name}.")
+        elif not _fits(value, f.type):
             raise ConfigError(f"{path}{f.name}: expected {f.type}, got {value!r}")
 
 
@@ -319,9 +297,9 @@ def _from_dict(cls, raw: dict, path: str):
         if f.name not in raw:
             continue
         value = raw[f.name]
-        sub = _NESTED.get(f.name) if cls is ExperimentConfig else None
-        if sub is not None:
-            value = _from_dict(sub, value, f"{path + '.' if path else ''}{f.name}")
+        if dataclasses.is_dataclass(f.default_factory):  # a config section
+            value = _from_dict(f.default_factory, value,
+                               f"{path + '.' if path else ''}{f.name}")
         kwargs[f.name] = value
     return cls(**kwargs)
 
@@ -381,7 +359,7 @@ def _build_dataset(spec: DatasetSpec, seed: int) -> ToyDataset:
 class TrainState:
     """Everything a run mutates: encoder, optional heads, counters."""
     encoder: EncoderStack
-    predictor: PredictorHead | None = None
+    predictor: EncoderStack | None = None
     twin: EmaTwin | None = None
     prototypes: PrototypeBank | None = None
     dino_center: DinoCenterState | None = None
@@ -487,10 +465,6 @@ class Trainer:
         if st.prototypes is not None:
             self.params += st.prototypes.parameters()
         self.prev_mean: np.ndarray | None = None
-
-    # -- parameter plumbing ---------------------------------------------
-    def parameters(self) -> list[Param]:
-        return self.params
 
     # -- batch construction ---------------------------------------------
     def _partners(self, idx: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -694,7 +668,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir,
         trainers[seed] = trainer
         seed_csvs.append(csv_path)
         ckpt = out / f"seed{seed}.npz"
-        save_checkpoint(ckpt, trainer.parameters())
+        save_checkpoint(ckpt, trainer.params)
         checkpoints.append(ckpt)
     agg = out / "aggregate.csv"
     _aggregate(rows_by_seed, agg)
@@ -709,7 +683,7 @@ def _blobs(name: str, loss_kind: str, **loss_kw) -> ExperimentConfig:
     cfg = ExperimentConfig(
         name=name,
         dataset=DatasetSpec(kind="blobs", n_per_class=100, sigma=1.5),
-        augmentation=AugmentationSpec(kind="class"),
+        augmentation=AugmentationModel(kind="class"),
         encoder=EncoderSpec(dims=[2, 16, 2]),
         loss=LossConfig(kind=loss_kind, **loss_kw),
         optimizer=OptimizerSpec(lr=0.5, epochs=60, batch_mode="mini", batch_size=50),
@@ -732,8 +706,8 @@ def _collapse_grid_config(name: str, batch_mode: str, shifted: bool) -> Experime
     return ExperimentConfig(
         name=name,
         dataset=DatasetSpec(kind="gaussian", n=100, dim=3),
-        augmentation=AugmentationSpec(kind="shifted" if shifted else "centered",
-                                      sigma=0.3, shift=shift, views=10),
+        augmentation=AugmentationModel(kind="shifted" if shifted else "centered",
+                                       sigma=0.3, shift=shift, views=10),
         encoder=EncoderSpec(dims=[3, 8, 2], activation="identity"),
         loss=LossConfig(kind="invariance"),
         optimizer=OptimizerSpec(lr=0.05, epochs=200 if batch_mode == "mini" else 500,

@@ -2,8 +2,9 @@
 
 Everything is a thin composition over the autodiff primitives: an encoder is
 a list of (weight, bias, activation) triples with optional unit-sphere output
-normalization. Teacher-side forwards (``forward_array``) run in plain numpy
-and never join the computation graph.
+normalization, and a predictor head is an encoder whose input and output dims
+match. Teacher-side forwards (``forward_array``) compute the values of
+``autodiff.mlp`` and never join the computation graph.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .autodiff import _ACTIVATIONS, ParameterError, ShapeError, Tensor
 __all__ = [
     "Param",
     "EncoderStack",
-    "PredictorHead",
     "EmaTwin",
     "PrototypeBank",
     "init_encoder",
@@ -75,14 +75,11 @@ class EncoderStack:
         return z[0] if isinstance(x, Tensor) else z
 
     def forward_array(self, x: np.ndarray) -> np.ndarray:
-        """Numpy-only forward of rows (m, k) or stacked views (V, m, k); used
-        by EMA teachers and diagnostics (off-graph)."""
+        """The values of ``forward``, off the graph, for rows (m, k) or
+        stacked views (V, m, k); used by EMA teachers and diagnostics."""
         h = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        for w, b, act in zip(self.weights, self.biases, self.activations):
-            h = _ACTIVATIONS[act][0](h @ w.values + b.values)
-        if self.output_normalize:
-            h = h / np.sqrt((h * h).sum(axis=-1, keepdims=True) + 1e-24)
-        return h
+        return ad._mlp_forward(h, self.weights, self.biases, self.activations,
+                               self.output_normalize)[-1]
 
     def parameters(self, group: str = "encoder") -> list[Param]:
         params = []
@@ -98,21 +95,8 @@ class EncoderStack:
             list(self.activations), self.output_normalize)
 
 
-class PredictorHead(EncoderStack):
-    """Encoder-shaped head with matching in/out dimension."""
-
-    def __init__(self, weights, biases, activations, output_normalize=True):
-        super().__init__(weights, biases, activations, output_normalize)
-        if self.input_dim != self.output_dim:
-            raise ShapeError("predictor input and output dims must match")
-
-    def parameters(self, group: str = "predictor") -> list[Param]:
-        return super().parameters(group)
-
-
 def init_encoder(dims: list[int], seed: int, scheme: str = "uniform",
-                 activation: str = "tanh", output_normalize: bool = True,
-                 cls=EncoderStack):
+                 activation: str = "tanh", output_normalize: bool = True) -> EncoderStack:
     """Build an MLP with fan-in-scaled uniform weights.
 
     ``scheme="biased"`` adds a constant positive offset to every weight so the
@@ -142,12 +126,13 @@ def init_encoder(dims: list[int], seed: int, scheme: str = "uniform",
         weights.append(Tensor(w, requires_grad=True))
         biases.append(Tensor(b, requires_grad=True))
         acts.append(activation if i < n_layers - 1 else "identity")
-    return cls(weights, biases, acts, output_normalize=output_normalize)
+    return EncoderStack(weights, biases, acts, output_normalize=output_normalize)
 
 
 def init_predictor(dim: int, seed: int, hidden_multiple: int = 4,
-                   activation: str = "tanh") -> PredictorHead:
-    """Predictor head D -> hidden_multiple*D -> D (linear map when 0).
+                   activation: str = "tanh") -> EncoderStack:
+    """Predictor head D -> hidden_multiple*D -> D (linear map when 0), an
+    encoder stack with equal input and output dims.
 
     The linear variant starts at identity plus a small random perturbation so
     an untrained (or frozen) head begins as a near-identity map.
@@ -155,13 +140,11 @@ def init_predictor(dim: int, seed: int, hidden_multiple: int = 4,
     if hidden_multiple < 0:
         raise ParameterError("hidden_multiple must be >= 0")
     if hidden_multiple == 0:
-        head = init_encoder([dim, dim], seed,
-                            activation=activation, cls=PredictorHead)
+        head = init_encoder([dim, dim], seed, activation=activation)
         head.weights[0].values *= 0.1
         head.weights[0].values += np.eye(dim)
         return head
-    return init_encoder([dim, hidden_multiple * dim, dim], seed,
-                        activation=activation, cls=PredictorHead)
+    return init_encoder([dim, hidden_multiple * dim, dim], seed, activation=activation)
 
 
 class EmaTwin:

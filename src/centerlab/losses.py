@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParameterError, ShapeError, Tensor, _accum, _make
-from .layers import PredictorHead
+from .layers import EncoderStack
 
 __all__ = [
     "LossConfig",
@@ -169,7 +169,7 @@ def infonce_loss(z_a: Tensor, z_p: Tensor, negatives: Tensor | None = None,
 # predictor / EMA objectives
 # ---------------------------------------------------------------------------
 
-def simsiam_loss(z_a: Tensor, z_b: Tensor, pred: PredictorHead | None = None,
+def simsiam_loss(z_a: Tensor, z_b: Tensor, pred: EncoderStack | None = None,
                  use_stop_gradient: bool = True) -> Tensor:
     """Symmetric negative cosine between predictor outputs and the twin view.
 
@@ -183,7 +183,7 @@ def simsiam_loss(z_a: Tensor, z_b: Tensor, pred: PredictorHead | None = None,
     return (_mean_neg_cosine(p_a, t_b) + _mean_neg_cosine(p_b, t_a)) * 0.5
 
 
-def byol_loss(z_a: Tensor, z_b: Tensor, pred: PredictorHead,
+def byol_loss(z_a: Tensor, z_b: Tensor, pred: EncoderStack,
               t_a: np.ndarray, t_b: np.ndarray) -> Tensor:
     """Negative cosine between predicted online embeddings and EMA-teacher targets.
 

@@ -18,8 +18,8 @@ from centerlab.autodiff import Tensor, backward, batch_norm_cols, grad_check
 from centerlab.diagnostics import (angle_to_direction, estimate_center,
                                    second_moment_gap)
 from centerlab.harness import _OBJECTIVES, named_experiment, run_experiment
-from centerlab.layers import (EncoderStack, EmaTwin, PredictorHead,
-                              init_encoder, init_predictor, init_prototypes)
+from centerlab.layers import (EncoderStack, EmaTwin, init_encoder,
+                              init_predictor, init_prototypes)
 
 # ---------------------------------------------------------------------------
 # shared experiment runs
@@ -99,9 +99,9 @@ def _unit_rows(x):
     return x / np.sqrt((x * x).sum(axis=1, keepdims=True))
 
 
-def _linear_stack(weight: Tensor, cls=EncoderStack, **kwargs):
+def _linear_stack(weight: Tensor):
     bias = Tensor(np.zeros((1, weight.shape[1])))
-    return cls([weight], [bias], ["identity"], **kwargs)
+    return EncoderStack([weight], [bias], ["identity"])
 
 
 def _grad_instance(kind: str, rng: np.random.Generator):
@@ -146,7 +146,7 @@ def _grad_instance(kind: str, rng: np.random.Generator):
     if kind == "simsiam":
         enc = init_encoder([_D, _D], seed)
         return (lambda t: L.simsiam_loss(
-            *views(enc), _linear_stack(t, PredictorHead))), probe_w
+            *views(enc), _linear_stack(t))), probe_w
     if kind == "byol":
         pred = init_predictor(_D, seed)
         twin = EmaTwin(init_encoder([_D, _D], seed + 1), 0.9)

@@ -116,13 +116,21 @@ class TestAugment:
             augment(ds, AugmentationModel(kind="shifted", sigma=0.1,
                                           shift=[1.0, 2.0, 3.0]))
 
+    # a model is a config section, so augment() checks it, for class views too
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ParameterError):
-            AugmentationModel(kind="mixup")
+        model = AugmentationModel(kind="mixup")
+        with pytest.raises(ParameterError, match="kind"):
+            augment(gen_blobs(5, seed=0), model)
 
     def test_negative_sigma_rejected(self):
+        model = AugmentationModel(kind="centered", sigma=-0.1)
         with pytest.raises(ParameterError, match="sigma"):
-            AugmentationModel(kind="centered", sigma=-0.1)
+            augment(gen_blobs(5, seed=0), model)
+
+    def test_zero_views_rejected(self):
+        model = AugmentationModel(kind="class", views=0)
+        with pytest.raises(ParameterError, match="views"):
+            augment(gen_blobs(5, seed=0), model)
 
     def test_augment_deterministic_in_seed(self):
         ds = gen_blobs(10, seed=0)

@@ -13,13 +13,12 @@ from hypothesis import strategies as st
 
 from centerlab.autodiff import ParameterError, Tensor
 from centerlab.cli import main as cli_main
-from centerlab.data import AugmentedSet, gen_blobs
-from centerlab.harness import (METRICS_HEADER, AugmentationSpec, ComparisonError,
-                               ConfigError, DatasetSpec, EncoderSpec,
-                               ExperimentConfig, NumericAbort, OptimizerSpec,
-                               Trainer, _OBJECTIVES, _index_table,
-                               apply_overrides, compare_runs, experiment_names,
-                               named_experiment, run_experiment)
+from centerlab.data import AugmentationModel, AugmentedSet, gen_blobs
+from centerlab.harness import (METRICS_HEADER, ComparisonError, ConfigError,
+                               DatasetSpec, EncoderSpec, ExperimentConfig,
+                               NumericAbort, OptimizerSpec, Trainer, _OBJECTIVES,
+                               _index_table, apply_overrides, compare_runs,
+                               experiment_names, named_experiment, run_experiment)
 from centerlab.layers import EncoderStack
 from centerlab.losses import LossConfig
 from test_autodiff import composed_views
@@ -86,6 +85,16 @@ class TestConfigSchema:
         # validate() builds what the trainer builds, the base points first
         with pytest.raises(ConfigError, match=r"^dataset\.num_classes must be >= 2"):
             ExperimentConfig.from_dict({"dataset": {"kind": "blobs", "num_classes": 1}})
+
+    # a section that is not its dataclass once escaped build() as a TypeError
+    # or an AttributeError
+    @pytest.mark.parametrize("section, value", [
+        ("dataset", None), ("augmentation", None), ("loss", None),
+        ("dataset", EncoderSpec()),
+    ], ids=["dataset-none", "augmentation-none", "loss-none", "dataset-wrong-section"])
+    def test_section_of_the_wrong_type_is_a_config_error(self, section, value):
+        with pytest.raises(ConfigError, match=rf"^{section}: expected"):
+            ExperimentConfig(**{section: value}).validate()
 
     def test_full_batch_ignores_batch_size(self):
         ExperimentConfig.from_dict({"optimizer": {"batch_mode": "full",
@@ -218,7 +227,7 @@ def _property_base() -> ExperimentConfig:
     return ExperimentConfig(
         name="prop",
         dataset=DatasetSpec(kind="blobs", n_per_class=10, n=20, dim=2),
-        augmentation=AugmentationSpec(views=2),
+        augmentation=AugmentationModel(views=2),
         encoder=EncoderSpec(dims=[2, 8, 2]),
         loss=LossConfig(num_prototypes=4),
         optimizer=OptimizerSpec(epochs=1, batch_size=16),
@@ -318,7 +327,7 @@ class TestTrainer:
             for idx in (np.arange(15), np.arange(15, 30), np.arange(30)):
                 trainer.train_step(idx, rng)
             st = trainer.state
-            arrays = [p.tensor.values for p in trainer.parameters()]
+            arrays = [p.tensor.values for p in trainer.params]
             if st.twin is not None:
                 arrays += [t.values for t in st.twin.shadow.weights + st.twin.shadow.biases]
             if st.dino_center is not None:
@@ -814,6 +823,25 @@ class TestCli:
         lines = out.stderr.splitlines()
         assert len(lines) == 1, out.stderr
         assert lines[0].startswith("numeric abort (learnable): sinkhorn_knopp")
+
+    # both once ran every config and left only the last one's outputs
+    @pytest.mark.parametrize("argv, run_dir", [
+        (["sweep", "cfg.json", "--grid", "optimizer.lr=0.1,0.10"], ["cli-tiny-lr0.1"]),
+        (["named", "s24-predictor-lr", "--override", "name=x",
+          "--override", "num_seeds=1", "--override", "optimizer.epochs=1"],
+         ["s24-predictor-lr", "x"]),
+    ], ids=["sweep-equal-values", "named-one-name"])
+    def test_configs_sharing_a_run_directory_exit_2(self, tmp_path, monkeypatch,
+                                                     capsys, argv, run_dir):
+        monkeypatch.chdir(tmp_path)
+        self._config_file(tmp_path)
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"config error: {os.path.join('runs', *run_dir)}: two configs would "
+            "write this run directory"]
+        assert not (tmp_path / "runs").exists()
 
     def test_named_unknown_key_exits_2(self, capsys):
         assert cli_main(["named", "not-an-experiment"]) == 2

@@ -78,3 +78,40 @@ def test_catch_all_lint_flags(body, flagged):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_catch_all_handlers(path):
     assert catch_all_handlers(path.read_text(), path.name) == []
+
+
+def _is_dataclass_decorator(node: ast.expr) -> bool:
+    target = node.func if isinstance(node, ast.Call) else node
+    return ast.unparse(target) in ("dataclass", "dataclasses.dataclass")
+
+
+def same_field_dataclasses(sources: dict[str, str]) -> list[list[str]]:
+    """Groups of dataclasses, across all the given sources, that declare the
+    same set of field names: one fact written twice."""
+    by_fields: dict[frozenset[str], list[str]] = {}
+    for name, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, ast.ClassDef)
+                    and any(map(_is_dataclass_decorator, node.decorator_list))):
+                names = frozenset(stmt.target.id for stmt in node.body
+                                  if isinstance(stmt, ast.AnnAssign)
+                                  and isinstance(stmt.target, ast.Name))
+                by_fields.setdefault(names, []).append(f"{name}:{node.name}")
+    return [group for group in by_fields.values() if len(group) > 1]
+
+
+@pytest.mark.parametrize("second, flagged", [
+    ("@dataclasses.dataclass(frozen=True)\nclass B:\n    y: str\n    x: str = ''\n", True),
+    ("@dataclass\nclass B:\n    x: int\n    y: int\n    z: int\n", False),
+    ("class B:\n    x: int\n    y: int\n", False),  # no dataclass
+])
+def test_same_field_dataclass_lint_flags(second, flagged):
+    first = "@dataclass\nclass A:\n    x: int\n    y: float = 0.0\n"
+    found = same_field_dataclasses({"a.py": first, "b.py": second})
+    assert found == ([["a.py:A", "b.py:B"]] if flagged else [])
+
+
+# a config section is the dataclass its builder takes, never a copy of it
+def test_no_two_dataclasses_share_their_fields():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert same_field_dataclasses(sources) == []

@@ -56,11 +56,26 @@ class TestForward:
         z = enc.forward_array(np.random.default_rng(0).standard_normal((50, 3)))
         np.testing.assert_allclose(np.linalg.norm(z, axis=1), 1.0, atol=1e-9)
 
-    def test_graph_and_array_forwards_agree(self):
-        enc = init_encoder([3, 8, 2], seed=2)
-        x = np.random.default_rng(1).standard_normal((10, 3))
-        np.testing.assert_array_equal(enc.forward(Tensor(x)).values,
-                                      enc.forward_array(x))
+    # a zero input row gives a zero embedding row (the biases start at zero),
+    # which normalisation keeps at zero through its eps
+    @pytest.mark.parametrize("activation", ["tanh", "relu", "identity"])
+    @pytest.mark.parametrize("normalize", [True, False], ids=["unit", "raw"])
+    @pytest.mark.parametrize("zero_row", [False, True], ids=["dense", "zero-row"])
+    @pytest.mark.parametrize("shape", [(10, 3), (3, 10, 3)], ids=["rows", "views"])
+    def test_graph_and_array_forwards_agree(self, activation, normalize, zero_row,
+                                            shape):
+        enc = init_encoder([3, 8, 2], seed=2, activation=activation,
+                           output_normalize=normalize)
+        x = np.random.default_rng(1).standard_normal(shape)
+        if zero_row:
+            x[..., 4, :] = 0.0
+        if len(shape) == 2:
+            graph = enc.forward(Tensor(x)).values
+        else:
+            graph = np.stack([z.values for z in enc.forward(x)])
+        array = enc.forward_array(x)
+        np.testing.assert_array_equal(graph, array)
+        np.testing.assert_array_equal(np.signbit(graph), np.signbit(array))
 
     def test_dimension_mismatch(self):
         enc = init_encoder([3, 8, 2], seed=0)
