@@ -145,10 +145,11 @@ def main(argv: list[str] | None = None) -> int:
         configs = []
         for label, cfg in variants:
             for combo in grid:
-                variant = apply_overrides(cfg, {**fixed, **combo}) if fixed or combo else cfg
-                if combo:
+                overrides = {**fixed, **combo}
+                if combo:  # the suffixed name goes through build()'s name check
                     suffix = "-".join(f"{k.split('.')[-1]}{v}" for k, v in combo.items())
-                    variant.name = f"{cfg.name}-{suffix}"
+                    overrides["name"] = f"{cfg.name}-{suffix}"
+                variant = apply_overrides(cfg, overrides) if overrides else cfg
                 configs.append((variant.name if combo else label, variant))
         return _run_configs(configs, out_dir, args.quiet)
     except ConfigError as exc:

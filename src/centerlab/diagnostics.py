@@ -95,7 +95,10 @@ def knn_eval(train_emb: np.ndarray, train_labels: np.ndarray,
 
     Ties break by smallest summed distance, then lowest label id. With
     ``leave_one_out=None``, leave-one-out kicks in automatically when the
-    eval set is the training set.
+    eval set is the training set. The inputs are left as they are; the
+    call allocates one (eval, train) distance matrix and works in it: the
+    cosine product turns into distances in place, and k ``argmin`` passes
+    pick the neighbours (see ``_nearest``).
     """
     train_emb = np.atleast_2d(np.asarray(train_emb, dtype=np.float64))
     eval_emb = np.atleast_2d(np.asarray(eval_emb, dtype=np.float64))
@@ -113,34 +116,46 @@ def knn_eval(train_emb: np.ndarray, train_labels: np.ndarray,
     def unit(x):
         return x / np.sqrt((x * x).sum(axis=1, keepdims=True) + 1e-24)
 
-    dists = 1.0 - unit(eval_emb) @ unit(train_emb).T
+    dists = unit(eval_emb) @ unit(train_emb).T
+    np.subtract(1.0, dists, out=dists)
     if leave_one_out:
         np.fill_diagonal(dists, np.inf)
-    nearest = _nearest(dists, k)
+    nearest, near_dists = _nearest(dists, k)
     label_values, label_ids = np.unique(train_labels.astype(np.int64),
                                         return_inverse=True)
-    winner = label_values[_vote(label_ids[nearest],
-                                np.take_along_axis(dists, nearest, axis=1),
+    winner = label_values[_vote(label_ids[nearest], near_dists,
                                 label_values.shape[0])]
     correct = int(np.count_nonzero(winner == eval_labels.astype(np.int64)))
     return KnnResult(k=k, accuracy=correct / eval_emb.shape[0])
 
 
-def _nearest(dists: np.ndarray, k: int) -> np.ndarray:
-    """Row-wise ``np.argsort(dists, kind="stable")[:, :k]``, sorting only k columns.
+def _nearest(dists: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(columns, distances) of row-wise ``np.argsort(dists, kind="stable")[:, :k]``.
 
-    A row whose k-th smallest distance is tied with a column beyond the k, or
-    is NaN (which compares false), is sorted whole instead.
+    Works in ``dists``, which it overwrites: each of k ``argmin`` passes
+    records the picked column and its distance, then sets that entry to inf.
+    ``argmin`` returns the first of tied minima, so the picks come in stable
+    order. A row holding a NaN (``argmin``'s first pick) or fewer than k
+    finite distances (an inf k-th pick, which may repeat a column) gets its
+    picked entries back and is sorted whole instead.
     """
-    part = np.argpartition(dists, k - 1, axis=1)
-    kth = np.take_along_axis(dists, part[:, k - 1:k], axis=1)
-    cols = np.sort(part[:, :k], axis=1)
-    order = np.argsort(np.take_along_axis(dists, cols, axis=1), axis=1, kind="stable")
-    nearest = np.take_along_axis(cols, order, axis=1)
-    redo = np.flatnonzero(np.count_nonzero(dists <= kth, axis=1) != k)
+    m = dists.shape[0]
+    rows = np.arange(m)
+    nearest = np.empty((m, k), dtype=np.intp)
+    near = np.empty((m, k))
+    for j in range(k):
+        col = dists.argmin(axis=1)
+        nearest[:, j] = col
+        near[:, j] = dists[rows, col]
+        dists[rows, col] = np.inf
+    redo = np.flatnonzero(np.isnan(near[:, 0]) | np.isposinf(near[:, k - 1]))
     if redo.size:
-        nearest[redo] = np.argsort(dists[redo], axis=1, kind="stable")[:, :k]
-    return nearest
+        for j in reversed(range(k)):  # a repeated column's first pick holds its value
+            dists[redo, nearest[redo, j]] = near[redo, j]
+        sub = dists[redo]
+        nearest[redo] = np.argsort(sub, axis=1, kind="stable")[:, :k]
+        near[redo] = np.take_along_axis(sub, nearest[redo], axis=1)
+    return nearest, near
 
 
 def _vote(labels: np.ndarray, dists: np.ndarray, num_labels: int) -> np.ndarray:
@@ -183,15 +198,18 @@ class CollapseReport:
 
 
 def collapse_verdict(embeddings: np.ndarray, prev_mean: np.ndarray | None = None,
-                     thresholds: tuple[float, float] = (0.8, 0.05)) -> CollapseReport:
+                     thresholds: tuple[float, float] = (0.8, 0.05),
+                     center: CenterEstimate | None = None) -> CollapseReport:
     """Binarized collapse reading: high center AND low spread.
 
     ``collapsed = center_norm > thresholds[0] and std_mean < thresholds[1]``.
+    ``center`` is ``estimate_center(embeddings)``, computed here if not given.
     """
     center_hi, std_lo = thresholds
     if not (0.0 < center_hi < 1.0 and 0.0 < std_lo < 1.0):
         raise ParameterError("thresholds must lie in (0, 1)")
-    center = estimate_center(embeddings)
+    if center is None:
+        center = estimate_center(embeddings)
     mean_res, per_dim_std = residual_stats(embeddings, center)
     std_mean = float(per_dim_std.mean())
     dd = delta_dist(center.s_hat, prev_mean) if prev_mean is not None else 0.0

@@ -150,6 +150,10 @@ class ExperimentConfig:
         """
         _check_types(self, "")
         enc = self.encoder
+        # the run directory is <out-dir>/<name>, so a name is one path component
+        if (self.name in ("", ".", "..") or "/" in self.name or os.sep in self.name
+                or os.path.isabs(self.name)):
+            raise ConfigError(f"name: {self.name!r} is not one path component")
         if self.base_seed < 0:  # numpy takes no negative seed
             raise ConfigError("base_seed: must be >= 0")
         with _section("dataset"):
@@ -531,9 +535,11 @@ class Trainer:
     def diagnostics_tick(self, epoch: int) -> tuple[CollapseReport, float | None, np.ndarray]:
         cfg = self.cfg
         emb = self.eval_embeddings()
+        center = estimate_center(emb)
         report = collapse_verdict(emb, self.prev_mean,
-                                  (cfg.diagnostics.center_hi, cfg.diagnostics.std_lo))
-        self.prev_mean = estimate_center(emb).s_hat
+                                  (cfg.diagnostics.center_hi, cfg.diagnostics.std_lo),
+                                  center)
+        self.prev_mean = center.s_hat
         knn_acc: float | None = None
         want_knn = (epoch % (cfg.diagnostics.cadence * cfg.diagnostics.knn_cadence) == 0
                     or epoch == cfg.optimizer.epochs)

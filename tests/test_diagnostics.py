@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from centerlab.autodiff import ParameterError
-from centerlab.diagnostics import (CenterEstimate, angle_to_direction,
+from centerlab.diagnostics import (CenterEstimate, _nearest, angle_to_direction,
                                    collapse_verdict, delta_dist,
                                    estimate_center, knn_eval, residual_stats,
                                    second_moment_gap)
@@ -246,6 +248,83 @@ class TestKnnMatchesLoop:
         assert nearest_first == 3.0 and farthest_first < 3.0
         query = np.array([[1.0, 0.0]])
         assert loop_knn_winners(emb, labels, query, 6, False).tolist() == [0]
+
+
+def nearest_case(name):
+    """(distance matrix, ks) for `_nearest`."""
+    rng = np.random.default_rng(12)
+    if name == "ties":
+        # integer-grid cosine distances repeat many times per row
+        emb = grid_embeddings(2, 40)
+        unit = emb / np.sqrt((emb * emb).sum(axis=1, keepdims=True) + 1e-24)
+        return 1.0 - unit @ unit.T, (1, 5, 39, 40)
+    if name == "all-equal":
+        d = np.zeros((6, 8))
+        d[3] = 0.5
+        return d, (1, 3, 8)
+    if name == "nan-rows":
+        d = rng.integers(0, 4, (12, 10)).astype(float)
+        d[0, 0] = d[1, 9] = d[2, 4] = np.nan
+        d[3] = np.nan
+        d[4, ::2] = np.nan
+        return d, (1, 4, 10)
+    if name == "loo-k-is-n-minus-1":
+        # each row holds exactly k finite distances
+        d = rng.integers(0, 3, (9, 9)).astype(float)
+        np.fill_diagonal(d, np.inf)
+        return d, (8,)
+    if name == "inf-rows":
+        d = rng.integers(0, 3, (8, 7)).astype(float)
+        d[0, 2] = np.inf          # k-th pick finite, an inf beyond it
+        d[1, 1:] = np.inf         # one finite distance: the k-th pick is inf
+        d[2] = np.inf
+        d[3, 4] = -np.inf
+        d[4, [0, 6]] = np.inf
+        d[4, 3] = np.nan          # NaN and inf in one row
+        return d, (1, 2, 6, 7)
+    raise KeyError(name)
+
+
+class TestNearest:
+    """k argmin passes pick what a whole-row stable argsort picks."""
+
+    @pytest.mark.parametrize("name", ["ties", "all-equal", "nan-rows",
+                                      "loo-k-is-n-minus-1", "inf-rows"])
+    def test_matches_stable_argsort(self, name):
+        d, ks = nearest_case(name)
+        for k in ks:
+            expected = np.argsort(d, axis=1, kind="stable")[:, :k]
+            cols, dists = _nearest(d.copy(), k)
+            np.testing.assert_array_equal(cols, expected, err_msg=f"k={k}")
+            # NaN compares equal here, so the NaN rows' distances are checked too
+            np.testing.assert_array_equal(
+                dists, np.take_along_axis(d, expected, axis=1), err_msg=f"k={k}")
+
+    @pytest.mark.parametrize("loo", [True, False])
+    def test_knn_eval_leaves_its_inputs_unchanged(self, loo):
+        rng = np.random.default_rng(5)
+        train, labels = rng.standard_normal((30, 3)), rng.integers(0, 3, 30)
+        query = train if loo else rng.standard_normal((10, 3))
+        query_labels = labels if loo else rng.integers(0, 3, 10)
+        before = [a.copy() for a in (train, labels, query, query_labels)]
+        knn_eval(train, labels, query, query_labels, k=4)
+        for a, b in zip((train, labels, query, query_labels), before):
+            np.testing.assert_array_equal(a, b)
+
+    def test_one_call_allocates_one_distance_matrix(self):
+        # the (n, n) distances are the only large array a call makes; the
+        # per-row work is in place, so the traced peak stays near one of them
+        n = 300
+        rng = np.random.default_rng(6)
+        emb, labels = rng.standard_normal((n, 2)), rng.integers(0, 3, n)
+        knn_eval(emb, labels, emb, labels, k=5)
+        tracemalloc.start()
+        try:
+            knn_eval(emb, labels, emb, labels, k=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * n * n * 8, peak / (n * n * 8)
 
 
 class TestCollapseVerdict:

@@ -381,6 +381,28 @@ class TestTrainer:
         assert 0.0 <= knn <= 1.0
         assert report.delta_dist == 0.0  # first tick has no previous mean
 
+    def test_diagnostics_tick_estimates_one_center(self, monkeypatch):
+        # the verdict and the next tick's previous mean share one estimate
+        from centerlab import diagnostics, harness
+
+        calls = []
+
+        def counted(emb, estimate_center=diagnostics.estimate_center):
+            calls.append(emb)
+            return estimate_center(emb)
+
+        monkeypatch.setattr(diagnostics, "estimate_center", counted)
+        monkeypatch.setattr(harness, "estimate_center", counted)
+        trainer = Trainer(tiny_config(), seed=0)
+        _, _, emb = trainer.diagnostics_tick(0)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(trainer.prev_mean, emb.mean(axis=0))
+        trainer.train_step(np.arange(15), np.random.default_rng(0))
+        second, _, emb2 = trainer.diagnostics_tick(1)
+        assert len(calls) == 2
+        shift = emb2.mean(axis=0) - emb.mean(axis=0)
+        assert second.delta_dist == float(shift @ shift) > 0.0
+
 
 def loop_partners(trainer, members, idx, rng):
     """Per-item rejection loop that the bulk partner sampler must match."""
@@ -842,6 +864,27 @@ class TestCli:
             f"config error: {os.path.join('runs', *run_dir)}: two configs would "
             "write this run directory"]
         assert not (tmp_path / "runs").exists()
+
+    # the run directory is <out-dir>/<name>: each of these names would put
+    # it outside --out-dir or make it --out-dir itself
+    @pytest.mark.parametrize("name, grid", [
+        ("<abs>", None), ("", None), (".", None), ("..", None), ("../up", None),
+        ("cli-tiny", "name=a/b"),
+    ], ids=["absolute", "empty", "dot", "dot-dot", "separator", "sweep-suffix"])
+    def test_name_must_be_one_path_component(self, tmp_path, monkeypatch, capsys,
+                                             name, grid):
+        monkeypatch.chdir(tmp_path)
+        if name == "<abs>":
+            name = str(tmp_path / "elsewhere")
+        cfg = self._config_file(tmp_path)
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "name": name}))
+        argv = ["run", str(cfg)] if grid is None else ["sweep", str(cfg), "--grid", grid]
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("config error: name: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     def test_named_unknown_key_exits_2(self, capsys):
         assert cli_main(["named", "not-an-experiment"]) == 2
