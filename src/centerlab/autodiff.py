@@ -4,13 +4,14 @@
 The engine is tape-free in the micrograd style: every operation returns a new
 ``Tensor`` holding closures that push gradients to its parents. A fresh graph
 is built on every training step; ``backward`` runs a topological sweep from a
-scalar loss. Gradients accumulate on leaves until ``zero_grads`` is called.
+scalar loss. Gradients accumulate on leaves until reset to None
+(``layers.sgd_step`` does so after each update).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -32,13 +33,11 @@ __all__ = [
     "relu",
     "exp",
     "log",
-    "concat_cols",
     "softmax_rows",
     "logsumexp_rows",
     "batch_norm_cols",
     "stop_gradient",
     "backward",
-    "zero_grads",
     "grad_check",
     "GradCheckReport",
 ]
@@ -391,22 +390,6 @@ def tensor_mean(a, axis: int | None = None) -> Tensor:
     return tensor_sum(a, axis) * (1.0 / count)
 
 
-def concat_cols(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    if a.shape[0] != b.shape[0]:
-        raise ShapeError(f"concat_cols row counts differ: {a.shape} vs {b.shape}")
-    ka = a.shape[1]
-    out_vals = np.hstack([a.values, b.values])
-
-    def bwd(g):
-        if a.requires_grad:
-            _accum(a, g[:, :ka])
-        if b.requires_grad:
-            _accum(b, g[:, ka:])
-
-    return _make(out_vals, (a, b), bwd)
-
-
 # ---------------------------------------------------------------------------
 # nonlinearities
 # ---------------------------------------------------------------------------
@@ -526,11 +509,6 @@ def backward(loss: Tensor) -> None:
     for node in reversed(order):
         if node._backward_fn is not None and node.grad is not None:
             node._backward_fn(node.grad)
-
-
-def zero_grads(tensors: Iterable[Tensor]) -> None:
-    for t in tensors:
-        t.grad = None
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,10 @@ A run is a pure function of its config (seeds included): generation,
 initialization, batch order and pairing all derive from the run seed, so
 repeated runs produce bit-identical metrics rows. What each loss kind needs
 (its heads, negatives, class views, smallest batch and step) is one row of
-``_OBJECTIVES``. The per-step ordering is pinned: one student forward of
-the step's stacked views -> loss -> backward -> optimizer step -> EMA twin
-update -> the loss's post-step hook (DINO's center update, SwAV's prototype
-renormalization) -> diagnostics.
+``_OBJECTIVES``, and each head has one builder in ``_HEADS``. The per-step
+ordering is pinned: one student forward of the step's stacked views -> loss
+-> backward -> optimizer step -> EMA twin update -> the loss's post-step hook
+(DINO's center update, SwAV's prototype renormalization) -> diagnostics.
 
 The partner and negative samplers draw in bulk from rectangular index tables
 but consume the pair stream draw for draw as per-item loops do: a partner is
@@ -64,7 +64,9 @@ __all__ = [
 _COLUMNS = ("seed", "epoch", "step", "loss", "center_norm", "mean_residual_norm",
             "std_mean", "delta_dist", "knn_accuracy", "wall_time_ms")
 METRICS_HEADER = ",".join(_COLUMNS)
-_METRIC_COLS = _COLUMNS[3:9]
+# the columns aggregate.csv reports as a mean and std across seeds
+_METRIC_COLS = tuple(c for c in _COLUMNS if c not in ("seed", "epoch", "step",
+                                                      "wall_time_ms"))
 
 
 class ConfigError(ValueError):
@@ -381,13 +383,31 @@ class _Objective:
     trainer runs the student forward once per step. Steps look each loss
     function up on the losses module at call time, so wrappers installed
     there (the benchmark's tracer) see every call.
+
+    ``heads`` names the TrainState fields the trainer builds, each by its
+    ``_HEADS`` builder; the predictor builder follows ``loss.use_predictor``
+    for every loss that names it.
     """
     step: Callable[..., tuple[Tensor, Callable[[], None] | None]]
-    heads: frozenset[str] = frozenset()  # TrainState fields it builds
-    optional_predictor: bool = False     # the predictor follows loss.use_predictor
+    heads: tuple[str, ...] = ()
     negatives: bool = False              # draws one negative per row
     class_views: bool = False            # needs class-as-augmentation data
     min_batch: int = 1
+
+
+# TrainState head field -> its builder (cfg, encoder, seed) -> head
+_HEADS: dict[str, Callable[..., object]] = {
+    "predictor": lambda cfg, encoder, seed: (init_predictor(
+        cfg.encoder.dims[-1], seed + 11_000,
+        hidden_multiple=cfg.encoder.predictor_hidden_multiple,
+        activation=cfg.encoder.activation) if cfg.loss.use_predictor else None),
+    "twin": lambda cfg, encoder, seed: EmaTwin(encoder, cfg.loss.ema_momentum),
+    "prototypes": lambda cfg, encoder, seed: init_prototypes(
+        cfg.loss.num_prototypes, cfg.encoder.dims[-1], seed + 12_000,
+        trainable=cfg.loss.prototypes_trainable),
+    "dino_center": lambda cfg, encoder, seed: DinoCenterState(
+        np.zeros(cfg.encoder.dims[-1]), cfg.loss.dino_center_momentum),
+}
 
 
 def _dino(st, lc, x, z):
@@ -414,17 +434,17 @@ _OBJECTIVES: dict[str, _Objective] = {
     "simsiam": _Objective(
         lambda st, lc, x, z: (L.simsiam_loss(*z, st.predictor, lc.use_stop_gradient),
                               None),
-        frozenset({"predictor"}), optional_predictor=True),
+        ("predictor",)),
     "byol": _Objective(
         lambda st, lc, x, z: (L.byol_loss(*z, st.predictor,
                                           *st.twin.forward_array(x)), None),
-        frozenset({"predictor", "twin"})),
-    "dino": _Objective(_dino, frozenset({"twin", "dino_center"})),
+        ("predictor", "twin")),
+    "dino": _Objective(_dino, ("twin", "dino_center")),
     "swav": _Objective(
         lambda st, lc, x, z: (L.swav_loss(
             *z, st.prototypes.matrix, lc.temperature, lc.sinkhorn_eps,
             lc.sinkhorn_iters), st.prototypes.renormalize),
-        frozenset({"prototypes"})),
+        ("prototypes",)),
     "barlow_twins": _Objective(_barlow_twins, min_batch=2),
     "simple": _Objective(
         lambda st, lc, x, z: (L.simple_objective(
@@ -444,30 +464,14 @@ class Trainer:
         self.label_table, self.label_row, _ = _index_table(
             self.augmented.labels, "class")
 
-        enc_spec = cfg.encoder
-        d = enc_spec.dims[-1]
-        lc = cfg.loss
-        self.objective = _OBJECTIVES[lc.kind]
-        heads = self.objective.heads
-        if self.objective.optional_predictor and not lc.use_predictor:
-            heads = heads - {"predictor"}
-        st = self.state = TrainState(encoder)
-        if "predictor" in heads:
-            st.predictor = init_predictor(
-                d, seed + 11_000, hidden_multiple=enc_spec.predictor_hidden_multiple,
-                activation=enc_spec.activation)
-        if "twin" in heads:
-            st.twin = EmaTwin(encoder, lc.ema_momentum)
-        if "prototypes" in heads:
-            st.prototypes = init_prototypes(lc.num_prototypes, d, seed + 12_000,
-                                            trainable=lc.prototypes_trainable)
-        if "dino_center" in heads:
-            st.dino_center = DinoCenterState(np.zeros(d), lc.dino_center_momentum)
-        self.params = encoder.parameters("encoder")
-        if st.predictor is not None:
-            self.params += st.predictor.parameters("predictor")
-        if st.prototypes is not None:
-            self.params += st.prototypes.parameters()
+        self.objective = _OBJECTIVES[cfg.loss.kind]
+        st = self.state = TrainState(encoder, **{
+            h: _HEADS[h](cfg, encoder, seed) for h in self.objective.heads})
+        # a parameter's learning-rate group is the name of the head that owns it
+        self.params = [p for group in ("encoder", "predictor", "prototypes")
+                       if (head := getattr(st, group)) is not None
+                       for p in head.parameters(group)]
+        self.lr_multipliers = {"predictor": cfg.optimizer.predictor_lr_multiplier}
         self.prev_mean: np.ndarray | None = None
 
     # -- batch construction ---------------------------------------------
@@ -515,8 +519,7 @@ class Trainer:
         if not np.isfinite(value):
             raise NumericAbort(f"non-finite loss at step {st.step}")
         backward(loss)
-        sgd_step(self.params, cfg.optimizer.lr,
-                 {"predictor": cfg.optimizer.predictor_lr_multiplier})
+        sgd_step(self.params, cfg.optimizer.lr, self.lr_multipliers)
         if st.twin is not None:
             st.twin.update(st.encoder)
         if hook is not None:
@@ -562,17 +565,6 @@ def _fmt(value: float | None) -> str:
     return f"{value:.12g}"
 
 
-def _write_row(fh, seed: int, epoch: int, step: int, loss: float | None,
-               report: CollapseReport, knn: float | None,
-               wall_ms: int | None) -> dict:
-    row = dict(zip(_COLUMNS, (seed, epoch, step, loss, report.center_norm,
-                              report.mean_residual_norm, report.std_mean,
-                              report.delta_dist, knn, wall_ms)))
-    fh.write(",".join(_fmt(v) for v in row.values()) + "\n")
-    fh.flush()
-    return row
-
-
 # collections.abc, not typing: typing caches subscripted aliases for the life
 # of the process, so each re-import of this package would keep the previous
 # diagnostics module alive through its CollapseReport class
@@ -595,17 +587,21 @@ def _run_one_seed(trainer: Trainer, csv_path: Path,
     rows: list[dict] = []
     start = time.monotonic()
 
-    def wall() -> int | None:
-        if not cfg.record_wall_time:
-            return None
-        return int(1000.0 * (time.monotonic() - start))
-
     def tick(epoch: int, loss: float | None, aborted: bool = False) -> None:
         """Diagnostics at `epoch` and one CSV row; an abort row has epoch -1
         and reaches no callback."""
         report, knn, emb = trainer.diagnostics_tick(epoch)
-        rows.append(_write_row(fh, seed, -1 if aborted else epoch, trainer.state.step,
-                               loss, report, knn, wall()))
+        row = {"seed": seed, "epoch": -1 if aborted else epoch,
+               "step": trainer.state.step, "loss": loss,
+               "center_norm": report.center_norm,
+               "mean_residual_norm": report.mean_residual_norm,
+               "std_mean": report.std_mean, "delta_dist": report.delta_dist,
+               "knn_accuracy": knn,
+               "wall_time_ms": (int(1000.0 * (time.monotonic() - start))
+                                if cfg.record_wall_time else None)}
+        fh.write(",".join(_fmt(row[c]) for c in _COLUMNS) + "\n")
+        fh.flush()
+        rows.append(row)
         if tick_callback and not aborted:
             tick_callback(trainer, epoch, report, emb)
 

@@ -60,10 +60,6 @@ class EncoderStack:
     def input_dim(self) -> int:
         return self.weights[0].shape[0]
 
-    @property
-    def output_dim(self) -> int:
-        return self.weights[-1].shape[1]
-
     def forward(self, x: Tensor | np.ndarray) -> Tensor | list[Tensor]:
         """Differentiable forward pass as one ``autodiff.mlp`` node; rows come
         out unit-norm when configured. A Tensor (m, k) gives a Tensor; V views
@@ -179,10 +175,10 @@ class PrototypeBank:
         self.matrix = matrix
         self.trainable = bool(trainable)
 
-    def parameters(self) -> list[Param]:
+    def parameters(self, group: str = "prototypes") -> list[Param]:
         if not self.trainable:
             return []
-        return [Param("prototypes.matrix", self.matrix, "prototypes")]
+        return [Param(f"{group}.matrix", self.matrix, group)]
 
     def renormalize(self) -> None:
         """Project a trainable bank's rows back onto the unit sphere, in place."""

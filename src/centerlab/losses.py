@@ -57,7 +57,7 @@ class LossConfig:
     num_prototypes: int = 16
     prototypes_trainable: bool = True
     use_stop_gradient: bool = True
-    use_predictor: bool = True
+    use_predictor: bool = True          # SimSiam / BYOL build a predictor head
     use_centering: bool = True
     use_decorrelation: bool = True
 
@@ -139,28 +139,17 @@ def triplet_loss(z_a: Tensor, z_p: Tensor, z_n: Tensor,
     return ad.tensor_sum(hinge) * (0.5 / m)
 
 
-def infonce_loss(z_a: Tensor, z_p: Tensor, negatives: Tensor | None = None,
-                 temperature: float = 0.1) -> Tensor:
-    """InfoNCE with the positive in the denominator.
-
-    ``negatives=None`` uses within-batch negatives (every other anchor's
-    positive); otherwise ``negatives`` is a shared (n_neg x D) bank.
-    """
+def infonce_loss(z_a: Tensor, z_p: Tensor, temperature: float = 0.1) -> Tensor:
+    """InfoNCE with within-batch negatives (every other anchor's positive)
+    and the positive in the denominator."""
     if temperature <= 0:
         raise ParameterError(f"temperature must be positive, got {temperature}")
     m = _check_paired(z_a, z_p)
-    if negatives is None:
-        if m < 2:
-            raise ShapeError("within-batch negatives need a batch of >= 2")
-        sims = ad.matmul(z_a, z_p.T)                       # (m, m), diag = positives
-        eye = np.eye(m)
-        sim_p = ad.tensor_sum(sims * eye, axis=1)          # (m, 1)
-        all_sims = sims
-    else:
-        sim_p = ad.tensor_sum(z_a * z_p, axis=1)
-        sims_n = ad.matmul(z_a, negatives.T)
-        all_sims = ad.concat_cols(sim_p, sims_n)
-    lse = ad.logsumexp_rows(all_sims, temperature)
+    if m < 2:
+        raise ShapeError("within-batch negatives need a batch of >= 2")
+    sims = ad.matmul(z_a, z_p.T)                       # (m, m), diag = positives
+    sim_p = ad.tensor_sum(sims * np.eye(m), axis=1)    # (m, 1)
+    lse = ad.logsumexp_rows(sims, temperature)
     per_row = (lse - sim_p) * (1.0 / temperature)
     return ad.tensor_sum(per_row) * (1.0 / m)
 
@@ -183,14 +172,15 @@ def simsiam_loss(z_a: Tensor, z_b: Tensor, pred: EncoderStack | None = None,
     return (_mean_neg_cosine(p_a, t_b) + _mean_neg_cosine(p_b, t_a)) * 0.5
 
 
-def byol_loss(z_a: Tensor, z_b: Tensor, pred: EncoderStack,
+def byol_loss(z_a: Tensor, z_b: Tensor, pred: EncoderStack | None,
               t_a: np.ndarray, t_b: np.ndarray) -> Tensor:
     """Negative cosine between predicted online embeddings and EMA-teacher targets.
 
     ``t_a``, ``t_b`` are the teacher's off-graph embeddings of the same two
-    views; the caller performs ``twin.update`` after the optimizer step.
+    views; the caller performs ``twin.update`` after the optimizer step. With
+    ``pred=None`` the prediction is the embedding itself, as in SimSiam.
     """
-    p_a, p_b = pred.forward(z_a), pred.forward(z_b)
+    p_a, p_b = (z_a, z_b) if pred is None else (pred.forward(z_a), pred.forward(z_b))
     return (_mean_neg_cosine(p_a, Tensor(t_b))
             + _mean_neg_cosine(p_b, Tensor(t_a))) * 0.5
 

@@ -137,8 +137,7 @@ def _grad_instance(kind: str, rng: np.random.Generator):
         return (lambda t: L.triplet_loss(t, z_p, z_n, margin=5.0)), anchor
     if kind == "infonce":
         z_p = Tensor(rng.standard_normal((_BATCH, _D)))
-        bank = Tensor(rng.standard_normal((32, _D)))
-        return (lambda t: L.infonce_loss(t, z_p, bank, temperature=0.1)), probe_emb
+        return (lambda t: L.infonce_loss(t, z_p, temperature=0.1)), probe_emb
     if kind == "barlow_twins":
         zb = batch_norm_cols(Tensor(rng.standard_normal((_BATCH, _D))))
         return (lambda t: L.barlow_twins_loss(

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import os
@@ -350,6 +351,49 @@ class TestTrainer:
         for a, b in zip(fused, composed):
             assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("loss_kw,heads", [
+        ({"kind": "simsiam"}, ("encoder", "predictor")),
+        ({"kind": "byol"}, ("encoder", "predictor")),
+        ({"kind": "byol", "use_predictor": False}, ("encoder",)),
+        ({"kind": "swav"}, ("encoder", "prototypes")),
+        ({"kind": "swav", "prototypes_trainable": False}, ("encoder",)),
+    ], ids=["simsiam", "byol", "byol-no-predictor", "swav", "swav-frozen"])
+    def test_params_group_by_owning_head(self, tmp_path, loss_kw, heads):
+        cfg = tiny_config(**loss_kw)
+        cfg.optimizer.epochs, cfg.num_seeds = 1, 1
+        result = run_experiment(cfg, tmp_path)
+        trainer = result.trainers[0]
+        owned = {}
+        for head in heads:
+            owner = getattr(trainer.state, head)
+            tensors = ([owner.matrix] if head == "prototypes"
+                       else owner.weights + owner.biases)
+            owned.update({id(t): head for t in tensors})
+        assert {id(p.tensor): p.group for p in trainer.params} == owned
+        keys = {"encoder": ["encoder.w0", "encoder.b0", "encoder.w1", "encoder.b1"],
+                "predictor": ["predictor.w0", "predictor.b0", "predictor.w1",
+                              "predictor.b1"],
+                "prototypes": ["prototypes.matrix"]}
+        with np.load(result.checkpoints[0]) as ckpt:
+            assert ckpt.files == [k for head in heads for k in keys[head]]
+
+    def test_predictor_multiplier_scales_only_the_predictor_step(self):
+        idx = np.arange(15)
+        moved = {}
+        for mult in (0.5, 1.0):
+            cfg = tiny_config(kind="simsiam")
+            cfg.optimizer.predictor_lr_multiplier = mult
+            trainer = Trainer(cfg, seed=0)
+            before = [p.tensor.values.copy() for p in trainer.params]
+            trainer.train_step(idx, np.random.default_rng(0))
+            moved[mult] = [(p.group, p.tensor.values - b)
+                           for p, b in zip(trainer.params, before)]
+        for (group, half), (_, full) in zip(moved[0.5], moved[1.0]):
+            if group == "encoder":
+                np.testing.assert_array_equal(half, full)
+            else:
+                np.testing.assert_allclose(half, 0.5 * full, rtol=1e-9, atol=1e-15)
+
     def test_partners_stay_within_group(self):
         trainer = Trainer(tiny_config(), seed=0)
         rng = np.random.default_rng(1)
@@ -571,8 +615,13 @@ class TestRunExperiment:
         assert len(text) == 1 + 3
         assert result.aggregate_csv.exists()
         assert all(p.exists() for p in result.checkpoints)
+        for rows in result.rows_by_seed.values():
+            assert all(list(row) == METRICS_HEADER.split(",") for row in rows)
         agg = result.aggregate_csv.read_text().splitlines()
-        assert agg[0].startswith("epoch,step,loss_mean,loss_std")
+        aggregated = ("loss", "center_norm", "mean_residual_norm", "std_mean",
+                      "delta_dist", "knn_accuracy")
+        assert agg[0].split(",") == ["epoch", "step"] + [
+            f"{c}_{stat}" for c in aggregated for stat in ("mean", "std")]
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg = tiny_config()
@@ -603,6 +652,11 @@ class TestRunExperiment:
         last = text[-1].split(",")
         assert last[1] == "-1"
         assert last[3] == "nan"
+        # an aborted run returns no rows; every row it flushed, the abort row
+        # among them, holds exactly the columns
+        rows = list(csv.DictReader(text))
+        assert all(list(row) == METRICS_HEADER.split(",") and None not in row.values()
+                   for row in rows)
 
     def test_invalid_config_writes_nothing(self, tmp_path):
         # no separate validation: the first trainer's build raises

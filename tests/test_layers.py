@@ -196,7 +196,7 @@ class TestSgdStep:
 
 def test_predictor_requires_square_dims():
     pred = init_predictor(4, seed=0)
-    assert pred.input_dim == pred.output_dim == 4
+    assert pred.input_dim == pred.weights[-1].shape[1] == 4
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):

@@ -44,6 +44,7 @@ class TestLossConfig:
             ("invariance", True, set()), ("triplet", True, set()),
             ("infonce", True, set()), ("simsiam", True, {"predictor"}),
             ("simsiam", False, set()), ("byol", True, {"predictor", "twin"}),
+            ("byol", False, {"twin"}),
             ("dino", True, {"twin", "dino_center"}), ("swav", True, {"prototypes"}),
             ("barlow_twins", True, set()), ("simple", True, set()),
         ]
@@ -149,15 +150,12 @@ class TestTriplet:
 
 
 class TestInfoNCE:
-    def _reference(self, a, p, negs, tau):
+    def _reference(self, a, p, tau):
         # direct evaluation: -log softmax with positive included in denominator
         losses = []
         for i in range(a.shape[0]):
             sim_p = a[i] @ p[i]
-            if negs is None:
-                sims = a[i] @ p.T
-            else:
-                sims = np.concatenate([[sim_p], a[i] @ negs.T])
+            sims = a[i] @ p.T
             shifted = sims / tau
             losses.append(np.log(np.exp(shifted - shifted.max()).sum())
                           + shifted.max() - sim_p / tau)
@@ -167,14 +165,7 @@ class TestInfoNCE:
         rng = np.random.default_rng(6)
         a, p = unit_rows(rng, 8, 4), unit_rows(rng, 8, 4)
         got = infonce_loss(Tensor(a), Tensor(p), temperature=0.2).item()
-        assert abs(got - self._reference(a, p, None, 0.2)) < 1e-10
-
-    def test_shared_bank_matches_direct_evaluation(self):
-        rng = np.random.default_rng(7)
-        a, p = unit_rows(rng, 5, 4), unit_rows(rng, 5, 4)
-        negs = unit_rows(rng, 12, 4)
-        got = infonce_loss(Tensor(a), Tensor(p), Tensor(negs), 0.3).item()
-        assert abs(got - self._reference(a, p, negs, 0.3)) < 1e-10
+        assert abs(got - self._reference(a, p, 0.2)) < 1e-10
 
     def test_low_temperature_approaches_hard_max_gap(self):
         # as tau -> 0 the loss per row tends to (max sim - positive sim)/tau;
@@ -189,8 +180,6 @@ class TestInfoNCE:
         p = Tensor(unit_rows(rng, 6, 3))
         x = Tensor(unit_rows(rng, 6, 3))
         assert grad_check(lambda t: infonce_loss(t, p, temperature=0.5), x).passed
-        negs = Tensor(unit_rows(rng, 9, 3))
-        assert grad_check(lambda t: infonce_loss(t, p, negs, 0.5), x).passed
 
     def test_degenerate_batch_rejected(self):
         z = Tensor(np.ones((1, 2)))
@@ -235,7 +224,8 @@ class TestSimSiam:
 
         backward(loss(True))
         with_sg = enc.weights[0].grad.copy()
-        ad.zero_grads([p.tensor for p in enc.parameters() + pred.parameters()])
+        for p in enc.parameters() + pred.parameters():
+            p.tensor.grad = None
         backward(loss(False))
         without_sg = enc.weights[0].grad.copy()
         assert not np.allclose(with_sg, without_sg)
