@@ -1,4 +1,5 @@
-"""sha256 over the seed CSVs of every registry variant, per experiment and in total.
+"""sha256 over the CSVs of every registry variant: per experiment, in total, and
+over the aggregates.
 
     python3 scripts/registry_digest.py [--base-seed 5] [--num-seeds 2] [--out DIR]
 
@@ -6,11 +7,12 @@ Runs each variant of each registered experiment once through
 `run_experiment`, with `base_seed`, `num_seeds` and `record_wall_time=False`
 overridden, into `<out>/<experiment>/<variant name>/seed<s>.csv`. A digest
 is the sha256 of CSVs' bytes concatenated in sorted relative-path order:
-one line per experiment over its own CSVs, then the total over all of them.
-Two trees that print the same digest wrote byte-identical CSVs, so a change
-meant to be exact can be checked against its parent, and a change that adds
-an experiment can show that every other experiment kept its digest. Imports
-centerlab from this checkout's `src/`.
+one line per experiment over its own CSVs, then the total over all of them,
+then one line over every variant's `aggregate.csv`. Two trees that print the
+same digest wrote byte-identical CSVs, so a change meant to be exact can be
+checked against its parent, and a change that adds an experiment can show
+that every other experiment kept its digest. Imports centerlab from this
+checkout's `src/`.
 """
 
 from __future__ import annotations
@@ -34,9 +36,10 @@ def _digest(out: Path, csvs: list[str]) -> str:
     return h.hexdigest()
 
 
-def registry_digest(out: Path, base_seed: int,
-                    num_seeds: int) -> tuple[str, int, dict[str, tuple[str, int]]]:
-    """(total digest, CSV count, {experiment: (digest, CSV count)})."""
+def registry_digest(out: Path, base_seed: int, num_seeds: int
+                    ) -> tuple[str, int, dict[str, tuple[str, int]], tuple[str, int]]:
+    """(total digest, CSV count, {experiment: (digest, CSV count)},
+    (aggregate digest, aggregate count))."""
     for name in harness.experiment_names():
         for _, cfg in harness.named_experiment(name):
             cfg = harness.apply_overrides(cfg, {
@@ -48,7 +51,9 @@ def registry_digest(out: Path, base_seed: int,
     for name in harness.experiment_names():
         own = [rel for rel in csvs if rel.startswith(f"{name}/")]
         per_experiment[name] = (_digest(out, own), len(own))
-    return _digest(out, csvs), len(csvs), per_experiment
+    aggregates = sorted(p.relative_to(out).as_posix() for p in out.rglob("aggregate.csv"))
+    return (_digest(out, csvs), len(csvs), per_experiment,
+            (_digest(out, aggregates), len(aggregates)))
 
 
 def main(argv=None) -> int:
@@ -60,16 +65,17 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
-        digest, n, per_experiment = registry_digest(args.out, args.base_seed,
-                                                    args.num_seeds)
+        digest, n, per_experiment, aggregates = registry_digest(
+            args.out, args.base_seed, args.num_seeds)
     else:
         with tempfile.TemporaryDirectory() as tmp:
-            digest, n, per_experiment = registry_digest(Path(tmp), args.base_seed,
-                                                        args.num_seeds)
+            digest, n, per_experiment, aggregates = registry_digest(
+                Path(tmp), args.base_seed, args.num_seeds)
     for name, (exp_digest, exp_n) in per_experiment.items():
         print(f"{exp_digest}  {exp_n} seed CSVs, {name}")
     print(f"{digest}  {n} seed CSVs, base seed {args.base_seed}, "
           f"{args.num_seeds} seeds per variant")
+    print(f"{aggregates[0]}  {aggregates[1]} aggregate CSVs")
     return 0
 
 

@@ -450,15 +450,34 @@ def logsumexp_rows(x, temperature: float = 1.0) -> Tensor:
 
 
 def batch_norm_cols(x, eps: float = 1e-12) -> Tensor:
-    """Standardize each column to mean 0, variance 1 (biased)."""
+    """Standardize each column to mean 0, variance 1 (biased), as one node.
+
+    The values are those of the composed graph ``c / power(var + eps, 0.5)``
+    with ``c = x - tensor_mean(x, 0)`` and ``var = tensor_mean(c * c, 0)``.
+    The backward replays its div, power, add, mul, sum and sub rules in the
+    order ``backward`` runs them: c receives the div's term, then the same
+    term from each operand of ``c * c``; x receives c's gradient and then the
+    mean's, as two accumulations. So values and gradients are bit-identical
+    to the composed graph's.
+    """
     x = _wrap(x)
     m = x.shape[0]
     if m < 2:
         raise ShapeError(f"batch_norm_cols needs at least 2 rows, got {m}")
-    mu = tensor_mean(x, axis=0)
-    centered = x - mu
-    var = tensor_mean(centered * centered, axis=0)
-    return centered / power(var + eps, 0.5)
+    inv_m = 1.0 / m
+    c = x.values - x.values.sum(axis=0, keepdims=True) * inv_m
+    ve = (c * c).sum(axis=0, keepdims=True) * inv_m + eps
+    sd = ve ** 0.5
+
+    def bwd(g):
+        t = _unbroadcast(-g * c / (sd ** 2), sd.shape) * 0.5 * ve ** -0.5 * inv_m * c
+        g_c = g / sd
+        g_c += t
+        g_c += t
+        _accum(x, g_c)
+        _accum(x, np.broadcast_to(_unbroadcast(-g_c, sd.shape) * inv_m, x.shape))
+
+    return _make(c / sd, (x,), bwd)
 
 
 def stop_gradient(x) -> Tensor:

@@ -626,24 +626,32 @@ def _run_one_seed(trainer: Trainer, csv_path: Path,
 
 def _aggregate(rows_by_seed: dict[int, list[dict]], path: Path) -> None:
     seeds = sorted(rows_by_seed)
-    ticks = [(r["epoch"], r["step"]) for r in rows_by_seed[seeds[0]]]
-    for s in seeds[1:]:
-        if [(r["epoch"], r["step"]) for r in rows_by_seed[s]] != ticks:
+    runs = [rows_by_seed[s] for s in seeds]
+    ticks = [(r["epoch"], r["step"]) for r in runs[0]]
+    for run in runs[1:]:
+        if [(r["epoch"], r["step"]) for r in run] != ticks:
             raise ComparisonError("seed runs disagree in tick structure")
     header = ["epoch", "step"]
+    filled, stats = [], []
     for col in _METRIC_COLS:
         header += [f"{col}_mean", f"{col}_std"]
+        cells = [[run[i][col] for run in runs] for i in range(len(ticks))]
+        col_filled = [tick[0] is not None for tick in cells]
+        if any((v is not None) != f for tick, f in zip(cells, col_filled) for v in tick):
+            raise ComparisonError(f"seed runs disagree in which ticks have {col}")
+        # one (ticks x seeds) array: reducing it over axis 1 sums each tick's
+        # seeds in the order np.mean and np.std of that tick's list do
+        full = np.array([tick for tick, f in zip(cells, col_filled) if f],
+                        dtype=np.float64).reshape(-1, len(runs))
+        filled.append(col_filled)
+        stats.append(zip(full.mean(axis=1), full.std(axis=1)))
     with path.open("w") as fh:
         fh.write(",".join(header) + "\n")
         for i, (epoch, step) in enumerate(ticks):
             cells = [str(epoch), str(step)]
-            for col in _METRIC_COLS:
-                vals = [rows_by_seed[s][i][col] for s in seeds
-                        if rows_by_seed[s][i][col] is not None]
-                if vals:
-                    cells += [_fmt(float(np.mean(vals))), _fmt(float(np.std(vals)))]
-                else:
-                    cells += ["", ""]
+            for col_filled, col_stats in zip(filled, stats):
+                cells += ([_fmt(float(v)) for v in next(col_stats)] if col_filled[i]
+                          else ["", ""])
             fh.write(",".join(cells) + "\n")
 
 

@@ -6,6 +6,17 @@ invariance loss with a direct penalty on the batch center magnitude.
 
 Teacher streams (EMA twins, Sinkhorn targets, stop-gradient branches) never
 join the computation graph; only the student branch carries gradients.
+
+Invariance, triplet, InfoNCE, DINO, SwAV, Barlow Twins and the simplified
+objective are each one autodiff node whose parents are the student's row
+blocks (and the prototype matrix for SwAV). Its forward evaluates the numpy
+expressions of the composed primitive graph it replaces, and its backward
+replays that graph's rules in the order ``autodiff.backward`` runs them: an
+intermediate with two consumers sums their terms in that order, and each
+parent receives its terms in that order, copied in C order. Values and
+gradients are therefore bit-identical to the composed graphs, which the tests
+keep as oracles. SimSiam and BYOL average two one-node negative cosines over
+their predictor's ``mlp`` nodes.
 """
 
 from __future__ import annotations
@@ -15,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ParameterError, ShapeError, Tensor, _accum, _make
+from .autodiff import (ParameterError, ShapeError, Tensor, _accum, _make,
+                       _unbroadcast)
 from .layers import EncoderStack
 
 __all__ = [
@@ -93,6 +105,15 @@ def _check_paired(a: Tensor, b: Tensor) -> int:
     return a.shape[0]
 
 
+def _hand_out(*terms: tuple[Tensor, np.ndarray]) -> None:
+    """Accumulate (parent, gradient) terms in the order given, into the
+    parents that require a gradient; a one-node loss lists its terms in the
+    order the composed graph's nodes handed them out."""
+    for parent, g in terms:
+        if parent.requires_grad:
+            _accum(parent, g)
+
+
 def _mean_neg_cosine(a: Tensor, b: Tensor) -> Tensor:
     """-sum(a * b) / m as one node. The backward replays the composed
     ``tensor_sum(a * b) * (-1 / m)`` graph's mul, sum and mul rules, with the
@@ -102,10 +123,7 @@ def _mean_neg_cosine(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g):
         g = g * scale
-        if a.requires_grad:
-            _accum(a, g * b.values)
-        if b.requires_grad:
-            _accum(b, g * a.values)
+        _hand_out((a, g * b.values), (b, g * a.values))
 
     return _make((a.values * b.values).sum().reshape(1, 1) * scale, (a, b), bwd)
 
@@ -121,37 +139,78 @@ def invariance_loss(z: Tensor, z_w: Tensor) -> Tensor:
 
 def triplet_loss(z_a: Tensor, z_p: Tensor, z_n: Tensor,
                  margin: float | None = None) -> Tensor:
-    """Anchor/positive/negative triplet loss.
+    """Anchor/positive/negative triplet loss, as one node.
 
-    With a finite margin: mean of max(||a-p||^2 - ||a-n||^2 + margin, 0) / 2.
-    With ``margin=None`` (or inf), the infinite-margin limit
-    mean(-<a,p> + <a,n>).
+    With a finite margin: mean of max(||a-p||^2 - ||a-n||^2 + margin, 0) / 2,
+    composed as ``tensor_sum(relu(d_ap - d_an + margin)) * (0.5 / m)`` with
+    ``d_ap = tensor_sum((z_a - z_p) * (z_a - z_p), 1)``. With ``margin=None``
+    (or inf), the infinite-margin limit mean(-<a,p> + <a,n>), composed as
+    ``(tensor_sum(z_a * z_n) - tensor_sum(z_a * z_p)) * (1 / m)``. The
+    backward hands each input the composed rules' terms in the order
+    ``backward`` runs them (z_a gets four in the finite form, one per
+    difference node), and the node's parents list the views in the order
+    the composed graph reaches them, which differs between the two forms.
     """
     m = _check_paired(z_a, z_p)
     _check_paired(z_a, z_n)
+    a, p, n = z_a.values, z_p.values, z_n.values
     if margin is None or not np.isfinite(margin):
-        return (ad.tensor_sum(z_a * z_n) - ad.tensor_sum(z_a * z_p)) * (1.0 / m)
+        value = ((a * n).sum().reshape(1, 1) - (a * p).sum().reshape(1, 1)) * (1.0 / m)
+
+        def bwd(g):
+            g_n = g * (1.0 / m)
+            g_p = -g_n
+            _hand_out((z_a, g_n * n), (z_n, g_n * a), (z_a, g_p * p), (z_p, g_p * a))
+
+        return _make(value, (z_n, z_a, z_p), bwd)
     if margin < 0:
         raise ParameterError(f"margin must be >= 0, got {margin}")
-    d_ap = ad.tensor_sum((z_a - z_p) * (z_a - z_p), axis=1)
-    d_an = ad.tensor_sum((z_a - z_n) * (z_a - z_n), axis=1)
-    hinge = ad.relu(d_ap - d_an + margin)
-    return ad.tensor_sum(hinge) * (0.5 / m)
+    d_p, d_n = a - p, a - n
+    hinge = ((d_p * d_p).sum(axis=1, keepdims=True)
+             - (d_n * d_n).sum(axis=1, keepdims=True) + margin)
+    value = np.maximum(hinge, 0.0).sum().reshape(1, 1) * (0.5 / m)
+
+    def bwd(g):
+        g_h = g * (0.5 / m) * (hinge > 0.0)
+        g_p, g_n = g_h * d_p, -g_h * d_n
+        # each difference is two nodes, and each hands out its own terms
+        _hand_out(*((z_a, g_p), (z_p, -g_p)) * 2, *((z_a, g_n), (z_n, -g_n)) * 2)
+
+    return _make(value, (z_p, z_a, z_n), bwd)
 
 
 def infonce_loss(z_a: Tensor, z_p: Tensor, temperature: float = 0.1) -> Tensor:
     """InfoNCE with within-batch negatives (every other anchor's positive)
-    and the positive in the denominator."""
+    and the positive in the denominator, as one node.
+
+    The values are those of the composed graph ``tensor_sum((lse - sim_p) *
+    (1 / tau)) * (1 / m)`` over ``sims = matmul(z_a, z_p.T)``, with ``lse =
+    logsumexp_rows(sims, tau)`` and ``sim_p = tensor_sum(sims * eye, 1)``.
+    sims receives the logsumexp term, then the diagonal's, and the inputs
+    receive the matmul and transpose rules' terms, z_a first.
+    """
     if temperature <= 0:
         raise ParameterError(f"temperature must be positive, got {temperature}")
     m = _check_paired(z_a, z_p)
     if m < 2:
         raise ShapeError("within-batch negatives need a batch of >= 2")
-    sims = ad.matmul(z_a, z_p.T)                       # (m, m), diag = positives
-    sim_p = ad.tensor_sum(sims * np.eye(m), axis=1)    # (m, 1)
-    lse = ad.logsumexp_rows(sims, temperature)
-    per_row = (lse - sim_p) * (1.0 / temperature)
-    return ad.tensor_sum(per_row) * (1.0 / m)
+    p_t = z_p.values.T.copy()
+    sims = z_a.values @ p_t                            # (m, m), diag = positives
+    eye = np.eye(m)
+    sim_p = (sims * eye).sum(axis=1, keepdims=True)
+    row_max = sims.max(axis=1, keepdims=True)
+    e = np.exp((sims - row_max) * (1.0 / temperature))
+    e_sum = e.sum(axis=1, keepdims=True)
+    lse = np.log(e_sum) * temperature + row_max
+    value = ((lse - sim_p) * (1.0 / temperature)).sum().reshape(1, 1) * (1.0 / m)
+
+    def bwd(g):
+        g_row = g * (1.0 / m) * (1.0 / temperature)
+        g_sims = g_row * temperature / e_sum * e * (1.0 / temperature)
+        g_sims += -g_row * eye
+        _hand_out((z_a, g_sims @ p_t.T), (z_p, (z_a.values.T @ g_sims).T))
+
+    return _make(value, (z_a, z_p), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +244,23 @@ def byol_loss(z_a: Tensor, z_b: Tensor, pred: EncoderStack | None,
             + _mean_neg_cosine(p_b, Tensor(t_a))) * 0.5
 
 
+def _log_softmax_grad(s: np.ndarray, temperature: float):
+    """``log(softmax_rows(s, temperature))``'s values, and a function from
+    their gradient to s's that replays the composed log, div, sum, exp, mul
+    and sub rules: e receives the div's term, then the row sum's."""
+    e = np.exp((s - s.max(axis=1, keepdims=True)) * (1.0 / temperature))
+    e_sum = e.sum(axis=1, keepdims=True)
+    p = e / e_sum
+
+    def grad(g_log_p):
+        g_p = g_log_p / p
+        g_e = g_p / e_sum
+        g_e += _unbroadcast(-g_p * e / (e_sum ** 2), e_sum.shape)
+        return g_e * e * (1.0 / temperature)
+
+    return np.log(p), grad
+
+
 def dino_loss(z_a: Tensor, z_b: Tensor, t_a: np.ndarray, t_b: np.ndarray,
               center: DinoCenterState, student_temperature: float = 0.1,
               teacher_temperature: float = 0.04,
@@ -197,6 +273,11 @@ def dino_loss(z_a: Tensor, z_b: Tensor, t_a: np.ndarray, t_b: np.ndarray,
     after the optimizer step (EMA ordering is pinned by the harness);
     ``use_centering=False`` skips the center subtraction but the mean is
     still returned.
+
+    The loss is one node. Per view, its values are those of the composed
+    ``tensor_sum(Tensor(tau_t * q) * (log(softmax_rows(s, tau_s)) * tau_s))
+    * (-1 / m)``, and the two views' terms are averaged; the backward
+    replays the composed rules, view a first.
     """
     if student_temperature <= 0 or teacher_temperature <= 0:
         raise ParameterError("temperatures must be positive")
@@ -207,12 +288,19 @@ def dino_loss(z_a: Tensor, z_b: Tensor, t_a: np.ndarray, t_b: np.ndarray,
         shifted = (logits - logits.max(axis=1, keepdims=True)) / teacher_temperature
         q = np.exp(shifted)
         q /= q.sum(axis=1, keepdims=True)
-        log_p = ad.log(ad.softmax_rows(s, student_temperature))
-        weighted = Tensor(teacher_temperature * q) * (log_p * student_temperature)
-        return ad.tensor_sum(weighted) * (-1.0 / q.shape[0])
+        q *= teacher_temperature
+        log_p, grad = _log_softmax_grad(s.values, student_temperature)
+        scale = -1.0 / q.shape[0]
+        value = (q * (log_p * student_temperature)).sum().reshape(1, 1) * scale
+        return value, lambda g: grad(g * scale * q * student_temperature)
 
-    loss = (direction(z_a, t_b) + direction(z_b, t_a)) * 0.5
-    return loss, teacher_mean
+    (value_a, grad_a), (value_b, grad_b) = direction(z_a, t_b), direction(z_b, t_a)
+
+    def bwd(g):
+        g = g * 0.5
+        _hand_out((z_a, grad_a(g)), (z_b, grad_b(g)))
+
+    return _make((value_a + value_b) * 0.5, (z_a, z_b), bwd), teacher_mean
 
 
 # ---------------------------------------------------------------------------
@@ -248,18 +336,40 @@ def swav_loss(z_a: Tensor, z_b: Tensor, prototypes: Tensor, temperature: float =
 
     ``prototypes`` is the (K x D) bank matrix; it receives gradients only
     when it requires them (a trainable bank). Assignment targets are always
-    detached.
+    detached; ``sinkhorn_knopp`` runs on view a's scores, then on view b's.
+
+    The loss is one node. Per view, its values are those of the composed
+    ``tensor_sum(q * log(softmax_rows(matmul(z, prototypes.T), tau))) *
+    (-1 / m)``, and the two views' terms are averaged; the backward replays
+    the composed rules, view a first, and hands the bank each view's term.
     """
-    scores_a = ad.matmul(z_a, prototypes.T)
-    scores_b = ad.matmul(z_b, prototypes.T)
-    q_a = sinkhorn_knopp(scores_a.values, sinkhorn_eps, sinkhorn_iters)
-    q_b = sinkhorn_knopp(scores_b.values, sinkhorn_eps, sinkhorn_iters)
+    if temperature <= 0:
+        raise ParameterError(f"temperature must be positive, got {temperature}")
+    for z in (z_a, z_b):
+        if z.shape[1] != prototypes.shape[1]:
+            raise ShapeError(f"matmul inner dims disagree: {z.shape} @ "
+                             f"{prototypes.shape[::-1]}")
+    protos_t = prototypes.values.T.copy()
+    scores_a, scores_b = z_a.values @ protos_t, z_b.values @ protos_t
+    q_a = sinkhorn_knopp(scores_a, sinkhorn_eps, sinkhorn_iters).values
+    q_b = sinkhorn_knopp(scores_b, sinkhorn_eps, sinkhorn_iters).values
 
     def direction(scores, q):
-        log_p = ad.log(ad.softmax_rows(scores, temperature))
-        return ad.tensor_sum(q * log_p) * (-1.0 / scores.shape[0])
+        log_p, grad = _log_softmax_grad(scores, temperature)
+        scale = -1.0 / scores.shape[0]
+        return (q * log_p).sum().reshape(1, 1) * scale, lambda g: grad(g * scale * q)
 
-    return (direction(scores_a, q_b) + direction(scores_b, q_a)) * 0.5
+    (value_a, grad_a), (value_b, grad_b) = (direction(scores_a, q_b),
+                                            direction(scores_b, q_a))
+
+    def bwd(g):
+        g = g * 0.5
+        for z, grad in ((z_a, grad_a), (z_b, grad_b)):
+            g_scores = grad(g)
+            _hand_out((z, g_scores @ protos_t.T),
+                      (prototypes, (z.values.T @ g_scores).T))
+
+    return _make((value_a + value_b) * 0.5, (z_a, z_b, prototypes), bwd)
 
 
 def barlow_twins_loss(z_a: Tensor, z_b: Tensor, bt_lambda: float = 5e-3,
@@ -270,18 +380,35 @@ def barlow_twins_loss(z_a: Tensor, z_b: Tensor, bt_lambda: float = 5e-3,
     The diagonal term pulls per-dimension correlations to 1; the off-diagonal
     term (weighted by ``bt_lambda``, dropped entirely when
     ``use_decorrelation=False``) decorrelates dimensions.
+
+    The loss is one node with the values of the composed ``tensor_sum(((1 -
+    corr) * eye) ** 2) + tensor_sum((corr * (1 - eye)) ** 2) * bt_lambda``
+    over ``corr = matmul(z_a.T, z_b) * (1 / m)``. corr receives the diagonal
+    term's gradient, then the off-diagonal one's; z_b receives its matmul
+    term before z_a receives the transposed one.
     """
     m = _check_paired(z_a, z_b)
     if m < 2:
         raise ShapeError("barlow_twins_loss needs a batch of >= 2")
     d = z_a.shape[1]
-    corr = ad.matmul(z_a.T, z_b) * (1.0 / m)
+    a_t = z_a.values.T.copy()
+    corr = (a_t @ z_b.values) * (1.0 / m)
     eye = np.eye(d)
-    diag_term = ad.tensor_sum(((1.0 - corr) * eye) ** 2)
-    if not use_decorrelation:
-        return diag_term
-    off_term = ad.tensor_sum((corr * (1.0 - eye)) ** 2)
-    return diag_term + off_term * bt_lambda
+    diag = (1.0 - corr) * eye
+    value = (diag ** 2.0).sum().reshape(1, 1)
+    if use_decorrelation:
+        off_mask = 1.0 - eye
+        off = corr * off_mask
+        value = value + (off ** 2.0).sum().reshape(1, 1) * bt_lambda
+
+    def bwd(g):
+        g_corr = -(g * 2.0 * diag ** 1.0 * eye)
+        if use_decorrelation:
+            g_corr += g * bt_lambda * 2.0 * off ** 1.0 * off_mask
+        g_corr = g_corr * (1.0 / m)
+        _hand_out((z_b, a_t.T @ g_corr), (z_a, (g_corr @ z_b.values.T).T))
+
+    return _make(value, (z_a, z_b), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -295,10 +422,29 @@ def simple_objective(z: Tensor, z_w: Tensor, center_penalty_weight: float = -1.0
     0.5 * (invariance(z, z_w) - weight * ||s_batch||^2) where s_batch is the
     mean of all 2m embedding rows. The default weight -1 turns the term into
     an additive squared-center penalty. ``squared=False`` penalizes the raw
-    norm instead.
+    norm instead, as ``(||s_batch||^2 + 1e-24) ** 0.5``.
+
+    The loss is one node with the values of the composed graph, in which
+    ``s_batch = (tensor_mean(z, 0) + tensor_mean(z_w, 0)) * 0.5``. Each input
+    receives the invariance term, then the center term.
     """
-    _check_paired(z, z_w)
-    s_hat = (ad.tensor_mean(z, axis=0) + ad.tensor_mean(z_w, axis=0)) * 0.5
-    sq_norm = ad.tensor_sum(s_hat * s_hat)
+    m = _check_paired(z, z_w)
+    inv_m = 1.0 / m
+    s_hat = (z.values.sum(axis=0, keepdims=True) * inv_m
+             + z_w.values.sum(axis=0, keepdims=True) * inv_m) * 0.5
+    sq_norm = (s_hat * s_hat).sum().reshape(1, 1)
     penalty = sq_norm if squared else (sq_norm + 1e-24) ** 0.5
-    return (invariance_loss(z, z_w) - penalty * center_penalty_weight) * 0.5
+    invariance = (z.values * z_w.values).sum().reshape(1, 1) * (-1.0 / m)
+
+    def bwd(g):
+        g = g * 0.5
+        g_sq_norm = -g * center_penalty_weight
+        if not squared:
+            g_sq_norm = g_sq_norm * 0.5 * (sq_norm + 1e-24) ** -0.5
+        # s_hat * s_hat hands each operand the same term
+        t = g_sq_norm * s_hat
+        g_mean = np.broadcast_to((t + t) * 0.5 * inv_m, z.shape)
+        g = g * (-1.0 / m)
+        _hand_out((z, g * z_w.values), (z_w, g * z.values), (z, g_mean), (z_w, g_mean))
+
+    return _make((invariance - penalty * center_penalty_weight) * 0.5, (z, z_w), bwd)

@@ -296,7 +296,40 @@ class TestStopGradient:
         np.testing.assert_allclose(grad_of(y), x.values, atol=1e-15)
 
 
+def composed_batch_norm_cols(x, eps=1e-12):
+    """The composed graph that the one ``batch_norm_cols`` node replaces."""
+    x = ad._wrap(x)
+    mu = ad.tensor_mean(x, axis=0)
+    centered = x - mu
+    var = ad.tensor_mean(centered * centered, axis=0)
+    return centered / ad.power(var + eps, 0.5)
+
+
 class TestBatchNormCols:
+    @pytest.mark.parametrize("case", ["random", "no-grad", "constant-column",
+                                      "signed-zeros", "one-column"])
+    def test_fused_node_matches_composed(self, case):
+        # values, the input's gradient and the signs of its zeros; the input
+        # receives two accumulations, as from the composed sub and sum nodes
+        def run(batch_norm):
+            rng = np.random.default_rng(11)
+            x = rng.standard_normal((7, 3))
+            if case == "constant-column":
+                x[:, 1] = 0.25
+            elif case == "signed-zeros":
+                x[2] = -0.0
+                x[:, 0] = -0.0
+            elif case == "one-column":
+                x = x[:, :1].copy()
+            t = Tensor(x, requires_grad=case != "no-grad")
+            out = batch_norm(t)
+            loss = ad.tensor_sum(out * rng.standard_normal(x.shape))
+            backward(loss)
+            return [out.values, loss.values, t.grad]
+
+        for got, want in zip(run(ad.batch_norm_cols), run(composed_batch_norm_cols)):
+            assert_bits_equal(got, want)
+
     def test_constant_column_maps_to_zero(self):
         x = np.column_stack([np.full(4, 3.0), np.arange(4.0)])
         out = ad.batch_norm_cols(Tensor(x))

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from centerlab import autodiff as ad
+from centerlab import harness as H
 from centerlab.autodiff import ParameterError, Tensor
 from centerlab.cli import main as cli_main
 from centerlab.data import AugmentationModel, AugmentedSet, gen_blobs
@@ -290,6 +292,26 @@ class TestTrainer:
         dino = Trainer(tiny_config(kind="dino"), seed=0)
         dino.train_step(idx, np.random.default_rng(0))
         assert np.any(dino.state.dino_center.center != 0.0)
+
+    @pytest.mark.parametrize("kind", list(_OBJECTIVES))
+    def test_graph_size_of_a_step(self, monkeypatch, kind):
+        # the loss, each view's row block, the encoder's mlp node and its four
+        # parameters; Barlow Twins adds a batch norm node per view, SwAV the
+        # trainable bank, SimSiam and BYOL their predictor's nodes. Each loss
+        # body and each batch norm is one node.
+        nodes = {"invariance": 8, "simple": 8, "dino": 8, "infonce": 8,
+                 "triplet": 9, "swav": 9, "barlow_twins": 10, "simsiam": 19,
+                 "byol": 19}[kind]
+        losses = []
+
+        def capture(loss):
+            losses.append(loss)
+            ad.backward(loss)
+
+        monkeypatch.setattr(H, "backward", capture)
+        trainer = Trainer(tiny_config(kind=kind), seed=0)
+        trainer.train_step(np.arange(15), np.random.default_rng(0))
+        assert len(ad._toposort(losses[0])) == nodes
 
     @pytest.mark.parametrize("kind", list(_OBJECTIVES))
     def test_one_student_forward_per_view(self, monkeypatch, kind):
@@ -592,8 +614,6 @@ class TestIndexTables:
         assert len(calls) == 1
 
     def test_trainer_rejects_ragged_groups(self, monkeypatch):
-        from centerlab import harness as H
-
         def ragged_augment(ds, model, seed=0):
             group = np.arange(ds.n) // 4
             group[-1] = group[0]
@@ -602,6 +622,26 @@ class TestIndexTables:
         monkeypatch.setattr(H, "augment", ragged_augment)
         with pytest.raises(ParameterError, match="group sizes differ"):
             Trainer(tiny_config(), seed=0)
+
+
+def loop_aggregate(rows_by_seed, path):
+    """aggregate.csv cell by cell: the mean and std of each tick's values."""
+    seeds = sorted(rows_by_seed)
+    header = ["epoch", "step"]
+    for col in H._METRIC_COLS:
+        header += [f"{col}_mean", f"{col}_std"]
+    with path.open("w") as fh:
+        fh.write(",".join(header) + "\n")
+        for i, row in enumerate(rows_by_seed[seeds[0]]):
+            cells = [str(row["epoch"]), str(row["step"])]
+            for col in H._METRIC_COLS:
+                vals = [rows_by_seed[s][i][col] for s in seeds
+                        if rows_by_seed[s][i][col] is not None]
+                if vals:
+                    cells += [H._fmt(float(np.mean(vals))), H._fmt(float(np.std(vals)))]
+                else:
+                    cells += ["", ""]
+            fh.write(",".join(cells) + "\n")
 
 
 class TestRunExperiment:
@@ -623,6 +663,44 @@ class TestRunExperiment:
         assert agg[0].split(",") == ["epoch", "step"] + [
             f"{c}_{stat}" for c in aggregated for stat in ("mean", "std")]
 
+    @pytest.mark.parametrize("classes", [3, 1])
+    @pytest.mark.parametrize("num_seeds", [1, 2, 5, 9])
+    def test_aggregate_matches_per_cell_loop(self, tmp_path, num_seeds, classes):
+        # empty cells: the epoch-0 loss, kNN off its cadence or on one-class
+        # data. Half the values are
+        # +-1e16, so partial sums cancel and another summation order shows in
+        # 12 digits (over axis 0 of a (seeds x ticks) array, from 9 seeds on)
+        rng = np.random.default_rng(num_seeds)
+
+        def value():
+            if rng.random() < 0.5:
+                return float(rng.choice([1e16, -1e16]))
+            return float(rng.standard_normal())
+
+        rows_by_seed = {}
+        for seed in range(num_seeds):
+            rows = []
+            for epoch in range(30):
+                row = {"seed": seed, "epoch": epoch, "step": 6 * epoch,
+                       "wall_time_ms": None}
+                for col in H._METRIC_COLS:
+                    row[col] = value()
+                if epoch == 0:
+                    row["loss"] = None
+                if epoch % 5 or classes == 1:
+                    row["knn_accuracy"] = None
+                rows.append(row)
+            rows_by_seed[seed] = rows
+        H._aggregate(rows_by_seed, tmp_path / "got.csv")
+        loop_aggregate(rows_by_seed, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_aggregate_rejects_a_tick_only_some_seeds_filled(self, tmp_path):
+        rows_by_seed = run_experiment(tiny_config(), tmp_path / "run").rows_by_seed
+        rows_by_seed[1][-1]["std_mean"] = None
+        with pytest.raises(ComparisonError, match="std_mean"):
+            H._aggregate(rows_by_seed, tmp_path / "agg.csv")
+
     def test_rerun_byte_identical(self, tmp_path):
         cfg = tiny_config()
         first = run_experiment(cfg, tmp_path / "a")
@@ -635,8 +713,6 @@ class TestRunExperiment:
     def test_numeric_abort_flags_final_row(self, tmp_path, monkeypatch):
         # inject a non-finite loss on the third step; the run must flush a
         # flagged final row and re-raise
-        from centerlab import harness as H
-
         original = H.Trainer.train_step
 
         def poisoned(self, idx, rng):
@@ -873,19 +949,28 @@ class TestCli:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_named_numeric_error_exits_3(self, tmp_path, capsys):
-        # a huge step makes the learnable prototypes non-finite, so Sinkhorn
-        # sees non-finite scores; the run aborts and flags its last row
-        code = cli_main(["--out-dir", str(tmp_path), "--quiet",
-                         "named", "swav-fixed-protos",
-                         "--override", "optimizer.lr=1e200",
-                         "--override", "num_seeds=1",
-                         "--override", "optimizer.epochs=3"])
-        assert code == 3
-        assert "sinkhorn" in capsys.readouterr().err
-        csv_path = tmp_path / "swav-fixed-protos" / "swav-learnable" / "seed0.csv"
-        last = csv_path.read_text().splitlines()[-1].split(",")
-        assert last[1] == "-1"
-        assert last[3] == "nan"
+        # each run aborts with one stderr line and flags its last row
+        for out, argv, message, run_dir in [
+            # a huge step makes the learnable prototypes non-finite, so
+            # Sinkhorn sees non-finite scores
+            ("swav", ["named", "swav-fixed-protos", "--override", "optimizer.lr=1e200",
+                      "--override", "num_seeds=1", "--override", "optimizer.epochs=3"],
+             "sinkhorn", "swav-fixed-protos/swav-learnable"),
+            # the student softmax underflows to 0 and DINO takes log(0) of
+            # it, although the loss is finite
+            ("dino", ["named", "fig3-simple-vs-simsiam", "--override", "loss.kind=dino",
+                      "--override", "loss.student_temperature=0.001",
+                      "--override", "num_seeds=1", "--override", "optimizer.epochs=2"],
+             "non-finite loss at step 0", "fig3-simple-vs-simsiam/simple-blobs"),
+        ]:
+            code = cli_main(["--out-dir", str(tmp_path / out), "--quiet", *argv])
+            assert code == 3
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and message in err[0], err
+            csv_path = tmp_path / out / run_dir / "seed0.csv"
+            last = csv_path.read_text().splitlines()[-1].split(",")
+            assert last[1] == "-1"
+            assert last[3] == "nan"
 
     def test_numeric_abort_prints_one_stderr_line(self, tmp_path):
         # numpy's overflow warnings on the way to the abort stay off stderr

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from centerlab.losses import (DinoCenterState, LossConfig, NumericError,
                               infonce_loss, invariance_loss, simple_objective,
                               simsiam_loss, sinkhorn_knopp, swav_loss,
                               triplet_loss)
+from test_autodiff import assert_bits_equal, composed_batch_norm_cols
 
 
 def unit_rows(rng, m, d):
@@ -393,6 +396,11 @@ class TestSwav:
                             rng.standard_normal((6, 2))))
         assert protos.matrix.grad is not None
 
+    def test_temperature_must_be_positive(self):
+        z = Tensor(np.ones((3, 2)))
+        with pytest.raises(ParameterError):
+            swav_loss(z, z, Tensor(np.ones((4, 2))), temperature=0.0)
+
     def test_symmetric_in_views(self):
         rng = np.random.default_rng(22)
         enc = init_encoder([2, 8, 4], seed=24)
@@ -479,3 +487,172 @@ class TestSimpleObjective:
         assert grad_check(lambda t: simple_objective(t, b), x).passed
         assert grad_check(lambda t: simple_objective(t, b, 1.5, squared=False),
                           x).passed
+
+
+# ---------------------------------------------------------------------------
+# The composed graphs that the one-node losses replace: oracles that each
+# must match bit for bit.
+# ---------------------------------------------------------------------------
+
+def composed_triplet(z_a, z_p, z_n, margin=None):
+    m = z_a.shape[0]
+    if margin is None or not np.isfinite(margin):
+        return (ad.tensor_sum(z_a * z_n) - ad.tensor_sum(z_a * z_p)) * (1.0 / m)
+    d_ap = ad.tensor_sum((z_a - z_p) * (z_a - z_p), axis=1)
+    d_an = ad.tensor_sum((z_a - z_n) * (z_a - z_n), axis=1)
+    return ad.tensor_sum(ad.relu(d_ap - d_an + margin)) * (0.5 / m)
+
+
+def composed_infonce(z_a, z_p, temperature=0.1):
+    m = z_a.shape[0]
+    sims = ad.matmul(z_a, z_p.T)
+    sim_p = ad.tensor_sum(sims * np.eye(m), axis=1)
+    lse = ad.logsumexp_rows(sims, temperature)
+    return ad.tensor_sum((lse - sim_p) * (1.0 / temperature)) * (1.0 / m)
+
+
+def composed_dino(z_a, z_b, t_a, t_b, center, student_temperature=0.1,
+                  teacher_temperature=0.04, use_centering=True):
+    def direction(s, teacher_z):
+        logits = teacher_z - center.center if use_centering else teacher_z
+        shifted = (logits - logits.max(axis=1, keepdims=True)) / teacher_temperature
+        q = np.exp(shifted)
+        q /= q.sum(axis=1, keepdims=True)
+        log_p = ad.log(ad.softmax_rows(s, student_temperature))
+        weighted = Tensor(teacher_temperature * q) * (log_p * student_temperature)
+        return ad.tensor_sum(weighted) * (-1.0 / q.shape[0])
+
+    return (direction(z_a, t_b) + direction(z_b, t_a)) * 0.5
+
+
+def composed_swav(z_a, z_b, prototypes, temperature=0.1, sinkhorn_eps=0.05,
+                  sinkhorn_iters=3):
+    scores_a = ad.matmul(z_a, prototypes.T)
+    scores_b = ad.matmul(z_b, prototypes.T)
+    q_a = sinkhorn_knopp(scores_a.values, sinkhorn_eps, sinkhorn_iters)
+    q_b = sinkhorn_knopp(scores_b.values, sinkhorn_eps, sinkhorn_iters)
+
+    def direction(scores, q):
+        log_p = ad.log(ad.softmax_rows(scores, temperature))
+        return ad.tensor_sum(q * log_p) * (-1.0 / scores.shape[0])
+
+    return (direction(scores_a, q_b) + direction(scores_b, q_a)) * 0.5
+
+
+def composed_barlow_twins(z_a, z_b, bt_lambda=5e-3, use_decorrelation=True):
+    m, d = z_a.shape
+    corr = ad.matmul(z_a.T, z_b) * (1.0 / m)
+    eye = np.eye(d)
+    diag_term = ad.tensor_sum(((1.0 - corr) * eye) ** 2)
+    if not use_decorrelation:
+        return diag_term
+    off_term = ad.tensor_sum((corr * (1.0 - eye)) ** 2)
+    return diag_term + off_term * bt_lambda
+
+
+def composed_simple(z, z_w, center_penalty_weight=-1.0, squared=True):
+    s_hat = (ad.tensor_mean(z, axis=0) + ad.tensor_mean(z_w, axis=0)) * 0.5
+    sq_norm = ad.tensor_sum(s_hat * s_hat)
+    penalty = sq_norm if squared else (sq_norm + 1e-24) ** 0.5
+    return (invariance_loss(z, z_w) - penalty * center_penalty_weight) * 0.5
+
+
+FUSED = {"triplet": triplet_loss, "infonce": infonce_loss,
+         "dino": lambda *a, **kw: dino_loss(*a, **kw)[0], "swav": swav_loss,
+         "barlow_twins": barlow_twins_loss, "simple": simple_objective,
+         "batch_norm": ad.batch_norm_cols}
+COMPOSED = {"triplet": composed_triplet, "infonce": composed_infonce,
+            "dino": composed_dino, "swav": composed_swav,
+            "barlow_twins": composed_barlow_twins, "simple": composed_simple,
+            "batch_norm": composed_batch_norm_cols}
+
+# case -> (views, loss of (implementations, views, extras))
+ONE_NODE_CASES = {
+    "triplet-inf": (3, lambda f, z, x: f["triplet"](*z)),
+    "triplet-inf-explicit": (3, lambda f, z, x: f["triplet"](*z, np.inf)),
+    "triplet-margin": (3, lambda f, z, x: f["triplet"](*z, 1.0)),
+    "infonce": (2, lambda f, z, x: f["infonce"](*z, temperature=0.3)),
+    "dino": (2, lambda f, z, x: f["dino"](*z, x.t_a, x.t_b, x.center, 0.2, 0.05)),
+    "dino-no-centering": (2, lambda f, z, x: f["dino"](
+        *z, x.t_a, x.t_b, x.center, 0.2, 0.05, use_centering=False)),
+    "swav-frozen": (2, lambda f, z, x: f["swav"](*z, x.frozen, 0.2)),
+    "swav-trainable": (2, lambda f, z, x: f["swav"](*z, x.trainable, 0.2)),
+    "barlow-twins": (2, lambda f, z, x: f["barlow_twins"](*z, 0.1)),
+    "barlow-twins-no-decor": (2, lambda f, z, x: f["barlow_twins"](
+        *z, use_decorrelation=False)),
+    # as the trainer composes them: each view batch-normed first
+    "barlow-twins-batch-norm": (2, lambda f, z, x: f["barlow_twins"](
+        *(f["batch_norm"](v) for v in z))),
+    "simple": (2, lambda f, z, x: f["simple"](*z)),
+    "simple-raw": (2, lambda f, z, x: f["simple"](*z, 1.5, squared=False)),
+}
+
+
+def _extras(rng, d):
+    """Teacher outputs and a DINO center, and one prototype bank frozen and
+    one trainable."""
+    protos = unit_rows(rng, 5, d)
+    return SimpleNamespace(t_a=rng.standard_normal((6, d)), t_b=rng.standard_normal((6, d)),
+                           center=DinoCenterState(0.1 * rng.standard_normal(d)),
+                           frozen=Tensor(protos), trainable=leaf(protos.copy()))
+
+
+def assert_all_bits_equal(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert_bits_equal(g, w)
+
+
+class TestOneNodeLosses:
+    @pytest.mark.parametrize("inputs", ["all", "first", "same"])
+    @pytest.mark.parametrize("case", sorted(ONE_NODE_CASES))
+    def test_matches_composed(self, case, inputs):
+        # the loss value, every input gradient and the signs of zeros, with
+        # every view on the graph, only the first one, or the first used twice
+        views, loss_fn = ONE_NODE_CASES[case]
+
+        def run(impl):
+            rng = np.random.default_rng(31)
+            values = [unit_rows(rng, 6, 4) for _ in range(views)]
+            values[0][2] = -0.0
+            values[-1][4, 1] = -0.0
+            z = [Tensor(v, requires_grad=inputs != "first" or i == 0)
+                 for i, v in enumerate(values)]
+            if inputs == "same":
+                z[1] = z[0]
+            extras = _extras(rng, 4)
+            loss = loss_fn(impl, z, extras) * 0.3
+            backward(loss)
+            return [loss.values, extras.trainable.grad] + [t.grad for t in z]
+
+        assert_all_bits_equal(run(FUSED), run(COMPOSED))
+
+    @pytest.mark.parametrize("case", sorted(ONE_NODE_CASES))
+    def test_matches_composed_through_the_encoder(self, case):
+        # the views' row blocks reach the shared parameters in the order the
+        # composed graph reaches them; with three views that order rounds
+        views, loss_fn = ONE_NODE_CASES[case]
+
+        def run(impl):
+            rng = np.random.default_rng(32)
+            enc = init_encoder([2, 8, 4], seed=33)
+            z = enc.forward(rng.standard_normal((views, 6, 2)))
+            extras = _extras(rng, 4)
+            loss = loss_fn(impl, z, extras)
+            backward(loss)
+            return ([loss.values, extras.trainable.grad]
+                    + [t.grad for t in enc.weights + enc.biases])
+
+        assert_all_bits_equal(run(FUSED), run(COMPOSED))
+
+    def test_every_inactive_hinge_hands_out_zeros(self):
+        # zero gradients, not None, with the composed graph's signs of zero
+        def run(triplet):
+            a = unit_rows(np.random.default_rng(34), 5, 3)
+            z = [leaf(a), leaf(a.copy()), leaf(-a)]
+            backward(triplet(*z, 0.5))
+            return [t.grad for t in z]
+
+        got = run(triplet_loss)
+        assert all(g is not None and not g.any() for g in got)
+        assert_all_bits_equal(got, run(composed_triplet))
