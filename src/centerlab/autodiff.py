@@ -299,9 +299,9 @@ def mlp(x, weights: Sequence[Tensor], biases: Sequence[Tensor],
         activations: Sequence[str], normalize: bool, eps: float = 1e-12) -> list[Tensor]:
     """Layers ``act(h @ w + b)``, then optionally unit-norm rows, as one node.
 
-    ``x`` is one view as a 2-D Tensor, which may carry a gradient, or V views
-    stacked as a (V, m, k) array, which does not. Returns V row blocks: 2-D
-    Tensors whose parent is the one node. Rows are normalised as
+    ``x`` is V views: a (V, m, k) array, or V 2-D Tensors (another node's row
+    blocks, say) that may carry gradients. Returns V row blocks: 2-D Tensors
+    whose parent is the one node. Rows are normalised as
     ``h / (sum(h * h, 1) + eps^2) ** 0.5``, so zero rows map to zero rows.
 
     The products run as ``np.matmul`` over the view axis, bit-equal to each
@@ -310,13 +310,14 @@ def mlp(x, weights: Sequence[Tensor], biases: Sequence[Tensor],
     composed matmul, add, activation, div, power, sum and mul nodes, not the
     analytic normalisation Jacobian. Each parameter then gets its views'
     gradients one at a time, in the order in which the row blocks ran their
-    backward: with three views that order sets the rounding of the sums. So
-    values and gradients are bit-identical to V composed graphs.
+    backward (with three views that order sets the rounding of the sums),
+    and so does each view Tensor that requires one. So values and gradients
+    are bit-identical to V composed graphs.
     """
-    one = isinstance(x, Tensor)
-    x_grad = one and x.requires_grad
-    hs, pres, s, d, out = _mlp_forward(x.values[None] if one else x, weights, biases,
-                                       activations, normalize, eps)
+    views = () if isinstance(x, np.ndarray) else tuple(x)
+    x_grad = any(v.requires_grad for v in views)
+    hs, pres, s, d, out = _mlp_forward(np.stack([v.values for v in views]) if views else x,
+                                       weights, biases, activations, normalize, eps)
     h = hs[-1]
     m, n = h.shape[1:]
 
@@ -341,13 +342,14 @@ def mlp(x, weights: Sequence[Tensor], biases: Sequence[Tensor],
                 per_param.append((w, np.matmul(hs[i].transpose(0, 2, 1), g)))
             if i or x_grad:
                 g = np.matmul(g, w.values.T)
-        if x_grad:
-            _accum(x, g[0])
         for p, per_view in per_param:
             for v in grads:
                 _accum(p, per_view[v])
+        for v in grads:
+            if x_grad and views[v].requires_grad:
+                _accum(views[v], g[v])
 
-    node = _make(out, (x, *weights, *biases) if one else (*weights, *biases), bwd)
+    node = _make(out, (*views, *weights, *biases), bwd)
     return [_row_block(node, v) for v in range(len(out))]
 
 

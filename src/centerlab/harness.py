@@ -249,8 +249,8 @@ _TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str, "bool": bo
 def _fits(value, annotation: str) -> bool:
     """Whether a value fits a field annotation such as ``list[float] | None``.
 
-    A bool fits only ``bool``, not ``int`` or ``float``; a config section
-    fits none (``_check_types`` checks its fields in turn).
+    A bool fits only ``bool``, not ``int`` or ``float``, and NaN fits nothing;
+    a config section fits none (``_check_types`` checks its fields in turn).
     """
     for option in annotation.split(" | "):
         if option == "None":
@@ -262,7 +262,8 @@ def _fits(value, annotation: str) -> bool:
                 return True
         elif option in _TYPES:
             if (isinstance(value, _TYPES[option])
-                    and (option == "bool") == isinstance(value, bool)):
+                    and (option == "bool") == isinstance(value, bool)
+                    and value == value):
                 return True
     return False
 

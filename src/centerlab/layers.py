@@ -10,7 +10,7 @@ match. Teacher-side forwards (``forward_array``) compute the values of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -56,19 +56,11 @@ class EncoderStack:
         self.activations = activations
         self.output_normalize = output_normalize
 
-    @property
-    def input_dim(self) -> int:
-        return self.weights[0].shape[0]
-
-    def forward(self, x: Tensor | np.ndarray) -> Tensor | list[Tensor]:
-        """Differentiable forward pass as one ``autodiff.mlp`` node; rows come
-        out unit-norm when configured. A Tensor (m, k) gives a Tensor; V views
-        stacked as an array (V, m, k) give a list of V Tensors."""
-        if x.shape[-1] != self.input_dim:
-            raise ShapeError(
-                f"input dim {x.shape[-1]} does not match encoder dim {self.input_dim}")
-        z = ad.mlp(x, self.weights, self.biases, self.activations, self.output_normalize)
-        return z[0] if isinstance(x, Tensor) else z
+    def forward(self, x: np.ndarray | Sequence[Tensor]) -> list[Tensor]:
+        """One ``autodiff.mlp`` node over V views, a (V, m, k) array or V 2-D
+        Tensors that may carry gradients; returns V row blocks, whose rows
+        come out unit-norm when configured."""
+        return ad.mlp(x, self.weights, self.biases, self.activations, self.output_normalize)
 
     def forward_array(self, x: np.ndarray) -> np.ndarray:
         """The values of ``forward``, off the graph, for rows (m, k) or

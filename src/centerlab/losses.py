@@ -7,16 +7,13 @@ invariance loss with a direct penalty on the batch center magnitude.
 Teacher streams (EMA twins, Sinkhorn targets, stop-gradient branches) never
 join the computation graph; only the student branch carries gradients.
 
-Invariance, triplet, InfoNCE, DINO, SwAV, Barlow Twins and the simplified
-objective are each one autodiff node whose parents are the student's row
-blocks (and the prototype matrix for SwAV). Its forward evaluates the numpy
-expressions of the composed primitive graph it replaces, and its backward
-replays that graph's rules in the order ``autodiff.backward`` runs them: an
-intermediate with two consumers sums their terms in that order, and each
-parent receives its terms in that order, copied in C order. Values and
-gradients are therefore bit-identical to the composed graphs, which the tests
-keep as oracles. SimSiam and BYOL average two one-node negative cosines over
-their predictor's ``mlp`` nodes.
+Every loss is one autodiff node over row blocks of the student (and of the
+predictor for SimSiam and BYOL, plus the prototype matrix for SwAV). Its
+forward evaluates the numpy expressions of the composed primitive graph it
+replaces; its backward replays that graph's rules in the order
+``autodiff.backward`` runs them, in which an intermediate with two consumers
+sums their terms and each parent receives its terms, copied in C order. So
+values and gradients are bit-identical to the composed graphs, the tests' oracles.
 """
 
 from __future__ import annotations
@@ -25,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import (ParameterError, ShapeError, Tensor, _accum, _make,
                        _unbroadcast)
 from .layers import EncoderStack
@@ -114,18 +110,28 @@ def _hand_out(*terms: tuple[Tensor, np.ndarray]) -> None:
             _accum(parent, g)
 
 
-def _mean_neg_cosine(a: Tensor, b: Tensor) -> Tensor:
-    """-sum(a * b) / m as one node. The backward replays the composed
-    ``tensor_sum(a * b) * (-1 / m)`` graph's mul, sum and mul rules, with the
-    scalar broadcast in place of a filled (m, d) gradient, so gradients are
-    bit-identical to that graph's."""
-    scale = -1.0 / _check_paired(a, b)
+def _mean_neg_cosine(p: Tensor, t: Tensor, p2: Tensor | None = None,
+                     t2: Tensor | None = None) -> Tensor:
+    """-sum(p * t) / m as one node, or with a second (prediction, target) pair
+    the pairs' mean ``(v + v2) * 0.5``. The backward replays the composed
+    ``tensor_sum(p * t) * (-1 / m)`` rules (after the mean's ``g * 0.5``),
+    with the scalar broadcast in place of a filled (m, d) gradient; a target
+    that requires no gradient gets none. With distinct views each input gets
+    at most two terms, so gradients are bit-identical to the composed graph's."""
+    scale = -1.0 / _check_paired(p, t)
+    value = (p.values * t.values).sum().reshape(1, 1) * scale
+    if p2 is not None:
+        _check_paired(p, t2)
+        _check_paired(p2, t)
+        value = (value + (p2.values * t2.values).sum().reshape(1, 1) * scale) * 0.5
 
     def bwd(g):
-        g = g * scale
-        _hand_out((a, g * b.values), (b, g * a.values))
+        g = g * scale if p2 is None else g * 0.5 * scale
+        _hand_out((p, g * t.values), (t, g * p.values))
+        if p2 is not None:
+            _hand_out((p2, g * t2.values), (t2, g * p2.values))
 
-    return _make((a.values * b.values).sum().reshape(1, 1) * scale, (a, b), bwd)
+    return _make(value, (p, t) if p2 is None else (p, t, p2, t2), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -225,10 +231,10 @@ def simsiam_loss(z_a: Tensor, z_b: Tensor, pred: EncoderStack | None = None,
     the prediction is the embedding itself, and without stop-gradient the
     target branch stays on the graph.
     """
-    p_a, p_b = (z_a, z_b) if pred is None else (pred.forward(z_a), pred.forward(z_b))
-    t_a = ad.stop_gradient(z_a) if use_stop_gradient else z_a
-    t_b = ad.stop_gradient(z_b) if use_stop_gradient else z_b
-    return (_mean_neg_cosine(p_a, t_b) + _mean_neg_cosine(p_b, t_a)) * 0.5
+    p_a, p_b = (z_a, z_b) if pred is None else pred.forward([z_a, z_b])
+    if use_stop_gradient:
+        z_a, z_b = Tensor(z_a.values), Tensor(z_b.values)
+    return _mean_neg_cosine(p_a, z_b, p_b, z_a)
 
 
 def byol_loss(z_a: Tensor, z_b: Tensor, pred: EncoderStack | None,
@@ -239,9 +245,8 @@ def byol_loss(z_a: Tensor, z_b: Tensor, pred: EncoderStack | None,
     views; the caller performs ``twin.update`` after the optimizer step. With
     ``pred=None`` the prediction is the embedding itself, as in SimSiam.
     """
-    p_a, p_b = (z_a, z_b) if pred is None else (pred.forward(z_a), pred.forward(z_b))
-    return (_mean_neg_cosine(p_a, Tensor(t_b))
-            + _mean_neg_cosine(p_b, Tensor(t_a))) * 0.5
+    p_a, p_b = (z_a, z_b) if pred is None else pred.forward([z_a, z_b])
+    return _mean_neg_cosine(p_a, Tensor(t_b), p_b, Tensor(t_a))
 
 
 def _log_softmax_grad(s: np.ndarray, temperature: float):

@@ -121,7 +121,7 @@ def _grad_instance(kind: str, rng: np.random.Generator):
     seed = int(rng.integers(1 << 30))
 
     def views(enc):
-        return enc.forward(Tensor(x_a)), enc.forward(Tensor(x_b))
+        return enc.forward(np.stack([x_a, x_b]))
 
     if kind == "invariance":
         return (lambda t: L.invariance_loss(t, z_w)), probe_emb

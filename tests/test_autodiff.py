@@ -80,20 +80,20 @@ def composed_views(xs, weights, biases, acts, normalize):
 
 
 def fused_views(xs, weights, biases, acts, normalize):
-    """The views through `ad.mlp`: one node over their (V, m, k) stack, or,
-    since only a 2-D input carries a gradient, one node per such view."""
+    """The views through one `ad.mlp` node: the view Tensors themselves when
+    they carry gradients, else their (V, m, k) stack, as the trainer runs."""
     if xs[0].requires_grad:
-        return [ad.mlp(x, weights, biases, acts, normalize)[0] for x in xs]
+        return ad.mlp(xs, weights, biases, acts, normalize)
     return ad.mlp(np.stack([x.values for x in xs]), weights, biases, acts, normalize)
 
 
 def fused_linear(h, w, b, act):
-    return ad.mlp(h, [w], [b], [act], normalize=False)[0]
+    return ad.mlp([h], [w], [b], [act], normalize=False)[0]
 
 
 def normalize_rows(x):
     """Row normalisation alone: an mlp node without layers."""
-    return ad.mlp(x, [], [], [], normalize=True)[0]
+    return ad.mlp([x], [], [], [], normalize=True)[0]
 
 
 def assert_bits_equal(got, want):

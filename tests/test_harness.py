@@ -126,6 +126,12 @@ class TestOverrides:
         with pytest.raises(ConfigError, match="optimizer.beta"):
             apply_overrides(tiny_config(), {"optimizer.beta": 0.5})
 
+    def test_nan_fits_no_float_field(self):
+        # +-inf does: a margin of inf is the triplet's infinite-margin mode
+        assert apply_overrides(tiny_config(), {"loss.margin": np.inf}).loss.margin == np.inf
+        with pytest.raises(ConfigError, match="loss.margin"):
+            apply_overrides(tiny_config(), {"loss.margin": np.nan})
+
     def test_override_does_not_mutate_original(self):
         cfg = tiny_config()
         apply_overrides(cfg, {"optimizer.lr": 0.9})
@@ -297,11 +303,12 @@ class TestTrainer:
     def test_graph_size_of_a_step(self, monkeypatch, kind):
         # the loss, each view's row block, the encoder's mlp node and its four
         # parameters; Barlow Twins adds a batch norm node per view, SwAV the
-        # trainable bank, SimSiam and BYOL their predictor's nodes. Each loss
-        # body and each batch norm is one node.
+        # trainable bank, SimSiam and BYOL their predictor's mlp node, its two
+        # row blocks and its four parameters. Each loss body and each batch
+        # norm is one node.
         nodes = {"invariance": 8, "simple": 8, "dino": 8, "infonce": 8,
-                 "triplet": 9, "swav": 9, "barlow_twins": 10, "simsiam": 19,
-                 "byol": 19}[kind]
+                 "triplet": 9, "swav": 9, "barlow_twins": 10, "simsiam": 15,
+                 "byol": 15}[kind]
         losses = []
 
         def capture(loss):
@@ -359,8 +366,8 @@ class TestTrainer:
 
         def composed_forward(self, x):
             layers = self.weights, self.biases, self.activations, self.output_normalize
-            if isinstance(x, Tensor):
-                return composed_views([x], *layers)[0]
+            if not isinstance(x, np.ndarray):  # a predictor's row blocks
+                return composed_views(x, *layers)
             stacks.append(x.shape)
             return composed_views([Tensor(v) for v in x], *layers)
 
@@ -938,13 +945,22 @@ class TestCli:
         # used to crash with a TypeError
         (["name=null"], "name: expected str"),
         (["encoder.activation=[1]"], "encoder.activation"),
+        # NaN fits no float field: it used to run (a triplet margin of NaN
+        # as the infinite-margin mode) or to abort with exit 3
+        (["loss.kind=triplet", "loss.margin=NaN"], "loss.margin"),
+        (["augmentation.sigma=NaN"], "augmentation.sigma"),
+        (["loss.temperature=NaN"], "loss.temperature"),
+        (["optimizer.lr=NaN"], "optimizer.lr"),
+        (["dataset.sigma=NaN"], "dataset.sigma"),
+        (["augmentation.kind=shifted", "augmentation.shift=[NaN,0]"], "augmentation.shift"),
     ])
     def test_named_crashing_config_exits_2(self, tmp_path, capsys, overrides, field):
         argv = ["--out-dir", str(tmp_path), "--quiet", "named", "fig3-simple-vs-simsiam"]
         for override in overrides:
             argv += ["--override", override]
         assert cli_main(argv) == 2
-        assert field in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and field in err[0], err
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -1098,6 +1114,8 @@ class TestCli:
          "claims[0].column"),
         (["compare", "spec.json"], {"claims": [{**_CLAIM, "margin": "x"}]}, 4,
          "claims[0].margin"),
+        (["compare", "spec.json"], {"claims": [{**_CLAIM, "margin": float("nan")}]}, 4,
+         "claims[0].margin"),
         (["compare", "spec.json"], {"claims": [{**_CLAIM, "file_a": "cell.csv"}]}, 4,
          "cell.csv: could not convert"),
         (["compare", "spec.json"], {"claims": [{**_CLAIM, "file_b": "bytes.csv"}]}, 4,
@@ -1109,7 +1127,7 @@ class TestCli:
          "Not a directory"),
     ], ids=["spec-invalid-json", "spec-not-utf8", "spec-not-object", "claim-not-object",
             "name-not-str", "file_a-not-path", "file_b-not-path", "column-not-str",
-            "margin-not-number", "cell-not-number", "metrics-not-utf8",
+            "margin-not-number", "margin-nan", "cell-not-number", "metrics-not-utf8",
             "config-not-utf8", "run-directory", "compare-directory", "out-dir-is-file"])
     def test_bad_input_prints_one_line(self, tmp_path, argv, spec, code, names):
         (tmp_path / "m.csv").write_text("epoch,step,loss\n0,0,1.0\n")

@@ -70,7 +70,7 @@ class TestForward:
         if zero_row:
             x[..., 4, :] = 0.0
         if len(shape) == 2:
-            graph = enc.forward(Tensor(x)).values
+            graph = enc.forward([Tensor(x)])[0].values
         else:
             graph = np.stack([z.values for z in enc.forward(x)])
         array = enc.forward_array(x)
@@ -80,14 +80,14 @@ class TestForward:
     def test_dimension_mismatch(self):
         enc = init_encoder([3, 8, 2], seed=0)
         with pytest.raises(ShapeError):
-            enc.forward(Tensor(np.ones((4, 5))))
+            enc.forward([Tensor(np.ones((4, 5)))])
 
     def test_gradient_through_full_stack(self):
         enc = init_encoder([3, 8, 2], seed=3)
         probe = np.random.default_rng(2).standard_normal((6, 2))
 
         def f(t):
-            return ad.tensor_sum(enc.forward(t) * probe)
+            return ad.tensor_sum(enc.forward([t])[0] * probe)
 
         x = Tensor(np.random.default_rng(3).standard_normal((6, 3)))
         assert ad.grad_check(f, x, tol=1e-4).passed
@@ -196,7 +196,7 @@ class TestSgdStep:
 
 def test_predictor_requires_square_dims():
     pred = init_predictor(4, seed=0)
-    assert pred.input_dim == pred.weights[-1].shape[1] == 4
+    assert pred.weights[0].shape[0] == pred.weights[-1].shape[1] == 4
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
