@@ -265,6 +265,33 @@ def matmul(a, b) -> Tensor:
     return _make(out_vals, (a, b), bwd)
 
 
+# numpy reduces across the short axis of a long, thin array with one inner
+# loop call per row; from about 256 rows on (crossover 128-384 rows for 2-4
+# columns), whole-column adds in numpy's own order are faster
+def _thin(a: np.ndarray) -> bool:
+    return 2 <= a.shape[-1] <= 4 and a.size >= 256 * a.shape[-1]
+
+
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=-1, keepdims=True)`` bit for bit: below 8 elements numpy's
+    sum is a left fold from +0.0, so a thin array folds its columns."""
+    if not _thin(a):
+        return a.sum(axis=-1, keepdims=True)
+    out = 0.0 + a[..., 0:1]
+    for j in range(1, a.shape[-1]):
+        out += a[..., j:j + 1]
+    return out
+
+
+def _col_sum(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=0, keepdims=True)`` of a 2-D array bit for bit: down the
+    rows of a C-contiguous array with 2+ columns numpy folds from +0.0, and
+    ``0.0 +`` turns accumulate's -0.0 start into that."""
+    if not (_thin(a) and a.flags.c_contiguous):
+        return a.sum(axis=0, keepdims=True)
+    return 0.0 + np.add.accumulate(a, axis=0)[-1:]
+
+
 # activation name -> (forward, backward rule); the rule maps the output's
 # gradient g, the pre-activation and the output to the pre-activation's
 # gradient with the expressions of the ``relu`` node and of the composed tanh
@@ -290,7 +317,7 @@ def _mlp_forward(h: np.ndarray, weights: Sequence[Tensor], biases: Sequence[Tens
     h = hs[-1]
     if not normalize:
         return hs, pres, None, None, h
-    s = (h * h).sum(axis=-1, keepdims=True) + eps * eps
+    s = _row_sum(h * h) + eps * eps
     d = s ** 0.5
     return hs, pres, s, d, h / d
 
@@ -328,7 +355,7 @@ def mlp(x, weights: Sequence[Tensor], biases: Sequence[Tensor],
         if normalize:
             gd = -g * h / (d ** 2)
             if n != 1:  # as _unbroadcast to d's shape
-                gd = gd.sum(axis=2, keepdims=True)
+                gd = _row_sum(gd)
             # h * h hands each operand the same term
             t = gd * 0.5 * s ** -0.5 * h
             g = g / d + t + t

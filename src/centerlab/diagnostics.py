@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ParameterError
+from .autodiff import ParameterError, _col_sum, _row_sum
 
 __all__ = [
     "CenterEstimate",
@@ -34,24 +34,29 @@ class CenterEstimate:
 
 
 def estimate_center(embeddings: np.ndarray) -> CenterEstimate:
-    """Mean of embedding rows."""
+    """Mean of embedding rows, as ``embeddings.mean(axis=0)`` bit for bit."""
     embeddings = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
     if embeddings.shape[0] < 1:
         raise ParameterError("estimate_center needs at least one embedding")
-    s_hat = embeddings.mean(axis=0)
+    s_hat = _col_sum(embeddings)[0] / embeddings.shape[0]
     return CenterEstimate(s_hat, float(np.linalg.norm(s_hat)))
 
 
 def residual_stats(embeddings: np.ndarray,
                    center: CenterEstimate) -> tuple[float, np.ndarray]:
-    """(mean residual norm, per-dimension std) of r = z - s_hat."""
+    """(mean residual norm, per-dimension std) of r = z - s_hat.
+
+    The std is ``r.std(axis=0)`` bit for bit, in numpy's own order: sum,
+    divide by m, subtract, square in place, sum, divide, root."""
     embeddings = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
     if embeddings.shape[1] != center.s_hat.shape[0]:
         raise ParameterError("embedding and center dimensions disagree")
     residuals = embeddings - center.s_hat
-    mean_norm = float(np.sqrt((residuals ** 2).sum(axis=1)).mean())
-    per_dim_std = residuals.std(axis=0)
-    return mean_norm, per_dim_std
+    mean_norm = float(np.sqrt(_row_sum(residuals ** 2)[:, 0]).mean())
+    m = residuals.shape[0]
+    dev = residuals - _col_sum(residuals) / m
+    dev *= dev
+    return mean_norm, np.sqrt(_col_sum(dev)[0] / m)
 
 
 def second_moment_gap(embeddings: np.ndarray, center: CenterEstimate) -> float:
@@ -114,7 +119,7 @@ def knn_eval(train_emb: np.ndarray, train_labels: np.ndarray,
         raise ParameterError(f"k={k} out of range (max {max_k})")
 
     def unit(x):
-        return x / np.sqrt((x * x).sum(axis=1, keepdims=True) + 1e-24)
+        return x / np.sqrt(_row_sum(x * x) + 1e-24)
 
     dists = unit(eval_emb) @ unit(train_emb).T
     np.subtract(1.0, dists, out=dists)

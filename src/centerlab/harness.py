@@ -12,8 +12,9 @@ ordering is pinned: one student forward of the step's stacked views -> loss
 The partner and negative samplers draw in bulk from rectangular index tables
 but consume the pair stream draw for draw as per-item loops do: a partner is
 one ``integers(group size)`` per row, drawn again while it picks the row
-itself; a negative is one draw for the other class, then one for its member.
-The seed CSVs are therefore byte-identical to those of the per-item loops.
+itself (the rows walk one iterator over chunks of ``rows left`` draws); a
+negative is one draw for the other class, then one for its member. The seed
+CSVs are therefore byte-identical to those of the per-item loops.
 """
 
 from __future__ import annotations
@@ -482,18 +483,17 @@ class Trainer:
         if size == 1:
             return idx.copy()
         n = idx.shape[0]
-        picks = [0] * n
-        draws, k = [], 0
-        for i, own in enumerate(self.group_pos[idx].tolist()):
-            while True:
-                if k == len(draws):
-                    # every row from i on needs at least one more draw
-                    draws, k = rng.integers(size, size=n - i).tolist(), 0
-                pick = draws[k]
-                k += 1
+        picks, draws = [], iter(())
+        for own in self.group_pos[idx].tolist():
+            for pick in draws:
                 if pick != own:
                     break
-            picks[i] = pick
+            else:  # the chunk ran out: every row from here on needs a draw
+                pick = own
+                while pick == own:
+                    draws = iter(rng.integers(size, size=n - len(picks)).tolist())
+                    pick = next((p for p in draws if p != own), own)
+            picks.append(pick)
         return self.group_table[self.group_row[idx], picks]
 
     def _negatives(self, idx: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -510,7 +510,7 @@ class Trainer:
         views = [idx, self._partners(idx, rng)]
         if self.objective.negatives:
             views.append(self._negatives(idx, rng))
-        x = self.augmented.points[np.stack(views)]
+        x = self.augmented.points.take(np.stack(views), axis=0)
         z = st.encoder.forward(x)
         try:
             loss, hook = self.objective.step(st, cfg.loss, x, z)
@@ -548,7 +548,8 @@ class Trainer:
         want_knn = (epoch % (cfg.diagnostics.cadence * cfg.diagnostics.knn_cadence) == 0
                     or epoch == cfg.optimizer.epochs)
         if want_knn and self.dataset.num_classes >= 2:
-            base = self.base_embeddings()
+            # class views are the base points, row for row
+            base = emb if cfg.augmentation.kind == "class" else self.base_embeddings()
             knn_acc = knn_eval(base, self.dataset.labels, base, self.dataset.labels,
                                k=cfg.diagnostics.knn_k).accuracy
         return report, knn_acc, emb

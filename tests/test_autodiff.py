@@ -500,6 +500,57 @@ class TestGradCheck:
         assert grad_check(f_frozen, Tensor(x0)).max_rel_err < 1e-10
 
 
+def fold_case(shape, seed=0):
+    """Entries spanning 20 decades, so sums cancel, with +-0.0 mixed in."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 17, size=shape)
+    pick = rng.random(shape)
+    a[pick < 0.15] = 0.0
+    a[(pick >= 0.15) & (pick < 0.3)] = -0.0
+    return a
+
+
+# (shape, thin): 1 row, 1 column, 2-4 columns at 256+ rows, 8+ columns
+FOLD_SHAPES = [((1, 3), False), ((300, 1), False), ((255, 2), False),
+               ((2, 50, 2), False), ((256, 2), True), ((1000, 3), True),
+               ((2, 1000, 2), True), ((300, 4), True), ((300, 5), False),
+               ((300, 8), False), ((1000, 16), False)]
+
+
+class TestFolds:
+    """``_row_sum`` and ``_col_sum`` are numpy's sums bit for bit, on both
+    sides of the thin rule."""
+
+    @pytest.mark.parametrize("shape,thin", FOLD_SHAPES)
+    def test_thin_rule(self, shape, thin):
+        assert ad._thin(np.empty(shape)) == thin
+
+    @pytest.mark.parametrize("shape,thin", FOLD_SHAPES)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_row_sum(self, shape, thin, seed):
+        a = fold_case(shape, seed)
+        for x in (a, np.asfortranarray(a), -a, np.zeros(shape), -np.zeros(shape)):
+            assert_bits_equal(ad._row_sum(x), x.sum(axis=-1, keepdims=True))
+
+    @pytest.mark.parametrize("shape,thin",
+                             [case for case in FOLD_SHAPES if len(case[0]) == 2])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_col_sum(self, shape, thin, seed):
+        a = fold_case(shape, seed)
+        for x in (a, np.asfortranarray(a), -a, np.zeros(shape), -np.zeros(shape)):
+            assert_bits_equal(ad._col_sum(x), x.sum(axis=0, keepdims=True))
+
+    def test_cancelling_entries(self):
+        # in numpy's order each row and column sums to 0.0 or 1.0; a pairwise
+        # sum of a column gives 128.0
+        a = np.tile([[1e16, 1.0, -1e16], [1.0, -1e16, 1e16],
+                     [-1e16, 1e16, 1.0], [-0.0, -0.0, -0.0]], (128, 1))
+        assert ad._thin(a)
+        assert_bits_equal(ad._row_sum(a), a.sum(axis=-1, keepdims=True))
+        assert_bits_equal(ad._col_sum(a), a.sum(axis=0, keepdims=True))
+        assert_bits_equal(ad._col_sum(a[::-1].copy()), a[::-1].sum(axis=0, keepdims=True))
+
+
 @pytest.mark.parametrize("trial", range(20))
 def test_primitive_gradients_randomized(trial):
     """Every primitive matches central finite differences on random inputs."""

@@ -3,11 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from centerlab import autodiff as ad
 from centerlab.autodiff import ParameterError
 from centerlab.diagnostics import (CenterEstimate, _nearest, angle_to_direction,
                                    collapse_verdict, delta_dist,
                                    estimate_center, knn_eval, residual_stats,
                                    second_moment_gap)
+from test_autodiff import assert_bits_equal, fold_case
 
 
 def unit_rows(rng, m, d):
@@ -49,6 +51,27 @@ class TestResiduals:
         est = CenterEstimate(np.zeros(3), 0.0)
         with pytest.raises(ParameterError):
             residual_stats(np.ones((4, 2)), est)
+
+
+class TestStatsMatchNumpy:
+    """The center and residual statistics equal numpy's mean and std bit for
+    bit, on both sides of ``autodiff._thin``: 1 row, 1 column, 2-4 columns
+    at 256+ rows, 8+ columns."""
+
+    @pytest.mark.parametrize("shape", [(1, 3), (300, 1), (255, 2), (256, 2),
+                                       (1000, 3), (300, 4), (300, 8), (1000, 16)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_center_and_residuals(self, shape, seed):
+        z = fold_case(shape, seed)
+        for x in (z, -z, np.zeros(shape), -np.zeros(shape),
+                  np.tile([[1e16, 1.0], [-1e16, -0.0]], (128, 1))):
+            est = estimate_center(x)
+            assert_bits_equal(est.s_hat, x.mean(axis=0))
+            mean_norm, per_dim_std = residual_stats(x, est)
+            r = x - est.s_hat
+            assert mean_norm == float(np.sqrt((r ** 2).sum(axis=1)).mean())
+            assert_bits_equal(per_dim_std, r.std(axis=0))
+        assert ad._thin(z) == (shape in ((256, 2), (1000, 3), (300, 4)))
 
 
 class TestSecondMomentGap:

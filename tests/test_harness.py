@@ -17,6 +17,7 @@ from centerlab import harness as H
 from centerlab.autodiff import ParameterError, Tensor
 from centerlab.cli import main as cli_main
 from centerlab.data import AugmentationModel, AugmentedSet, gen_blobs
+from centerlab.diagnostics import knn_eval
 from centerlab.harness import (METRICS_HEADER, ComparisonError, ConfigError,
                                DatasetSpec, EncoderSpec, ExperimentConfig,
                                NumericAbort, OptimizerSpec, Trainer, _OBJECTIVES,
@@ -476,6 +477,50 @@ class TestTrainer:
         shift = emb2.mean(axis=0) - emb.mean(axis=0)
         assert second.delta_dist == float(shift @ shift) > 0.0
 
+    def test_class_views_embed_once_per_knn_tick(self, monkeypatch):
+        # class views are the base points, so a kNN tick reuses the pool's
+        # embeddings; jittered views still embed the base points apart
+        from centerlab import layers
+
+        calls = []
+
+        def counted(self, x, forward_array=layers.EncoderStack.forward_array):
+            calls.append(x.shape)
+            return forward_array(self, x)
+
+        monkeypatch.setattr(layers.EncoderStack, "forward_array", counted)
+        trainer = Trainer(tiny_config(), seed=0)
+        _, knn, emb = trainer.diagnostics_tick(0)
+        assert calls == [trainer.augmented.points.shape]
+        base = trainer.base_embeddings()
+        np.testing.assert_array_equal(base, emb)
+        labels = trainer.dataset.labels
+        assert knn == knn_eval(base, labels, base, labels,
+                               k=trainer.cfg.diagnostics.knn_k).accuracy
+        calls.clear()
+        jittered = Trainer(apply_overrides(tiny_config(), {
+            "augmentation.kind": "centered", "augmentation.views": 2}), seed=0)
+        jittered.diagnostics_tick(0)
+        assert calls == [jittered.augmented.points.shape, jittered.dataset.points.shape]
+
+    def test_thin_folds_keep_seed_csvs(self, tmp_path, monkeypatch):
+        # the full-batch s21 arm reduces (1000 x 2) arrays through the folds;
+        # with numpy's own reductions in their place the CSVs are the same bytes
+        from centerlab import diagnostics
+
+        cfg = registry_config("s21-collapse-grid", "full-centered", **{
+            "optimizer.epochs": 3, "num_seeds": 2, "record_wall_time": False})
+        folded = run_experiment(cfg, tmp_path / "folds")
+        assert ad._thin(folded.trainers[cfg.base_seed].eval_embeddings())
+        for module in (ad, diagnostics):
+            monkeypatch.setattr(module, "_row_sum",
+                                lambda a: a.sum(axis=-1, keepdims=True))
+        monkeypatch.setattr(diagnostics, "_col_sum",
+                            lambda a: a.sum(axis=0, keepdims=True))
+        plain = run_experiment(cfg, tmp_path / "numpy")
+        for a, b in zip(folded.seed_csvs, plain.seed_csvs, strict=True):
+            assert a.read_bytes() == b.read_bytes()
+
 
 def loop_partners(trainer, members, idx, rng):
     """Per-item rejection loop that the bulk partner sampler must match."""
@@ -651,6 +696,33 @@ def loop_aggregate(rows_by_seed, path):
             fh.write(",".join(cells) + "\n")
 
 
+def cancelling_rows(num_seeds, classes):
+    """Per-seed metric rows for 30 ticks, half of whose values are +-1e16.
+    Empty cells: the epoch-0 loss, kNN off its cadence or on one-class data."""
+    rng = np.random.default_rng(num_seeds)
+
+    def value():
+        if rng.random() < 0.5:
+            return float(rng.choice([1e16, -1e16]))
+        return float(rng.standard_normal())
+
+    rows_by_seed = {}
+    for seed in range(num_seeds):
+        rows = []
+        for epoch in range(30):
+            row = {"seed": seed, "epoch": epoch, "step": 6 * epoch,
+                   "wall_time_ms": None}
+            for col in H._METRIC_COLS:
+                row[col] = value()
+            if epoch == 0:
+                row["loss"] = None
+            if epoch % 5 or classes == 1:
+                row["knn_accuracy"] = None
+            rows.append(row)
+        rows_by_seed[seed] = rows
+    return rows_by_seed
+
+
 class TestRunExperiment:
     def test_outputs_and_schema(self, tmp_path):
         cfg = tiny_config()
@@ -673,31 +745,20 @@ class TestRunExperiment:
     @pytest.mark.parametrize("classes", [3, 1])
     @pytest.mark.parametrize("num_seeds", [1, 2, 5, 9])
     def test_aggregate_matches_per_cell_loop(self, tmp_path, num_seeds, classes):
-        # empty cells: the epoch-0 loss, kNN off its cadence or on one-class
-        # data. Half the values are
-        # +-1e16, so partial sums cancel and another summation order shows in
-        # 12 digits (over axis 0 of a (seeds x ticks) array, from 9 seeds on)
-        rng = np.random.default_rng(num_seeds)
+        # half the values are +-1e16, so partial sums cancel and another
+        # summation order shows in 12 digits (over axis 0 of a (seeds x
+        # ticks) array, from 9 seeds on)
+        rows_by_seed = cancelling_rows(num_seeds, classes)
+        H._aggregate(rows_by_seed, tmp_path / "got.csv")
+        loop_aggregate(rows_by_seed, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
-        def value():
-            if rng.random() < 0.5:
-                return float(rng.choice([1e16, -1e16]))
-            return float(rng.standard_normal())
-
-        rows_by_seed = {}
-        for seed in range(num_seeds):
-            rows = []
-            for epoch in range(30):
-                row = {"seed": seed, "epoch": epoch, "step": 6 * epoch,
-                       "wall_time_ms": None}
-                for col in H._METRIC_COLS:
-                    row[col] = value()
-                if epoch == 0:
-                    row["loss"] = None
-                if epoch % 5 or classes == 1:
-                    row["knn_accuracy"] = None
-                rows.append(row)
-            rows_by_seed[seed] = rows
+    @pytest.mark.parametrize("num_seeds", range(1, 10))
+    def test_aggregate_bit_equal_to_numpy(self, tmp_path, monkeypatch, num_seeds):
+        # with repr for _fmt every cell shows all 17 digits, so each tick's
+        # mean and std must be np.mean and np.std of its seed list bit for bit
+        monkeypatch.setattr(H, "_fmt", repr)
+        rows_by_seed = cancelling_rows(num_seeds, 3)
         H._aggregate(rows_by_seed, tmp_path / "got.csv")
         loop_aggregate(rows_by_seed, tmp_path / "want.csv")
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
