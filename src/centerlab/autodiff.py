@@ -1,11 +1,14 @@
 """Minimal reverse-mode automatic differentiation over dense 2-D float64 arrays
 (and the (V, m, k) view stack inside an ``mlp`` node).
 
-The engine is tape-free in the micrograd style: every operation returns a new
-``Tensor`` holding closures that push gradients to its parents. A fresh graph
-is built on every training step; ``backward`` runs a topological sweep from a
-scalar loss. Gradients accumulate on leaves until reset to None
-(``layers.sgd_step`` does so after each update).
+The engine is a ``Tensor``, a node constructor (``_make``) and one
+``backward``. A graph is built of fused nodes only: ``mlp`` (a whole encoder
+over its views), ``batch_norm_cols`` and the loss nodes in ``losses``, each
+holding a closure that pushes gradients to its parents. A fresh graph is built
+on every training step; ``backward`` runs a topological sweep from a scalar
+loss. Gradients accumulate on leaves until reset to None (``layers.sgd_step``
+does so after each update). The composed primitive graphs that the fused
+nodes replace bit for bit live in the tests, as their oracles.
 """
 
 from __future__ import annotations
@@ -19,24 +22,8 @@ __all__ = [
     "Tensor",
     "ShapeError",
     "ParameterError",
-    "add",
-    "sub",
-    "mul",
-    "div",
-    "neg",
-    "power",
-    "matmul",
     "mlp",
-    "transpose",
-    "tensor_sum",
-    "tensor_mean",
-    "relu",
-    "exp",
-    "log",
-    "softmax_rows",
-    "logsumexp_rows",
     "batch_norm_cols",
-    "stop_gradient",
     "backward",
     "grad_check",
     "GradCheckReport",
@@ -83,55 +70,13 @@ class Tensor:
     def shape(self) -> tuple[int, int]:
         return self.values.shape
 
-    @property
-    def T(self) -> "Tensor":
-        return transpose(self)
-
     def item(self) -> float:
         if self.values.size != 1:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
         return float(self.values[0, 0])
 
-    # -- operator sugar -------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __pow__(self, p):
-        return power(self, p)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -170,101 +115,6 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
-# ---------------------------------------------------------------------------
-# elementwise / broadcast primitives
-# ---------------------------------------------------------------------------
-
-def add(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    out_vals = a.values + b.values
-
-    def bwd(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g, b.shape))
-
-    return _make(out_vals, (a, b), bwd)
-
-
-def sub(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    out_vals = a.values - b.values
-
-    def bwd(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(-g, b.shape))
-
-    return _make(out_vals, (a, b), bwd)
-
-
-def mul(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    out_vals = a.values * b.values
-
-    def bwd(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g * b.values, a.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g * a.values, b.shape))
-
-    return _make(out_vals, (a, b), bwd)
-
-
-def div(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    out_vals = a.values / b.values
-
-    def bwd(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g / b.values, a.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(-g * a.values / (b.values ** 2), b.shape))
-
-    return _make(out_vals, (a, b), bwd)
-
-
-def neg(a) -> Tensor:
-    a = _wrap(a)
-
-    def bwd(g):
-        _accum(a, -g)
-
-    return _make(-a.values, (a,), bwd)
-
-
-def power(a, p: float) -> Tensor:
-    a = _wrap(a)
-    p = float(p)
-    out_vals = a.values ** p
-
-    def bwd(g):
-        _accum(a, g * p * a.values ** (p - 1.0))
-
-    return _make(out_vals, (a,), bwd)
-
-
-# ---------------------------------------------------------------------------
-# linear algebra and reductions
-# ---------------------------------------------------------------------------
-
-def matmul(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
-    out_vals = a.values @ b.values
-
-    def bwd(g):
-        if a.requires_grad:
-            _accum(a, g @ b.values.T)
-        if b.requires_grad:
-            _accum(b, a.values.T @ g)
-
-    return _make(out_vals, (a, b), bwd)
-
-
 # numpy reduces across the short axis of a long, thin array with one inner
 # loop call per row; from about 256 rows on (crossover 128-384 rows for 2-4
 # columns), whole-column adds in numpy's own order are faster
@@ -284,18 +134,18 @@ def _row_sum(a: np.ndarray) -> np.ndarray:
 
 
 def _col_sum(a: np.ndarray) -> np.ndarray:
-    """``a.sum(axis=0, keepdims=True)`` of a 2-D array bit for bit: down the
-    rows of a C-contiguous array with 2+ columns numpy folds from +0.0, and
-    ``0.0 +`` turns accumulate's -0.0 start into that."""
+    """``a.sum(axis=-2, keepdims=True)`` of rows (m, k) or views (V, m, k) bit
+    for bit: down the rows of a C-contiguous array with 2+ columns numpy folds
+    from +0.0, and ``0.0 +`` turns accumulate's -0.0 start into that."""
     if not (_thin(a) and a.flags.c_contiguous):
-        return a.sum(axis=0, keepdims=True)
-    return 0.0 + np.add.accumulate(a, axis=0)[-1:]
+        return a.sum(axis=-2, keepdims=True)
+    return 0.0 + np.add.accumulate(a, axis=-2)[..., -1:, :]
 
 
 # activation name -> (forward, backward rule); the rule maps the output's
 # gradient g, the pre-activation and the output to the pre-activation's
-# gradient with the expressions of the ``relu`` node and of the composed tanh
-# node that the tests keep as the oracle
+# gradient with the expressions of the composed relu and tanh nodes that the
+# tests keep as oracles
 _ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
     "tanh": (np.tanh, lambda g, pre, out: g * (1.0 - out ** 2)),
     "relu": (lambda v: np.maximum(v, 0.0), lambda g, pre, out: g * (pre > 0.0)),
@@ -364,7 +214,7 @@ def mlp(x, weights: Sequence[Tensor], biases: Sequence[Tensor],
             w, b = weights[i], biases[i]
             g = _ACTIVATIONS[activations[i]][1](g, pres[i], hs[i + 1])
             if b.requires_grad:  # as _unbroadcast: one row is handed on unsummed
-                per_param.append((b, g if m == 1 else g.sum(axis=1, keepdims=True)))
+                per_param.append((b, g if m == 1 else _col_sum(g)))
             if w.requires_grad:
                 per_param.append((w, np.matmul(hs[i].transpose(0, 2, 1), g)))
             if i or x_grad:
@@ -391,93 +241,6 @@ def _row_block(node: Tensor, v: int) -> Tensor:
     return _make(node.values[v], (node,), bwd)
 
 
-def transpose(a) -> Tensor:
-    a = _wrap(a)
-
-    def bwd(g):
-        _accum(a, g.T)
-
-    return _make(a.values.T.copy(), (a,), bwd)
-
-
-def tensor_sum(a, axis: int | None = None) -> Tensor:
-    a = _wrap(a)
-    if axis is None:
-        out_vals = a.values.sum().reshape(1, 1)
-    else:
-        out_vals = a.values.sum(axis=axis, keepdims=True)
-
-    def bwd(g):
-        _accum(a, np.broadcast_to(g, a.shape))
-
-    return _make(out_vals, (a,), bwd)
-
-
-def tensor_mean(a, axis: int | None = None) -> Tensor:
-    a = _wrap(a)
-    count = a.values.size if axis is None else a.shape[axis]
-    return tensor_sum(a, axis) * (1.0 / count)
-
-
-# ---------------------------------------------------------------------------
-# nonlinearities
-# ---------------------------------------------------------------------------
-
-def relu(a) -> Tensor:
-    a = _wrap(a)
-    out_vals = np.maximum(a.values, 0.0)
-
-    def bwd(g):
-        _accum(a, g * (a.values > 0.0))
-
-    return _make(out_vals, (a,), bwd)
-
-
-def exp(a) -> Tensor:
-    a = _wrap(a)
-    out_vals = np.exp(a.values)
-
-    def bwd(g):
-        _accum(a, g * out_vals)
-
-    return _make(out_vals, (a,), bwd)
-
-
-def log(a) -> Tensor:
-    a = _wrap(a)
-    out_vals = np.log(a.values)
-
-    def bwd(g):
-        _accum(a, g / a.values)
-
-    return _make(out_vals, (a,), bwd)
-
-
-# ---------------------------------------------------------------------------
-# composite primitives used by the loss catalog
-# ---------------------------------------------------------------------------
-
-def softmax_rows(x, temperature: float = 1.0) -> Tensor:
-    """Row-wise softmax of x / temperature, stabilized by row-max subtraction."""
-    x = _wrap(x)
-    if temperature <= 0:
-        raise ParameterError(f"temperature must be positive, got {temperature}")
-    # row max is a constant shift; softmax is invariant to it, so detaching is exact
-    row_max = x.values.max(axis=1, keepdims=True)
-    e = exp((x - row_max) * (1.0 / temperature))
-    return e / tensor_sum(e, axis=1)
-
-
-def logsumexp_rows(x, temperature: float = 1.0) -> Tensor:
-    """tau * log(sum_j exp(x_ij / tau)) per row, max-stabilized; shape (m, 1)."""
-    x = _wrap(x)
-    if temperature <= 0:
-        raise ParameterError(f"temperature must be positive, got {temperature}")
-    row_max = x.values.max(axis=1, keepdims=True)
-    shifted = (x - row_max) * (1.0 / temperature)
-    return log(tensor_sum(exp(shifted), axis=1)) * temperature + row_max
-
-
 def batch_norm_cols(x, eps: float = 1e-12) -> Tensor:
     """Standardize each column to mean 0, variance 1 (biased), as one node.
 
@@ -489,7 +252,6 @@ def batch_norm_cols(x, eps: float = 1e-12) -> Tensor:
     mean's, as two accumulations. So values and gradients are bit-identical
     to the composed graph's.
     """
-    x = _wrap(x)
     m = x.shape[0]
     if m < 2:
         raise ShapeError(f"batch_norm_cols needs at least 2 rows, got {m}")
@@ -507,12 +269,6 @@ def batch_norm_cols(x, eps: float = 1e-12) -> Tensor:
         _accum(x, np.broadcast_to(_unbroadcast(-g_c, sd.shape) * inv_m, x.shape))
 
     return _make(c / sd, (x,), bwd)
-
-
-def stop_gradient(x) -> Tensor:
-    """Forward identity that contributes exactly zero to upstream gradients."""
-    x = _wrap(x)
-    return Tensor(x.values.copy(), requires_grad=False)
 
 
 # ---------------------------------------------------------------------------

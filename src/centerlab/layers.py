@@ -1,10 +1,10 @@
 """Encoders, predictor heads, EMA parameter twins and prototype banks.
 
-Everything is a thin composition over the autodiff primitives: an encoder is
-a list of (weight, bias, activation) triples with optional unit-sphere output
-normalization, and a predictor head is an encoder whose input and output dims
-match. Teacher-side forwards (``forward_array``) compute the values of
-``autodiff.mlp`` and never join the computation graph.
+An encoder is a list of (weight, bias, activation) triples with optional
+unit-sphere output normalization, which joins the graph as one
+``autodiff.mlp`` node over its views, and a predictor head is an encoder whose
+input and output dims match. Teacher-side forwards (``forward_array``) compute
+the values of ``autodiff.mlp`` and never join the computation graph.
 """
 
 from __future__ import annotations

@@ -3,14 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import centerlab
 from centerlab import autodiff as ad
 from centerlab import losses as L
 from centerlab.autodiff import (ParameterError, ShapeError, Tensor, backward,
                                 grad_check)
-
-
-def leaf(values):
-    return Tensor(values, requires_grad=True)
+from oracles import (Var, add, assert_bits_equal, composed_batch_norm_cols,
+                     composed_l2_normalize_rows, composed_tanh, composed_views,
+                     exp, fold_case, leaf, logsumexp_rows, matmul, mul, power,
+                     relu, softmax_rows, stop_gradient, tensor_sum)
 
 
 def grad_of(t):
@@ -18,65 +19,42 @@ def grad_of(t):
     return np.zeros(t.shape) if t.grad is None else t.grad
 
 
+def test_library_builds_fused_nodes_only():
+    # the composed op library, its operators and its exports live in the
+    # oracles, so no src path can build a graph the second way
+    moved = ("_wrap add sub mul div neg power matmul transpose tensor_sum tensor_mean "
+             "relu exp log softmax_rows logsumexp_rows stop_gradient").split()
+    assert [name for name in moved if hasattr(ad, name)] == []
+    sugar = set(vars(Var)) - {"__module__", "__doc__", "__slots__"}
+    assert len(sugar) == 12 and [name for name in sugar if hasattr(Tensor, name)] == []
+    assert [name for name in moved if hasattr(centerlab, name)] == []
+
+
 class TestMatmul:
     def test_identity(self):
         m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        out = ad.matmul(Tensor(np.eye(2)), Tensor(m))
+        out = matmul(Tensor(np.eye(2)), Tensor(m))
         np.testing.assert_array_equal(out.values, m)
 
     def test_basis_vector_selection(self):
-        out = ad.matmul(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[1.0], [0.0]]))
+        out = matmul(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[1.0], [0.0]]))
         np.testing.assert_array_equal(out.values, [[1.0], [3.0]])
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+            matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(42)
         a = rng.standard_normal((4, 3))
         b = rng.standard_normal((3, 2))
         w = rng.standard_normal((4, 2))
-        rep = grad_check(lambda t: ad.tensor_sum(ad.matmul(t, b) * w), Tensor(a),
+        rep = grad_check(lambda t: tensor_sum(matmul(t, b) * w), Tensor(a),
                          tol=1e-6)
         assert rep.max_rel_err < 1e-6
-        rep = grad_check(lambda t: ad.tensor_sum(ad.matmul(Tensor(a), t) * w),
+        rep = grad_check(lambda t: tensor_sum(matmul(Tensor(a), t) * w),
                          Tensor(b), tol=1e-6)
         assert rep.max_rel_err < 1e-6
-
-
-# The composed graphs that an `ad.mlp` node replaces: oracles that it must
-# match bit for bit.
-def composed_tanh(a):
-    a = ad._wrap(a)
-    out_vals = np.tanh(a.values)
-
-    def bwd(g):
-        ad._accum(a, g * (1.0 - out_vals ** 2))
-
-    return ad._make(out_vals, (a,), bwd)
-
-
-def composed_linear(h, w, b, act):
-    out = ad.matmul(h, w) + b
-    return {"tanh": composed_tanh, "relu": ad.relu, "identity": lambda t: t}[act](out)
-
-
-def composed_l2_normalize_rows(x, eps=1e-12):
-    x = ad._wrap(x)
-    sumsq = ad.tensor_sum(x * x, axis=1)
-    denom = ad.power(sumsq + eps * eps, 0.5)
-    return x / denom
-
-
-def composed_views(xs, weights, biases, acts, normalize):
-    """One composed graph per view Tensor in `xs`."""
-    outs = []
-    for h in xs:
-        for w, b, act in zip(weights, biases, acts):
-            h = composed_linear(h, w, b, act)
-        outs.append(composed_l2_normalize_rows(h) if normalize else h)
-    return outs
 
 
 def fused_views(xs, weights, biases, acts, normalize):
@@ -96,16 +74,7 @@ def normalize_rows(x):
     return ad.mlp([x], [], [], [], normalize=True)[0]
 
 
-def assert_bits_equal(got, want):
-    """Equal values and equal signs of zeros; None only matches None."""
-    if want is None:
-        assert got is None
-        return
-    np.testing.assert_array_equal(got, want)
-    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
-
-
-# every activation in the table; one without an oracle above fails
+# every activation in the table; one without a composed oracle fails
 ACTIVATIONS = sorted(ad._ACTIVATIONS)
 
 
@@ -123,9 +92,9 @@ class TestLinear:
               for _ in range(views)]
         outs = views_fn(xs, [w0, w1], [b0, b1], [act, "identity"], normalize)
         if loss_fn is None:
-            loss = ad.tensor_sum(outs[0] * rng.standard_normal((20, 4)))
+            loss = tensor_sum(mul(outs[0], rng.standard_normal((20, 4))))
             for out in outs[1:]:
-                loss = loss + ad.tensor_sum(out * outs[0]) * -0.5
+                loss = loss + tensor_sum(mul(out, outs[0])) * -0.5
         else:
             loss = loss_fn(*outs)
         backward(loss)
@@ -152,7 +121,7 @@ class TestLinear:
     def test_stacked_views_match_composed(self, act, normalize, loss):
         probe = np.random.default_rng(5).standard_normal((20, 4))
         views, loss_fn = {
-            "probe": (1, lambda z: ad.tensor_sum(z * probe)),
+            "probe": (1, lambda z: tensor_sum(mul(z, probe))),
             "invariance": (2, L.invariance_loss),
             "triplet-inf": (3, L.triplet_loss),
             "triplet-margin": (3, lambda *z: L.triplet_loss(*z, margin=0.5)),
@@ -176,7 +145,7 @@ class TestLinear:
         for f, x in ((lambda t: fused_linear(t, Tensor(w), Tensor(b), act), h),
                      (lambda t: fused_linear(Tensor(h), t, Tensor(b), act), w),
                      (lambda t: fused_linear(Tensor(h), Tensor(w), t, act), b)):
-            rep = grad_check(lambda t: ad.tensor_sum(f(t) * probe), Tensor(x), tol=1e-6)
+            rep = grad_check(lambda t: tensor_sum(mul(f(t), probe)), Tensor(x), tol=1e-6)
             assert rep.max_rel_err < 1e-6
 
 
@@ -197,7 +166,7 @@ class TestL2NormalizeRows:
         out = normalize_rows(x)
         # pushing the output along x's own unit direction gives zero input grad
         z = out.values
-        proxy = ad.tensor_sum(out * z)
+        proxy = tensor_sum(mul(out, z))
         backward(proxy)
         np.testing.assert_allclose(grad_of(x), np.zeros_like(x.values), atol=1e-9)
 
@@ -212,7 +181,7 @@ class TestL2NormalizeRows:
             x.values[7] = 0.0
             x.values[8] = upstream[8] = -0.0
             out = normalize(x)
-            backward(ad.tensor_sum(out * upstream))
+            backward(tensor_sum(mul(out, upstream)))
             return out.values, x.grad
 
         got, want = grads(normalize_rows), grads(composed_l2_normalize_rows)
@@ -234,44 +203,44 @@ class TestL2NormalizeRows:
 
 class TestSoftmaxRows:
     def test_uniform_row(self):
-        out = ad.softmax_rows(Tensor([[2.0, 2.0, 2.0, 2.0]]), 1.0)
+        out = softmax_rows(Tensor([[2.0, 2.0, 2.0, 2.0]]), 1.0)
         np.testing.assert_allclose(out.values, 0.25, atol=1e-12)
 
     def test_low_temperature_one_hot(self):
-        out = ad.softmax_rows(Tensor([[0.1, 0.9, 0.3]]), 1e-3)
+        out = softmax_rows(Tensor([[0.1, 0.9, 0.3]]), 1e-3)
         np.testing.assert_allclose(out.values, [[0.0, 1.0, 0.0]], atol=1e-9)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(5)
-        out = ad.softmax_rows(Tensor(rng.standard_normal((6, 4)) * 20), 0.5)
+        out = softmax_rows(Tensor(rng.standard_normal((6, 4)) * 20), 0.5)
         np.testing.assert_allclose(out.values.sum(axis=1), 1.0, atol=1e-12)
 
     def test_nonpositive_temperature(self):
         with pytest.raises(ParameterError):
-            ad.softmax_rows(Tensor(np.ones((2, 2))), 0.0)
+            softmax_rows(Tensor(np.ones((2, 2))), 0.0)
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((2, 5))
         w = rng.standard_normal((2, 5))
-        rep = grad_check(lambda t: ad.tensor_sum(ad.softmax_rows(t, 0.4) * w),
+        rep = grad_check(lambda t: tensor_sum(softmax_rows(t, 0.4) * w),
                          Tensor(x), tol=1e-6)
         assert rep.max_rel_err < 1e-6
 
 
 class TestLogsumexpRows:
     def test_single_element_row(self):
-        out = ad.logsumexp_rows(Tensor([[1.7]]), 1.0)
+        out = logsumexp_rows(Tensor([[1.7]]), 1.0)
         np.testing.assert_allclose(out.values, [[1.7]], atol=1e-12)
 
     def test_low_temperature_max_limit(self):
-        out = ad.logsumexp_rows(Tensor([[0.1, 0.9, 0.3]]), 1e-4)
+        out = logsumexp_rows(Tensor([[0.1, 0.9, 0.3]]), 1e-4)
         assert abs(out.item() - 0.9) < 1e-3
 
     def test_matches_direct_evaluation(self):
         rng = np.random.default_rng(11)
         x = rng.uniform(-1, 1, size=(3, 4))
-        out = ad.logsumexp_rows(Tensor(x), 1.0)
+        out = logsumexp_rows(Tensor(x), 1.0)
         direct = np.log(np.exp(x).sum(axis=1, keepdims=True))
         np.testing.assert_allclose(out.values, direct, atol=1e-12)
 
@@ -279,30 +248,21 @@ class TestLogsumexpRows:
 class TestStopGradient:
     def test_forward_identity(self):
         x = np.array([[1.0, -2.0], [3.0, 0.5]])
-        np.testing.assert_array_equal(ad.stop_gradient(Tensor(x)).values, x)
+        np.testing.assert_array_equal(stop_gradient(Tensor(x)).values, x)
 
     def test_blocked_branch_gets_exact_zero(self):
         rng = np.random.default_rng(1)
         x = leaf(rng.standard_normal((3, 2)))
         y = leaf(rng.standard_normal((3, 2)))
-        backward(ad.tensor_sum(ad.stop_gradient(x) * y))
+        backward(tensor_sum(stop_gradient(x) * y))
         np.testing.assert_array_equal(grad_of(x), np.zeros(x.shape))
 
     def test_open_branch_gets_the_other_operand(self):
         rng = np.random.default_rng(2)
         x = leaf(rng.standard_normal((3, 2)))
         y = leaf(rng.standard_normal((3, 2)))
-        backward(ad.tensor_sum(ad.stop_gradient(x) * y))
+        backward(tensor_sum(stop_gradient(x) * y))
         np.testing.assert_allclose(grad_of(y), x.values, atol=1e-15)
-
-
-def composed_batch_norm_cols(x, eps=1e-12):
-    """The composed graph that the one ``batch_norm_cols`` node replaces."""
-    x = ad._wrap(x)
-    mu = ad.tensor_mean(x, axis=0)
-    centered = x - mu
-    var = ad.tensor_mean(centered * centered, axis=0)
-    return centered / ad.power(var + eps, 0.5)
 
 
 class TestBatchNormCols:
@@ -323,7 +283,7 @@ class TestBatchNormCols:
                 x = x[:, :1].copy()
             t = Tensor(x, requires_grad=case != "no-grad")
             out = batch_norm(t)
-            loss = ad.tensor_sum(out * rng.standard_normal(x.shape))
+            loss = tensor_sum(mul(out, rng.standard_normal(x.shape)))
             backward(loss)
             return [out.values, loss.values, t.grad]
 
@@ -348,7 +308,7 @@ class TestBatchNormCols:
         rng = np.random.default_rng(13)
         x = rng.standard_normal((8, 4))
         w = rng.standard_normal((8, 4))
-        rep = grad_check(lambda t: ad.tensor_sum(ad.batch_norm_cols(t) * w),
+        rep = grad_check(lambda t: tensor_sum(mul(ad.batch_norm_cols(t), w)),
                          Tensor(x), tol=1e-5)
         assert rep.max_rel_err < 1e-5
 
@@ -356,12 +316,12 @@ class TestBatchNormCols:
 class TestBackward:
     def test_sum_gives_ones(self):
         x = leaf(np.arange(6.0).reshape(2, 3))
-        backward(ad.tensor_sum(x))
+        backward(tensor_sum(x))
         np.testing.assert_array_equal(grad_of(x), np.ones((2, 3)))
 
     def test_half_square_norm_gives_x(self):
         x = leaf(np.array([[1.0, -2.0, 3.0]]))
-        backward(ad.tensor_sum(x * x) * 0.5)
+        backward(tensor_sum(x * x) * 0.5)
         np.testing.assert_allclose(grad_of(x), x.values, atol=1e-15)
 
     def test_non_scalar_loss_rejected(self):
@@ -370,7 +330,7 @@ class TestBackward:
 
     def test_accumulation_without_zeroing(self):
         x = leaf(np.array([[2.0]]))
-        loss = ad.tensor_sum(x * x)
+        loss = tensor_sum(x * x)
         backward(loss)
         backward(loss)
         np.testing.assert_allclose(grad_of(x), [[8.0]])
@@ -382,8 +342,8 @@ class TestBackward:
 
         def f(t):
             z = normalize_rows(t)
-            p = ad.softmax_rows(ad.matmul(z, Tensor(w)), 0.5)
-            return ad.tensor_sum(p * probe)
+            p = softmax_rows(matmul(z, Tensor(w)), 0.5)
+            return tensor_sum(p * probe)
 
         rep = grad_check(f, Tensor(rng.standard_normal((5, 3))), tol=1e-4)
         assert rep.max_rel_err < 1e-4
@@ -405,17 +365,17 @@ class TestAccum:
         x = leaf(rng.standard_normal((6, 3)))
         z = composed_tanh(x)
         zt = z.T
-        backward(ad.tensor_sum(ad.matmul(zt, z)))
+        backward(tensor_sum(matmul(zt, z)))
         # y's only gradient arrives through transpose's backward, as g.T
         y = leaf(rng.standard_normal((6, 3)))
-        backward(ad.tensor_sum(ad.matmul(y.T, Tensor(rng.standard_normal((6, 2))))))
+        backward(tensor_sum(matmul(y.T, Tensor(rng.standard_normal((6, 2))))))
         for t in (x, z, zt, y):
             assert t.grad.flags.c_contiguous
 
     def test_add_operands_never_share_a_grad(self):
         a, b = leaf(np.ones((2, 3))), leaf(np.ones((2, 3)))
         out = a + b
-        backward(ad.tensor_sum(out))
+        backward(tensor_sum(out))
         assert a.grad is not b.grad
         for g, h in ((a.grad, b.grad), (a.grad, out.grad), (b.grad, out.grad)):
             assert not np.shares_memory(g, h)
@@ -423,7 +383,7 @@ class TestAccum:
     def test_self_add_accumulates_into_its_own_array(self):
         x = leaf(np.ones((2, 3)))
         out = x + x
-        backward(ad.tensor_sum(out))
+        backward(tensor_sum(out))
         assert not np.shares_memory(x.grad, out.grad)
         np.testing.assert_array_equal(x.grad, np.full((2, 3), 2.0))
         np.testing.assert_array_equal(out.grad, np.ones((2, 3)))
@@ -435,9 +395,9 @@ class TestAccum:
             b = leaf(rng.standard_normal((1, 16)))
             w = leaf(rng.standard_normal((16, 16)))
             # h's first gradient is the F-ordered g.T; b's is its column sum
-            h = ad.matmul(x, w) + b
+            h = matmul(x, w) + b
             v = Tensor(rng.standard_normal((64, 3)))
-            backward(ad.tensor_sum(composed_tanh(ad.matmul(h.T, v))))
+            backward(tensor_sum(composed_tanh(matmul(h.T, v))))
             return [t.grad for t in (x, b, w)]
 
         new = grads()
@@ -453,7 +413,7 @@ class TestAccum:
             # False mask); zeros + g turned it into +0.0, a copy keeps it
             x = leaf(np.array([[-1.0, 2.0], [3.0, -4.0]]))
             w = leaf(np.array([[1.0, 1.0], [-1.0, -1.0]]))
-            backward(ad.tensor_sum(ad.matmul(ad.relu(x), w) * -1.0))
+            backward(tensor_sum(matmul(relu(x), w) * -1.0))
             return [x.grad, w.grad]
 
         new = grads()
@@ -468,7 +428,7 @@ class TestAccum:
 
 class TestGradCheck:
     def test_sum_is_exact(self):
-        rep = grad_check(ad.tensor_sum, Tensor(np.random.default_rng(0).standard_normal((3, 3))))
+        rep = grad_check(tensor_sum, Tensor(np.random.default_rng(0).standard_normal((3, 3))))
         assert rep.max_rel_err < 1e-10
 
     def test_rejects_nonscalar_target(self):
@@ -477,7 +437,7 @@ class TestGradCheck:
 
     def test_rejects_out_of_range_step(self):
         with pytest.raises(ParameterError):
-            grad_check(ad.tensor_sum, Tensor(np.ones((2, 2))), step=1e-2)
+            grad_check(tensor_sum, Tensor(np.ones((2, 2))), step=1e-2)
 
     def test_stop_gradient_contract(self):
         # f(t) = <sg(t), y> + <t, c>: the analytic gradient is c alone.
@@ -487,7 +447,7 @@ class TestGradCheck:
         x0 = rng.standard_normal((3, 2))
 
         def f(t):
-            return ad.tensor_sum(ad.stop_gradient(t) * y) + ad.tensor_sum(t * c)
+            return tensor_sum(stop_gradient(t) * y) + tensor_sum(mul(t, c))
 
         # naive finite differences of f see through sg and disagree
         naive = grad_check(f, Tensor(x0))
@@ -495,26 +455,18 @@ class TestGradCheck:
         # the sg-respecting check freezes the blocked branch and agrees
 
         def f_frozen(t):
-            return ad.tensor_sum(Tensor(x0) * y) + ad.tensor_sum(t * c)
+            return tensor_sum(Var(x0) * y) + tensor_sum(mul(t, c))
 
         assert grad_check(f_frozen, Tensor(x0)).max_rel_err < 1e-10
 
 
-def fold_case(shape, seed=0):
-    """Entries spanning 20 decades, so sums cancel, with +-0.0 mixed in."""
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 17, size=shape)
-    pick = rng.random(shape)
-    a[pick < 0.15] = 0.0
-    a[(pick >= 0.15) & (pick < 0.3)] = -0.0
-    return a
-
-
-# (shape, thin): 1 row, 1 column, 2-4 columns at 256+ rows, 8+ columns
+# (shape, thin): 1 row, 1 column, 2-4 columns at 256+ rows, 8+ columns; the
+# view stacks of mlp's bias sums on both sides of the rule
 FOLD_SHAPES = [((1, 3), False), ((300, 1), False), ((255, 2), False),
                ((2, 50, 2), False), ((256, 2), True), ((1000, 3), True),
                ((2, 1000, 2), True), ((300, 4), True), ((300, 5), False),
-               ((300, 8), False), ((1000, 16), False)]
+               ((300, 8), False), ((1000, 16), False), ((3, 85, 3), False),
+               ((3, 86, 3), True), ((2, 1000, 8), False)]
 
 
 class TestFolds:
@@ -532,13 +484,13 @@ class TestFolds:
         for x in (a, np.asfortranarray(a), -a, np.zeros(shape), -np.zeros(shape)):
             assert_bits_equal(ad._row_sum(x), x.sum(axis=-1, keepdims=True))
 
-    @pytest.mark.parametrize("shape,thin",
-                             [case for case in FOLD_SHAPES if len(case[0]) == 2])
+    # 2-D shapes first, then mlp's (V, m, k) bias sums
+    @pytest.mark.parametrize("shape,thin", sorted(FOLD_SHAPES, key=lambda c: len(c[0])))
     @pytest.mark.parametrize("seed", range(3))
     def test_col_sum(self, shape, thin, seed):
         a = fold_case(shape, seed)
         for x in (a, np.asfortranarray(a), -a, np.zeros(shape), -np.zeros(shape)):
-            assert_bits_equal(ad._col_sum(x), x.sum(axis=0, keepdims=True))
+            assert_bits_equal(ad._col_sum(x), x.sum(axis=-2, keepdims=True))
 
     def test_cancelling_entries(self):
         # in numpy's order each row and column sums to 0.0 or 1.0; a pairwise
@@ -559,15 +511,15 @@ def test_primitive_gradients_randomized(trial):
     w = rng.standard_normal((4, 3))
     w44 = rng.standard_normal((4, 4))
     cases = [
-        lambda t: ad.tensor_sum(composed_tanh(t) * w),
-        lambda t: ad.tensor_sum(ad.relu(t + 0.01) * w),
-        lambda t: ad.tensor_sum(ad.exp(t * 0.3) * w),
-        lambda t: ad.tensor_sum(normalize_rows(t) * w),
-        lambda t: ad.tensor_sum(ad.softmax_rows(t, 0.7) * w),
-        lambda t: ad.tensor_sum(ad.logsumexp_rows(t, 0.7)),
-        lambda t: ad.tensor_sum(ad.batch_norm_cols(t) * w),
-        lambda t: ad.tensor_sum(ad.matmul(t, w.T) * w44),
-        lambda t: ad.tensor_sum((t ** 2.0) * w),
+        lambda t: tensor_sum(composed_tanh(t) * w),
+        lambda t: tensor_sum(relu(add(t, 0.01)) * w),
+        lambda t: tensor_sum(exp(mul(t, 0.3)) * w),
+        lambda t: tensor_sum(mul(normalize_rows(t), w)),
+        lambda t: tensor_sum(softmax_rows(t, 0.7) * w),
+        lambda t: tensor_sum(logsumexp_rows(t, 0.7)),
+        lambda t: tensor_sum(mul(ad.batch_norm_cols(t), w)),
+        lambda t: tensor_sum(matmul(t, w.T) * w44),
+        lambda t: tensor_sum(power(t, 2.0) * w),
     ]
     for f in cases:
         assert grad_check(f, Tensor(x), step=1e-5, tol=1e-4).passed
@@ -579,7 +531,7 @@ def test_replay_determinism():
         rng = np.random.default_rng(seed)
         x = leaf(rng.standard_normal((6, 4)))
         w = Tensor(rng.standard_normal((4, 4)))
-        loss = ad.tensor_sum(ad.softmax_rows(ad.matmul(normalize_rows(x), w), 0.5) ** 2)
+        loss = tensor_sum(softmax_rows(matmul(normalize_rows(x), w), 0.5) ** 2)
         backward(loss)
         return loss.item(), grad_of(x).copy()
 

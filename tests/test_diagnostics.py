@@ -9,12 +9,7 @@ from centerlab.diagnostics import (CenterEstimate, _nearest, angle_to_direction,
                                    collapse_verdict, delta_dist,
                                    estimate_center, knn_eval, residual_stats,
                                    second_moment_gap)
-from test_autodiff import assert_bits_equal, fold_case
-
-
-def unit_rows(rng, m, d):
-    x = rng.standard_normal((m, d))
-    return x / np.linalg.norm(x, axis=1, keepdims=True)
+from oracles import assert_bits_equal, fold_case, unit_rows
 
 
 class TestEstimateCenter:

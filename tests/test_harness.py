@@ -25,7 +25,7 @@ from centerlab.harness import (METRICS_HEADER, ComparisonError, ConfigError,
                                experiment_names, named_experiment, run_experiment)
 from centerlab.layers import EncoderStack
 from centerlab.losses import LossConfig
-from test_autodiff import composed_views
+from oracles import composed_views
 
 
 def tiny_config(**loss_kw) -> ExperimentConfig:

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "centerlab"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "centerlab"
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -25,7 +26,9 @@ def unused_imports(path: Path) -> list[str]:
 
 # __init__.py imports names only to re-export them
 @pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py")
-                                        if p.name != "__init__.py"),
+                                        if p.name != "__init__.py")
+                         + [ROOT / "tests" / "oracles.py",
+                            ROOT / "scripts" / "registry_digest.py"],
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []

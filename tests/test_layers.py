@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from centerlab import autodiff as ad
-from centerlab.autodiff import ParameterError, ShapeError, Tensor
+from centerlab.autodiff import ParameterError, ShapeError, Tensor, grad_check
 from centerlab.layers import (EmaTwin, Param, init_encoder, init_predictor,
                               init_prototypes, load_checkpoint,
                               save_checkpoint, sgd_step)
+from oracles import mul, tensor_sum
 
 
 class TestInitEncoder:
@@ -87,10 +87,10 @@ class TestForward:
         probe = np.random.default_rng(2).standard_normal((6, 2))
 
         def f(t):
-            return ad.tensor_sum(enc.forward([t])[0] * probe)
+            return tensor_sum(mul(enc.forward([t])[0], probe))
 
         x = Tensor(np.random.default_rng(3).standard_normal((6, 3)))
-        assert ad.grad_check(f, x, tol=1e-4).passed
+        assert grad_check(f, x, tol=1e-4).passed
 
 
 class TestEmaTwin:
