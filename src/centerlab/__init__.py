@@ -8,8 +8,8 @@ from .autodiff import Tensor, backward, grad_check
 from .data import gen_blobs, gen_gaussian_points, gen_moons
 from .diagnostics import (collapse_verdict, delta_dist, estimate_center,
                           knn_eval, residual_stats)
-from .harness import (ExperimentConfig, Trainer, compare_runs,
-                      experiment_names, named_experiment, run_experiment)
+from .harness import (ExperimentConfig, Trainer, experiment_names,
+                      named_experiment, run_experiment)
 from .layers import (EmaTwin, EncoderStack, PrototypeBank, init_encoder,
                      init_predictor, init_prototypes, sgd_step)
 from .losses import (DinoCenterState, LossConfig, barlow_twins_loss, byol_loss,

@@ -1,8 +1,8 @@
 """Command-line surface for the experiment harness.
 
-Subcommands: run, named, sweep, compare, list. Exit codes: 0 success,
-2 config or I/O error, 3 numeric abort, 4 comparison failure or error;
-each failure prints one line to stderr.
+Subcommands: run, named, sweep, claims, list. Exit codes: 0 success,
+2 config or I/O error, 3 numeric abort, 4 a failed claim or a malformed run
+directory; each failure prints one line to stderr.
 """
 
 from __future__ import annotations
@@ -15,9 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
+from . import claims
 from .harness import (ComparisonError, ConfigError, ExperimentConfig,
-                      NumericAbort, apply_overrides, compare_runs,
-                      experiment_names, named_experiment, run_experiment)
+                      NumericAbort, apply_overrides, experiment_names,
+                      named_experiment, run_experiment)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -94,8 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--grid", action="append", required=True,
                          metavar="K=V1,V2", help="grid axis (repeatable)")
 
-    p_cmp = sub.add_parser("compare", help="evaluate claims between metric files")
-    p_cmp.add_argument("spec", help="JSON comparison spec")
+    p_claims = sub.add_parser("claims", help="judge the paper's claims on run directories")
+    p_claims.add_argument("keys", nargs="*", metavar="KEY",
+                          help="registered experiment (default: all of them)")
 
     sub.add_parser("list", help="list registered experiments")
     return parser
@@ -111,20 +113,19 @@ def main(argv: list[str] | None = None) -> int:
                 print(name)
             return EXIT_OK
 
-        if args.command == "compare":
-            with open(args.spec, encoding="utf-8") as fh:
-                try:
-                    spec = json.load(fh)
-                except ValueError as exc:
-                    raise ComparisonError(f"{args.spec}: invalid JSON ({exc})") from exc
-            results = compare_runs(spec)
-            width = max(len(r["name"]) for r in results)
+        if args.command == "claims":
+            unknown = [key for key in args.keys if key not in claims.CLAIMS]
+            if unknown:
+                print(f"unknown experiment(s) {', '.join(unknown)}; available: "
+                      f"{', '.join(claims.CLAIMS)}", file=sys.stderr)
+                return EXIT_CONFIG
             all_passed = True
-            for r in results:
-                status = "PASS" if r["passed"] else "FAIL"
-                all_passed &= r["passed"]
-                print(f"{r['name']:<{width}}  {status}  a={r['a']:.6g} "
-                      f"b={r['b']:.6g} op={r['op']} margin={r['margin']:g}")
+            for key in args.keys or list(claims.CLAIMS):
+                for claim in claims.CLAIMS[key]:
+                    for v in claim(Path(args.out_dir) / key):
+                        all_passed &= v.passed
+                        print(f"{key}  {v.claim}  {'PASS' if v.passed else 'FAIL'}  "
+                              f"margin={v.margin:+.4g}  {v.left:.6g} {v.op} {v.right:.6g}")
             return EXIT_OK if all_passed else EXIT_COMPARISON
 
         # a run is a sweep over one empty grid point. --seed beats

@@ -19,7 +19,6 @@ CSVs are therefore byte-identical to those of the per-item loops.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import numbers
@@ -58,7 +57,6 @@ __all__ = [
     "run_experiment",
     "named_experiment",
     "experiment_names",
-    "compare_runs",
     "METRICS_HEADER",
 ]
 
@@ -79,7 +77,8 @@ class NumericAbort(ArithmeticError):
 
 
 class ComparisonError(ValueError):
-    """Comparison inputs disagree in schema or cadence."""
+    """Run outputs that cannot be compared: seeds that disagree in tick
+    structure, or a malformed file in a run directory."""
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +242,7 @@ class ExperimentConfig:
         return cls.from_dict(raw)
 
 
-_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str, "bool": bool,
-          "path": (str, os.PathLike)}
+_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str, "bool": bool}
 
 
 def _fits(value, annotation: str) -> bool:
@@ -659,14 +657,17 @@ def _aggregate(rows_by_seed: dict[int, list[dict]], path: Path) -> None:
 
 def run_experiment(cfg: ExperimentConfig, out_dir,
                    tick_callback: TickCallback | None = None) -> RunResult:
-    """Execute all seeds of a config; write per-seed CSVs, an aggregate, and
-    a final parameter checkpoint per seed.
+    """Execute all seeds of a config; write its config.json, per-seed CSVs, an
+    aggregate, and a final parameter checkpoint per seed.
 
     The first seed's trainer builds, and so checks, the config: an invalid
     one raises ConfigError before anything is written."""
     trainer = Trainer(cfg, cfg.base_seed)
     out = Path(out_dir) / cfg.name
     out.mkdir(parents=True, exist_ok=True)
+    # the config as `centerlab run` takes it: claims rebuild trainers from it
+    (out / "config.json").write_text(
+        json.dumps(dataclasses.asdict(cfg), indent=1, sort_keys=True) + "\n")
     seed_csvs, checkpoints = [], []
     rows_by_seed: dict[int, list[dict]] = {}
     trainers: dict[int, Trainer] = {}
@@ -833,90 +834,3 @@ def named_experiment(name: str) -> list[tuple[str, ExperimentConfig]]:
         available = ", ".join(sorted(registry))
         raise KeyError(f"unknown experiment {name!r}; available: {available}")
     return registry[name]()
-
-
-# ---------------------------------------------------------------------------
-# run comparison
-# ---------------------------------------------------------------------------
-
-def _load_metric_file(path) -> dict[str, list]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        try:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
-                raise ComparisonError("empty metrics file")
-            cols: dict[str, list] = {name: [] for name in reader.fieldnames}
-            for row in reader:
-                for name in reader.fieldnames:
-                    cell = row[name]
-                    cols[name].append(float(cell) if cell not in ("", None) else None)
-        # an empty file, a cell that is no number, or bytes that are not UTF-8
-        except (ValueError, csv.Error) as exc:
-            raise ComparisonError(f"{path}: {exc}") from exc
-    return cols
-
-
-def _claim_value(cols: dict[str, list], column: str, stat: str) -> float:
-    if column not in cols:
-        raise ComparisonError(f"metric column {column!r} not present")
-    values = [v for v in cols[column] if v is not None]
-    if not values:
-        raise ComparisonError(f"metric column {column!r} has no sampled values")
-    if stat == "final":
-        return values[-1]
-    if stat == "max":
-        return max(values)
-    if stat == "min":
-        return min(values)
-    raise ComparisonError(f"unknown stat {stat!r}")
-
-
-# the fields of a claim and their types; only margin may be left out
-_CLAIM_FIELDS = {"name": "str", "file_a": "path", "file_b": "path", "column": "str",
-                 "stat": "str", "op": "str", "margin": "float"}
-
-
-def compare_runs(spec: dict) -> list[dict]:
-    """Evaluate declared inequalities between metric files.
-
-    Each claim: {name, file_a, file_b, column, stat, op, margin} with
-    op "gt" (a > b + margin) or "ge" (a >= b - margin). Files must share the
-    (epoch, step) tick structure. Returns one verdict dict per claim.
-    """
-    if not isinstance(spec, dict):
-        raise ComparisonError(f"comparison spec: expected an object, "
-                              f"got {type(spec).__name__}")
-    claims = spec.get("claims")
-    if not isinstance(claims, list) or not claims:
-        raise ComparisonError("comparison spec needs a non-empty 'claims' list")
-    results = []
-    for i, claim in enumerate(claims):
-        if not isinstance(claim, dict):
-            raise ComparisonError(f"claims[{i}]: expected an object, "
-                                  f"got {type(claim).__name__}")
-        missing = set(_CLAIM_FIELDS) - {"margin"} - set(claim)
-        if missing:
-            raise ComparisonError(f"claim missing field(s): {sorted(missing)}")
-        for key, annotation in _CLAIM_FIELDS.items():
-            if key in claim and not _fits(claim[key], annotation):
-                raise ComparisonError(f"claims[{i}].{key}: expected {annotation}, "
-                                      f"got {claim[key]!r}")
-        cols_a = _load_metric_file(claim["file_a"])
-        cols_b = _load_metric_file(claim["file_b"])
-        for key in ("epoch", "step"):
-            if cols_a.get(key) != cols_b.get(key):
-                raise ComparisonError(
-                    f"claim {claim['name']!r}: files disagree in {key} cadence")
-        a = _claim_value(cols_a, claim["column"], claim["stat"])
-        b = _claim_value(cols_b, claim["column"], claim["stat"])
-        margin = float(claim.get("margin", 0.0))
-        op = claim["op"]
-        if op == "gt":
-            passed = a > b + margin
-        elif op == "ge":
-            passed = a >= b - margin
-        else:
-            raise ComparisonError(f"unknown op {op!r}")
-        results.append({"name": claim["name"], "a": a, "b": b, "op": op,
-                        "margin": margin, "passed": passed})
-    return results

@@ -1,7 +1,9 @@
 import csv
 import dataclasses
+import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -13,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from centerlab import autodiff as ad
+from centerlab import claims
 from centerlab import harness as H
 from centerlab.autodiff import ParameterError, Tensor
 from centerlab.cli import main as cli_main
@@ -21,8 +24,8 @@ from centerlab.diagnostics import knn_eval
 from centerlab.harness import (METRICS_HEADER, ComparisonError, ConfigError,
                                DatasetSpec, EncoderSpec, ExperimentConfig,
                                NumericAbort, OptimizerSpec, Trainer, _OBJECTIVES,
-                               _index_table, apply_overrides, compare_runs,
-                               experiment_names, named_experiment, run_experiment)
+                               _index_table, apply_overrides, experiment_names,
+                               named_experiment, run_experiment)
 from centerlab.layers import EncoderStack
 from centerlab.losses import LossConfig
 from oracles import composed_views
@@ -802,6 +805,15 @@ class TestRunExperiment:
         assert all(list(row) == METRICS_HEADER.split(",") and None not in row.values()
                    for row in rows)
 
+    def test_config_json_is_what_run_takes(self, tmp_path, capsys):
+        cfg = tiny_config()
+        first = run_experiment(cfg, tmp_path / "a")
+        config_json = tmp_path / "a" / "tiny" / "config.json"
+        assert ExperimentConfig.from_file(config_json) == cfg
+        assert cli_main(["--out-dir", str(tmp_path / "b"), "run", str(config_json)]) == 0
+        for path in first.seed_csvs + [first.aggregate_csv]:
+            assert path.read_bytes() == (tmp_path / "b" / "tiny" / path.name).read_bytes()
+
     def test_invalid_config_writes_nothing(self, tmp_path):
         # no separate validation: the first trainer's build raises
         cfg = tiny_config()
@@ -854,45 +866,57 @@ class TestRegistry:
         with pytest.raises(KeyError):
             named_experiment("does-not-exist")
 
+    def test_every_experiment_has_claims(self):
+        assert set(claims.CLAIMS) == set(experiment_names())
 
-class TestCompareRuns:
-    def _write(self, path, rows):
-        path.write_text("epoch,step,loss\n"
-                        + "\n".join(",".join(map(str, r)) for r in rows) + "\n")
+    # ac05 and ac13 read the collapse thresholds from the run's config.json
+    def test_collapse_thresholds(self):
+        for name in experiment_names():
+            for _, cfg in named_experiment(name):
+                assert (cfg.diagnostics.center_hi, cfg.diagnostics.std_lo) == (0.8, 0.05)
 
-    def test_final_stat_gt(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        self._write(a, [(0, 0, 1.0), (1, 3, 0.9)])
-        self._write(b, [(0, 0, 1.0), (1, 3, 0.5)])
-        res = compare_runs({"claims": [{"name": "a-beats-b", "file_a": a,
-                                       "file_b": b, "column": "loss",
-                                       "stat": "final", "op": "gt",
-                                       "margin": 0.3}]})
-        assert res == [{"name": "a-beats-b", "a": 0.9, "b": 0.5, "op": "gt",
-                        "margin": 0.3, "passed": True}]
+    def test_collapse_claims_read_the_run_config(self, s21_one_epoch, tmp_path):
+        run_dir = shutil.copytree(s21_one_epoch, tmp_path / "s21")
+        for path in run_dir.glob("*/config.json"):
+            raw = json.loads(path.read_text())
+            raw["diagnostics"]["center_hi"] = 0.125
+            path.write_text(json.dumps(raw))
+        assert {v.right for v in claims.ac05(run_dir)
+                if v.claim.endswith("center_norm > center_hi")} == {0.125}
 
-    def test_cadence_mismatch_rejected(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        self._write(a, [(0, 0, 1.0), (1, 3, 0.9)])
-        self._write(b, [(0, 0, 1.0), (2, 6, 0.5)])
-        with pytest.raises(ComparisonError, match="cadence"):
-            compare_runs({"claims": [{"name": "x", "file_a": a, "file_b": b,
-                                      "column": "loss", "stat": "final",
-                                      "op": "gt"}]})
+    def test_ac06_needs_a_shift(self, s21_one_epoch, tmp_path):
+        run_dir = shutil.copytree(s21_one_epoch, tmp_path / "s21")
+        path = run_dir / "collapse-mini-shifted" / "config.json"
+        raw = json.loads(path.read_text())
+        raw["augmentation"].update(kind="centered", shift=None)
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ComparisonError, match="no augmentation.shift"):
+            claims.ac06(run_dir)
 
-    def test_missing_fields_and_columns(self, tmp_path):
-        a = tmp_path / "a.csv"
-        self._write(a, [(0, 0, 1.0)])
-        with pytest.raises(ComparisonError, match="missing"):
-            compare_runs({"claims": [{"name": "x"}]})
-        with pytest.raises(ComparisonError, match="accuracy"):
-            compare_runs({"claims": [{"name": "x", "file_a": a, "file_b": a,
-                                      "column": "accuracy", "stat": "final",
-                                      "op": "ge"}]})
+    def test_claims_read_seeds_in_numeric_order(self, tmp_path):
+        run_experiment(apply_overrides(tiny_config(), {"base_seed": 9}), tmp_path)
+        assert claims._Variant(tmp_path, "tiny").seeds == [9, 10]
 
-    def test_empty_claims_rejected(self):
-        with pytest.raises(ComparisonError):
-            compare_runs({"claims": []})
+
+def _npz(**arrays) -> bytes:
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    return buf.getvalue()
+
+
+# the first CSV ac05 reads and the first checkpoint ac06 loads
+_CSV = "runs/s21-collapse-grid/collapse-mini-centered/seed0.csv"
+_CKPT = "runs/s21-collapse-grid/collapse-mini-shifted/seed0.npz"
+
+
+@pytest.fixture(scope="module")
+def s21_one_epoch(tmp_path_factory):
+    """The s21 run directory after one epoch on one seed."""
+    root = tmp_path_factory.mktemp("s21")
+    for _, cfg in named_experiment("s21-collapse-grid"):
+        cfg = apply_overrides(cfg, {"num_seeds": 1, "optimizer.epochs": 1})
+        run_experiment(cfg, root / "s21-collapse-grid")
+    return root / "s21-collapse-grid"
 
 
 class TestCli:
@@ -1143,60 +1167,43 @@ class TestCli:
         assert written == {f"{key}/{cfg.name}/seed4.csv"
                            for _, cfg in named_experiment(key)}
 
-    def test_compare_failure_exits_4(self, tmp_path, capsys):
-        metrics = tmp_path / "m.csv"
-        metrics.write_text("epoch,step,loss\n0,0,1.0\n")
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({"claims": [{
-            "name": "self-gt-self", "file_a": str(metrics),
-            "file_b": str(metrics), "column": "loss", "stat": "final",
-            "op": "gt"}]}))
-        assert cli_main(["compare", str(spec)]) == 4
-        assert "FAIL" in capsys.readouterr().out
+    def test_claims_failure_exits_4(self, s21_one_epoch, capsys):
+        # one epoch collapses nothing
+        assert cli_main(["--out-dir", str(s21_one_epoch.parent), "claims",
+                         "s21-collapse-grid"]) == 4
+        assert "  FAIL  " in capsys.readouterr().out
 
-    _CLAIM = {"name": "x", "file_a": "m.csv", "file_b": "m.csv", "column": "loss",
-              "stat": "final", "op": "gt"}
-
-    # each input once printed a traceback and exited 1; the last field is a
+    # each input once printed a traceback and exited 1 (compare's spec and
+    # metrics files) or would (a claim's run directory); the last field is a
     # part of the one stderr line: the path, field or file at fault
-    @pytest.mark.parametrize("argv, spec, code, names", [
-        (["compare", "spec.json"], b"{not json", 4, "spec.json: invalid JSON"),
-        (["compare", "spec.json"], b'{"claims": [\xff]}', 4, "spec.json: invalid JSON"),
-        (["compare", "spec.json"], [1, 2], 4, "spec: expected an object"),
-        (["compare", "spec.json"], {"claims": [5]}, 4, "claims[0]: expected an object"),
-        (["compare", "spec.json"], {"claims": [{**_CLAIM, "name": 3}]}, 4,
-         "claims[0].name"),
-        # open(0) would read stdin
-        (["compare", "spec.json"], {"claims": [{**_CLAIM, "file_a": 0}]}, 4,
-         "claims[0].file_a"),
-        (["compare", "spec.json"], {"claims": [{**_CLAIM, "file_b": 0}]}, 4,
-         "claims[0].file_b"),
-        (["compare", "spec.json"], {"claims": [{**_CLAIM, "column": ["loss"]}]}, 4,
-         "claims[0].column"),
-        (["compare", "spec.json"], {"claims": [{**_CLAIM, "margin": "x"}]}, 4,
-         "claims[0].margin"),
-        (["compare", "spec.json"], {"claims": [{**_CLAIM, "margin": float("nan")}]}, 4,
-         "claims[0].margin"),
-        (["compare", "spec.json"], {"claims": [{**_CLAIM, "file_a": "cell.csv"}]}, 4,
-         "cell.csv: could not convert"),
-        (["compare", "spec.json"], {"claims": [{**_CLAIM, "file_b": "bytes.csv"}]}, 4,
-         "bytes.csv: 'utf-8' codec"),
-        (["run", "spec.json"], b'{"name": "\xff"}', 2, "spec.json: invalid JSON"),
-        (["run", "."], None, 2, "Is a directory"),
-        (["compare", "."], None, 2, "Is a directory"),
-        (["--out-dir", "m.csv", "named", "fig3-simple-vs-simsiam"], None, 2,
+    @pytest.mark.parametrize("argv, files, code, names", [
+        (["claims", "s21-collapse-grid"], {_CKPT: _npz(**{"encoder.w0": np.zeros((3, 8))})}, 4,
+         "missing parameter encoder.b0"),
+        (["claims", "s21-collapse-grid"], {_CKPT: _npz(**{"encoder.w0": np.zeros((2, 8))})}, 4,
+         "seed0.npz: checkpoint shape (2, 8)"),
+        (["claims", "s21-collapse-grid"], {_CKPT: b"not an archive"}, 4, "seed0.npz: "),
+        (["claims", "s21-collapse-grid"], {_CSV: f"{METRICS_HEADER}\n0,0,0,,abc,0,0,0,,\n".encode()}, 4,
+         "seed0.csv: could not convert"),
+        (["claims", "s21-collapse-grid"], {_CSV: f"{METRICS_HEADER}\n0,0,0,,\xff,0,0,0,,\n".encode("latin-1")},
+         4, "seed0.csv: 'utf-8' codec"),
+        (["--out-dir", "elsewhere", "claims", "s21-collapse-grid"], {}, 2,
+         "collapse-mini-centered/config.json"),
+        (["claims", "s21-collapse-grid", "no-such-key"], {}, 2,
+         "unknown experiment(s) no-such-key"),
+        (["run", "spec.json"], {"spec.json": b'{"name": "\xff"}'}, 2,
+         "spec.json: invalid JSON"),
+        (["run", "."], {}, 2, "Is a directory"),
+        (["--out-dir", "m.csv", "named", "fig3-simple-vs-simsiam"], {"m.csv": b""}, 2,
          "Not a directory"),
-    ], ids=["spec-invalid-json", "spec-not-utf8", "spec-not-object", "claim-not-object",
-            "name-not-str", "file_a-not-path", "file_b-not-path", "column-not-str",
-            "margin-not-number", "margin-nan", "cell-not-number", "metrics-not-utf8",
-            "config-not-utf8", "run-directory", "compare-directory", "out-dir-is-file"])
-    def test_bad_input_prints_one_line(self, tmp_path, argv, spec, code, names):
-        (tmp_path / "m.csv").write_text("epoch,step,loss\n0,0,1.0\n")
-        (tmp_path / "cell.csv").write_text("epoch,step,loss\n0,0,abc\n")
-        (tmp_path / "bytes.csv").write_bytes(b"epoch,step,loss\n0,0,\xff\n")
-        if spec is not None:
-            (tmp_path / "spec.json").write_bytes(
-                spec if isinstance(spec, bytes) else json.dumps(spec).encode())
+    ], ids=["checkpoint-missing-parameter", "checkpoint-wrong-shape",
+            "checkpoint-not-archive", "cell-not-number", "metrics-not-utf8",
+            "missing-run-directory", "unknown-key", "config-not-utf8", "run-directory",
+            "out-dir-is-file"])
+    def test_bad_input_prints_one_line(self, s21_one_epoch, tmp_path, argv, files,
+                                       code, names):
+        shutil.copytree(s21_one_epoch, tmp_path / "runs" / s21_one_epoch.name)
+        for rel, content in files.items():
+            (tmp_path / rel).write_bytes(content)
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         out = subprocess.run([sys.executable, "-m", "centerlab.cli", *argv],
                              cwd=tmp_path, stdin=subprocess.DEVNULL,
