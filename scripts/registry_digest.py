@@ -7,8 +7,10 @@ Runs each variant of each registered experiment once through
 `run_experiment`, with `base_seed`, `num_seeds` and `record_wall_time=False`
 overridden, into `<out>/<experiment>/<variant name>/seed<s>.csv`. A digest
 is the sha256 of CSVs' bytes concatenated in sorted relative-path order:
-one line per experiment over its own CSVs, then the total over all of them,
-then one line over every variant's `aggregate.csv`. Two trees that print the
+one line per experiment over its own CSVs, one line for each loss swap of
+fig3's `simple-blobs` (`triplet-blobs`, `infonce-blobs`, run into
+`<out>/<kind>-blobs/`), then the total over the experiments' CSVs, then one
+line over their variants' `aggregate.csv`. Two trees that print the
 same digest wrote byte-identical CSVs, so a change meant to be exact can be
 checked against its parent, and a change that adds an experiment can show
 that every other experiment kept its digest. Imports centerlab from this
@@ -28,6 +30,12 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from centerlab import harness  # noqa: E402
 
+# the loss swaps the benchmark's objective-catalog workload runs on fig3's
+# simple-blobs: triplet is the one objective whose negatives share the pair
+# stream with the partner draws
+SWAPPED_EXPERIMENT, SWAPPED_VARIANT = "fig3-simple-vs-simsiam", "simple-blobs"
+LOSS_SWAPS = ("triplet", "infonce")
+
 
 def _digest(out: Path, csvs: list[str]) -> str:
     h = hashlib.sha256()
@@ -36,23 +44,32 @@ def _digest(out: Path, csvs: list[str]) -> str:
     return h.hexdigest()
 
 
+def _files(out: Path, keys, pattern: str) -> list[str]:
+    return sorted(p.relative_to(out).as_posix()
+                  for key in keys for p in (out / key).rglob(pattern))
+
+
 def registry_digest(out: Path, base_seed: int, num_seeds: int
                     ) -> tuple[str, int, dict[str, tuple[str, int]], tuple[str, int]]:
-    """(total digest, CSV count, {experiment: (digest, CSV count)},
-    (aggregate digest, aggregate count))."""
-    for name in harness.experiment_names():
-        for _, cfg in harness.named_experiment(name):
-            cfg = harness.apply_overrides(cfg, {
-                "base_seed": base_seed, "num_seeds": num_seeds,
-                "record_wall_time": False})
-            harness.run_experiment(cfg, out / name)
-    csvs = sorted(p.relative_to(out).as_posix() for p in out.rglob("seed*.csv"))
-    per_experiment = {}
-    for name in harness.experiment_names():
-        own = [rel for rel in csvs if rel.startswith(f"{name}/")]
-        per_experiment[name] = (_digest(out, own), len(own))
-    aggregates = sorted(p.relative_to(out).as_posix() for p in out.rglob("aggregate.csv"))
-    return (_digest(out, csvs), len(csvs), per_experiment,
+    """(total digest, CSV count, {experiment or loss swap: (digest, CSV count)},
+    (aggregate digest, aggregate count)); the total and the aggregate digest
+    cover the registered experiments only."""
+    names = harness.experiment_names()
+    simple_blobs = dict(harness.named_experiment(SWAPPED_EXPERIMENT))[SWAPPED_VARIANT]
+    swaps = {f"{kind}-blobs": harness.apply_overrides(
+        simple_blobs, {"name": f"{kind}-blobs", "loss.kind": kind}) for kind in LOSS_SWAPS}
+    runs = [(name, cfg) for name in names for _, cfg in harness.named_experiment(name)]
+    for key, cfg in runs + list(swaps.items()):
+        cfg = harness.apply_overrides(cfg, {
+            "base_seed": base_seed, "num_seeds": num_seeds, "record_wall_time": False})
+        harness.run_experiment(cfg, out / key)
+    csvs = _files(out, names, "seed*.csv")
+    digests = {}
+    for key in [*names, *swaps]:
+        own = _files(out, [key], "seed*.csv")
+        digests[key] = (_digest(out, own), len(own))
+    aggregates = _files(out, names, "aggregate.csv")
+    return (_digest(out, csvs), len(csvs), digests,
             (_digest(out, aggregates), len(aggregates)))
 
 
@@ -71,8 +88,11 @@ def main(argv=None) -> int:
         with tempfile.TemporaryDirectory() as tmp:
             digest, n, per_experiment, aggregates = registry_digest(
                 Path(tmp), args.base_seed, args.num_seeds)
-    for name, (exp_digest, exp_n) in per_experiment.items():
-        print(f"{exp_digest}  {exp_n} seed CSVs, {name}")
+    names = harness.experiment_names()
+    for key, (exp_digest, exp_n) in per_experiment.items():
+        swap = "" if key in names else (
+            f" ({SWAPPED_EXPERIMENT} {SWAPPED_VARIANT}, not in the total)")
+        print(f"{exp_digest}  {exp_n} seed CSVs, {key}{swap}")
     print(f"{digest}  {n} seed CSVs, base seed {args.base_seed}, "
           f"{args.num_seeds} seeds per variant")
     print(f"{aggregates[0]}  {aggregates[1]} aggregate CSVs")

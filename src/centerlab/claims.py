@@ -82,7 +82,7 @@ class _Variant:
             try:
                 load_checkpoint(path, trainer.params)
             # a missing parameter, a wrong shape, or a file that is no archive
-            except (KeyError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+            except (ValueError, EOFError, zipfile.BadZipFile) as exc:
                 raise ComparisonError(f"{path}: {exc}") from exc
         return out
 

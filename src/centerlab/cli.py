@@ -119,8 +119,17 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"unknown experiment(s) {', '.join(unknown)}; available: "
                       f"{', '.join(claims.CLAIMS)}", file=sys.stderr)
                 return EXIT_CONFIG
+            keys = args.keys
+            if not keys:  # a partial run tree: judge what it holds
+                keys = [key for key in claims.CLAIMS if (Path(args.out_dir) / key).exists()]
+                skipped = [key for key in claims.CLAIMS if key not in keys]
+                if skipped:
+                    print(f"no run directory under {args.out_dir} for "
+                          f"{', '.join(skipped)}; skipped", file=sys.stderr)
+                if not keys:
+                    return EXIT_CONFIG
             all_passed = True
-            for key in args.keys or list(claims.CLAIMS):
+            for key in keys:
                 for claim in claims.CLAIMS[key]:
                     for v in claim(Path(args.out_dir) / key):
                         all_passed &= v.passed

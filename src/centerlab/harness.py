@@ -12,9 +12,15 @@ ordering is pinned: one student forward of the step's stacked views -> loss
 The partner and negative samplers draw in bulk from rectangular index tables
 but consume the pair stream draw for draw as per-item loops do: a partner is
 one ``integers(group size)`` per row, drawn again while it picks the row
-itself (the rows walk one iterator over chunks of ``rows left`` draws); a
-negative is one draw for the other class, then one for its member. The seed
-CSVs are therefore byte-identical to those of the per-item loops.
+itself; a negative is one draw for the other class, then one for its member.
+The seed CSVs are therefore byte-identical to those of the per-item loops.
+The rows walk one iterator over chunks of draws. When the objective draws no
+negatives, the partner sampler is the pair generator's only reader, so a
+chunk reads ahead (at least a quarter of the view pool) and the draws left
+unread carry to the next step on the same generator object; each epoch's new
+generator starts with none. Only the generator's state between steps runs
+ahead of the loops'. With negatives, a chunk is exactly the rows left, so
+the state after every sampler call is the loops' own.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import json
 import numbers
 import os
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -473,15 +479,25 @@ class Trainer:
                        for p in head.parameters(group)]
         self.lr_multipliers = {"predictor": cfg.optimizer.predictor_lr_multiplier}
         self.prev_mean: np.ndarray | None = None
+        # the pair generator last read and its draws not yet consumed
+        self._unread: tuple[np.random.Generator | None, Iterator[int]] = (None, iter(()))
 
     # -- batch construction ---------------------------------------------
     def _partners(self, idx: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """A uniform other member of each row's group (the row itself if alone)."""
+        """A uniform other member of each row's group (the row itself if alone).
+
+        Unless negatives share the stream, a refill reads ahead and the draws
+        left unread carry to the next call on the same generator object.
+        """
         size = self.group_table.shape[1]
         if size == 1:
             return idx.copy()
         n = idx.shape[0]
-        picks, draws = [], iter(())
+        ahead = 0 if self.objective.negatives else self.augmented.n // 4
+        held, draws = self._unread
+        if held is not rng:
+            draws = iter(())
+        picks = []
         for own in self.group_pos[idx].tolist():
             for pick in draws:
                 if pick != own:
@@ -489,9 +505,11 @@ class Trainer:
             else:  # the chunk ran out: every row from here on needs a draw
                 pick = own
                 while pick == own:
-                    draws = iter(rng.integers(size, size=n - len(picks)).tolist())
+                    draws = iter(rng.integers(
+                        size, size=max(n - len(picks), ahead)).tolist())
                     pick = next((p for p in draws if p != own), own)
             picks.append(pick)
+        self._unread = (rng, draws)
         return self.group_table[self.group_row[idx], picks]
 
     def _negatives(self, idx: np.ndarray, rng: np.random.Generator) -> np.ndarray:

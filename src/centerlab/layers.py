@@ -214,7 +214,7 @@ def load_checkpoint(path, params: Iterable[Param]) -> None:
     with np.load(path) as data:
         for p in params:
             if p.name not in data.files:
-                raise KeyError(f"checkpoint missing parameter {p.name}")
+                raise ValueError(f"checkpoint missing parameter {p.name}")
             arr = data[p.name]
             if arr.shape != p.tensor.shape:
                 raise ShapeError(

@@ -1,3 +1,4 @@
+import copy
 import csv
 import dataclasses
 import io
@@ -557,9 +558,27 @@ def registry_config(experiment, variant, **overrides):
     return apply_overrides(dict(named_experiment(experiment))[variant], overrides)
 
 
+def carried(trainer, rng):
+    """The partner draws the trainer holds unread for generator `rng`."""
+    held, draws = trainer._unread
+    return list(copy.copy(draws)) if held is rng else []
+
+
+def assert_ahead_of(trainer, rng, ref):
+    """The trainer's unread draws are the next ones on the loop's stream, and
+    past them its generator is in the loop's state."""
+    unread = carried(trainer, rng)
+    ahead = copy.deepcopy(ref)
+    np.testing.assert_array_equal(
+        ahead.integers(trainer.group_table.shape[1], size=len(unread)), unread)
+    assert rng.bit_generator.state == ahead.bit_generator.state
+
+
 class TestPairSamplersMatchLoop:
-    """The bulk samplers return the loop's indices and leave the pair RNG in
-    the loop's state, batch after batch, as `run_experiment` calls them."""
+    """The bulk samplers return the loop's indices, batch after batch, as
+    `run_experiment` calls them. The partner sampler may hold draws it read
+    ahead; those are the loop's next draws, and past them the pair RNG is in
+    the loop's state."""
 
     def _assert_same_stream(self, cfg, epochs, seed=3, negatives=False):
         """Compare over `epochs` epochs; returns the batch sizes seen."""
@@ -578,7 +597,7 @@ class TestPairSamplersMatchLoop:
                 np.testing.assert_array_equal(
                     trainer._partners(idx, rng),
                     loop_partners(trainer, members, idx, ref))
-                assert rng.bit_generator.state == ref.bit_generator.state
+                assert_ahead_of(trainer, rng, ref)
                 if negatives:
                     np.testing.assert_array_equal(
                         trainer._negatives(idx, rng),
@@ -609,6 +628,21 @@ class TestPairSamplersMatchLoop:
         np.testing.assert_array_equal(trainer._partners(idx, rng), idx)
         assert rng.bit_generator.state == before
         self._assert_same_stream(cfg, epochs=3)
+
+    def test_fresh_generator_reads_no_carry(self):
+        # each epoch's generator is new: its first call reads none of the draws
+        # the previous one left unread, even when seeded alike
+        cfg = registry_config("s21-collapse-grid", "mini-centered")
+        trainer = Trainer(cfg, seed=3)
+        members = {int(g): np.flatnonzero(trainer.augmented.group == g)
+                   for g in np.unique(trainer.augmented.group)}
+        idx = next(iter(trainer.sampler.epoch_batches(trainer.augmented.n, 1)))
+        for key in ([40_003, 1], [40_003, 2], [40_003, 1]):
+            rng, ref = np.random.default_rng(key), np.random.default_rng(key)
+            np.testing.assert_array_equal(trainer._partners(idx, rng),
+                                          loop_partners(trainer, members, idx, ref))
+            assert carried(trainer, rng)
+            assert_ahead_of(trainer, rng, ref)
 
     def test_trailing_short_batch(self):
         cfg = apply_overrides(tiny_config(), {"dataset.n_per_class": 11})
@@ -1173,12 +1207,25 @@ class TestCli:
                          "s21-collapse-grid"]) == 4
         assert "  FAIL  " in capsys.readouterr().out
 
+    def test_claims_without_key_skips_missing_experiments(self, s21_one_epoch,
+                                                          tmp_path, capsys):
+        shutil.copytree(s21_one_epoch, tmp_path / s21_one_epoch.name)
+        assert cli_main(["--out-dir", str(tmp_path), "claims"]) == 4
+        out, err = capsys.readouterr()
+        judged = {line.split()[0] for line in out.splitlines()}
+        assert judged == {"s21-collapse-grid"}
+        assert len(err.splitlines()) == 1
+        skipped = [key for key in claims.CLAIMS if key != "s21-collapse-grid"]
+        assert err.rstrip().endswith(f"for {', '.join(skipped)}; skipped")
+        assert cli_main(["--out-dir", str(tmp_path / "empty"), "claims"]) == 2
+        assert "skipped" in capsys.readouterr().err
+
     # each input once printed a traceback and exited 1 (compare's spec and
     # metrics files) or would (a claim's run directory); the last field is a
     # part of the one stderr line: the path, field or file at fault
     @pytest.mark.parametrize("argv, files, code, names", [
         (["claims", "s21-collapse-grid"], {_CKPT: _npz(**{"encoder.w0": np.zeros((3, 8))})}, 4,
-         "missing parameter encoder.b0"),
+         "seed0.npz: checkpoint missing parameter encoder.b0"),
         (["claims", "s21-collapse-grid"], {_CKPT: _npz(**{"encoder.w0": np.zeros((2, 8))})}, 4,
          "seed0.npz: checkpoint shape (2, 8)"),
         (["claims", "s21-collapse-grid"], {_CKPT: b"not an archive"}, 4, "seed0.npz: "),
