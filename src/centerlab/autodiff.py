@@ -142,14 +142,14 @@ def _col_sum(a: np.ndarray) -> np.ndarray:
     return 0.0 + np.add.accumulate(a, axis=-2)[..., -1:, :]
 
 
-# activation name -> (forward, backward rule); the rule maps the output's
-# gradient g, the pre-activation and the output to the pre-activation's
-# gradient with the expressions of the composed relu and tanh nodes that the
-# tests keep as oracles
-_ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
+# activation name -> (forward, backward rule), or None for the identity,
+# which costs no call; the rule maps the output's gradient g, the
+# pre-activation and the output to the pre-activation's gradient with the
+# expressions of the composed relu and tanh nodes that the tests keep as oracles
+_ACTIVATIONS: dict[str, tuple[Callable, Callable] | None] = {
     "tanh": (np.tanh, lambda g, pre, out: g * (1.0 - out ** 2)),
     "relu": (lambda v: np.maximum(v, 0.0), lambda g, pre, out: g * (pre > 0.0)),
-    "identity": (lambda v: v, lambda g, pre, out: g),
+    "identity": None,
 }
 
 
@@ -162,8 +162,10 @@ def _mlp_forward(h: np.ndarray, weights: Sequence[Tensor], biases: Sequence[Tens
     for w, b, act in zip(weights, biases, activations):
         if hs[-1].shape[-1] != w.shape[0]:
             raise ShapeError(f"mlp inner dims disagree: {hs[-1].shape} @ {w.shape}")
-        pres.append(np.matmul(hs[-1], w.values) + b.values)
-        hs.append(_ACTIVATIONS[act][0](pres[-1]))
+        pres.append(np.matmul(hs[-1], w.values))
+        pres[-1] += b.values  # in place on the product's fresh array
+        rule = _ACTIVATIONS[act]
+        hs.append(pres[-1] if rule is None else rule[0](pres[-1]))
     h = hs[-1]
     if not normalize:
         return hs, pres, None, None, h
@@ -185,11 +187,12 @@ def mlp(x, weights: Sequence[Tensor], biases: Sequence[Tensor],
     view's own product; stacking the views as rows of one product is not.
     The backward replays, batched over the view axis, the rules of the
     composed matmul, add, activation, div, power, sum and mul nodes, not the
-    analytic normalisation Jacobian. Each parameter then gets its views'
-    gradients one at a time, in the order in which the row blocks ran their
-    backward (with three views that order sets the rounding of the sums),
-    and so does each view Tensor that requires one. So values and gradients
-    are bit-identical to V composed graphs.
+    analytic normalisation Jacobian. A parameter without a gradient gets its
+    views' gradients as one left fold in the order in which the row blocks
+    ran their backward (with three views that order sets the rounding of the
+    sums); one holding a gradient, and each view Tensor that requires one,
+    gets them one at a time in that order. So values and gradients are
+    bit-identical to V composed graphs.
     """
     views = () if isinstance(x, np.ndarray) else tuple(x)
     x_grad = any(v.requires_grad for v in views)
@@ -200,8 +203,9 @@ def mlp(x, weights: Sequence[Tensor], biases: Sequence[Tensor],
 
     def bwd(grads: dict[int, np.ndarray]):
         # views no row block reached hold zeros and hand out nothing
-        g = np.stack([grads[v] if v in grads else np.zeros((m, n))
-                      for v in range(len(out))])
+        g = (np.empty if len(grads) == len(out) else np.zeros)(out.shape)
+        for v, gv in grads.items():
+            g[v] = gv
         if normalize:
             gd = -g * h / (d ** 2)
             if n != 1:  # as _unbroadcast to d's shape
@@ -212,7 +216,9 @@ def mlp(x, weights: Sequence[Tensor], biases: Sequence[Tensor],
         per_param = []
         for i in reversed(range(len(weights))):
             w, b = weights[i], biases[i]
-            g = _ACTIVATIONS[activations[i]][1](g, pres[i], hs[i + 1])
+            rule = _ACTIVATIONS[activations[i]]
+            if rule is not None:
+                g = rule[1](g, pres[i], hs[i + 1])
             if b.requires_grad:  # as _unbroadcast: one row is handed on unsummed
                 per_param.append((b, g if m == 1 else _col_sum(g)))
             if w.requires_grad:
@@ -220,8 +226,15 @@ def mlp(x, weights: Sequence[Tensor], biases: Sequence[Tensor],
             if i or x_grad:
                 g = np.matmul(g, w.values.T)
         for p, per_view in per_param:
-            for v in grads:
-                _accum(p, per_view[v])
+            if p.grad is None and len(grads) > 1:
+                # _accum's copy-then-adds as one left fold in arrival order
+                order = iter(grads)
+                p.grad = per_view[next(order)] + per_view[next(order)]
+                for v in order:
+                    p.grad += per_view[v]
+            else:
+                for v in grads:
+                    _accum(p, per_view[v])
         for v in grads:
             if x_grad and views[v].requires_grad:
                 _accum(views[v], g[v])

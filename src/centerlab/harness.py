@@ -4,10 +4,12 @@ A run is a pure function of its config (seeds included): generation,
 initialization, batch order and pairing all derive from the run seed, so
 repeated runs produce bit-identical metrics rows. What each loss kind needs
 (its heads, negatives, class views, smallest batch and step) is one row of
-``_OBJECTIVES``, and each head has one builder in ``_HEADS``. The per-step
-ordering is pinned: one student forward of the step's stacked views -> loss
--> backward -> optimizer step -> EMA twin update -> the loss's post-step hook
-(DINO's center update, SwAV's prototype renormalization) -> diagnostics.
+``_OBJECTIVES``, and each head has one builder in ``_HEADS``. Before an
+epoch's first step every batch's views are drawn, in batch order, and
+gathered with one ``take``. The per-step ordering is pinned: one student
+forward of the step's drawn views -> loss -> backward -> optimizer step ->
+EMA twin update -> the loss's post-step hook (DINO's center update, SwAV's
+prototype renormalization) -> diagnostics.
 
 The partner and negative samplers draw in bulk from rectangular index tables
 but consume the pair stream draw for draw as per-item loops do: a partner is
@@ -17,19 +19,21 @@ The seed CSVs are therefore byte-identical to those of the per-item loops.
 The rows walk one iterator over chunks of draws. When the objective draws no
 negatives, the partner sampler is the pair generator's only reader, so a
 chunk reads ahead (at least a quarter of the view pool) and the draws left
-unread carry to the next step on the same generator object; each epoch's new
-generator starts with none. Only the generator's state between steps runs
-ahead of the loops'. With negatives, a chunk is exactly the rows left, so
-the state after every sampler call is the loops' own.
+unread carry to the next batch on the same generator object; each epoch's
+new generator starts with none. Only the generator's state between batches
+runs ahead of the loops'. With negatives, a chunk is exactly the rows left,
+so the state after every sampler call is the loops' own.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import numbers
 import os
 import time
+from collections import deque
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
@@ -481,6 +485,8 @@ class Trainer:
         self.prev_mean: np.ndarray | None = None
         # the pair generator last read and its draws not yet consumed
         self._unread: tuple[np.random.Generator | None, Iterator[int]] = (None, iter(()))
+        # the generator of the drawn epoch and its (batch, views) not yet trained
+        self._drawn: tuple[np.random.Generator | None, deque] = (None, deque())
 
     # -- batch construction ---------------------------------------------
     def _partners(self, idx: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -520,20 +526,40 @@ class Trainer:
         other += other >= self.label_row[idx]
         return self.label_table[other, draws[1::2]]
 
+    def _views(self, batches: list[np.ndarray], rng: np.random.Generator
+               ) -> list[np.ndarray]:
+        """Each batch's (V, m, k) views: anchors, partners and any negatives,
+        drawn batch after batch and gathered with one ``take``."""
+        rows = []
+        for idx in batches:
+            rows += [idx, self._partners(idx, rng)]
+            if self.objective.negatives:
+                rows.append(self._negatives(idx, rng))
+        x = self.augmented.points.take(np.concatenate(rows), axis=0)
+        views = 2 + self.objective.negatives
+        ends = np.cumsum([views * idx.shape[0] for idx in batches]).tolist()
+        return [x[a:b].reshape(views, -1, x.shape[1]) for a, b in zip([0] + ends, ends)]
+
+    def draw_epoch(self, batches: list[np.ndarray], rng: np.random.Generator) -> None:
+        """Draw every batch's views before the epoch's first step; a step on
+        `rng` whose batch is the next of these trains on its drawn views."""
+        self._drawn = (rng, deque(zip(batches, self._views(batches, rng))))
+
     # -- one optimizer step ---------------------------------------------
     def train_step(self, idx: np.ndarray, rng: np.random.Generator) -> float:
         cfg, st = self.cfg, self.state
-        views = [idx, self._partners(idx, rng)]
-        if self.objective.negatives:
-            views.append(self._negatives(idx, rng))
-        x = self.augmented.points.take(np.stack(views), axis=0)
+        held, drawn = self._drawn
+        if held is rng and drawn and drawn[0][0] is idx:
+            x = drawn.popleft()[1]
+        else:
+            x = self._views([idx], rng)[0]
         z = st.encoder.forward(x)
         try:
             loss, hook = self.objective.step(st, cfg.loss, x, z)
         except NumericError as exc:
             raise NumericAbort(f"{exc} at step {st.step}") from exc
         value = loss.item()
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise NumericAbort(f"non-finite loss at step {st.step}")
         backward(loss)
         sgd_step(self.params, cfg.optimizer.lr, self.lr_multipliers)
@@ -631,6 +657,7 @@ def _run_one_seed(trainer: Trainer, csv_path: Path,
                 epoch_losses = []
                 batches = trainer.sampler.epoch_batches(trainer.augmented.n, epoch)
                 pair_rng = np.random.default_rng([seed + 40_000, epoch])
+                trainer.draw_epoch(batches, pair_rng)
                 for idx in batches:
                     epoch_losses.append(trainer.train_step(idx, pair_rng))
                 if epoch % cfg.diagnostics.cadence == 0 or epoch == cfg.optimizer.epochs:

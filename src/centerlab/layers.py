@@ -199,8 +199,9 @@ def sgd_step(params: Iterable[Param], lr: float,
         if p.tensor.grad is None:
             raise ValueError(f"parameter {p.name} has no gradient; run backward first")
     for p in params:
-        scale = lr * multipliers.get(p.group, 1.0)
-        p.tensor.values -= scale * p.tensor.grad
+        # autodiff gives each leaf a gradient array of its own: scale it in place
+        p.tensor.grad *= lr * multipliers.get(p.group, 1.0)
+        p.tensor.values -= p.tensor.grad
         p.tensor.grad = None
 
 

@@ -293,6 +293,31 @@ def composed_views(xs, weights, biases, acts, normalize):
     return outs
 
 
+def accum_views(x, weights, biases, acts, normalize, grads, order, held=None):
+    """Each parameter's gradient, as ``mlp``'s V row blocks would hand it out
+    if each went on its own: view v's gradient, from a one-view node over
+    ``x[v]`` whose row block receives ``grads[v]``, reaches a parameter through
+    ``_accum`` one view at a time in ``order``, onto a copy of ``held`` (its
+    gradients before) or onto none."""
+    params = (*weights, *biases)
+    per_view = []
+    for v in range(len(x)):
+        own = [Tensor(p.values.copy(), requires_grad=True) for p in params]
+        (block,) = ad.mlp(x[v:v + 1], own[:len(weights)], own[len(weights):], acts,
+                          normalize)
+        ad.backward(ad._make(np.zeros((1, 1)), (block,),
+                             lambda g, block=block, gv=grads[v]: ad._accum(block, gv)))
+        per_view.append([p.grad for p in own])
+    sums = []
+    for i, p in enumerate(params):
+        t = Tensor(p.values)
+        t.grad = None if held is None else held[i].copy()
+        for v in order:
+            ad._accum(t, per_view[v][i])
+        sums.append(t.grad)
+    return sums
+
+
 def composed_batch_norm_cols(x, eps=1e-12):
     """The composed graph that the one ``batch_norm_cols`` node replaces."""
     x = _wrap(x)

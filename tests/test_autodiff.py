@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,10 +10,11 @@ from centerlab import autodiff as ad
 from centerlab import losses as L
 from centerlab.autodiff import (ParameterError, ShapeError, Tensor, backward,
                                 grad_check)
-from oracles import (Var, add, assert_bits_equal, composed_batch_norm_cols,
-                     composed_l2_normalize_rows, composed_tanh, composed_views,
-                     exp, fold_case, leaf, logsumexp_rows, matmul, mul, power,
-                     relu, softmax_rows, stop_gradient, tensor_sum)
+from oracles import (Var, accum_views, add, assert_bits_equal,
+                     composed_batch_norm_cols, composed_l2_normalize_rows,
+                     composed_tanh, composed_views, exp, fold_case, leaf,
+                     logsumexp_rows, matmul, mul, power, relu, softmax_rows,
+                     stop_gradient, tensor_sum)
 
 
 def grad_of(t):
@@ -147,6 +150,57 @@ class TestLinear:
                      (lambda t: fused_linear(Tensor(h), Tensor(w), t, act), b)):
             rep = grad_check(lambda t: tensor_sum(mul(f(t), probe)), Tensor(x), tol=1e-6)
             assert rep.max_rel_err < 1e-6
+
+
+class TestMlpFold:
+    """Each parameter of an ``mlp`` over V views gets its views' gradients
+    bit for bit as ``_accum`` hands them out one at a time in row-block
+    arrival order: as one fold when it holds no gradient, view by view onto
+    the one it holds."""
+
+    # every arrival order of one, two and three views
+    ORDERS = [order for views in (1, 2, 3)
+              for order in itertools.permutations(range(views))]
+
+    @pytest.mark.parametrize("sweeps", [1, 2])
+    @pytest.mark.parametrize("rows", [1, 6])
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("order", ORDERS, ids=str)
+    def test_fold_matches_accum(self, order, normalize, rows, sweeps):
+        rng = np.random.default_rng(31)
+        views = len(order)
+        weights = [leaf(rng.standard_normal((3, 5))), leaf(rng.standard_normal((5, 4)))]
+        biases = [leaf(rng.standard_normal((1, 5))), leaf(rng.standard_normal((1, 4)))]
+        acts = ["tanh", "identity"]
+        x = fold_case((views, rows, 3), seed=1)
+        # gradients spanning 20 decades, so the order of the adds shows, and a
+        # column of -0.0 in every view, so the sign of a zero sum shows
+        grads = [fold_case((rows, 4), seed=10 + v) for v in range(views)]
+        for g in grads:
+            g[:, 0] = -0.0
+        blocks = ad.mlp(x, weights, biases, acts, normalize)
+
+        def bwd(g):
+            for v in order:
+                ad._accum(blocks[v], grads[v])
+
+        # the sweep reaches the loss's parents, and so the row blocks, in the
+        # order they are listed
+        loss = ad._make(np.zeros((1, 1)), tuple(blocks[v] for v in order), bwd)
+        params = (*weights, *biases)
+        backward(loss)
+        held = None
+        if sweeps == 2:  # the second sweep adds onto the gradients held
+            held = [p.grad.copy() for p in params]
+            backward(loss)
+        assert list(blocks[0]._parents[0].grad) == list(order)
+        got = [p.grad for p in params]
+        want = accum_views(x, weights, biases, acts, normalize, grads, order, held)
+        for g, w in zip(got, want, strict=True):
+            assert g.flags.c_contiguous
+            assert_bits_equal(g, w)
+        if rows == 1 and not normalize:  # the -0.0 column reaches the last layer
+            assert any(np.signbit(g[g == 0.0]).any() for g in got)
 
 
 class TestL2NormalizeRows:

@@ -23,6 +23,7 @@ SCRIPT = textwrap.dedent("""
 
     tracer = spans.Tracer()
     spans.install(tracer, centerlab)
+    trainers = []
     with tempfile.TemporaryDirectory() as out:
         for kind in harness._OBJECTIVES:
             cfg = harness.ExperimentConfig(
@@ -31,8 +32,12 @@ SCRIPT = textwrap.dedent("""
                 loss=harness.LossConfig(kind=kind),
                 optimizer=harness.OptimizerSpec(epochs=1, batch_size=15),
                 num_seeds=1, record_wall_time=False)
-            harness.run_experiment(cfg, out)
+            trainers += harness.run_experiment(cfg, out).trainers.values()
     names = [tracer.names[n] for n in tracer.name]
+    # what the runs trained (one epoch each) beside what the tracer counted
+    totals = {"rows": sum(t.augmented.n for t in trainers), "pairs": tracer.pairs,
+              "steps": sum(t.state.step for t in trainers),
+              "traced_steps": names.count("harness.step")}
     # run label -> [steps, steps with a losses.loss child, steps with a
     # layers.forward child]
     steps = {}
@@ -44,6 +49,7 @@ SCRIPT = textwrap.dedent("""
             counts[0] += 1
             counts[1] += i in parents["losses.loss"]
             counts[2] += i in parents["layers.forward"]
+    print(json.dumps(totals))
     print(json.dumps(steps))
     """)
 
@@ -57,6 +63,10 @@ def test_tracer_records_a_loss_span_per_step_for_every_kind():
     out = subprocess.run([sys.executable, "-c", SCRIPT, str(PERFBENCH)],
                          capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
-    steps = json.loads(out.stdout.splitlines()[-1])
+    totals, steps = map(json.loads, out.stdout.splitlines()[-2:])
     # 30 blob points in batches of 15: two steps per (kind, seed 0) run
     assert steps == {f"{kind}/0": [2, 2, 2] for kind in _OBJECTIVES}
+    # perfbench checks these counts only in --trace 1 runs: the trainer must
+    # call Trainer.train_step(idx, rng) once per step with the batch's rows
+    assert totals["pairs"] == totals["rows"] == 30 * len(_OBJECTIVES)
+    assert totals["traced_steps"] == totals["steps"] == 2 * len(_OBJECTIVES)

@@ -661,6 +661,80 @@ class TestPairSamplersMatchLoop:
         self._assert_same_stream(cfg, epochs=4, negatives=True)
 
 
+def per_step_views(trainer, idx, rng):
+    """A step's (V, m, k) inputs drawn as a step on its own draws them."""
+    views = [idx, trainer._partners(idx, rng)]
+    if trainer.objective.negatives:
+        views.append(trainer._negatives(idx, rng))
+    return trainer.augmented.points.take(np.stack(views), axis=0)
+
+
+class TestEpochDraw:
+    """`run_experiment` draws each epoch's views before its first step. A
+    step trains on the views that drawing them step by step gives, and the
+    pair generator ends the epoch in the state step-by-step draws leave."""
+
+    @staticmethod
+    def step_inputs(trainer, monkeypatch):
+        """The arrays the student encoder runs on, appended step by step."""
+        seen = []
+        forward = trainer.state.encoder.forward
+
+        def recording(x):
+            seen.append(x)
+            return forward(x)
+
+        monkeypatch.setattr(trainer.state.encoder, "forward", recording)
+        return seen
+
+    @pytest.mark.parametrize("kind", list(_OBJECTIVES))
+    def test_drawn_views_match_per_step_draws(self, monkeypatch, kind):
+        # 33 rows in batches of 15 leave a trailing batch of 3
+        cfg = apply_overrides(tiny_config(kind=kind), {"dataset.n_per_class": 11})
+        trainer, per_step = Trainer(cfg, seed=3), Trainer(cfg, seed=3)
+        seen = self.step_inputs(trainer, monkeypatch)
+        sizes = set()
+        for epoch in (1, 2):
+            batches = trainer.sampler.epoch_batches(trainer.augmented.n, epoch)
+            rng, ref = (np.random.default_rng([40_003, epoch]) for _ in range(2))
+            trainer.draw_epoch(batches, rng)
+            for idx in batches:
+                sizes.add(idx.shape[0])
+                trainer.train_step(idx, rng)
+                x = seen.pop()
+                np.testing.assert_array_equal(x, per_step_views(per_step, idx, ref))
+                # consecutive rows of the epoch's one gather, not a copy
+                assert x.base is not None and x.flags.c_contiguous
+            assert rng.bit_generator.state == ref.bit_generator.state
+        assert sizes == {15, 3}
+
+    @pytest.mark.parametrize("kind", ["invariance", "triplet"])
+    def test_drawn_views_serve_only_their_batch_and_generator(self, monkeypatch, kind):
+        cfg = tiny_config(kind=kind)
+        trainer, per_step = Trainer(cfg, seed=0), Trainer(cfg, seed=0)
+        seen = self.step_inputs(trainer, monkeypatch)
+        batches = trainer.sampler.epoch_batches(trainer.augmented.n, 1)
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        trainer.draw_epoch(batches, rng)
+        drawn = [per_step_views(per_step, idx, ref) for idx in batches]
+        # a generator seeded alike is another generator: the step draws on it
+        other, other_ref = np.random.default_rng(5), np.random.default_rng(5)
+        trainer.train_step(batches[0], other)
+        np.testing.assert_array_equal(seen.pop(), per_step_views(per_step, batches[0],
+                                                                 other_ref))
+        assert other.bit_generator.state == other_ref.bit_generator.state
+        # equal rows in another array are another batch: the step draws on
+        # past the epoch's draws
+        trainer.train_step(batches[0].copy(), rng)
+        np.testing.assert_array_equal(seen.pop(), per_step_views(per_step, batches[0], ref))
+        assert rng.bit_generator.state == ref.bit_generator.state
+        # the drawn epoch still serves its own batches, drawing nothing
+        for idx, want in zip(batches, drawn, strict=True):
+            trainer.train_step(idx, rng)
+            np.testing.assert_array_equal(seen.pop(), want)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 class TestIndexTables:
     def test_every_registry_variant_is_rectangular(self):
         for name in experiment_names():
