@@ -301,8 +301,8 @@ def _toposort(root: Tensor) -> list[Tensor]:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
-            if p.requires_grad and id(p) not in seen:
+        for p in node._parents:  # a leaf expands nothing and has no backward
+            if p._parents and id(p) not in seen:
                 stack.append((p, False))
     return order
 

@@ -2,7 +2,7 @@
 
 A run directory, ``<out-dir>/KEY/``, holds one folder per variant, named after
 its config, with ``config.json`` and a ``seed<s>.csv`` and ``seed<s>.npz`` per
-seed; a claim reads nothing else. A verdict compares two numbers with the
+seed that config names; a claim reads nothing else. A verdict compares two numbers with the
 claim's own ``>`` or ``>=``; its margin ``left - right`` is how far it held. A
 claim over every seed is its worst seed's verdict. Collapse is
 ``collapse_verdict``'s rule at the run config's thresholds.
@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import functools
 import operator
-import re
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -53,8 +52,8 @@ class _Variant:
     def __init__(self, run_dir, name: str):
         self.dir = Path(run_dir) / name
         self.cfg = ExperimentConfig.from_file(self.dir / "config.json")
-        self.seeds = sorted(int(m[1]) for p in self.dir.iterdir()
-                            if (m := re.fullmatch(r"seed(\d+)\.csv", p.name)))
+        base = self.cfg.base_seed
+        self.seeds = list(range(base, base + self.cfg.num_seeds))
         tables, path = [], self.dir
         try:
             for path in (self.dir / f"seed{s}.csv" for s in self.seeds):

@@ -4,25 +4,23 @@ A run is a pure function of its config (seeds included): generation,
 initialization, batch order and pairing all derive from the run seed, so
 repeated runs produce bit-identical metrics rows. What each loss kind needs
 (its heads, negatives, class views, smallest batch and step) is one row of
-``_OBJECTIVES``, and each head has one builder in ``_HEADS``. Before an
-epoch's first step every batch's views are drawn, in batch order, and
-gathered with one ``take``. The per-step ordering is pinned: one student
-forward of the step's drawn views -> loss -> backward -> optimizer step ->
-EMA twin update -> the loss's post-step hook (DINO's center update, SwAV's
-prototype renormalization) -> diagnostics.
+``_OBJECTIVES``, and each head has one builder in ``_HEADS``. The per-step
+ordering is pinned: one student forward of the step's drawn views -> loss ->
+backward -> optimizer step -> EMA twin update -> the loss's post-step hook
+(DINO's center update, SwAV's prototype renormalization) -> diagnostics.
 
-The partner and negative samplers draw in bulk from rectangular index tables
-but consume the pair stream draw for draw as per-item loops do: a partner is
-one ``integers(group size)`` per row, drawn again while it picks the row
-itself; a negative is one draw for the other class, then one for its member.
-The seed CSVs are therefore byte-identical to those of the per-item loops.
-The rows walk one iterator over chunks of draws. When the objective draws no
-negatives, the partner sampler is the pair generator's only reader, so a
-chunk reads ahead (at least a quarter of the view pool) and the draws left
-unread carry to the next batch on the same generator object; each epoch's
-new generator starts with none. Only the generator's state between batches
-runs ahead of the loops'. With negatives, a chunk is exactly the rows left,
-so the state after every sampler call is the loops' own.
+Before an epoch's first step, ``Trainer.draw_epoch``, the pair generator's
+only reader, draws every batch's views in batch order and gathers them with
+one ``take``. It reads the stream draw for draw as per-item loops do, so the
+seed CSVs are byte-identical to theirs: a partner is one ``integers(group
+size)`` per row, drawn again while it picks the row itself; a negative is one
+draw for the other class, then one for its member, after its batch's
+partners. Partner draws come in chunks of at least the rows left in the
+batch. Without negatives a chunk reads ahead (at least a quarter of the view
+pool) and the draws left unread carry to the next batch of the same call, so
+only the generator's state between batches runs ahead of the loops'; with
+negatives a chunk is exactly the rows left, so the state after every batch
+is the loops' own.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ import numbers
 import os
 import time
 from collections import deque
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -483,41 +481,10 @@ class Trainer:
                        for p in head.parameters(group)]
         self.lr_multipliers = {"predictor": cfg.optimizer.predictor_lr_multiplier}
         self.prev_mean: np.ndarray | None = None
-        # the pair generator last read and its draws not yet consumed
-        self._unread: tuple[np.random.Generator | None, Iterator[int]] = (None, iter(()))
         # the generator of the drawn epoch and its (batch, views) not yet trained
         self._drawn: tuple[np.random.Generator | None, deque] = (None, deque())
 
     # -- batch construction ---------------------------------------------
-    def _partners(self, idx: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """A uniform other member of each row's group (the row itself if alone).
-
-        Unless negatives share the stream, a refill reads ahead and the draws
-        left unread carry to the next call on the same generator object.
-        """
-        size = self.group_table.shape[1]
-        if size == 1:
-            return idx.copy()
-        n = idx.shape[0]
-        ahead = 0 if self.objective.negatives else self.augmented.n // 4
-        held, draws = self._unread
-        if held is not rng:
-            draws = iter(())
-        picks = []
-        for own in self.group_pos[idx].tolist():
-            for pick in draws:
-                if pick != own:
-                    break
-            else:  # the chunk ran out: every row from here on needs a draw
-                pick = own
-                while pick == own:
-                    draws = iter(rng.integers(
-                        size, size=max(n - len(picks), ahead)).tolist())
-                    pick = next((p for p in draws if p != own), own)
-            picks.append(pick)
-        self._unread = (rng, draws)
-        return self.group_table[self.group_row[idx], picks]
-
     def _negatives(self, idx: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """A uniform class other than each row's own, then a uniform member of it."""
         classes, size = self.label_table.shape
@@ -526,33 +493,47 @@ class Trainer:
         other += other >= self.label_row[idx]
         return self.label_table[other, draws[1::2]]
 
-    def _views(self, batches: list[np.ndarray], rng: np.random.Generator
-               ) -> list[np.ndarray]:
-        """Each batch's (V, m, k) views: anchors, partners and any negatives,
-        drawn batch after batch and gathered with one ``take``."""
+    def draw_epoch(self, batches: list[np.ndarray], rng: np.random.Generator) -> None:
+        """Draw every batch's views in batch order and gather them with one
+        ``take``: its anchors, a uniform other member of each row's group (the
+        row itself if alone) and any negatives. A step on `rng` whose batch is
+        the next of these trains on its (V, m, k) slab."""
+        size = self.group_table.shape[1]
+        ahead = 0 if self.objective.negatives else self.augmented.n // 4
+        draws = iter(())  # partner draws read ahead, carried from batch to batch
         rows = []
         for idx in batches:
-            rows += [idx, self._partners(idx, rng)]
+            if size == 1:  # alone in its group, a row is its own partner
+                rows += [idx, idx]
+            else:
+                picks = []
+                for own in self.group_pos[idx].tolist():
+                    for pick in draws:
+                        if pick != own:
+                            break
+                    else:  # the chunk ran out: every row from here on needs a draw
+                        pick = own
+                        while pick == own:
+                            draws = iter(rng.integers(
+                                size, size=max(idx.shape[0] - len(picks), ahead)).tolist())
+                            pick = next((p for p in draws if p != own), own)
+                    picks.append(pick)
+                rows += [idx, self.group_table[self.group_row[idx], picks]]
             if self.objective.negatives:
                 rows.append(self._negatives(idx, rng))
         x = self.augmented.points.take(np.concatenate(rows), axis=0)
         views = 2 + self.objective.negatives
         ends = np.cumsum([views * idx.shape[0] for idx in batches]).tolist()
-        return [x[a:b].reshape(views, -1, x.shape[1]) for a, b in zip([0] + ends, ends)]
-
-    def draw_epoch(self, batches: list[np.ndarray], rng: np.random.Generator) -> None:
-        """Draw every batch's views before the epoch's first step; a step on
-        `rng` whose batch is the next of these trains on its drawn views."""
-        self._drawn = (rng, deque(zip(batches, self._views(batches, rng))))
+        self._drawn = (rng, deque(zip(batches, (
+            x[a:b].reshape(views, -1, x.shape[1]) for a, b in zip([0] + ends, ends)))))
 
     # -- one optimizer step ---------------------------------------------
     def train_step(self, idx: np.ndarray, rng: np.random.Generator) -> float:
         cfg, st = self.cfg, self.state
         held, drawn = self._drawn
-        if held is rng and drawn and drawn[0][0] is idx:
-            x = drawn.popleft()[1]
-        else:
-            x = self._views([idx], rng)[0]
+        if not (held is rng and drawn and drawn[0][0] is idx):  # not drawn: draw it alone
+            self.draw_epoch([idx], rng)
+        x = self._drawn[1].popleft()[1]
         z = st.encoder.forward(x)
         try:
             loss, hook = self.objective.step(st, cfg.loss, x, z)

@@ -323,7 +323,18 @@ class TestTrainer:
         monkeypatch.setattr(H, "backward", capture)
         trainer = Trainer(tiny_config(kind=kind), seed=0)
         trainer.train_step(np.arange(15), np.random.default_rng(0))
-        assert len(ad._toposort(losses[0])) == nodes
+        root = losses[0]
+        graph, stack = {id(root): root}, [root]
+        while stack:  # the loss and every node behind it that requires a gradient
+            for p in stack.pop()._parents:
+                if p.requires_grad and id(p) not in graph:
+                    graph[id(p)] = p
+                    stack.append(p)
+        assert len(graph) == nodes
+        # the backward sweep visits the nodes that have parents, not the leaves
+        order = ad._toposort(root)
+        assert order[-1] is root
+        assert {id(n) for n in order} == {i for i, n in graph.items() if n._parents}
 
     @pytest.mark.parametrize("kind", list(_OBJECTIVES))
     def test_one_student_forward_per_view(self, monkeypatch, kind):
@@ -429,19 +440,17 @@ class TestTrainer:
                 np.testing.assert_allclose(half, 0.5 * full, rtol=1e-9, atol=1e-15)
 
     def test_partners_stay_within_group(self):
-        trainer = Trainer(tiny_config(), seed=0)
-        rng = np.random.default_rng(1)
+        trainer = index_trainer(tiny_config(), seed=0)
         idx = np.arange(trainer.augmented.n)
-        partners = trainer._partners(idx, rng)
+        _, partners = drawn_rows(trainer, [idx], np.random.default_rng(1))[0]
         np.testing.assert_array_equal(trainer.augmented.group[partners],
                                       trainer.augmented.group[idx])
         assert not np.any(partners == idx)
 
     def test_negatives_come_from_other_classes(self):
-        trainer = Trainer(tiny_config(kind="triplet"), seed=0)
-        rng = np.random.default_rng(2)
+        trainer = index_trainer(tiny_config(kind="triplet"), seed=0)
         idx = np.arange(trainer.augmented.n)
-        negs = trainer._negatives(idx, rng)
+        _, _, negs = drawn_rows(trainer, [idx], np.random.default_rng(2))[0]
         assert not np.any(trainer.augmented.labels[negs]
                           == trainer.augmented.labels[idx])
 
@@ -558,51 +567,72 @@ def registry_config(experiment, variant, **overrides):
     return apply_overrides(dict(named_experiment(experiment))[variant], overrides)
 
 
-def carried(trainer, rng):
-    """The partner draws the trainer holds unread for generator `rng`."""
-    held, draws = trainer._unread
-    return list(copy.copy(draws)) if held is rng else []
+def index_trainer(cfg, seed):
+    """A trainer whose view pool holds each row's own index, so a drawn slab
+    reads back as the rows it gathered."""
+    trainer = Trainer(cfg, seed=seed)
+    aug = trainer.augmented
+    trainer.augmented = dataclasses.replace(
+        aug, points=np.arange(aug.n, dtype=np.float64)[:, None])
+    return trainer
 
 
-def assert_ahead_of(trainer, rng, ref):
-    """The trainer's unread draws are the next ones on the loop's stream, and
-    past them its generator is in the loop's state."""
-    unread = carried(trainer, rng)
+def drawn_rows(trainer, batches, rng):
+    """The (V, m) rows `draw_epoch` queues for each batch, in batch order."""
+    trainer.draw_epoch(batches, rng)
+    held, drawn = trainer._drawn
+    assert held is rng
+    assert all(a is b for (a, _), b in zip(drawn, batches, strict=True))
+    return [x[..., 0].astype(np.int64) for _, x in drawn]
+
+
+def loop_rows(trainer, batches, rng):
+    """Each batch's (V, m) rows as the per-item loops draw them, batch after
+    batch: anchors, partners, then any negatives."""
+    aug = trainer.augmented
+    members = {int(g): np.flatnonzero(aug.group == g) for g in np.unique(aug.group)}
+    label_members = {int(lab): np.flatnonzero(aug.labels == lab)
+                     for lab in np.unique(aug.labels)}
+    out = []
+    for idx in batches:
+        views = [idx, loop_partners(trainer, members, idx, rng)]
+        if trainer.objective.negatives:
+            views.append(loop_negatives(trainer, label_members, idx, rng))
+        out.append(np.stack(views))
+    return out
+
+
+def assert_in_loop_state(trainer, batches, rng, ref):
+    """After drawing `batches`, `rng` is where the loops left `ref`: exactly
+    with negatives, otherwise past k <= max(batch, pool // 4) more partner
+    draws, those read ahead and left unread."""
+    most = 0 if trainer.objective.negatives else max(
+        *(idx.shape[0] for idx in batches), trainer.augmented.n // 4)
     ahead = copy.deepcopy(ref)
-    np.testing.assert_array_equal(
-        ahead.integers(trainer.group_table.shape[1], size=len(unread)), unread)
-    assert rng.bit_generator.state == ahead.bit_generator.state
+    for _ in range(most):
+        if ahead.bit_generator.state == rng.bit_generator.state:
+            break
+        ahead.integers(trainer.group_table.shape[1])
+    assert ahead.bit_generator.state == rng.bit_generator.state
 
 
 class TestPairSamplersMatchLoop:
-    """The bulk samplers return the loop's indices, batch after batch, as
-    `run_experiment` calls them. The partner sampler may hold draws it read
-    ahead; those are the loop's next draws, and past them the pair RNG is in
-    the loop's state."""
+    """`draw_epoch` queues the loops' rows, epoch after epoch, as
+    `run_experiment` calls it, and leaves each epoch's pair generator in the
+    loops' state or just past it (`assert_in_loop_state`)."""
 
-    def _assert_same_stream(self, cfg, epochs, seed=3, negatives=False):
+    def _assert_same_stream(self, cfg, epochs, seed=3):
         """Compare over `epochs` epochs; returns the batch sizes seen."""
-        trainer = Trainer(cfg, seed=seed)
-        aug = trainer.augmented
-        members = {int(g): np.flatnonzero(aug.group == g)
-                   for g in np.unique(aug.group)}
-        label_members = {int(lab): np.flatnonzero(aug.labels == lab)
-                         for lab in np.unique(aug.labels)}
+        trainer = index_trainer(cfg, seed)
         batch_sizes = set()
         for epoch in range(1, epochs + 1):
-            rng = np.random.default_rng([seed + 40_000, epoch])
-            ref = np.random.default_rng([seed + 40_000, epoch])
-            for idx in trainer.sampler.epoch_batches(aug.n, epoch):
-                batch_sizes.add(idx.shape[0])
-                np.testing.assert_array_equal(
-                    trainer._partners(idx, rng),
-                    loop_partners(trainer, members, idx, ref))
-                assert_ahead_of(trainer, rng, ref)
-                if negatives:
-                    np.testing.assert_array_equal(
-                        trainer._negatives(idx, rng),
-                        loop_negatives(trainer, label_members, idx, ref))
-                    assert rng.bit_generator.state == ref.bit_generator.state
+            batches = trainer.sampler.epoch_batches(trainer.augmented.n, epoch)
+            rng, ref = (np.random.default_rng([seed + 40_000, epoch]) for _ in range(2))
+            for got, want in zip(drawn_rows(trainer, batches, rng),
+                                 loop_rows(trainer, batches, ref), strict=True):
+                np.testing.assert_array_equal(got, want)
+            assert_in_loop_state(trainer, batches, rng, ref)
+            batch_sizes.update(idx.shape[0] for idx in batches)
         return batch_sizes
 
     def test_s21_full_batch(self):
@@ -621,28 +651,28 @@ class TestPairSamplersMatchLoop:
     def test_single_view_draws_nothing(self):
         cfg = registry_config("s21-collapse-grid", "mini-centered",
                               **{"augmentation.views": 1})
-        trainer = Trainer(cfg, seed=0)
+        trainer = index_trainer(cfg, seed=0)
         rng = np.random.default_rng(7)
         before = rng.bit_generator.state
         idx = np.arange(trainer.augmented.n)
-        np.testing.assert_array_equal(trainer._partners(idx, rng), idx)
+        np.testing.assert_array_equal(drawn_rows(trainer, [idx], rng)[0], [idx, idx])
         assert rng.bit_generator.state == before
         self._assert_same_stream(cfg, epochs=3)
 
     def test_fresh_generator_reads_no_carry(self):
-        # each epoch's generator is new: its first call reads none of the draws
-        # the previous one left unread, even when seeded alike
+        # each epoch's generator is new: its draw reads none of the draws an
+        # earlier draw left unread, even on a generator seeded alike
         cfg = registry_config("s21-collapse-grid", "mini-centered")
-        trainer = Trainer(cfg, seed=3)
-        members = {int(g): np.flatnonzero(trainer.augmented.group == g)
-                   for g in np.unique(trainer.augmented.group)}
-        idx = next(iter(trainer.sampler.epoch_batches(trainer.augmented.n, 1)))
+        trainer = index_trainer(cfg, seed=3)
+        batches = trainer.sampler.epoch_batches(trainer.augmented.n, 1)[:2]
         for key in ([40_003, 1], [40_003, 2], [40_003, 1]):
             rng, ref = np.random.default_rng(key), np.random.default_rng(key)
-            np.testing.assert_array_equal(trainer._partners(idx, rng),
-                                          loop_partners(trainer, members, idx, ref))
-            assert carried(trainer, rng)
-            assert_ahead_of(trainer, rng, ref)
+            for got, want in zip(drawn_rows(trainer, batches, rng),
+                                 loop_rows(trainer, batches, ref), strict=True):
+                np.testing.assert_array_equal(got, want)
+            # the draw left draws unread
+            assert rng.bit_generator.state != ref.bit_generator.state
+            assert_in_loop_state(trainer, batches, rng, ref)
 
     def test_trailing_short_batch(self):
         cfg = apply_overrides(tiny_config(), {"dataset.n_per_class": 11})
@@ -652,27 +682,19 @@ class TestPairSamplersMatchLoop:
     def test_triplet_negatives(self, dataset):
         cfg = registry_config("fig3-simple-vs-simsiam", f"simple-{dataset}",
                               **{"loss.kind": "triplet"})
-        self._assert_same_stream(cfg, epochs=5, negatives=True)
+        self._assert_same_stream(cfg, epochs=5)
 
     def test_two_classes_draw_no_class(self):
         # with one other class the class draw has high 1 and consumes nothing
         cfg = apply_overrides(tiny_config(kind="triplet"),
                               {"dataset.num_classes": 2})
-        self._assert_same_stream(cfg, epochs=4, negatives=True)
-
-
-def per_step_views(trainer, idx, rng):
-    """A step's (V, m, k) inputs drawn as a step on its own draws them."""
-    views = [idx, trainer._partners(idx, rng)]
-    if trainer.objective.negatives:
-        views.append(trainer._negatives(idx, rng))
-    return trainer.augmented.points.take(np.stack(views), axis=0)
+        self._assert_same_stream(cfg, epochs=4)
 
 
 class TestEpochDraw:
     """`run_experiment` draws each epoch's views before its first step. A
-    step trains on the views that drawing them step by step gives, and the
-    pair generator ends the epoch in the state step-by-step draws leave."""
+    step trains on the next queued slab when that slab's batch is its batch
+    and was drawn on its generator; any other step draws its batch alone."""
 
     @staticmethod
     def step_inputs(trainer, monkeypatch):
@@ -689,50 +711,55 @@ class TestEpochDraw:
 
     @pytest.mark.parametrize("kind", list(_OBJECTIVES))
     def test_drawn_views_match_per_step_draws(self, monkeypatch, kind):
-        # 33 rows in batches of 15 leave a trailing batch of 3
+        # the loops draw step by step; 33 rows in batches of 15 leave a
+        # trailing batch of 3
         cfg = apply_overrides(tiny_config(kind=kind), {"dataset.n_per_class": 11})
-        trainer, per_step = Trainer(cfg, seed=3), Trainer(cfg, seed=3)
+        trainer = Trainer(cfg, seed=3)
         seen = self.step_inputs(trainer, monkeypatch)
         sizes = set()
         for epoch in (1, 2):
             batches = trainer.sampler.epoch_batches(trainer.augmented.n, epoch)
             rng, ref = (np.random.default_rng([40_003, epoch]) for _ in range(2))
             trainer.draw_epoch(batches, rng)
-            for idx in batches:
+            drawn = rng.bit_generator.state
+            for idx, rows in zip(batches, loop_rows(trainer, batches, ref), strict=True):
                 sizes.add(idx.shape[0])
                 trainer.train_step(idx, rng)
                 x = seen.pop()
-                np.testing.assert_array_equal(x, per_step_views(per_step, idx, ref))
+                np.testing.assert_array_equal(x, trainer.augmented.points.take(rows, axis=0))
                 # consecutive rows of the epoch's one gather, not a copy
                 assert x.base is not None and x.flags.c_contiguous
-            assert rng.bit_generator.state == ref.bit_generator.state
+            assert rng.bit_generator.state == drawn  # the steps drew nothing
+            assert_in_loop_state(trainer, batches, rng, ref)
         assert sizes == {15, 3}
 
     @pytest.mark.parametrize("kind", ["invariance", "triplet"])
     def test_drawn_views_serve_only_their_batch_and_generator(self, monkeypatch, kind):
-        cfg = tiny_config(kind=kind)
-        trainer, per_step = Trainer(cfg, seed=0), Trainer(cfg, seed=0)
+        trainer = Trainer(tiny_config(kind=kind), seed=0)
         seen = self.step_inputs(trainer, monkeypatch)
         batches = trainer.sampler.epoch_batches(trainer.augmented.n, 1)
-        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        points = trainer.augmented.points
+        rng = np.random.default_rng(5)
+
+        def assert_drawn_alone(idx, step_rng):
+            """The step draws `idx` alone on `step_rng`, from where it stood."""
+            ref = copy.deepcopy(step_rng)
+            trainer.train_step(idx, step_rng)
+            rows = loop_rows(trainer, [idx], ref)[0]
+            np.testing.assert_array_equal(seen.pop(), points.take(rows, axis=0))
+            assert_in_loop_state(trainer, [idx], step_rng, ref)
+
+        # a generator seeded alike is another generator
         trainer.draw_epoch(batches, rng)
-        drawn = [per_step_views(per_step, idx, ref) for idx in batches]
-        # a generator seeded alike is another generator: the step draws on it
-        other, other_ref = np.random.default_rng(5), np.random.default_rng(5)
-        trainer.train_step(batches[0], other)
-        np.testing.assert_array_equal(seen.pop(), per_step_views(per_step, batches[0],
-                                                                 other_ref))
-        assert other.bit_generator.state == other_ref.bit_generator.state
-        # equal rows in another array are another batch: the step draws on
-        # past the epoch's draws
-        trainer.train_step(batches[0].copy(), rng)
-        np.testing.assert_array_equal(seen.pop(), per_step_views(per_step, batches[0], ref))
-        assert rng.bit_generator.state == ref.bit_generator.state
-        # the drawn epoch still serves its own batches, drawing nothing
-        for idx, want in zip(batches, drawn, strict=True):
-            trainer.train_step(idx, rng)
-            np.testing.assert_array_equal(seen.pop(), want)
-        assert rng.bit_generator.state == ref.bit_generator.state
+        drawn = rng.bit_generator.state
+        assert_drawn_alone(batches[0], np.random.default_rng(5))
+        assert rng.bit_generator.state == drawn
+        # equal rows in another array are another batch
+        trainer.draw_epoch(batches, rng)
+        assert_drawn_alone(batches[0].copy(), rng)
+        # that step's own draw replaced the queue: the epoch's next batch is
+        # drawn alone too
+        assert_drawn_alone(batches[1], rng)
 
 
 class TestIndexTables:
@@ -1004,6 +1031,24 @@ class TestRegistry:
     def test_claims_read_seeds_in_numeric_order(self, tmp_path):
         run_experiment(apply_overrides(tiny_config(), {"base_seed": 9}), tmp_path)
         assert claims._Variant(tmp_path, "tiny").seeds == [9, 10]
+
+    def test_claims_judge_the_seeds_config_names(self, tmp_path):
+        # a second run into the same directory leaves the first run's seed
+        # files; claims judge the seeds of config.json, as aggregate.csv does
+        key = "swav-fixed-protos"
+        for argv in (["named", key, "--override", "num_seeds=3"],
+                     ["--seed", "10", "named", key, "--override", "num_seeds=2"]):
+            assert cli_main(["--out-dir", str(tmp_path), "--quiet", *argv,
+                             "--override", "optimizer.epochs=2"]) == 0
+        for _, cfg in named_experiment(key):
+            folder = tmp_path / key / cfg.name
+            assert (folder / "seed2.csv").exists()
+            var = claims._Variant(tmp_path / key, cfg.name)
+            assert var.seeds == [10, 11]
+            with open(folder / "aggregate.csv", newline="") as fh:
+                last = list(csv.DictReader(fh))[-1]
+            assert float(last["center_norm_mean"]) == pytest.approx(
+                var.column("center_norm")[:, -1].mean(), rel=1e-11)
 
 
 def _npz(**arrays) -> bytes:
@@ -1280,6 +1325,14 @@ class TestCli:
         assert cli_main(["--out-dir", str(s21_one_epoch.parent), "claims",
                          "s21-collapse-grid"]) == 4
         assert "  FAIL  " in capsys.readouterr().out
+
+    def test_claims_missing_seed_csv_exits_2(self, s21_one_epoch, tmp_path, capsys):
+        # a seed that config.json names but whose CSV is gone is a missing file
+        run_dir = shutil.copytree(s21_one_epoch, tmp_path / s21_one_epoch.name)
+        (run_dir / "collapse-mini-centered" / "seed0.csv").unlink()
+        assert cli_main(["--out-dir", str(tmp_path), "claims", "s21-collapse-grid"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "collapse-mini-centered/seed0.csv" in err[0]
 
     def test_claims_without_key_skips_missing_experiments(self, s21_one_epoch,
                                                           tmp_path, capsys):
