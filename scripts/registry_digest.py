@@ -14,12 +14,18 @@ line over their variants' `aggregate.csv`. Two trees that print the
 same digest wrote byte-identical CSVs, so a change meant to be exact can be
 checked against its parent, and a change that adds an experiment can show
 that every other experiment kept its digest. Imports centerlab from this
-checkout's `src/`.
+checkout's `src/`, ahead of PYTHONPATH, and prints the package's path first.
+
+At the default seeds the digest lines are compared with the ones pinned in
+`registry_digest.expected` beside this script; on any difference the script
+prints a diff to stderr and exits 1. A change that moves the outputs on
+purpose updates that file and says why.
 """
 
 from __future__ import annotations
 
 import argparse
+import difflib
 import hashlib
 import sys
 import tempfile
@@ -35,6 +41,7 @@ from centerlab import harness  # noqa: E402
 # stream with the partner draws
 SWAPPED_EXPERIMENT, SWAPPED_VARIANT = "fig3-simple-vs-simsiam", "simple-blobs"
 LOSS_SWAPS = ("triplet", "infonce")
+EXPECTED = Path(__file__).with_suffix(".expected")
 
 
 def _digest(out: Path, csvs: list[str]) -> str:
@@ -80,6 +87,7 @@ def main(argv=None) -> int:
     ap.add_argument("--out", type=Path, default=None,
                     help="an empty directory for the runs (default: a temporary one)")
     args = ap.parse_args(argv)
+    print(f"centerlab from {Path(harness.__file__).resolve().parent}")
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
         digest, n, per_experiment, aggregates = registry_digest(
@@ -89,14 +97,26 @@ def main(argv=None) -> int:
             digest, n, per_experiment, aggregates = registry_digest(
                 Path(tmp), args.base_seed, args.num_seeds)
     names = harness.experiment_names()
+    lines = []
     for key, (exp_digest, exp_n) in per_experiment.items():
         swap = "" if key in names else (
             f" ({SWAPPED_EXPERIMENT} {SWAPPED_VARIANT}, not in the total)")
-        print(f"{exp_digest}  {exp_n} seed CSVs, {key}{swap}")
-    print(f"{digest}  {n} seed CSVs, base seed {args.base_seed}, "
-          f"{args.num_seeds} seeds per variant")
-    print(f"{aggregates[0]}  {aggregates[1]} aggregate CSVs")
-    return 0
+        lines.append(f"{exp_digest}  {exp_n} seed CSVs, {key}{swap}")
+    lines.append(f"{digest}  {n} seed CSVs, base seed {args.base_seed}, "
+                 f"{args.num_seeds} seeds per variant")
+    lines.append(f"{aggregates[0]}  {aggregates[1]} aggregate CSVs")
+    print("\n".join(lines))
+    if (args.base_seed, args.num_seeds) != (ap.get_default("base_seed"),
+                                            ap.get_default("num_seeds")):
+        return 0
+    expected = EXPECTED.read_text().splitlines()
+    if lines == expected:
+        print(f"every line matches {EXPECTED.name}")
+        return 0
+    sys.stderr.writelines(difflib.unified_diff(
+        [f"{line}\n" for line in expected], [f"{line}\n" for line in lines],
+        EXPECTED.name, "printed"))
+    return 1
 
 
 if __name__ == "__main__":

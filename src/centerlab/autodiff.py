@@ -1,14 +1,15 @@
 """Minimal reverse-mode automatic differentiation over dense 2-D float64 arrays
-(and the (V, m, k) view stack inside an ``mlp`` node).
+(and the (V, m, k) view stack inside an ``mlp`` or ``batch_norm_cols`` node).
 
 The engine is a ``Tensor``, a node constructor (``_make``) and one
 ``backward``. A graph is built of fused nodes only: ``mlp`` (a whole encoder
-over its views), ``batch_norm_cols`` and the loss nodes in ``losses``, each
-holding a closure that pushes gradients to its parents. A fresh graph is built
-on every training step; ``backward`` runs a topological sweep from a scalar
-loss. Gradients accumulate on leaves until reset to None (``layers.sgd_step``
-does so after each update). The composed primitive graphs that the fused
-nodes replace bit for bit live in the tests, as their oracles.
+over its views), ``batch_norm_cols`` (over its views) and the loss nodes in
+``losses``, each holding a closure that pushes gradients to its parents. A
+fresh graph is built on every training step; ``backward`` runs a topological
+sweep from a scalar loss. Gradients accumulate on leaves until reset to None
+(``layers.sgd_step`` does so after each update). The composed primitive
+graphs that the fused nodes replace bit for bit live in the tests, as their
+oracles.
 """
 
 from __future__ import annotations
@@ -79,11 +80,12 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Sum a broadcast gradient back down to the original operand shape."""
+def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum a broadcast gradient back down to the original operand shape, one
+    kept axis at a time (one axis for a row or column of a 2-D operand)."""
     if grad.shape == shape:
         return grad
-    for axis in (0, 1):
+    for axis in range(len(shape)):
         if shape[axis] == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
     if grad.shape != shape:
@@ -202,10 +204,7 @@ def mlp(x, weights: Sequence[Tensor], biases: Sequence[Tensor],
     m, n = h.shape[1:]
 
     def bwd(grads: dict[int, np.ndarray]):
-        # views no row block reached hold zeros and hand out nothing
-        g = (np.empty if len(grads) == len(out) else np.zeros)(out.shape)
-        for v, gv in grads.items():
-            g[v] = gv
+        g = _stacked(grads, out.shape)
         if normalize:
             gd = -g * h / (d ** 2)
             if n != 1:  # as _unbroadcast to d's shape
@@ -244,8 +243,9 @@ def mlp(x, weights: Sequence[Tensor], biases: Sequence[Tensor],
 
 
 def _row_block(node: Tensor, v: int) -> Tensor:
-    """View v of an ``mlp`` node; its backward files its gradient, in
-    arrival order, in the node's grad, a dict from view to gradient."""
+    """View v of an ``mlp`` or ``batch_norm_cols`` node; its backward files
+    its gradient, in arrival order, in the node's grad, a dict from view to
+    gradient."""
     def bwd(g):
         if node.grad is None:
             node.grad = {}
@@ -254,34 +254,54 @@ def _row_block(node: Tensor, v: int) -> Tensor:
     return _make(node.values[v], (node,), bwd)
 
 
-def batch_norm_cols(x, eps: float = 1e-12) -> Tensor:
+def _stacked(grads: dict[int, np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
+    """A node's row-block gradients as one (V, m, n) stack; views no row block
+    reached hold zeros, and the node hands them out nothing."""
+    g = (np.empty if len(grads) == shape[0] else np.zeros)(shape)
+    for v, gv in grads.items():
+        g[v] = gv
+    return g
+
+
+def batch_norm_cols(x, eps: float = 1e-12) -> Tensor | list[Tensor]:
     """Standardize each column to mean 0, variance 1 (biased), as one node.
 
-    The values are those of the composed graph ``c / power(var + eps, 0.5)``
-    with ``c = x - tensor_mean(x, 0)`` and ``var = tensor_mean(c * c, 0)``.
-    The backward replays its div, power, add, mul, sum and sub rules in the
-    order ``backward`` runs them: c receives the div's term, then the same
-    term from each operand of ``c * c``; x receives c's gradient and then the
-    mean's, as two accumulations. So values and gradients are bit-identical
-    to the composed graph's.
+    ``x`` is one 2-D Tensor, which gives one 2-D Tensor, or V 2-D Tensors of
+    one shape (as ``mlp`` takes them), which give V row blocks. Either way the
+    node runs over the views' (V, m, n) stack, each view standardized over
+    its own rows. The values are those of the composed graph
+    ``c / power(var + eps, 0.5)`` with ``c = x - tensor_mean(x, 0)`` and
+    ``var = tensor_mean(c * c, 0)``. The backward replays its div, power, add,
+    mul, sum and sub rules in the order ``backward`` runs them, per view: c
+    receives the div's term, then the same term from each operand of
+    ``c * c``; each view's x receives c's gradient and then the mean's, as two
+    accumulations, view by view in row-block arrival order. So values and
+    gradients are bit-identical to one composed graph per view.
     """
-    m = x.shape[0]
+    views = (x,) if isinstance(x, Tensor) else tuple(x)
+    xs = np.stack([v.values for v in views])
+    m = xs.shape[1]
     if m < 2:
         raise ShapeError(f"batch_norm_cols needs at least 2 rows, got {m}")
     inv_m = 1.0 / m
-    c = x.values - x.values.sum(axis=0, keepdims=True) * inv_m
-    ve = (c * c).sum(axis=0, keepdims=True) * inv_m + eps
+    c = xs - xs.sum(axis=1, keepdims=True) * inv_m
+    ve = (c * c).sum(axis=1, keepdims=True) * inv_m + eps
     sd = ve ** 0.5
 
-    def bwd(g):
+    def bwd(grads: dict[int, np.ndarray]):
+        g = _stacked(grads, c.shape)
         t = _unbroadcast(-g * c / (sd ** 2), sd.shape) * 0.5 * ve ** -0.5 * inv_m * c
         g_c = g / sd
         g_c += t
         g_c += t
-        _accum(x, g_c)
-        _accum(x, np.broadcast_to(_unbroadcast(-g_c, sd.shape) * inv_m, x.shape))
+        g_mean = _unbroadcast(-g_c, sd.shape) * inv_m
+        for v in grads:
+            _accum(views[v], g_c[v])
+            _accum(views[v], np.broadcast_to(g_mean[v], g_c.shape[1:]))
 
-    return _make(c / sd, (x,), bwd)
+    node = _make(c / sd, views, bwd)
+    blocks = [_row_block(node, v) for v in range(len(views))]
+    return blocks[0] if isinstance(x, Tensor) else blocks
 
 
 # ---------------------------------------------------------------------------

@@ -426,7 +426,7 @@ def _dino(st, lc, x, z):
 
 
 def _barlow_twins(st, lc, x, z):
-    z_a, z_b = (batch_norm_cols(v, eps=1e-12) for v in z)
+    z_a, z_b = batch_norm_cols(z, eps=1e-12)
     return L.barlow_twins_loss(z_a, z_b, lc.bt_lambda,
                                use_decorrelation=lc.use_decorrelation), None
 

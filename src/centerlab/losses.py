@@ -250,11 +250,12 @@ def byol_loss(z_a: Tensor, z_b: Tensor, pred: EncoderStack | None,
 
 
 def _log_softmax_grad(s: np.ndarray, temperature: float):
-    """``log(softmax_rows(s, temperature))``'s values, and a function from
-    their gradient to s's that replays the composed log, div, sum, exp, mul
-    and sub rules: e receives the div's term, then the row sum's."""
-    e = np.exp((s - s.max(axis=1, keepdims=True)) * (1.0 / temperature))
-    e_sum = e.sum(axis=1, keepdims=True)
+    """``log(softmax_rows(s, temperature))``'s values along the last axis of
+    rows (m, n) or of a view stack (V, m, n), and a function from their
+    gradient to s's that replays the composed log, div, sum, exp, mul and sub
+    rules: e receives the div's term, then the row sum's."""
+    e = np.exp((s - s.max(axis=-1, keepdims=True)) * (1.0 / temperature))
+    e_sum = e.sum(axis=-1, keepdims=True)
     p = e / e_sum
 
     def grad(g_log_p):
@@ -282,30 +283,31 @@ def dino_loss(z_a: Tensor, z_b: Tensor, t_a: np.ndarray, t_b: np.ndarray,
     The loss is one node. Per view, its values are those of the composed
     ``tensor_sum(Tensor(tau_t * q) * (log(softmax_rows(s, tau_s)) * tau_s))
     * (-1 / m)``, and the two views' terms are averaged; the backward
-    replays the composed rules, view a first.
+    replays the composed rules, view a first. Both views run as one (2, m, n)
+    stack of students against the swapped stack of teachers, with row
+    reductions along the last axis and each view's sum over axes 1 and 2.
     """
     if student_temperature <= 0 or teacher_temperature <= 0:
         raise ParameterError("temperatures must be positive")
-    teacher_mean = np.concatenate([t_a, t_b]).mean(axis=0)
-
-    def direction(s, teacher_z):
-        logits = teacher_z - center.center if use_centering else teacher_z
-        shifted = (logits - logits.max(axis=1, keepdims=True)) / teacher_temperature
-        q = np.exp(shifted)
-        q /= q.sum(axis=1, keepdims=True)
-        q *= teacher_temperature
-        log_p, grad = _log_softmax_grad(s.values, student_temperature)
-        scale = -1.0 / q.shape[0]
-        value = (q * (log_p * student_temperature)).sum().reshape(1, 1) * scale
-        return value, lambda g: grad(g * scale * q * student_temperature)
-
-    (value_a, grad_a), (value_b, grad_b) = direction(z_a, t_b), direction(z_b, t_a)
+    teachers = np.stack((t_a, t_b))
+    teacher_mean = teachers.reshape(-1, teachers.shape[-1]).mean(axis=0)
+    # view a's student is scored against view b's teacher, and b's against a's
+    logits = teachers[::-1] - center.center if use_centering else teachers[::-1]
+    shifted = (logits - logits.max(axis=-1, keepdims=True)) / teacher_temperature
+    q = np.exp(shifted)
+    q /= q.sum(axis=-1, keepdims=True)
+    q *= teacher_temperature
+    log_p, grad = _log_softmax_grad(np.stack((z_a.values, z_b.values)),
+                                    student_temperature)
+    scale = -1.0 / q.shape[1]
+    value_a, value_b = (q * (log_p * student_temperature)).sum(axis=(1, 2)) * scale
 
     def bwd(g):
-        g = g * 0.5
-        _hand_out((z_a, grad_a(g)), (z_b, grad_b(g)))
+        g_a, g_b = grad(g * 0.5 * scale * q * student_temperature)
+        _hand_out((z_a, g_a), (z_b, g_b))
 
-    return _make((value_a + value_b) * 0.5, (z_a, z_b), bwd), teacher_mean
+    return (_make(((value_a + value_b) * 0.5).reshape(1, 1), (z_a, z_b), bwd),
+            teacher_mean)
 
 
 # ---------------------------------------------------------------------------
@@ -341,12 +343,17 @@ def swav_loss(z_a: Tensor, z_b: Tensor, prototypes: Tensor, temperature: float =
 
     ``prototypes`` is the (K x D) bank matrix; it receives gradients only
     when it requires them (a trainable bank). Assignment targets are always
-    detached; ``sinkhorn_knopp`` runs on view a's scores, then on view b's.
+    detached; ``sinkhorn_knopp``, looked up on this module at call time, runs
+    on view a's scores, then on view b's.
 
     The loss is one node. Per view, its values are those of the composed
     ``tensor_sum(q * log(softmax_rows(matmul(z, prototypes.T), tau))) *
     (-1 / m)``, and the two views' terms are averaged; the backward replays
-    the composed rules, view a first, and hands the bank each view's term.
+    the composed rules, view a first, and hands the bank each view's term
+    after that view's own. Both views run as one (2, m, K) stack of scores:
+    its products are ``np.matmul`` over the view axis, bit-equal to each
+    view's own, with row reductions along the last axis and each view's sum
+    over axes 1 and 2.
     """
     if temperature <= 0:
         raise ParameterError(f"temperature must be positive, got {temperature}")
@@ -355,26 +362,24 @@ def swav_loss(z_a: Tensor, z_b: Tensor, prototypes: Tensor, temperature: float =
             raise ShapeError(f"matmul inner dims disagree: {z.shape} @ "
                              f"{prototypes.shape[::-1]}")
     protos_t = prototypes.values.T.copy()
-    scores_a, scores_b = z_a.values @ protos_t, z_b.values @ protos_t
-    q_a = sinkhorn_knopp(scores_a, sinkhorn_eps, sinkhorn_iters).values
-    q_b = sinkhorn_knopp(scores_b, sinkhorn_eps, sinkhorn_iters).values
-
-    def direction(scores, q):
-        log_p, grad = _log_softmax_grad(scores, temperature)
-        scale = -1.0 / scores.shape[0]
-        return (q * log_p).sum().reshape(1, 1) * scale, lambda g: grad(g * scale * q)
-
-    (value_a, grad_a), (value_b, grad_b) = (direction(scores_a, q_b),
-                                            direction(scores_b, q_a))
+    z = np.stack((z_a.values, z_b.values))
+    scores = np.matmul(z, protos_t)
+    q_a = sinkhorn_knopp(scores[0], sinkhorn_eps, sinkhorn_iters).values
+    q_b = sinkhorn_knopp(scores[1], sinkhorn_eps, sinkhorn_iters).values
+    q = np.stack((q_b, q_a))  # each view's target is the other's assignment
+    log_p, grad = _log_softmax_grad(scores, temperature)
+    scale = -1.0 / scores.shape[1]
+    value_a, value_b = (q * log_p).sum(axis=(1, 2)) * scale
 
     def bwd(g):
-        g = g * 0.5
-        for z, grad in ((z_a, grad_a), (z_b, grad_b)):
-            g_scores = grad(g)
-            _hand_out((z, g_scores @ protos_t.T),
-                      (prototypes, (z.values.T @ g_scores).T))
+        g_scores = grad(g * 0.5 * scale * q)
+        g_z = np.matmul(g_scores, protos_t.T)
+        g_bank = np.matmul(z.transpose(0, 2, 1), g_scores)
+        _hand_out((z_a, g_z[0]), (prototypes, g_bank[0].T),
+                  (z_b, g_z[1]), (prototypes, g_bank[1].T))
 
-    return _make((value_a + value_b) * 0.5, (z_a, z_b, prototypes), bwd)
+    return _make(((value_a + value_b) * 0.5).reshape(1, 1), (z_a, z_b, prototypes),
+                 bwd)
 
 
 def barlow_twins_loss(z_a: Tensor, z_b: Tensor, bt_lambda: float = 5e-3,

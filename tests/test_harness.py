@@ -307,12 +307,12 @@ class TestTrainer:
     @pytest.mark.parametrize("kind", list(_OBJECTIVES))
     def test_graph_size_of_a_step(self, monkeypatch, kind):
         # the loss, each view's row block, the encoder's mlp node and its four
-        # parameters; Barlow Twins adds a batch norm node per view, SwAV the
-        # trainable bank, SimSiam and BYOL their predictor's mlp node, its two
-        # row blocks and its four parameters. Each loss body and each batch
-        # norm is one node.
+        # parameters; Barlow Twins adds one batch norm node over both views
+        # and its two row blocks, SwAV the trainable bank, SimSiam and BYOL
+        # their predictor's mlp node, its two row blocks and its four
+        # parameters. Each loss body is one node.
         nodes = {"invariance": 8, "simple": 8, "dino": 8, "infonce": 8,
-                 "triplet": 9, "swav": 9, "barlow_twins": 10, "simsiam": 15,
+                 "triplet": 9, "swav": 9, "barlow_twins": 11, "simsiam": 15,
                  "byol": 15}[kind]
         losses = []
 
@@ -352,6 +352,22 @@ class TestTrainer:
         monkeypatch.setattr(encoder, "forward", counted)
         trainer.train_step(np.arange(15), np.random.default_rng(0))
         assert calls == [(3 if kind == "triplet" else 2, 15, 2)]
+
+    def test_barlow_twins_batch_norms_both_views_in_one_call(self, monkeypatch):
+        # through the harness module's name, which the benchmark wraps to time
+        # batch norm; a step that bypassed it would drop that time silently
+        calls = []
+
+        def counted(x, **kw):
+            calls.append(len(x))
+            return ad.batch_norm_cols(x, **kw)
+
+        monkeypatch.setattr(H, "batch_norm_cols", counted)
+        trainer = Trainer(tiny_config(kind="barlow_twins"), seed=0)
+        rng = np.random.default_rng(0)
+        trainer.train_step(np.arange(15), rng)
+        trainer.train_step(np.arange(15, 30), rng)
+        assert calls == [2, 2]
 
     @pytest.mark.parametrize("overrides", [
         *({"loss.kind": kind} for kind in _OBJECTIVES),

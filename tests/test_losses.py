@@ -1,9 +1,11 @@
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from centerlab import autodiff as ad
+from centerlab import losses as L
 from centerlab.autodiff import ParameterError, ShapeError, Tensor, backward, grad_check
 from centerlab.harness import _OBJECTIVES, DatasetSpec, ExperimentConfig, Trainer
 from centerlab.layers import EmaTwin, init_encoder, init_predictor, init_prototypes
@@ -12,11 +14,11 @@ from centerlab.losses import (DinoCenterState, LossConfig, NumericError,
                               infonce_loss, invariance_loss, simple_objective,
                               simsiam_loss, sinkhorn_knopp, swav_loss,
                               triplet_loss)
-from oracles import (assert_bits_equal, composed_barlow_twins,
+from oracles import (add, assert_bits_equal, composed_barlow_twins,
                      composed_batch_norm_cols, composed_byol, composed_dino,
                      composed_infonce, composed_neg_cosine, composed_simple,
                      composed_simsiam, composed_swav, composed_triplet, leaf,
-                     mul, tensor_sum, unit_rows)
+                     log, mul, softmax_rows, tensor_sum, unit_rows)
 
 
 class TestLossConfig:
@@ -392,6 +394,20 @@ class TestSwav:
         with pytest.raises(ParameterError):
             swav_loss(z, z, Tensor(np.ones((4, 2))), temperature=0.0)
 
+    def test_sinkhorn_runs_once_per_view_view_a_first(self):
+        # looked up on the module: ac01 freezes the targets with
+        # side_effect=[q_a, q_b], and one call on both views' scores would
+        # hand q_a to both and still pass its check
+        rng = np.random.default_rng(23)
+        z_a, z_b = Tensor(unit_rows(rng, 6, 4)), Tensor(unit_rows(rng, 6, 4))
+        protos = init_prototypes(5, 4, seed=26).matrix
+        with mock.patch.object(L, "sinkhorn_knopp", wraps=sinkhorn_knopp) as spy:
+            swav_loss(z_a, z_b, protos)
+        assert spy.call_count == 2
+        for call, z in zip(spy.call_args_list, (z_a, z_b)):
+            np.testing.assert_allclose(call.args[0], z.values @ protos.values.T,
+                                       rtol=1e-12)
+
     def test_symmetric_in_views(self):
         rng = np.random.default_rng(22)
         enc = init_encoder([2, 8, 4], seed=24)
@@ -603,3 +619,87 @@ class TestOneNodeLosses:
         got = run(triplet_loss)
         assert all(g is not None and not g.any() for g in got)
         assert_all_bits_equal(got, run(composed_triplet))
+
+
+def _stack_case(views, m, n, seed):
+    """V (m, n) views: one row of -0.0, one whose maximum is tied (in its
+    first and last column), and a -0.0 entry."""
+    x = np.random.default_rng(seed).standard_normal((views, m, n))
+    x[:, 0] = -0.0
+    x[:, 1, 0] = x[:, 1, -1] = x[:, 1].max(axis=-1) + 0.5
+    x[:, 2, n // 2] = -0.0
+    return x
+
+
+class TestViewStacks:
+    """One evaluation over a (V, m, n) view stack against one composed 2-D
+    graph per view: values, gradients and the signs of zeros. A stacked
+    primitive may only reduce per row (the last axis) or per view, in the
+    order a view's own graph does."""
+
+    @pytest.mark.parametrize("views", [1, 2, 3])
+    @pytest.mark.parametrize("shape", [(12, 5), (9, 1)])
+    def test_log_softmax_grad(self, views, shape):
+        s, g = _stack_case(views, *shape, seed=41), _stack_case(views, *shape, seed=42)
+        log_p, grad = L._log_softmax_grad(s, 0.3)
+        g_s = grad(g)
+        for v in range(views):
+            t = leaf(s[v].copy())
+            out = log(softmax_rows(t, 0.3))
+            backward(tensor_sum(mul(out, g[v])))
+            assert_bits_equal(log_p[v], out.values)
+            assert_bits_equal(g_s[v], t.grad)
+
+    @pytest.mark.parametrize("use_centering", [True, False])
+    def test_dino(self, use_centering):
+        # the center keeps the teachers' tied maxima tied
+        z_a, z_b, t_a, t_b = _stack_case(4, 12, 5, seed=43)
+        center = DinoCenterState(np.full(5, 0.25))
+
+        def run(dino):
+            z = [leaf(z_a.copy()), leaf(z_b.copy())]
+            loss = dino(*z, t_a, t_b, center, 0.2, 0.05, use_centering=use_centering)
+            backward(loss)
+            return [loss.values] + [t.grad for t in z]
+
+        assert_all_bits_equal(run(FUSED["dino"]), run(composed_dino))
+        assert_bits_equal(dino_loss(Tensor(z_a), Tensor(z_b), t_a, t_b, center)[1],
+                          np.concatenate([t_a, t_b]).mean(axis=0))
+
+    @pytest.mark.parametrize("trainable", [True, False])
+    def test_swav(self, trainable):
+        # two equal prototypes tie the scores of a row aligned with them; a
+        # soft Sinkhorn (eps 1) keeps every target, so the view sums round
+        z_a, z_b = _stack_case(2, 12, 5, seed=44)
+        protos = unit_rows(np.random.default_rng(45), 6, 5)
+        protos[1] = protos[0]
+        z_a[3] = z_b[5] = 2.0 * protos[0]
+
+        def run(swav):
+            z = [leaf(z_a.copy()), leaf(z_b.copy())]
+            bank = Tensor(protos.copy(), requires_grad=trainable)
+            loss = swav(*z, bank, 0.2, 1.0)
+            backward(loss)
+            return [loss.values, bank.grad] + [t.grad for t in z]
+
+        assert_all_bits_equal(run(swav_loss), run(composed_swav))
+
+    @pytest.mark.parametrize("reached", ["all", "first"])
+    @pytest.mark.parametrize("views", [1, 2, 3])
+    @pytest.mark.parametrize("shape", [(12, 5), (9, 1)])
+    def test_batch_norm_cols(self, views, shape, reached):
+        # one node over V views against V composed graphs; with "first" the
+        # loss reads view 0 only, and the other views get no gradient
+        x, w = _stack_case(views, *shape, seed=46), _stack_case(views, *shape, seed=47)
+
+        def run(batch_norm):
+            ts = [leaf(x[v].copy()) for v in range(views)]
+            outs = batch_norm(ts)
+            loss = tensor_sum(mul(outs[0], w[0]))
+            for v in range(1, views if reached == "all" else 1):
+                loss = add(loss, tensor_sum(mul(outs[v], w[v])))
+            backward(loss)
+            return [loss.values] + [o.values for o in outs] + [t.grad for t in ts]
+
+        assert_all_bits_equal(run(ad.batch_norm_cols),
+                              run(lambda ts: [composed_batch_norm_cols(t) for t in ts]))
