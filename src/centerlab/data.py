@@ -151,6 +151,8 @@ def augment(ds: ToyDataset, model: AugmentationModel, seed: int = 0) -> Augmente
         raise ParameterError("sigma must be >= 0")
     if model.views < 1:
         raise ParameterError("views must be >= 1")
+    if model.shift is not None and model.kind != "shifted":
+        raise ParameterError("shift: only shifted views take a shift vector")
     if model.kind == "class":
         return AugmentedSet(ds.points.copy(), ds.labels.copy(),
                             ds.labels.astype(np.int64).copy())

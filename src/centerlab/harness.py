@@ -11,16 +11,16 @@ backward -> optimizer step -> EMA twin update -> the loss's post-step hook
 
 Before an epoch's first step, ``Trainer.draw_epoch``, the pair generator's
 only reader, draws every batch's views in batch order and gathers them with
-one ``take``. It reads the stream draw for draw as per-item loops do, so the
-seed CSVs are byte-identical to theirs: a partner is one ``integers(group
-size)`` per row, drawn again while it picks the row itself; a negative is one
-draw for the other class, then one for its member, after its batch's
-partners. Partner draws come in chunks of at least the rows left in the
-batch. Without negatives a chunk reads ahead (at least a quarter of the view
-pool) and the draws left unread carry to the next batch of the same call, so
-only the generator's state between batches runs ahead of the loops'; with
-negatives a chunk is exactly the rows left, so the state after every batch
-is the loops' own.
+one ``take``; a step trains on the slab it is handed. The draw reads the
+stream draw for draw as per-item loops do, so the seed CSVs are byte-identical
+to theirs: a partner is one ``integers(group size)`` per row, drawn again
+while it picks the row itself; a negative is one draw for the other class,
+then one for its member, after its batch's partners. Partner draws come in
+chunks of at least the rows left in the batch. Without negatives a chunk reads
+ahead (at least a quarter of the view pool) and the draws left unread carry to
+the next batch of the same call, so only the generator's state between batches
+runs ahead of the loops'; with negatives a chunk is exactly the rows left, so
+the state after every batch is the loops' own.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import math
 import numbers
 import os
 import time
-from collections import deque
 from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
@@ -481,8 +480,6 @@ class Trainer:
                        for p in head.parameters(group)]
         self.lr_multipliers = {"predictor": cfg.optimizer.predictor_lr_multiplier}
         self.prev_mean: np.ndarray | None = None
-        # the generator of the drawn epoch and its (batch, views) not yet trained
-        self._drawn: tuple[np.random.Generator | None, deque] = (None, deque())
 
     # -- batch construction ---------------------------------------------
     def _negatives(self, idx: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -493,11 +490,11 @@ class Trainer:
         other += other >= self.label_row[idx]
         return self.label_table[other, draws[1::2]]
 
-    def draw_epoch(self, batches: list[np.ndarray], rng: np.random.Generator) -> None:
-        """Draw every batch's views in batch order and gather them with one
-        ``take``: its anchors, a uniform other member of each row's group (the
-        row itself if alone) and any negatives. A step on `rng` whose batch is
-        the next of these trains on its (V, m, k) slab."""
+    def draw_epoch(self, batches: list[np.ndarray],
+                   rng: np.random.Generator) -> list[np.ndarray]:
+        """Each batch's (V, m, k) views in batch order, drawn on `rng` and
+        gathered with one ``take``: its anchors, a uniform other member of each
+        row's group (the row itself if alone) and any negatives."""
         size = self.group_table.shape[1]
         ahead = 0 if self.objective.negatives else self.augmented.n // 4
         draws = iter(())  # partner draws read ahead, carried from batch to batch
@@ -524,16 +521,13 @@ class Trainer:
         x = self.augmented.points.take(np.concatenate(rows), axis=0)
         views = 2 + self.objective.negatives
         ends = np.cumsum([views * idx.shape[0] for idx in batches]).tolist()
-        self._drawn = (rng, deque(zip(batches, (
-            x[a:b].reshape(views, -1, x.shape[1]) for a, b in zip([0] + ends, ends)))))
+        return [x[a:b].reshape(views, -1, x.shape[1]) for a, b in zip([0] + ends, ends)]
 
     # -- one optimizer step ---------------------------------------------
-    def train_step(self, idx: np.ndarray, rng: np.random.Generator) -> float:
+    def train_step(self, idx: np.ndarray, x: np.ndarray) -> float:
+        """One step on batch `idx`'s drawn (V, m, k) views `x`; only the
+        benchmark's tracer reads `idx`, as the step's pair count `len(idx)`."""
         cfg, st = self.cfg, self.state
-        held, drawn = self._drawn
-        if not (held is rng and drawn and drawn[0][0] is idx):  # not drawn: draw it alone
-            self.draw_epoch([idx], rng)
-        x = self._drawn[1].popleft()[1]
         z = st.encoder.forward(x)
         try:
             loss, hook = self.objective.step(st, cfg.loss, x, z)
@@ -638,9 +632,8 @@ def _run_one_seed(trainer: Trainer, csv_path: Path,
                 epoch_losses = []
                 batches = trainer.sampler.epoch_batches(trainer.augmented.n, epoch)
                 pair_rng = np.random.default_rng([seed + 40_000, epoch])
-                trainer.draw_epoch(batches, pair_rng)
-                for idx in batches:
-                    epoch_losses.append(trainer.train_step(idx, pair_rng))
+                for idx, x in zip(batches, trainer.draw_epoch(batches, pair_rng)):
+                    epoch_losses.append(trainer.train_step(idx, x))
                 if epoch % cfg.diagnostics.cadence == 0 or epoch == cfg.optimizer.epochs:
                     tick(epoch, float(np.mean(epoch_losses)))
         except NumericAbort:

@@ -67,6 +67,7 @@ def test_tracer_records_a_loss_span_per_step_for_every_kind():
     # 30 blob points in batches of 15: two steps per (kind, seed 0) run
     assert steps == {f"{kind}/0": [2, 2, 2] for kind in _OBJECTIVES}
     # perfbench checks these counts only in --trace 1 runs: the trainer must
-    # call Trainer.train_step(idx, rng) once per step with the batch's rows
+    # call Trainer.train_step(idx, x) once per step, with len(idx) the
+    # batch's rows
     assert totals["pairs"] == totals["rows"] == 30 * len(_OBJECTIVES)
     assert totals["traced_steps"] == totals["steps"] == 2 * len(_OBJECTIVES)

@@ -116,6 +116,13 @@ class TestAugment:
             augment(ds, AugmentationModel(kind="shifted", sigma=0.1,
                                           shift=[1.0, 2.0, 3.0]))
 
+    @pytest.mark.parametrize("kind", ["class", "centered"])
+    def test_shift_rejected_off_shifted_views(self, kind):
+        # a shift other views would ignore is an error, not a silent no-op
+        model = AugmentationModel(kind=kind, sigma=0.1, shift=[1.0, 0.0], views=2)
+        with pytest.raises(ParameterError, match="shift: only shifted views"):
+            augment(gen_blobs(5, seed=0), model)
+
     # a model is a config section, so augment() checks it, for class views too
     def test_unknown_kind_rejected(self):
         model = AugmentationModel(kind="mixup")

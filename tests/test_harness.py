@@ -43,6 +43,11 @@ def tiny_config(**loss_kw) -> ExperimentConfig:
     )
 
 
+def drawn_step(trainer, idx, rng) -> float:
+    """One step on batch `idx`, its views drawn alone on `rng`."""
+    return trainer.train_step(idx, trainer.draw_epoch([idx], rng)[0])
+
+
 class TestConfigSchema:
     def test_defaults_validate(self):
         ExperimentConfig().validate()
@@ -281,7 +286,7 @@ class TestTrainer:
         trainer = Trainer(cfg, seed=0)
         rng = np.random.default_rng(0)
         idx = np.arange(15)
-        first = trainer.train_step(idx, rng)
+        first = drawn_step(trainer, idx, rng)
         assert np.isfinite(first)
         assert trainer.state.step == 1
 
@@ -291,17 +296,17 @@ class TestTrainer:
         idx = np.arange(15)
         learnable = Trainer(tiny_config(kind="swav"), seed=0)
         before = learnable.state.prototypes.matrix.values.copy()
-        learnable.train_step(idx, np.random.default_rng(0))
+        drawn_step(learnable, idx, np.random.default_rng(0))
         after = learnable.state.prototypes.matrix.values
         assert not np.array_equal(after, before)
         np.testing.assert_allclose(np.linalg.norm(after, axis=1), 1.0, atol=1e-12)
         frozen = Trainer(tiny_config(kind="swav", prototypes_trainable=False), seed=0)
         before = frozen.state.prototypes.matrix.values.copy()
-        frozen.train_step(idx, np.random.default_rng(0))
+        drawn_step(frozen, idx, np.random.default_rng(0))
         np.testing.assert_array_equal(frozen.state.prototypes.matrix.values, before)
         assert frozen.state.prototypes.matrix.grad is None
         dino = Trainer(tiny_config(kind="dino"), seed=0)
-        dino.train_step(idx, np.random.default_rng(0))
+        drawn_step(dino, idx, np.random.default_rng(0))
         assert np.any(dino.state.dino_center.center != 0.0)
 
     @pytest.mark.parametrize("kind", list(_OBJECTIVES))
@@ -322,7 +327,7 @@ class TestTrainer:
 
         monkeypatch.setattr(H, "backward", capture)
         trainer = Trainer(tiny_config(kind=kind), seed=0)
-        trainer.train_step(np.arange(15), np.random.default_rng(0))
+        drawn_step(trainer, np.arange(15), np.random.default_rng(0))
         root = losses[0]
         graph, stack = {id(root): root}, [root]
         while stack:  # the loss and every node behind it that requires a gradient
@@ -350,7 +355,7 @@ class TestTrainer:
             return forward(x)
 
         monkeypatch.setattr(encoder, "forward", counted)
-        trainer.train_step(np.arange(15), np.random.default_rng(0))
+        drawn_step(trainer, np.arange(15), np.random.default_rng(0))
         assert calls == [(3 if kind == "triplet" else 2, 15, 2)]
 
     def test_barlow_twins_batch_norms_both_views_in_one_call(self, monkeypatch):
@@ -365,8 +370,8 @@ class TestTrainer:
         monkeypatch.setattr(H, "batch_norm_cols", counted)
         trainer = Trainer(tiny_config(kind="barlow_twins"), seed=0)
         rng = np.random.default_rng(0)
-        trainer.train_step(np.arange(15), rng)
-        trainer.train_step(np.arange(15, 30), rng)
+        drawn_step(trainer, np.arange(15), rng)
+        drawn_step(trainer, np.arange(15, 30), rng)
         assert calls == [2, 2]
 
     @pytest.mark.parametrize("overrides", [
@@ -387,7 +392,7 @@ class TestTrainer:
             trainer = Trainer(cfg, seed=0)
             rng = np.random.default_rng(0)
             for idx in (np.arange(15), np.arange(15, 30), np.arange(30)):
-                trainer.train_step(idx, rng)
+                drawn_step(trainer, idx, rng)
             st = trainer.state
             arrays = [p.tensor.values for p in trainer.params]
             if st.twin is not None:
@@ -446,7 +451,7 @@ class TestTrainer:
             cfg.optimizer.predictor_lr_multiplier = mult
             trainer = Trainer(cfg, seed=0)
             before = [p.tensor.values.copy() for p in trainer.params]
-            trainer.train_step(idx, np.random.default_rng(0))
+            drawn_step(trainer, idx, np.random.default_rng(0))
             moved[mult] = [(p.group, p.tensor.values - b)
                            for p, b in zip(trainer.params, before)]
         for (group, half), (_, full) in zip(moved[0.5], moved[1.0]):
@@ -500,7 +505,7 @@ class TestTrainer:
         _, _, emb = trainer.diagnostics_tick(0)
         assert len(calls) == 1
         np.testing.assert_array_equal(trainer.prev_mean, emb.mean(axis=0))
-        trainer.train_step(np.arange(15), np.random.default_rng(0))
+        drawn_step(trainer, np.arange(15), np.random.default_rng(0))
         second, _, emb2 = trainer.diagnostics_tick(1)
         assert len(calls) == 2
         shift = emb2.mean(axis=0) - emb.mean(axis=0)
@@ -594,12 +599,10 @@ def index_trainer(cfg, seed):
 
 
 def drawn_rows(trainer, batches, rng):
-    """The (V, m) rows `draw_epoch` queues for each batch, in batch order."""
-    trainer.draw_epoch(batches, rng)
-    held, drawn = trainer._drawn
-    assert held is rng
-    assert all(a is b for (a, _), b in zip(drawn, batches, strict=True))
-    return [x[..., 0].astype(np.int64) for _, x in drawn]
+    """The (V, m) rows `draw_epoch` returns for each batch, in batch order."""
+    slabs = trainer.draw_epoch(batches, rng)
+    assert len(slabs) == len(batches)
+    return [x[..., 0].astype(np.int64) for x in slabs]
 
 
 def loop_rows(trainer, batches, rng):
@@ -633,7 +636,7 @@ def assert_in_loop_state(trainer, batches, rng, ref):
 
 
 class TestPairSamplersMatchLoop:
-    """`draw_epoch` queues the loops' rows, epoch after epoch, as
+    """`draw_epoch` returns the loops' rows, epoch after epoch, as
     `run_experiment` calls it, and leaves each epoch's pair generator in the
     loops' state or just past it (`assert_in_loop_state`)."""
 
@@ -708,9 +711,8 @@ class TestPairSamplersMatchLoop:
 
 
 class TestEpochDraw:
-    """`run_experiment` draws each epoch's views before its first step. A
-    step trains on the next queued slab when that slab's batch is its batch
-    and was drawn on its generator; any other step draws its batch alone."""
+    """`run_experiment` draws each epoch's views before its first step and
+    hands each step its batch's slab; a step reads no generator."""
 
     @staticmethod
     def step_inputs(trainer, monkeypatch):
@@ -736,11 +738,12 @@ class TestEpochDraw:
         for epoch in (1, 2):
             batches = trainer.sampler.epoch_batches(trainer.augmented.n, epoch)
             rng, ref = (np.random.default_rng([40_003, epoch]) for _ in range(2))
-            trainer.draw_epoch(batches, rng)
+            slabs = trainer.draw_epoch(batches, rng)
             drawn = rng.bit_generator.state
-            for idx, rows in zip(batches, loop_rows(trainer, batches, ref), strict=True):
+            for idx, slab, rows in zip(batches, slabs, loop_rows(trainer, batches, ref),
+                                       strict=True):
                 sizes.add(idx.shape[0])
-                trainer.train_step(idx, rng)
+                trainer.train_step(idx, slab)
                 x = seen.pop()
                 np.testing.assert_array_equal(x, trainer.augmented.points.take(rows, axis=0))
                 # consecutive rows of the epoch's one gather, not a copy
@@ -749,33 +752,19 @@ class TestEpochDraw:
             assert_in_loop_state(trainer, batches, rng, ref)
         assert sizes == {15, 3}
 
-    @pytest.mark.parametrize("kind", ["invariance", "triplet"])
-    def test_drawn_views_serve_only_their_batch_and_generator(self, monkeypatch, kind):
-        trainer = Trainer(tiny_config(kind=kind), seed=0)
-        seen = self.step_inputs(trainer, monkeypatch)
-        batches = trainer.sampler.epoch_batches(trainer.augmented.n, 1)
-        points = trainer.augmented.points
-        rng = np.random.default_rng(5)
-
-        def assert_drawn_alone(idx, step_rng):
-            """The step draws `idx` alone on `step_rng`, from where it stood."""
-            ref = copy.deepcopy(step_rng)
-            trainer.train_step(idx, step_rng)
-            rows = loop_rows(trainer, [idx], ref)[0]
-            np.testing.assert_array_equal(seen.pop(), points.take(rows, axis=0))
-            assert_in_loop_state(trainer, [idx], step_rng, ref)
-
-        # a generator seeded alike is another generator
-        trainer.draw_epoch(batches, rng)
-        drawn = rng.bit_generator.state
-        assert_drawn_alone(batches[0], np.random.default_rng(5))
-        assert rng.bit_generator.state == drawn
-        # equal rows in another array are another batch
-        trainer.draw_epoch(batches, rng)
-        assert_drawn_alone(batches[0].copy(), rng)
-        # that step's own draw replaced the queue: the epoch's next batch is
-        # drawn alone too
-        assert_drawn_alone(batches[1], rng)
+    @pytest.mark.parametrize("kind", list(_OBJECTIVES))
+    def test_step_trains_on_the_views_it_is_handed(self, monkeypatch, kind):
+        # the student encoder runs once, on the very slab handed in, and
+        # equal slabs train equal parameters: the step holds no draw of its own
+        first, second = (Trainer(tiny_config(kind=kind), seed=0) for _ in range(2))
+        idx = np.arange(15)
+        x = first.draw_epoch([idx], np.random.default_rng(4))[0]
+        seen = self.step_inputs(first, monkeypatch)
+        first.train_step(idx, x)
+        assert len(seen) == 1 and seen[0] is x
+        second.train_step(idx, x.copy())
+        for a, b in zip(first.params, second.params, strict=True):
+            assert a.tensor.values.tobytes() == b.tensor.values.tobytes()
 
 
 class TestIndexTables:
@@ -937,10 +926,10 @@ class TestRunExperiment:
         # flagged final row and re-raise
         original = H.Trainer.train_step
 
-        def poisoned(self, idx, rng):
+        def poisoned(self, idx, x):
             if self.state.step == 2:
                 raise NumericAbort("non-finite loss injected for test")
-            return original(self, idx, rng)
+            return original(self, idx, x)
 
         monkeypatch.setattr(H.Trainer, "train_step", poisoned)
         cfg = tiny_config()
@@ -1207,6 +1196,9 @@ class TestCli:
         (["optimizer.lr=NaN"], "optimizer.lr"),
         (["dataset.sigma=NaN"], "dataset.sigma"),
         (["augmentation.kind=shifted", "augmentation.shift=[NaN,0]"], "augmentation.shift"),
+        # used to be accepted silently: class views ignored the shift (last
+        # here, so the rows above keep their test ids)
+        (["augmentation.shift=[1,0]"], "augmentation.shift"),
     ])
     def test_named_crashing_config_exits_2(self, tmp_path, capsys, overrides, field):
         argv = ["--out-dir", str(tmp_path), "--quiet", "named", "fig3-simple-vs-simsiam"]
