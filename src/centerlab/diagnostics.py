@@ -1,4 +1,5 @@
-"""Measurement apparatus: center estimation, residuals, collapse verdicts, kNN.
+"""Measurement apparatus: center estimation, residuals, collapse verdicts, and
+leave-one-out kNN over one embedding set.
 
 All functions are read-only over plain numpy embeddings; nothing here joins
 the autodiff graph.
@@ -15,7 +16,6 @@ from .autodiff import ParameterError, _col_sum, _row_sum
 __all__ = [
     "CenterEstimate",
     "CollapseReport",
-    "KnnResult",
     "estimate_center",
     "residual_stats",
     "second_moment_gap",
@@ -87,51 +87,32 @@ def angle_to_direction(center: CenterEstimate, direction: np.ndarray) -> float:
     return float(center.s_hat @ direction / (center.norm * dnorm))
 
 
-@dataclass
-class KnnResult:
-    k: int
-    accuracy: float
+def knn_eval(emb: np.ndarray, labels: np.ndarray, k: int) -> float:
+    """Leave-one-out accuracy of a cosine-distance majority vote: each
+    embedding is classified by its k nearest others in the same set.
 
-
-def knn_eval(train_emb: np.ndarray, train_labels: np.ndarray,
-             eval_emb: np.ndarray, eval_labels: np.ndarray,
-             k: int = 5, leave_one_out: bool | None = None) -> KnnResult:
-    """Cosine-distance majority vote over the k nearest training embeddings.
-
-    Ties break by smallest summed distance, then lowest label id. With
-    ``leave_one_out=None``, leave-one-out kicks in automatically when the
-    eval set is the training set. The inputs are left as they are; the
-    call allocates one (eval, train) distance matrix and works in it: the
-    cosine product turns into distances in place, and k ``argmin`` passes
-    pick the neighbours (see ``_nearest``).
+    Ties break by smallest summed distance, then lowest label id. The inputs
+    are left as they are; the call allocates one (n, n) distance matrix and
+    works in it: the cosine product turns into distances in place, each
+    point's distance to itself becomes inf, and k ``argmin`` passes pick the
+    neighbours (see ``_nearest``). The product reads two buffers, as two
+    separately normalised copies would: ``unit @ unit.T`` takes BLAS's
+    symmetric path, whose last bits differ.
     """
-    train_emb = np.atleast_2d(np.asarray(train_emb, dtype=np.float64))
-    eval_emb = np.atleast_2d(np.asarray(eval_emb, dtype=np.float64))
-    train_labels = np.asarray(train_labels)
-    eval_labels = np.asarray(eval_labels)
-    if train_emb.shape[0] == 0 or eval_emb.shape[0] == 0:
-        raise ParameterError("knn_eval needs non-empty train and eval sets")
-    if leave_one_out is None:
-        leave_one_out = (train_emb.shape == eval_emb.shape
-                         and np.array_equal(train_emb, eval_emb))
-    max_k = train_emb.shape[0] - (1 if leave_one_out else 0)
-    if not (1 <= k <= max_k):
-        raise ParameterError(f"k={k} out of range (max {max_k})")
-
-    def unit(x):
-        return x / np.sqrt(_row_sum(x * x) + 1e-24)
-
-    dists = unit(eval_emb) @ unit(train_emb).T
+    emb = np.atleast_2d(np.asarray(emb, dtype=np.float64))
+    labels = np.asarray(labels).astype(np.int64)
+    n = emb.shape[0]
+    if not 1 <= k <= n - 1:
+        raise ParameterError(f"k={k} out of range (max {n - 1})")
+    unit = emb / np.sqrt(_row_sum(emb * emb) + 1e-24)
+    dists = unit @ unit.copy().T
     np.subtract(1.0, dists, out=dists)
-    if leave_one_out:
-        np.fill_diagonal(dists, np.inf)
+    np.fill_diagonal(dists, np.inf)
     nearest, near_dists = _nearest(dists, k)
-    label_values, label_ids = np.unique(train_labels.astype(np.int64),
-                                        return_inverse=True)
+    label_values, label_ids = np.unique(labels, return_inverse=True)
     winner = label_values[_vote(label_ids[nearest], near_dists,
                                 label_values.shape[0])]
-    correct = int(np.count_nonzero(winner == eval_labels.astype(np.int64)))
-    return KnnResult(k=k, accuracy=correct / eval_emb.shape[0])
+    return int(np.count_nonzero(winner == labels)) / n
 
 
 def _nearest(dists: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -202,19 +183,17 @@ class CollapseReport:
     collapsed: bool
 
 
-def collapse_verdict(embeddings: np.ndarray, prev_mean: np.ndarray | None = None,
-                     thresholds: tuple[float, float] = (0.8, 0.05),
-                     center: CenterEstimate | None = None) -> CollapseReport:
+def collapse_verdict(embeddings: np.ndarray, prev_mean: np.ndarray | None,
+                     thresholds: tuple[float, float],
+                     center: CenterEstimate) -> CollapseReport:
     """Binarized collapse reading: high center AND low spread.
 
-    ``collapsed = center_norm > thresholds[0] and std_mean < thresholds[1]``.
-    ``center`` is ``estimate_center(embeddings)``, computed here if not given.
+    ``collapsed = center_norm > thresholds[0] and std_mean < thresholds[1]``,
+    where ``center`` is ``estimate_center(embeddings)``.
     """
     center_hi, std_lo = thresholds
     if not (0.0 < center_hi < 1.0 and 0.0 < std_lo < 1.0):
         raise ParameterError("thresholds must lie in (0, 1)")
-    if center is None:
-        center = estimate_center(embeddings)
     mean_res, per_dim_std = residual_stats(embeddings, center)
     std_mean = float(per_dim_std.mean())
     dd = delta_dist(center.s_hat, prev_mean) if prev_mean is not None else 0.0

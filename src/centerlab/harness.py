@@ -20,7 +20,9 @@ chunks of at least the rows left in the batch. Without negatives a chunk reads
 ahead (at least a quarter of the view pool) and the draws left unread carry to
 the next batch of the same call, so only the generator's state between batches
 runs ahead of the loops'; with negatives a chunk is exactly the rows left, so
-the state after every batch is the loops' own.
+the state after every batch is the loops' own. Negatives come only with class
+views, whose groups are the classes, so they read the partners' index table.
+A diagnostics tick scores kNN leave-one-out over the base points' embeddings.
 """
 
 from __future__ import annotations
@@ -468,8 +470,6 @@ class Trainer:
         self.seed = seed
         self.group_table, self.group_row, self.group_pos = _index_table(
             self.augmented.group, "group")
-        self.label_table, self.label_row, _ = _index_table(
-            self.augmented.labels, "class")
 
         self.objective = _OBJECTIVES[cfg.loss.kind]
         st = self.state = TrainState(encoder, **{
@@ -483,12 +483,13 @@ class Trainer:
 
     # -- batch construction ---------------------------------------------
     def _negatives(self, idx: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """A uniform class other than each row's own, then a uniform member of it."""
-        classes, size = self.label_table.shape
+        """A uniform class other than each row's own, then a uniform member of
+        it. Negatives come only with class views, whose groups are the classes."""
+        classes, size = self.group_table.shape
         draws = rng.integers(0, np.tile([classes - 1, size], idx.shape[0]))
         other = draws[0::2]
-        other += other >= self.label_row[idx]
-        return self.label_table[other, draws[1::2]]
+        other += other >= self.group_row[idx]
+        return self.group_table[other, draws[1::2]]
 
     def draw_epoch(self, batches: list[np.ndarray],
                    rng: np.random.Generator) -> list[np.ndarray]:
@@ -550,9 +551,6 @@ class Trainer:
         """Embeddings of the full augmented pool (off-graph)."""
         return self.state.encoder.forward_array(self.augmented.points)
 
-    def base_embeddings(self) -> np.ndarray:
-        return self.state.encoder.forward_array(self.dataset.points)
-
     def diagnostics_tick(self, epoch: int) -> tuple[CollapseReport, float | None, np.ndarray]:
         cfg = self.cfg
         emb = self.eval_embeddings()
@@ -566,9 +564,9 @@ class Trainer:
                     or epoch == cfg.optimizer.epochs)
         if want_knn and self.dataset.num_classes >= 2:
             # class views are the base points, row for row
-            base = emb if cfg.augmentation.kind == "class" else self.base_embeddings()
-            knn_acc = knn_eval(base, self.dataset.labels, base, self.dataset.labels,
-                               k=cfg.diagnostics.knn_k).accuracy
+            base = (emb if cfg.augmentation.kind == "class"
+                    else self.state.encoder.forward_array(self.dataset.points))
+            knn_acc = knn_eval(base, self.dataset.labels, cfg.diagnostics.knn_k)
         return report, knn_acc, emb
 
 

@@ -73,7 +73,7 @@ class LossConfig:
         for name in ("temperature", "student_temperature", "teacher_temperature"):
             if getattr(self, name) <= 0:
                 raise ParameterError(f"{name} must be positive")
-        if self.margin is not None and np.isfinite(self.margin) and self.margin < 0:
+        if self.margin is not None and self.margin < 0:
             raise ParameterError("margin must be >= 0")
         if self.sinkhorn_iters < 1:
             raise ParameterError("sinkhorn_iters must be >= 1")
@@ -150,7 +150,7 @@ def triplet_loss(z_a: Tensor, z_p: Tensor, z_n: Tensor,
     With a finite margin: mean of max(||a-p||^2 - ||a-n||^2 + margin, 0) / 2,
     composed as ``tensor_sum(relu(d_ap - d_an + margin)) * (0.5 / m)`` with
     ``d_ap = tensor_sum((z_a - z_p) * (z_a - z_p), 1)``. With ``margin=None``
-    (or inf), the infinite-margin limit mean(-<a,p> + <a,n>), composed as
+    (or +inf), the infinite-margin limit mean(-<a,p> + <a,n>), composed as
     ``(tensor_sum(z_a * z_n) - tensor_sum(z_a * z_p)) * (1 / m)``. The
     backward hands each input the composed rules' terms in the order
     ``backward`` runs them (z_a gets four in the finite form, one per
@@ -159,8 +159,10 @@ def triplet_loss(z_a: Tensor, z_p: Tensor, z_n: Tensor,
     """
     m = _check_paired(z_a, z_p)
     _check_paired(z_a, z_n)
+    if margin is not None and not margin >= 0:
+        raise ParameterError(f"margin must be >= 0, got {margin}")
     a, p, n = z_a.values, z_p.values, z_n.values
-    if margin is None or not np.isfinite(margin):
+    if margin is None or margin == np.inf:
         value = ((a * n).sum().reshape(1, 1) - (a * p).sum().reshape(1, 1)) * (1.0 / m)
 
         def bwd(g):
@@ -169,8 +171,6 @@ def triplet_loss(z_a: Tensor, z_p: Tensor, z_n: Tensor,
             _hand_out((z_a, g_n * n), (z_n, g_n * a), (z_a, g_p * p), (z_p, g_p * a))
 
         return _make(value, (z_n, z_a, z_p), bwd)
-    if margin < 0:
-        raise ParameterError(f"margin must be >= 0, got {margin}")
     d_p, d_n = a - p, a - n
     hinge = ((d_p * d_p).sum(axis=1, keepdims=True)
              - (d_n * d_n).sum(axis=1, keepdims=True) + margin)

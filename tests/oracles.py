@@ -25,6 +25,32 @@ def unit_rows(rng, m, d):
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
+def knn_unit(x):
+    """Rows scaled to unit length, as kNN normalises them."""
+    return x / np.sqrt((x * x).sum(axis=1, keepdims=True) + 1e-24)
+
+
+def loop_knn_winners(train_emb, train_labels, eval_emb, k, leave_one_out):
+    """Each eval row's winning label from the per-row vote loop that
+    `diagnostics.knn_eval` ran before it was vectorised (the oracle). With
+    ``leave_one_out`` the eval set is the training set, and no row votes
+    for itself."""
+    dists = 1.0 - knn_unit(eval_emb) @ knn_unit(train_emb).T
+    if leave_one_out:
+        np.fill_diagonal(dists, np.inf)
+    winners = []
+    for i in range(eval_emb.shape[0]):
+        nearest = np.argsort(dists[i], kind="stable")[:k]
+        votes: dict[int, tuple[int, float]] = {}
+        for j in nearest:
+            label = int(train_labels[j])
+            count, total = votes.get(label, (0, 0.0))
+            votes[label] = (count + 1, total + dists[i][j])
+        winners.append(min(votes.items(),
+                           key=lambda kv: (-kv[1][0], kv[1][1], kv[0]))[0])
+    return np.array(winners)
+
+
 def assert_bits_equal(got, want):
     """Equal values and equal signs of zeros; None only matches None."""
     if want is None:

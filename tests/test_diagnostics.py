@@ -9,7 +9,9 @@ from centerlab.diagnostics import (CenterEstimate, _nearest, angle_to_direction,
                                    collapse_verdict, delta_dist,
                                    estimate_center, knn_eval, residual_stats,
                                    second_moment_gap)
-from oracles import assert_bits_equal, fold_case, unit_rows
+from centerlab.harness import DiagnosticsSpec
+from oracles import (assert_bits_equal, fold_case, knn_unit, loop_knn_winners,
+                     unit_rows)
 
 
 class TestEstimateCenter:
@@ -112,74 +114,52 @@ class TestKnn:
         b = rng.standard_normal((20, 2)) * 0.1 + [-5.0, 0.0]
         emb = np.concatenate([a, b])
         labels = np.array([0] * 20 + [1] * 20)
-        res = knn_eval(emb, labels, emb, labels, k=5)
-        assert res.accuracy == 1.0
-        assert res.k == 5
+        assert knn_eval(emb, labels, 5) == 1.0
 
-    def test_leave_one_out_auto_detection(self):
+    def test_each_point_is_left_out(self):
         # a lone mislabeled point is classified by its neighbors, not itself
         emb = np.array([[1.0, 0.0], [0.99, 0.05], [0.98, -0.05]])
         labels = np.array([0, 0, 1])
-        res = knn_eval(emb, labels, emb, labels, k=1)
-        assert res.accuracy == pytest.approx(2.0 / 3.0)
-        # explicit leave_one_out=False lets each point vote for itself
-        res2 = knn_eval(emb, labels, emb.copy(), labels, k=1,
-                        leave_one_out=False)
-        assert res2.accuracy == 1.0
+        assert knn_eval(emb, labels, 1) == pytest.approx(2.0 / 3.0)
+        # a NaN row leaves the others leave-one-out, so the mislabeled point
+        # stays wrong; the NaN row's own inf distance sorts before its NaNs,
+        # so it is scored by its own label, as in the loop
+        with np.errstate(invalid="ignore"):
+            acc = knn_eval(np.vstack([emb, [np.nan, 0.0]]), [0, 0, 1, 1], 1)
+        assert acc == pytest.approx(3.0 / 4.0)
 
     def test_cosine_ignores_magnitude(self):
-        emb = np.array([[1.0, 0.0], [0.9, 0.1], [-1.0, 0.0], [-0.9, -0.1]])
-        labels = np.array([0, 0, 1, 1])
-        query = np.array([[100.0, 5.0], [-200.0, -4.0]])
-        res = knn_eval(emb, labels, query, np.array([0, 1]), k=2)
-        assert res.accuracy == 1.0
+        emb = np.array([[1.0, 0.0], [0.9, 0.1], [-1.0, 0.0], [-0.9, -0.1],
+                        [100.0, 5.0], [-200.0, -4.0]])
+        labels = np.array([0, 0, 1, 1, 0, 1])
+        scale = 10.0 ** np.random.default_rng(7).uniform(-3, 3, (6, 1))
+        assert knn_eval(emb, labels, 2) == 1.0
+        assert knn_eval(emb * scale, labels, 2) == 1.0
 
     def test_tie_breaks_by_summed_distance(self):
-        # k=2, one vote each: the closer neighbor's label wins
-        emb = np.array([[1.0, 0.0], [0.0, 1.0]])
-        labels = np.array([0, 1])
-        query = np.array([[0.9, 0.1]])
-        res = knn_eval(emb, labels, query, np.array([0]), k=2)
-        assert res.accuracy == 1.0
-        res = knn_eval(emb, labels, query, np.array([1]), k=2)
-        assert res.accuracy == 0.0
+        # k=2 over P0, P1 and Q: the query row Q has one neighbor of each
+        # label, and the closer one, P0, wins. P1 with Q labelled 1 is the
+        # same tie, won by the closer Q. Labelled 0, Q and P0 are right;
+        # labelled 1, only P1 is.
+        emb = np.array([[1.0, 0.0], [0.0, 1.0], [0.9, 0.1]])
+        assert knn_eval(emb, np.array([0, 1, 0]), 2) == pytest.approx(2.0 / 3.0)
+        assert knn_eval(emb, np.array([0, 1, 1]), 2) == pytest.approx(1.0 / 3.0)
 
     def test_tie_breaks_by_lowest_label_last(self):
-        # two neighbors exactly symmetric around the query: label 0 wins
-        emb = np.array([[1.0, 0.1], [1.0, -0.1]])
-        query = np.array([[1.0, 0.0]])
-        res = knn_eval(emb, np.array([1, 0]), query, np.array([0]), k=2)
-        assert res.accuracy == 1.0
+        # the last row's two neighbors are exactly symmetric around it, so
+        # votes and summed distances tie and label 0 wins; the second row
+        # is right too (its closer neighbor, the last row, is a 0)
+        emb = np.array([[1.0, 0.1], [1.0, -0.1], [1.0, 0.0]])
+        assert knn_eval(emb, np.array([1, 0, 0]), 2) == pytest.approx(2.0 / 3.0)
 
     def test_k_out_of_range(self):
         emb = np.eye(3)
         labels = np.arange(3)
+        for k in (0, 3):  # leave-one-out caps k at n-1
+            with pytest.raises(ParameterError):
+                knn_eval(emb, labels, k)
         with pytest.raises(ParameterError):
-            knn_eval(emb, labels, emb, labels, k=3)  # LOO caps k at n-1
-        with pytest.raises(ParameterError):
-            knn_eval(emb, labels, np.ones((1, 3)), np.zeros(1), k=4)
-
-
-def loop_knn_winners(train_emb, train_labels, eval_emb, k, leave_one_out):
-    """Each eval row's winning label from the per-row vote loop that
-    `knn_eval` ran before it was vectorised (the oracle)."""
-    def unit(x):
-        return x / np.sqrt((x * x).sum(axis=1, keepdims=True) + 1e-24)
-
-    dists = 1.0 - unit(eval_emb) @ unit(train_emb).T
-    if leave_one_out:
-        np.fill_diagonal(dists, np.inf)
-    winners = []
-    for i in range(eval_emb.shape[0]):
-        nearest = np.argsort(dists[i], kind="stable")[:k]
-        votes: dict[int, tuple[int, float]] = {}
-        for j in nearest:
-            label = int(train_labels[j])
-            count, total = votes.get(label, (0, 0.0))
-            votes[label] = (count + 1, total + dists[i][j])
-        winners.append(min(votes.items(),
-                           key=lambda kv: (-kv[1][0], kv[1][1], kv[0]))[0])
-    return np.array(winners)
+            knn_eval(np.ones((1, 3)), np.zeros(1), 1)
 
 
 def grid_embeddings(seed, n, span=2, dim=2):
@@ -204,34 +184,45 @@ def sum_order_set():
 
 
 def knn_case(name):
-    """(train_emb, train_labels, eval_emb, eval_labels, ks, leave_one_out)."""
+    """(embeddings, labels, ks): one set, scored leave-one-out."""
     rng = np.random.default_rng(11)
     labels = rng.permutation(np.repeat([0, 1, 2], 30))
     if name == "grid":
-        emb = grid_embeddings(1, 90)
-        return emb, labels, emb, labels, (7,), True
+        return grid_embeddings(1, 90), labels, (7,)
     if name == "collapsed":
         # unit rows are exactly (0, 1, 0), so every distance is exactly 0
         emb = np.tile([[0.0, 2.0, 0.0]], (40, 1))
-        labels = rng.permutation(np.arange(40) % 3)
-        return emb, labels, emb, labels, (6, 13), True
+        return emb, rng.permutation(np.arange(40) % 3), (6, 13)
     if name == "k-extremes":
-        emb, train_labels = sum_order_set()
+        emb, set_labels = sum_order_set()
         query = np.array([[1.0, 0.0], [5.0, 0.0], [1.0, 1.0], [0.0, -1.0]])
-        return emb, train_labels, query, np.array([0, 1, 1, 2]), (1, 6), False
+        return (np.vstack([emb, query]),
+                np.concatenate([set_labels, [0, 1, 1, 2]]), (1, 10))
     if name == "queries":
-        emb = grid_embeddings(4, 90)
-        query = grid_embeddings(5, 50, span=3)
-        return emb, labels, query, rng.integers(0, 3, 50), (8,), False
+        emb = np.vstack([grid_embeddings(4, 90), grid_embeddings(5, 50, span=3)])
+        return emb, np.concatenate([labels, rng.integers(0, 3, 50)]), (8,)
     if name == "odd-labels":
-        emb = grid_embeddings(6, 90)
-        odd = np.array([-4, 7, 30])[labels]
-        return emb, odd, emb, odd, (7,), True
+        return grid_embeddings(6, 90), np.array([-4, 7, 30])[labels], (7,)
     if name == "nan-rows":
         emb = grid_embeddings(7, 90, span=1)
         emb[rng.random(90) < 0.3] = np.nan
-        return emb, labels, emb, labels, (9,), True
+        return emb, labels, (9,)
     raise KeyError(name)
+
+
+def knn_winners(monkeypatch, emb, labels, k):
+    """(accuracy, each row's winning label) of one `knn_eval` call."""
+    from centerlab import diagnostics
+
+    seen = []
+
+    def recorded(*args, _vote=diagnostics._vote):
+        seen.append(_vote(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(diagnostics, "_vote", recorded)
+    acc = knn_eval(emb, labels, k)
+    return acc, np.unique(np.asarray(labels).astype(np.int64))[seen[0]]
 
 
 class TestKnnMatchesLoop:
@@ -240,25 +231,19 @@ class TestKnnMatchesLoop:
 
     @pytest.mark.parametrize("name", ["grid", "collapsed", "k-extremes",
                                       "queries", "odd-labels", "nan-rows"])
-    def test_same_winners_as_loop(self, name):
-        train_emb, train_labels, eval_emb, eval_labels, ks, loo = knn_case(name)
+    def test_same_winners_as_loop(self, name, monkeypatch):
+        emb, labels, ks = knn_case(name)
         for k in ks:
             with np.errstate(invalid="ignore"):
-                winners = loop_knn_winners(train_emb, train_labels, eval_emb, k, loo)
-                res = knn_eval(train_emb, train_labels, eval_emb, eval_labels,
-                               k=k, leave_one_out=loo)
-                # scored against the loop's own winners, every row must agree
-                per_row = knn_eval(train_emb, train_labels, eval_emb, winners,
-                                   k=k, leave_one_out=loo)
-            expected = np.count_nonzero(winners == eval_labels) / eval_emb.shape[0]
-            assert res.accuracy == expected
-            assert per_row.accuracy == 1.0
+                expected = loop_knn_winners(emb, labels, emb, k, True)
+                acc, winners = knn_winners(monkeypatch, emb, labels, k)
+            np.testing.assert_array_equal(winners, expected, err_msg=f"k={k}")
+            assert acc == np.count_nonzero(expected == labels) / emb.shape[0]
 
-    def test_sum_order_set_decides_by_one_ulp(self):
+    def test_sum_order_set_decides_by_one_ulp(self, monkeypatch):
         emb, labels = sum_order_set()
         # knn_eval's own normalisation; the query (1, 0) picks the x column
-        unit = emb / np.sqrt((emb * emb).sum(axis=1, keepdims=True) + 1e-24)
-        d = 1.0 - unit[labels == 1, 0]
+        d = 1.0 - knn_unit(emb)[labels == 1, 0]
         nearest_first = farthest_first = 0.0
         for v, w in zip(np.sort(d), np.sort(d)[::-1]):
             nearest_first += v
@@ -266,6 +251,11 @@ class TestKnnMatchesLoop:
         assert nearest_first == 3.0 and farthest_first < 3.0
         query = np.array([[1.0, 0.0]])
         assert loop_knn_winners(emb, labels, query, 6, False).tolist() == [0]
+        # in the set, the query's six nearest others are the same six
+        emb, labels = np.vstack([emb, query]), np.append(labels, 1)
+        for k in (6, 7):
+            _, winners = knn_winners(monkeypatch, emb, labels, k)
+            assert winners[-1] == 0, k
 
 
 def nearest_case(name):
@@ -273,8 +263,7 @@ def nearest_case(name):
     rng = np.random.default_rng(12)
     if name == "ties":
         # integer-grid cosine distances repeat many times per row
-        emb = grid_embeddings(2, 40)
-        unit = emb / np.sqrt((emb * emb).sum(axis=1, keepdims=True) + 1e-24)
+        unit = knn_unit(grid_embeddings(2, 40))
         return 1.0 - unit @ unit.T, (1, 5, 39, 40)
     if name == "all-equal":
         d = np.zeros((6, 8))
@@ -318,16 +307,34 @@ class TestNearest:
             np.testing.assert_array_equal(
                 dists, np.take_along_axis(d, expected, axis=1), err_msg=f"k={k}")
 
-    @pytest.mark.parametrize("loo", [True, False])
-    def test_knn_eval_leaves_its_inputs_unchanged(self, loo):
+    def test_knn_eval_leaves_its_inputs_unchanged(self):
         rng = np.random.default_rng(5)
-        train, labels = rng.standard_normal((30, 3)), rng.integers(0, 3, 30)
-        query = train if loo else rng.standard_normal((10, 3))
-        query_labels = labels if loo else rng.integers(0, 3, 10)
-        before = [a.copy() for a in (train, labels, query, query_labels)]
-        knn_eval(train, labels, query, query_labels, k=4)
-        for a, b in zip((train, labels, query, query_labels), before):
+        emb, labels = rng.standard_normal((30, 3)), rng.integers(0, 3, 30)
+        before = [a.copy() for a in (emb, labels)]
+        knn_eval(emb, labels, 4)
+        for a, b in zip((emb, labels), before):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("dim", [2, 8])
+    def test_distances_are_a_two_buffer_product(self, dim, monkeypatch):
+        # unit @ unit.T would take BLAS's symmetric path, whose last bits
+        # differ from the product of two separately normalised copies
+        from centerlab import diagnostics
+
+        seen = []
+
+        def recorded(dists, k, _nearest=diagnostics._nearest):
+            seen.append(dists.copy())
+            return _nearest(dists, k)
+
+        monkeypatch.setattr(diagnostics, "_nearest", recorded)
+        rng = np.random.default_rng(8)
+        emb, labels = rng.standard_normal((300, dim)), rng.integers(0, 3, 300)
+        knn_eval(emb, labels, 5)
+        a, b = knn_unit(emb), knn_unit(emb.copy())
+        expected = 1.0 - a @ b.T
+        np.fill_diagonal(expected, np.inf)
+        assert_bits_equal(seen[0], expected)
 
     def test_one_call_allocates_one_distance_matrix(self):
         # the (n, n) distances are the only large array a call makes; the
@@ -335,42 +342,49 @@ class TestNearest:
         n = 300
         rng = np.random.default_rng(6)
         emb, labels = rng.standard_normal((n, 2)), rng.integers(0, 3, n)
-        knn_eval(emb, labels, emb, labels, k=5)
+        knn_eval(emb, labels, 5)
         tracemalloc.start()
         try:
-            knn_eval(emb, labels, emb, labels, k=5)
+            knn_eval(emb, labels, 5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * n * n * 8, peak / (n * n * 8)
 
 
+def verdict(z, prev_mean=None, thresholds=None):
+    """`collapse_verdict` at the default diagnostics thresholds."""
+    spec = DiagnosticsSpec()
+    return collapse_verdict(z, prev_mean, thresholds or (spec.center_hi, spec.std_lo),
+                            estimate_center(z))
+
+
 class TestCollapseVerdict:
     def test_collapsed_cloud_flagged(self):
         rng = np.random.default_rng(4)
         z = np.tile([[0.7, 0.7]], (30, 1)) + 0.01 * rng.standard_normal((30, 2))
-        report = collapse_verdict(z)
+        report = verdict(z)
         assert report.collapsed
         assert report.center_norm > 0.9
         assert report.std_mean < 0.05
 
     def test_healthy_unit_cloud_not_flagged(self):
         rng = np.random.default_rng(5)
-        report = collapse_verdict(unit_rows(rng, 100, 2))
+        report = verdict(unit_rows(rng, 100, 2))
         assert not report.collapsed
 
     def test_high_center_with_spread_not_flagged(self):
         # spread cloud far from the origin: center alone must not trip it
         rng = np.random.default_rng(6)
         z = rng.standard_normal((100, 2)) + [3.0, 0.0]
-        assert not collapse_verdict(z).collapsed
+        assert not verdict(z).collapsed
 
     def test_delta_dist_wired_through(self):
         z = np.tile([[1.0, 0.0]], (4, 1))
-        report = collapse_verdict(z, prev_mean=np.array([0.0, 0.0]))
+        report = verdict(z, prev_mean=np.array([0.0, 0.0]))
         assert report.delta_dist == 1.0
-        assert collapse_verdict(z).delta_dist == 0.0
+        assert verdict(z).delta_dist == 0.0
 
     def test_invalid_thresholds(self):
         with pytest.raises(ParameterError):
-            collapse_verdict(np.ones((3, 2)), thresholds=(1.5, 0.05))
+            verdict(np.ones((3, 2)), thresholds=(1.5, 0.05))

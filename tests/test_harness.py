@@ -29,7 +29,7 @@ from centerlab.harness import (METRICS_HEADER, ComparisonError, ConfigError,
                                named_experiment, run_experiment)
 from centerlab.layers import EncoderStack
 from centerlab.losses import LossConfig
-from oracles import composed_views
+from oracles import composed_views, loop_knn_winners
 
 
 def tiny_config(**loss_kw) -> ExperimentConfig:
@@ -137,7 +137,8 @@ class TestOverrides:
             apply_overrides(tiny_config(), {"optimizer.beta": 0.5})
 
     def test_nan_fits_no_float_field(self):
-        # +-inf does: a margin of inf is the triplet's infinite-margin mode
+        # +-inf fits one: a margin of +inf is the triplet's infinite-margin
+        # mode, and -inf is left to LossConfig.validate, which rejects it
         assert apply_overrides(tiny_config(), {"loss.margin": np.inf}).loss.margin == np.inf
         with pytest.raises(ConfigError, match="loss.margin"):
             apply_overrides(tiny_config(), {"loss.margin": np.nan})
@@ -526,16 +527,33 @@ class TestTrainer:
         trainer = Trainer(tiny_config(), seed=0)
         _, knn, emb = trainer.diagnostics_tick(0)
         assert calls == [trainer.augmented.points.shape]
-        base = trainer.base_embeddings()
+        base = trainer.state.encoder.forward_array(trainer.dataset.points)
         np.testing.assert_array_equal(base, emb)
-        labels = trainer.dataset.labels
-        assert knn == knn_eval(base, labels, base, labels,
-                               k=trainer.cfg.diagnostics.knn_k).accuracy
+        assert knn == knn_eval(base, trainer.dataset.labels, trainer.cfg.diagnostics.knn_k)
         calls.clear()
         jittered = Trainer(apply_overrides(tiny_config(), {
             "augmentation.kind": "centered", "augmentation.views": 2}), seed=0)
         jittered.diagnostics_tick(0)
         assert calls == [jittered.augmented.points.shape, jittered.dataset.points.shape]
+
+    def test_knn_tick_with_a_nan_row_stays_leave_one_out(self, monkeypatch):
+        # a NaN embedding must not turn the tick's kNN into a self-vote; the
+        # embeddings are noise, so voting for itself would lift the accuracy
+        from centerlab import layers
+
+        def one_nan_row(self, x):
+            out = np.random.default_rng(0).standard_normal((x.shape[0], 2))
+            out[3] = np.nan
+            return out
+
+        monkeypatch.setattr(layers.EncoderStack, "forward_array", one_nan_row)
+        trainer = Trainer(tiny_config(), seed=0)
+        with np.errstate(invalid="ignore"):
+            _, knn, emb = trainer.diagnostics_tick(0)
+            labels = trainer.dataset.labels
+            winners = loop_knn_winners(emb, labels, emb, trainer.cfg.diagnostics.knn_k, True)
+        assert np.isnan(emb[3]).all()
+        assert knn == np.count_nonzero(winners == labels) / labels.shape[0]
 
     def test_thin_folds_keep_seed_csvs(self, tmp_path, monkeypatch):
         # the full-batch s21 arm reduces (1000 x 2) arrays through the folds;
@@ -773,14 +791,14 @@ class TestIndexTables:
             for label, cfg in named_experiment(name):
                 trainer = Trainer(cfg, seed=0)
                 aug = trainer.augmented
-                for table, row, keys in (
-                        (trainer.group_table, trainer.group_row, aug.group),
-                        (trainer.label_table, trainer.label_row, aug.labels)):
-                    # every row index appears once, in the table row of its key
-                    np.testing.assert_array_equal(np.sort(table.ravel()),
-                                                  np.arange(aug.n))
-                    assert np.all(row[table] == np.arange(table.shape[0])[:, None])
-                    assert np.all(keys[table] == keys[table[:, :1]]), (name, label)
+                table, row = trainer.group_table, trainer.group_row
+                # every row index appears once, in the table row of its group
+                np.testing.assert_array_equal(np.sort(table.ravel()), np.arange(aug.n))
+                assert np.all(row[table] == np.arange(table.shape[0])[:, None])
+                assert np.all(aug.group[table] == aug.group[table[:, :1]]), (name, label)
+                # class views are grouped by class, so negatives read the same table
+                if cfg.augmentation.kind == "class":
+                    np.testing.assert_array_equal(aug.group, aug.labels)
                 pos = trainer.group_pos
                 np.testing.assert_array_equal(
                     trainer.group_table[trainer.group_row, pos], np.arange(aug.n))
@@ -981,7 +999,7 @@ def test_reimport_frees_previous_modules():
             gc.collect()
             return importlib.import_module("centerlab")
         old = [weakref.ref(getattr(fresh().diagnostics, n))
-               for n in ("CollapseReport", "KnnResult", "CenterEstimate")]
+               for n in ("CollapseReport", "CenterEstimate")]
         fresh()
         gc.collect()
         print(sum(r() is not None for r in old))
@@ -1167,38 +1185,53 @@ class TestCli:
     # during training (or, for the wrong types, inside validate() itself)
     @pytest.mark.parametrize("overrides, field", [
         # 3 x 67 = 201 points in batches of 50 leave a last batch of 1
-        (["loss.kind=barlow_twins", "dataset.n_per_class=67"], "optimizer.batch_size"),
-        (["loss.kind=infonce", "dataset.n_per_class=67"], "optimizer.batch_size"),
-        (["optimizer.predictor_lr_multiplier=0"], "optimizer.predictor_lr_multiplier"),
-        (["encoder.dims=[2,0,2]"], "encoder.dims"),
-        (["encoder.activation=gelu"], "encoder.activation"),
-        (["encoder.scheme=xavier"], "encoder.scheme"),
-        (["diagnostics.center_hi=1.5"], "diagnostics.center_hi"),
-        (["augmentation.kind=shifted"], "augmentation.shift"),
-        (["loss.kind=swav", "loss.num_prototypes=1"], "loss.num_prototypes"),
-        (['optimizer.epochs="3"'], "optimizer.epochs"),
-        (["loss.kind=swav", "encoder.dims=[2,16,1]"], "encoder.dims"),
-        (["encoder.predictor_hidden_multiple=-1"], "encoder.predictor_hidden_multiple"),
-        (['encoder.dims=["2",16,2]'], "encoder.dims"),
-        (['loss.margin="x"'], "loss.margin"),
+        pytest.param(["loss.kind=barlow_twins", "dataset.n_per_class=67"],
+                     "optimizer.batch_size", id="barlow-twins-batch-of-1"),
+        pytest.param(["loss.kind=infonce", "dataset.n_per_class=67"],
+                     "optimizer.batch_size", id="infonce-batch-of-1"),
+        pytest.param(["optimizer.predictor_lr_multiplier=0"],
+                     "optimizer.predictor_lr_multiplier", id="zero-predictor-lr-multiplier"),
+        pytest.param(["encoder.dims=[2,0,2]"], "encoder.dims", id="zero-width-layer"),
+        pytest.param(["encoder.activation=gelu"], "encoder.activation",
+                     id="unknown-activation"),
+        pytest.param(["encoder.scheme=xavier"], "encoder.scheme", id="unknown-init-scheme"),
+        pytest.param(["diagnostics.center_hi=1.5"], "diagnostics.center_hi",
+                     id="center-hi-above-1"),
+        pytest.param(["augmentation.kind=shifted"], "augmentation.shift",
+                     id="shifted-without-shift"),
+        pytest.param(["loss.kind=swav", "loss.num_prototypes=1"], "loss.num_prototypes",
+                     id="one-prototype"),
+        pytest.param(['optimizer.epochs="3"'], "optimizer.epochs", id="string-epochs"),
+        pytest.param(["loss.kind=swav", "encoder.dims=[2,16,1]"], "encoder.dims",
+                     id="swav-output-dim-1"),
+        pytest.param(["encoder.predictor_hidden_multiple=-1"],
+                     "encoder.predictor_hidden_multiple",
+                     id="negative-predictor-hidden-multiple"),
+        pytest.param(['encoder.dims=["2",16,2]'], "encoder.dims", id="string-dim"),
+        pytest.param(['loss.margin="x"'], "loss.margin", id="string-margin"),
         # used to be accepted silently
-        (["augmentation.shift=1"], "augmentation.shift"),
-        (["loss.use_predictor=0"], "loss.use_predictor"),
-        (["record_wall_time=3"], "record_wall_time"),
+        pytest.param(["augmentation.shift=1"], "augmentation.shift", id="scalar-shift"),
+        pytest.param(["augmentation.shift=[1,0]"], "augmentation.shift",
+                     id="class-views-ignore-shift"),
+        pytest.param(["loss.use_predictor=0"], "loss.use_predictor", id="int-use-predictor"),
+        pytest.param(["record_wall_time=3"], "record_wall_time", id="int-record-wall-time"),
         # used to crash with a TypeError
-        (["name=null"], "name: expected str"),
-        (["encoder.activation=[1]"], "encoder.activation"),
+        pytest.param(["name=null"], "name: expected str", id="null-name"),
+        pytest.param(["encoder.activation=[1]"], "encoder.activation", id="list-activation"),
         # NaN fits no float field: it used to run (a triplet margin of NaN
         # as the infinite-margin mode) or to abort with exit 3
-        (["loss.kind=triplet", "loss.margin=NaN"], "loss.margin"),
-        (["augmentation.sigma=NaN"], "augmentation.sigma"),
-        (["loss.temperature=NaN"], "loss.temperature"),
-        (["optimizer.lr=NaN"], "optimizer.lr"),
-        (["dataset.sigma=NaN"], "dataset.sigma"),
-        (["augmentation.kind=shifted", "augmentation.shift=[NaN,0]"], "augmentation.shift"),
-        # used to be accepted silently: class views ignored the shift (last
-        # here, so the rows above keep their test ids)
-        (["augmentation.shift=[1,0]"], "augmentation.shift"),
+        pytest.param(["loss.kind=triplet", "loss.margin=NaN"], "loss.margin",
+                     id="nan-margin"),
+        pytest.param(["augmentation.sigma=NaN"], "augmentation.sigma",
+                     id="nan-augmentation-sigma"),
+        pytest.param(["loss.temperature=NaN"], "loss.temperature", id="nan-temperature"),
+        pytest.param(["optimizer.lr=NaN"], "optimizer.lr", id="nan-lr"),
+        pytest.param(["dataset.sigma=NaN"], "dataset.sigma", id="nan-dataset-sigma"),
+        pytest.param(["augmentation.kind=shifted", "augmentation.shift=[NaN,0]"],
+                     "augmentation.shift", id="nan-shift"),
+        # a margin of -inf used to run as the infinite-margin mode
+        pytest.param(["loss.kind=triplet", "loss.margin=-Infinity"], "loss.margin",
+                     id="minus-infinity-margin"),
     ])
     def test_named_crashing_config_exits_2(self, tmp_path, capsys, overrides, field):
         argv = ["--out-dir", str(tmp_path), "--quiet", "named", "fig3-simple-vs-simsiam"]

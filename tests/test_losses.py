@@ -144,6 +144,17 @@ class TestTriplet:
         with pytest.raises(ParameterError):
             triplet_loss(z, z, z, margin=-0.1)
 
+    def test_minus_infinity_and_nan_margins_rejected(self):
+        # only None and +inf select the infinite-margin mode
+        z = Tensor(np.ones((2, 2)))
+        for margin in (-np.inf, np.nan):
+            with pytest.raises(ParameterError, match="margin"):
+                triplet_loss(z, z, z, margin=margin)
+        with pytest.raises(ParameterError, match="margin"):
+            LossConfig(kind="triplet", margin=-np.inf).validate()
+        assert (triplet_loss(z, z, z, margin=np.inf).values
+                == triplet_loss(z, z, z, margin=None).values).all()
+
 
 class TestInfoNCE:
     def _reference(self, a, p, tau):
