@@ -8,8 +8,9 @@ Runs each variant of each registered experiment once through
 overridden, into `<out>/<experiment>/<variant name>/seed<s>.csv`. A digest
 is the sha256 of CSVs' bytes concatenated in sorted relative-path order:
 one line per experiment over its own CSVs, one line for each loss swap of
-fig3's `simple-blobs` (`triplet-blobs`, `infonce-blobs`, run into
-`<out>/<kind>-blobs/`), then the total over the experiments' CSVs, then one
+fig3's `simple-blobs` (`triplet-blobs`, `infonce-blobs` and
+`triplet-margin-blobs`, run into `<out>/<swap>/`), then the total over the
+experiments' CSVs, then one
 line over their variants' `aggregate.csv`. Two trees that print the
 same digest wrote byte-identical CSVs, so a change meant to be exact can be
 checked against its parent, and a change that adds an experiment can show
@@ -36,11 +37,16 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from centerlab import harness  # noqa: E402
 
-# the loss swaps the benchmark's objective-catalog workload runs on fig3's
-# simple-blobs: triplet is the one objective whose negatives share the pair
-# stream with the partner draws
+# loss swaps of fig3's simple-blobs, name -> overrides: the two the benchmark's
+# objective-catalog workload runs, where triplet is the one objective whose
+# negatives share the pair stream with the partner draws, and triplet with a
+# finite margin, whose node folds its three views in another order
 SWAPPED_EXPERIMENT, SWAPPED_VARIANT = "fig3-simple-vs-simsiam", "simple-blobs"
-LOSS_SWAPS = ("triplet", "infonce")
+LOSS_SWAPS = {
+    "triplet-blobs": {"loss.kind": "triplet"},
+    "infonce-blobs": {"loss.kind": "infonce"},
+    "triplet-margin-blobs": {"loss.kind": "triplet", "loss.margin": 0.5},
+}
 EXPECTED = Path(__file__).with_suffix(".expected")
 
 
@@ -63,8 +69,8 @@ def registry_digest(out: Path, base_seed: int, num_seeds: int
     cover the registered experiments only."""
     names = harness.experiment_names()
     simple_blobs = dict(harness.named_experiment(SWAPPED_EXPERIMENT))[SWAPPED_VARIANT]
-    swaps = {f"{kind}-blobs": harness.apply_overrides(
-        simple_blobs, {"name": f"{kind}-blobs", "loss.kind": kind}) for kind in LOSS_SWAPS}
+    swaps = {key: harness.apply_overrides(simple_blobs, {"name": key, **overrides})
+             for key, overrides in LOSS_SWAPS.items()}
     runs = [(name, cfg) for name in names for _, cfg in harness.named_experiment(name)]
     for key, cfg in runs + list(swaps.items()):
         cfg = harness.apply_overrides(cfg, {

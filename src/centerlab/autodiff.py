@@ -1,19 +1,21 @@
-"""Minimal reverse-mode automatic differentiation over dense 2-D float64 arrays
-(and the (V, m, k) view stack inside an ``mlp`` or ``batch_norm_cols`` node).
+"""Minimal reverse-mode automatic differentiation over dense float64 arrays:
+2-D parameters and losses, and (V, m, n) view stacks.
 
 The engine is a ``Tensor``, a node constructor (``_make``) and one
 ``backward``. A graph is built of fused nodes only: ``mlp`` (a whole encoder
 over its views), ``batch_norm_cols`` (over its views) and the loss nodes in
 ``losses``, each holding a closure that pushes gradients to its parents. A
-fresh graph is built on every training step; ``backward`` runs a topological
-sweep from a scalar loss. Gradients accumulate on leaves until reset to None
-(``layers.sgd_step`` does so after each update). The composed primitive
-graphs that the fused nodes replace bit for bit live in the tests, as their
-oracles.
+node over V views holds them as one (V, m, n) array and takes back one
+(V, m, n) gradient. A fresh graph is built on every training step;
+``backward`` runs a topological sweep from a scalar loss. Gradients
+accumulate on leaves until reset to None (``layers.sgd_step`` does so after
+each update). The composed primitive graphs that the fused nodes replace bit
+for bit live in the tests, as their oracles.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -39,36 +41,41 @@ class ParameterError(ValueError):
     """Raised for out-of-range hyperparameters (e.g. temperature <= 0)."""
 
 
-def _as_2d(values) -> np.ndarray:
+def _as_array(values) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim == 0:
         arr = arr.reshape(1, 1)
     elif arr.ndim == 1:
         arr = arr.reshape(1, -1)
-    elif arr.ndim != 2:
-        raise ShapeError(f"only 2-D tensors supported, got ndim={arr.ndim}")
+    elif arr.ndim > 3:
+        raise ShapeError(f"only 2-D tensors and 3-D view stacks supported, "
+                         f"got ndim={arr.ndim}")
     return arr
 
 
 class Tensor:
-    """Dense 2-D array participating in the computation graph.
+    """Dense array participating in the computation graph: 2-D, or a
+    (V, m, n) stack of V views.
 
-    ``grad`` has the same shape as ``values`` once populated; an ``mlp``
-    node's values are 3-D and its grad is a dict (see ``_row_block``). Leaves
-    are tensors with no parents; parameter leaves carry ``requires_grad=True``.
+    ``grad`` has the same shape as ``values`` once populated. Leaves are
+    tensors with no parents; parameter leaves carry ``requires_grad=True``.
+    ``view_order`` is set on a view stack by a consumer whose composed graph
+    reaches the views in another order than view order (see ``mlp``).
     """
 
-    __slots__ = ("values", "grad", "requires_grad", "_parents", "_backward_fn")
+    __slots__ = ("values", "grad", "requires_grad", "view_order", "_parents",
+                 "_backward_fn", "__weakref__")
 
     def __init__(self, values, requires_grad: bool = False):
-        self.values = _as_2d(values)
+        self.values = _as_array(values)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
+        self.view_order: tuple[int, ...] | None = None
         self._parents: tuple = ()
         self._backward_fn = None
 
     @property
-    def shape(self) -> tuple[int, int]:
+    def shape(self) -> tuple[int, ...]:
         return self.values.shape
 
     def item(self) -> float:
@@ -95,11 +102,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def _make(values: np.ndarray, parents: Sequence[Tensor],
           backward_fn: Callable[[np.ndarray], None] | None) -> Tensor:
-    """A node over `values` as numpy returned them (float64, 2-D; 3-D for an
-    ``mlp`` node), without ``_as_2d``'s conversion."""
+    """A node over `values` as numpy returned them (float64, 2-D or a view
+    stack), without ``_as_array``'s conversion."""
     needs = any(p.requires_grad for p in parents)
     t = Tensor.__new__(Tensor)
-    t.values, t.grad, t.requires_grad = values, None, needs
+    t.values, t.grad, t.requires_grad, t.view_order = values, None, needs, None
     t._parents = tuple(parents) if needs else ()
     t._backward_fn = backward_fn if needs else None
     return t
@@ -177,12 +184,12 @@ def _mlp_forward(h: np.ndarray, weights: Sequence[Tensor], biases: Sequence[Tens
 
 
 def mlp(x, weights: Sequence[Tensor], biases: Sequence[Tensor],
-        activations: Sequence[str], normalize: bool, eps: float = 1e-12) -> list[Tensor]:
+        activations: Sequence[str], normalize: bool, eps: float = 1e-12) -> Tensor:
     """Layers ``act(h @ w + b)``, then optionally unit-norm rows, as one node.
 
-    ``x`` is V views: a (V, m, k) array, or V 2-D Tensors (another node's row
-    blocks, say) that may carry gradients. Returns V row blocks: 2-D Tensors
-    whose parent is the one node. Rows are normalised as
+    ``x`` is V views, a (V, m, k) array or a (V, m, k) Tensor (another node,
+    say) that may carry a gradient; the node's values are the views' (V, m, n)
+    outputs, and its gradient is one (V, m, n) array. Rows are normalised as
     ``h / (sum(h * h, 1) + eps^2) ** 0.5``, so zero rows map to zero rows.
 
     The products run as ``np.matmul`` over the view axis, bit-equal to each
@@ -190,21 +197,21 @@ def mlp(x, weights: Sequence[Tensor], biases: Sequence[Tensor],
     The backward replays, batched over the view axis, the rules of the
     composed matmul, add, activation, div, power, sum and mul nodes, not the
     analytic normalisation Jacobian. A parameter without a gradient gets its
-    views' gradients as one left fold in the order in which the row blocks
-    ran their backward (with three views that order sets the rounding of the
-    sums); one holding a gradient, and each view Tensor that requires one,
-    gets them one at a time in that order. So values and gradients are
-    bit-identical to V composed graphs.
+    views' gradients as one left fold, one holding a gradient gets them one at
+    a time; either way in the order the node's ``view_order`` names (the order
+    in which the composed graph of its consumer reaches the views; view order
+    when None), since with three views that order sets the rounding of the
+    sums. So values and gradients are bit-identical to V composed graphs.
     """
-    views = () if isinstance(x, np.ndarray) else tuple(x)
-    x_grad = any(v.requires_grad for v in views)
-    hs, pres, s, d, out = _mlp_forward(np.stack([v.values for v in views]) if views else x,
-                                       weights, biases, activations, normalize, eps)
+    x_grad = isinstance(x, Tensor) and x.requires_grad
+    h = x.values if isinstance(x, Tensor) else x
+    if h.ndim != 3:
+        raise ShapeError(f"mlp takes a (V, m, k) view stack, got shape {h.shape}")
+    hs, pres, s, d, out = _mlp_forward(h, weights, biases, activations, normalize, eps)
     h = hs[-1]
-    m, n = h.shape[1:]
+    views, m, n = h.shape
 
-    def bwd(grads: dict[int, np.ndarray]):
-        g = _stacked(grads, out.shape)
+    def bwd(g: np.ndarray):
         if normalize:
             gd = -g * h / (d ** 2)
             if n != 1:  # as _unbroadcast to d's shape
@@ -224,84 +231,60 @@ def mlp(x, weights: Sequence[Tensor], biases: Sequence[Tensor],
                 per_param.append((w, np.matmul(hs[i].transpose(0, 2, 1), g)))
             if i or x_grad:
                 g = np.matmul(g, w.values.T)
+        order = ref().view_order or range(views)
         for p, per_view in per_param:
-            if p.grad is None and len(grads) > 1:
-                # _accum's copy-then-adds as one left fold in arrival order
-                order = iter(grads)
-                p.grad = per_view[next(order)] + per_view[next(order)]
-                for v in order:
+            if p.grad is None and views > 1:
+                # _accum's copy-then-adds as one left fold
+                fold = iter(order)
+                p.grad = per_view[next(fold)] + per_view[next(fold)]
+                for v in fold:
                     p.grad += per_view[v]
             else:
-                for v in grads:
+                for v in order:
                     _accum(p, per_view[v])
-        for v in grads:
-            if x_grad and views[v].requires_grad:
-                _accum(views[v], g[v])
+        if x_grad:
+            _accum(x, g)
 
-    node = _make(out, (*views, *weights, *biases), bwd)
-    return [_row_block(node, v) for v in range(len(out))]
-
-
-def _row_block(node: Tensor, v: int) -> Tensor:
-    """View v of an ``mlp`` or ``batch_norm_cols`` node; its backward files
-    its gradient, in arrival order, in the node's grad, a dict from view to
-    gradient."""
-    def bwd(g):
-        if node.grad is None:
-            node.grad = {}
-        node.grad[v] = g
-
-    return _make(node.values[v], (node,), bwd)
+    node = _make(out, (x, *weights, *biases) if x_grad else (*weights, *biases), bwd)
+    # the backward reads its node's order through a weak reference: a strong
+    # one would make every step's graph a reference cycle, which only the
+    # garbage collector frees
+    ref = weakref.ref(node)
+    return node
 
 
-def _stacked(grads: dict[int, np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
-    """A node's row-block gradients as one (V, m, n) stack; views no row block
-    reached hold zeros, and the node hands them out nothing."""
-    g = (np.empty if len(grads) == shape[0] else np.zeros)(shape)
-    for v, gv in grads.items():
-        g[v] = gv
-    return g
-
-
-def batch_norm_cols(x, eps: float = 1e-12) -> Tensor | list[Tensor]:
+def batch_norm_cols(x: Tensor, eps: float = 1e-12) -> Tensor:
     """Standardize each column to mean 0, variance 1 (biased), as one node.
 
-    ``x`` is one 2-D Tensor, which gives one 2-D Tensor, or V 2-D Tensors of
-    one shape (as ``mlp`` takes them), which give V row blocks. Either way the
-    node runs over the views' (V, m, n) stack, each view standardized over
-    its own rows. The values are those of the composed graph
+    ``x`` is rows (m, n) or a view stack (V, m, n), each view standardized
+    over its own rows. The values are those of the composed graph
     ``c / power(var + eps, 0.5)`` with ``c = x - tensor_mean(x, 0)`` and
     ``var = tensor_mean(c * c, 0)``. The backward replays its div, power, add,
     mul, sum and sub rules in the order ``backward`` runs them, per view: c
     receives the div's term, then the same term from each operand of
-    ``c * c``; each view's x receives c's gradient and then the mean's, as two
-    accumulations, view by view in row-block arrival order. So values and
-    gradients are bit-identical to one composed graph per view.
+    ``c * c``; x receives c's gradient and then the mean's, as two
+    accumulations. So values and gradients are bit-identical to one composed
+    graph per view.
     """
-    views = (x,) if isinstance(x, Tensor) else tuple(x)
-    xs = np.stack([v.values for v in views])
-    m = xs.shape[1]
+    xs = x.values
+    m = xs.shape[-2]
     if m < 2:
         raise ShapeError(f"batch_norm_cols needs at least 2 rows, got {m}")
     inv_m = 1.0 / m
-    c = xs - xs.sum(axis=1, keepdims=True) * inv_m
-    ve = (c * c).sum(axis=1, keepdims=True) * inv_m + eps
+    c = xs - xs.sum(axis=-2, keepdims=True) * inv_m
+    ve = (c * c).sum(axis=-2, keepdims=True) * inv_m + eps
     sd = ve ** 0.5
 
-    def bwd(grads: dict[int, np.ndarray]):
-        g = _stacked(grads, c.shape)
+    def bwd(g: np.ndarray):
         t = _unbroadcast(-g * c / (sd ** 2), sd.shape) * 0.5 * ve ** -0.5 * inv_m * c
         g_c = g / sd
         g_c += t
         g_c += t
         g_mean = _unbroadcast(-g_c, sd.shape) * inv_m
-        for v in grads:
-            _accum(views[v], g_c[v])
-            _accum(views[v], np.broadcast_to(g_mean[v], g_c.shape[1:]))
+        _accum(x, g_c)
+        _accum(x, np.broadcast_to(g_mean, g_c.shape))
 
-    node = _make(c / sd, views, bwd)
-    blocks = [_row_block(node, v) for v in range(len(views))]
-    return blocks[0] if isinstance(x, Tensor) else blocks
+    return _make(c / sd, (x,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -381,14 +364,13 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor,
 
     numeric = np.zeros_like(probe.values)
     base = probe.values.copy()
-    for i in range(base.shape[0]):
-        for j in range(base.shape[1]):
-            bumped = base.copy()
-            bumped[i, j] = base[i, j] + step
-            hi = f(Tensor(bumped)).item()
-            bumped[i, j] = base[i, j] - step
-            lo = f(Tensor(bumped)).item()
-            numeric[i, j] = (hi - lo) / (2.0 * step)
+    for i in np.ndindex(base.shape):
+        bumped = base.copy()
+        bumped[i] = base[i] + step
+        hi = f(Tensor(bumped)).item()
+        bumped[i] = base[i] - step
+        lo = f(Tensor(bumped)).item()
+        numeric[i] = (hi - lo) / (2.0 * step)
 
     abs_err = np.abs(analytic - numeric)
     scale = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))

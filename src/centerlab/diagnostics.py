@@ -97,7 +97,8 @@ def knn_eval(emb: np.ndarray, labels: np.ndarray, k: int) -> float:
     point's distance to itself becomes inf, and k ``argmin`` passes pick the
     neighbours (see ``_nearest``). The product reads two buffers, as two
     separately normalised copies would: ``unit @ unit.T`` takes BLAS's
-    symmetric path, whose last bits differ.
+    symmetric path, whose last bits differ. A row with a non-finite entry
+    counts as a miss: its own inf distance would sort before its NaNs.
     """
     emb = np.atleast_2d(np.asarray(emb, dtype=np.float64))
     labels = np.asarray(labels).astype(np.int64)
@@ -112,7 +113,9 @@ def knn_eval(emb: np.ndarray, labels: np.ndarray, k: int) -> float:
     label_values, label_ids = np.unique(labels, return_inverse=True)
     winner = label_values[_vote(label_ids[nearest], near_dists,
                                 label_values.shape[0])]
-    return int(np.count_nonzero(winner == labels)) / n
+    # a row that is not finite is a miss, whatever its neighbours vote
+    hits = (winner == labels) & np.isfinite(emb).all(axis=1)
+    return int(np.count_nonzero(hits)) / n
 
 
 def _nearest(dists: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -388,8 +388,8 @@ class _Objective:
     ``step(state, loss config, x, z)`` returns the loss and a hook to run
     after the optimizer and EMA twin updates, or None. ``x`` stacks the step's
     input views as a (V, m, k) array (x_a, x_b, and x_n if the objective
-    draws negatives) and ``z`` holds the student's V embeddings of them; the
-    trainer runs the student forward once per step. Steps look each loss
+    draws negatives) and ``z`` is the student's one (V, m, n) node over them;
+    the trainer runs the student forward once per step. Steps look each loss
     function up on the losses module at call time, so wrappers installed
     there (the benchmark's tracer) see every call.
 
@@ -420,44 +420,43 @@ _HEADS: dict[str, Callable[..., object]] = {
 
 
 def _dino(st, lc, x, z):
-    loss, teacher_mean = L.dino_loss(*z, *st.twin.forward_array(x), st.dino_center,
+    loss, teacher_mean = L.dino_loss(z, st.twin.forward_array(x), st.dino_center,
                                      lc.student_temperature, lc.teacher_temperature,
                                      use_centering=lc.use_centering)
     return loss, lambda: st.dino_center.update(teacher_mean)
 
 
-def _barlow_twins(st, lc, x, z):
-    z_a, z_b = batch_norm_cols(z, eps=1e-12)
-    return L.barlow_twins_loss(z_a, z_b, lc.bt_lambda,
-                               use_decorrelation=lc.use_decorrelation), None
-
-
 _OBJECTIVES: dict[str, _Objective] = {
-    "invariance": _Objective(lambda st, lc, x, z: (L.invariance_loss(*z), None)),
+    "invariance": _Objective(lambda st, lc, x, z: (L.invariance_loss(z), None)),
     "triplet": _Objective(
-        lambda st, lc, x, z: (L.triplet_loss(*z, lc.margin), None),
+        lambda st, lc, x, z: (L.triplet_loss(z, lc.margin), None),
         negatives=True, class_views=True),
     "infonce": _Objective(
-        lambda st, lc, x, z: (L.infonce_loss(*z, temperature=lc.temperature), None),
+        lambda st, lc, x, z: (L.infonce_loss(z, temperature=lc.temperature), None),
         class_views=True, min_batch=2),
     "simsiam": _Objective(
-        lambda st, lc, x, z: (L.simsiam_loss(*z, st.predictor, lc.use_stop_gradient),
+        lambda st, lc, x, z: (L.simsiam_loss(z, st.predictor, lc.use_stop_gradient),
                               None),
         ("predictor",)),
     "byol": _Objective(
-        lambda st, lc, x, z: (L.byol_loss(*z, st.predictor,
-                                          *st.twin.forward_array(x)), None),
+        lambda st, lc, x, z: (L.byol_loss(z, st.predictor, st.twin.forward_array(x)),
+                              None),
         ("predictor", "twin")),
     "dino": _Objective(_dino, ("twin", "dino_center")),
     "swav": _Objective(
         lambda st, lc, x, z: (L.swav_loss(
-            *z, st.prototypes.matrix, lc.temperature, lc.sinkhorn_eps,
+            z, st.prototypes.matrix, lc.temperature, lc.sinkhorn_eps,
             lc.sinkhorn_iters), st.prototypes.renormalize),
         ("prototypes",)),
-    "barlow_twins": _Objective(_barlow_twins, min_batch=2),
+    # batch_norm_cols is looked up here at call time too
+    "barlow_twins": _Objective(
+        lambda st, lc, x, z: (L.barlow_twins_loss(
+            batch_norm_cols(z, eps=1e-12), lc.bt_lambda,
+            use_decorrelation=lc.use_decorrelation), None),
+        min_batch=2),
     "simple": _Objective(
         lambda st, lc, x, z: (L.simple_objective(
-            *z, lc.center_penalty_weight, squared=lc.center_penalty_squared), None)),
+            z, lc.center_penalty_weight, squared=lc.center_penalty_squared), None)),
 }
 
 

@@ -2,15 +2,16 @@
 
 An encoder is a list of (weight, bias, activation) triples with optional
 unit-sphere output normalization, which joins the graph as one
-``autodiff.mlp`` node over its views, and a predictor head is an encoder whose
-input and output dims match. Teacher-side forwards (``forward_array``) compute
-the values of ``autodiff.mlp`` and never join the computation graph.
+``autodiff.mlp`` node over its (V, m, k) view stack, and a predictor head is
+an encoder whose input and output dims match. Teacher-side forwards
+(``forward_array``) compute the values of ``autodiff.mlp`` and never join the
+computation graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -56,10 +57,10 @@ class EncoderStack:
         self.activations = activations
         self.output_normalize = output_normalize
 
-    def forward(self, x: np.ndarray | Sequence[Tensor]) -> list[Tensor]:
-        """One ``autodiff.mlp`` node over V views, a (V, m, k) array or V 2-D
-        Tensors that may carry gradients; returns V row blocks, whose rows
-        come out unit-norm when configured."""
+    def forward(self, x: np.ndarray | Tensor) -> Tensor:
+        """One ``autodiff.mlp`` node over V views, a (V, m, k) array or a
+        (V, m, k) Tensor that may carry a gradient; returns the node, whose
+        (V, m, n) rows come out unit-norm when configured."""
         return ad.mlp(x, self.weights, self.biases, self.activations, self.output_normalize)
 
     def forward_array(self, x: np.ndarray) -> np.ndarray:

@@ -7,13 +7,15 @@ invariance loss with a direct penalty on the batch center magnitude.
 Teacher streams (EMA twins, Sinkhorn targets, stop-gradient branches) never
 join the computation graph; only the student branch carries gradients.
 
-Every loss is one autodiff node over row blocks of the student (and of the
-predictor for SimSiam and BYOL, plus the prototype matrix for SwAV). Its
-forward evaluates the numpy expressions of the composed primitive graph it
-replaces; its backward replays that graph's rules in the order
-``autodiff.backward`` runs them, in which an intermediate with two consumers
-sums their terms and each parent receives its terms, copied in C order. So
-values and gradients are bit-identical to the composed graphs, the tests' oracles.
+Every loss is one autodiff node over the student's (V, m, n) view stack (the
+predictor's for SimSiam and BYOL, plus the prototype matrix for SwAV), whose
+views it reads as ``z.values[v]``. Its forward evaluates the numpy
+expressions of the composed primitive graph it replaces, one graph per view;
+its backward replays that graph's rules in the order ``autodiff.backward``
+runs them, in which an intermediate with two consumers sums their terms, and
+hands the stack one (V, m, n) gradient whose view v holds view v's terms,
+added in that order. So values and gradients are bit-identical to the
+composed graphs, the tests' oracles.
 """
 
 from __future__ import annotations
@@ -95,10 +97,12 @@ class DinoCenterState:
         self.center = self.momentum * self.center + (1.0 - self.momentum) * batch_mean
 
 
-def _check_paired(a: Tensor, b: Tensor) -> int:
-    if a.shape != b.shape:
-        raise ShapeError(f"paired embeddings differ in shape: {a.shape} vs {b.shape}")
-    return a.shape[0]
+def _views(z: Tensor, views: int) -> int:
+    """The rows per view of z, which must stack `views` views."""
+    shape = z.values.shape
+    if len(shape) != 3 or shape[0] != views:
+        raise ShapeError(f"expected a stack of {views} views, got shape {shape}")
+    return shape[1]
 
 
 def _hand_out(*terms: tuple[Tensor, np.ndarray]) -> None:
@@ -110,67 +114,74 @@ def _hand_out(*terms: tuple[Tensor, np.ndarray]) -> None:
             _accum(parent, g)
 
 
-def _mean_neg_cosine(p: Tensor, t: Tensor, p2: Tensor | None = None,
-                     t2: Tensor | None = None) -> Tensor:
-    """-sum(p * t) / m as one node, or with a second (prediction, target) pair
-    the pairs' mean ``(v + v2) * 0.5``. The backward replays the composed
-    ``tensor_sum(p * t) * (-1 / m)`` rules (after the mean's ``g * 0.5``),
-    with the scalar broadcast in place of a filled (m, d) gradient; a target
-    that requires no gradient gets none. With distinct views each input gets
-    at most two terms, so gradients are bit-identical to the composed graph's."""
-    scale = -1.0 / _check_paired(p, t)
-    value = (p.values * t.values).sum().reshape(1, 1) * scale
-    if p2 is not None:
-        _check_paired(p, t2)
-        _check_paired(p2, t)
-        value = (value + (p2.values * t2.values).sum().reshape(1, 1) * scale) * 0.5
+def _mean_neg_cosine(p: Tensor, t: Tensor) -> Tensor:
+    """The two views' mean of ``-sum(p_v * t_w) / m``, each view's prediction
+    against the other view's target, as one node: ``(v_a + v_b) * 0.5``. The
+    backward replays the composed ``tensor_sum(p * t) * (-1 / m)`` rules after
+    the mean's ``g * 0.5``, with the scalar broadcast in place of a filled
+    (m, d) gradient; a target that requires no gradient gets none, and one
+    stack passed as both gets the prediction's terms, then the target's. Each
+    view gets at most two terms, so gradients are bit-identical to the
+    composed graph's."""
+    scale = -1.0 / _views(p, 2)
+    if t.shape != p.shape:
+        raise ShapeError(f"predictions {p.shape} and targets {t.shape} differ in shape")
+    terms = (p.values * t.values[::-1]).sum(axis=(1, 2)) * scale
 
     def bwd(g):
-        g = g * scale if p2 is None else g * 0.5 * scale
-        _hand_out((p, g * t.values), (t, g * p.values))
-        if p2 is not None:
-            _hand_out((p2, g * t2.values), (t2, g * p2.values))
+        g = g * 0.5 * scale
+        _hand_out((p, g * t.values[::-1]), (t, g * p.values[::-1]))
 
-    return _make(value, (p, t) if p2 is None else (p, t, p2, t2), bwd)
+    return _make(((terms[0] + terms[1]) * 0.5).reshape(1, 1), (p, t), bwd)
 
 
 # ---------------------------------------------------------------------------
 # contrastive objectives
 # ---------------------------------------------------------------------------
 
-def invariance_loss(z: Tensor, z_w: Tensor) -> Tensor:
-    """Mean over rows of -<z_i, z_w_i>; the bare two-view distance objective."""
-    return _mean_neg_cosine(z, z_w)
+def invariance_loss(z: Tensor) -> Tensor:
+    """Mean over rows of -<a_i, b_i> over z's views (a, b); the bare
+    two-view distance objective."""
+    scale = -1.0 / _views(z, 2)
+    a, b = z.values[0], z.values[1]
+
+    def bwd(g):
+        _hand_out((z, g * scale * z.values[::-1]))
+
+    return _make((a * b).sum().reshape(1, 1) * scale, (z,), bwd)
 
 
-def triplet_loss(z_a: Tensor, z_p: Tensor, z_n: Tensor,
-                 margin: float | None = None) -> Tensor:
-    """Anchor/positive/negative triplet loss, as one node.
+def triplet_loss(z: Tensor, margin: float | None = None) -> Tensor:
+    """Anchor/positive/negative triplet loss over z's views (a, p, n), as one
+    node.
 
     With a finite margin: mean of max(||a-p||^2 - ||a-n||^2 + margin, 0) / 2,
     composed as ``tensor_sum(relu(d_ap - d_an + margin)) * (0.5 / m)`` with
     ``d_ap = tensor_sum((z_a - z_p) * (z_a - z_p), 1)``. With ``margin=None``
     (or +inf), the infinite-margin limit mean(-<a,p> + <a,n>), composed as
     ``(tensor_sum(z_a * z_n) - tensor_sum(z_a * z_p)) * (1 / m)``. The
-    backward hands each input the composed rules' terms in the order
-    ``backward`` runs them (z_a gets four in the finite form, one per
-    difference node), and the node's parents list the views in the order
-    the composed graph reaches them, which differs between the two forms.
+    backward hands each view the composed rules' terms in the order
+    ``backward`` runs them (a gets four in the finite form, one per
+    difference node), and the node names to z's ``view_order`` the order in
+    which the composed graph reaches the views: (n, a, p) in the infinite
+    form, (p, a, n) in the finite one.
     """
-    m = _check_paired(z_a, z_p)
-    _check_paired(z_a, z_n)
+    m = _views(z, 3)
     if margin is not None and not margin >= 0:
         raise ParameterError(f"margin must be >= 0, got {margin}")
-    a, p, n = z_a.values, z_p.values, z_n.values
+    a, p, n = z.values[0], z.values[1], z.values[2]
     if margin is None or margin == np.inf:
         value = ((a * n).sum().reshape(1, 1) - (a * p).sum().reshape(1, 1)) * (1.0 / m)
 
         def bwd(g):
             g_n = g * (1.0 / m)
             g_p = -g_n
-            _hand_out((z_a, g_n * n), (z_n, g_n * a), (z_a, g_p * p), (z_p, g_p * a))
+            g_z = np.stack((g_n * n, g_p * a, g_n * a))
+            g_z[0] += g_p * p
+            _hand_out((z, g_z))
 
-        return _make(value, (z_n, z_a, z_p), bwd)
+        z.view_order = (2, 0, 1)
+        return _make(value, (z,), bwd)
     d_p, d_n = a - p, a - n
     hinge = ((d_p * d_p).sum(axis=1, keepdims=True)
              - (d_n * d_n).sum(axis=1, keepdims=True) + margin)
@@ -179,29 +190,35 @@ def triplet_loss(z_a: Tensor, z_p: Tensor, z_n: Tensor,
     def bwd(g):
         g_h = g * (0.5 / m) * (hinge > 0.0)
         g_p, g_n = g_h * d_p, -g_h * d_n
-        # each difference is two nodes, and each hands out its own terms
-        _hand_out(*((z_a, g_p), (z_p, -g_p)) * 2, *((z_a, g_n), (z_n, -g_n)) * 2)
+        # each difference is two nodes, and each hands out its own terms:
+        # a gets g_p twice, then g_n twice
+        g_z = np.stack((g_p + g_p, -g_p + -g_p, -g_n + -g_n))
+        g_z[0] += g_n
+        g_z[0] += g_n
+        _hand_out((z, g_z))
 
-    return _make(value, (z_p, z_a, z_n), bwd)
+    z.view_order = (1, 0, 2)
+    return _make(value, (z,), bwd)
 
 
-def infonce_loss(z_a: Tensor, z_p: Tensor, temperature: float = 0.1) -> Tensor:
-    """InfoNCE with within-batch negatives (every other anchor's positive)
-    and the positive in the denominator, as one node.
+def infonce_loss(z: Tensor, temperature: float = 0.1) -> Tensor:
+    """InfoNCE over z's views (a, p) with within-batch negatives (every other
+    anchor's positive) and the positive in the denominator, as one node.
 
     The values are those of the composed graph ``tensor_sum((lse - sim_p) *
     (1 / tau)) * (1 / m)`` over ``sims = matmul(z_a, z_p.T)``, with ``lse =
     logsumexp_rows(sims, tau)`` and ``sim_p = tensor_sum(sims * eye, 1)``.
-    sims receives the logsumexp term, then the diagonal's, and the inputs
-    receive the matmul and transpose rules' terms, z_a first.
+    sims receives the logsumexp term, then the diagonal's, and the views
+    receive the matmul and transpose rules' terms.
     """
     if temperature <= 0:
         raise ParameterError(f"temperature must be positive, got {temperature}")
-    m = _check_paired(z_a, z_p)
+    m = _views(z, 2)
     if m < 2:
         raise ShapeError("within-batch negatives need a batch of >= 2")
-    p_t = z_p.values.T.copy()
-    sims = z_a.values @ p_t                            # (m, m), diag = positives
+    a, p = z.values[0], z.values[1]
+    p_t = p.T.copy()
+    sims = a @ p_t                                     # (m, m), diag = positives
     eye = np.eye(m)
     sim_p = (sims * eye).sum(axis=1, keepdims=True)
     row_max = sims.max(axis=1, keepdims=True)
@@ -214,39 +231,36 @@ def infonce_loss(z_a: Tensor, z_p: Tensor, temperature: float = 0.1) -> Tensor:
         g_row = g * (1.0 / m) * (1.0 / temperature)
         g_sims = g_row * temperature / e_sum * e * (1.0 / temperature)
         g_sims += -g_row * eye
-        _hand_out((z_a, g_sims @ p_t.T), (z_p, (z_a.values.T @ g_sims).T))
+        _hand_out((z, np.stack((g_sims @ p_t.T, (a.T @ g_sims).T))))
 
-    return _make(value, (z_a, z_p), bwd)
+    return _make(value, (z,), bwd)
 
 
 # ---------------------------------------------------------------------------
 # predictor / EMA objectives
 # ---------------------------------------------------------------------------
 
-def simsiam_loss(z_a: Tensor, z_b: Tensor, pred: EncoderStack | None = None,
+def simsiam_loss(z: Tensor, pred: EncoderStack | None = None,
                  use_stop_gradient: bool = True) -> Tensor:
-    """Symmetric negative cosine between predictor outputs and the twin view.
+    """Symmetric negative cosine between the predictor's outputs of z's two
+    views and the twin view.
 
     Both ablations of the collapse study are reachable: with ``pred=None``
     the prediction is the embedding itself, and without stop-gradient the
     target branch stays on the graph.
     """
-    p_a, p_b = (z_a, z_b) if pred is None else pred.forward([z_a, z_b])
-    if use_stop_gradient:
-        z_a, z_b = Tensor(z_a.values), Tensor(z_b.values)
-    return _mean_neg_cosine(p_a, z_b, p_b, z_a)
+    p = z if pred is None else pred.forward(z)
+    return _mean_neg_cosine(p, Tensor(z.values) if use_stop_gradient else z)
 
 
-def byol_loss(z_a: Tensor, z_b: Tensor, pred: EncoderStack | None,
-              t_a: np.ndarray, t_b: np.ndarray) -> Tensor:
+def byol_loss(z: Tensor, pred: EncoderStack | None, t: np.ndarray) -> Tensor:
     """Negative cosine between predicted online embeddings and EMA-teacher targets.
 
-    ``t_a``, ``t_b`` are the teacher's off-graph embeddings of the same two
-    views; the caller performs ``twin.update`` after the optimizer step. With
+    ``t`` is the teacher's off-graph (2, m, n) embedding of z's two views; the
+    caller performs ``twin.update`` after the optimizer step. With
     ``pred=None`` the prediction is the embedding itself, as in SimSiam.
     """
-    p_a, p_b = (z_a, z_b) if pred is None else pred.forward([z_a, z_b])
-    return _mean_neg_cosine(p_a, Tensor(t_b), p_b, Tensor(t_a))
+    return _mean_neg_cosine(z if pred is None else pred.forward(z), Tensor(t))
 
 
 def _log_softmax_grad(s: np.ndarray, temperature: float):
@@ -267,47 +281,42 @@ def _log_softmax_grad(s: np.ndarray, temperature: float):
     return np.log(p), grad
 
 
-def dino_loss(z_a: Tensor, z_b: Tensor, t_a: np.ndarray, t_b: np.ndarray,
-              center: DinoCenterState, student_temperature: float = 0.1,
-              teacher_temperature: float = 0.04,
+def dino_loss(z: Tensor, t: np.ndarray, center: DinoCenterState,
+              student_temperature: float = 0.1, teacher_temperature: float = 0.04,
               use_centering: bool = True) -> tuple[Tensor, np.ndarray]:
     """Cross-entropy from centered, sharpened teacher distributions.
 
-    ``z_a``, ``z_b`` are the student's embeddings of two views and ``t_a``,
-    ``t_b`` the teacher's off-graph embeddings of the same views. Returns
-    (loss, teacher batch mean). The caller folds the mean into ``center``
-    after the optimizer step (EMA ordering is pinned by the harness);
-    ``use_centering=False`` skips the center subtraction but the mean is
-    still returned.
+    ``z`` is the student's (2, m, n) embedding of two views and ``t`` the
+    teacher's off-graph one. Returns (loss, teacher batch mean). The caller
+    folds the mean into ``center`` after the optimizer step (EMA ordering is
+    pinned by the harness); ``use_centering=False`` skips the center
+    subtraction but the mean is still returned.
 
     The loss is one node. Per view, its values are those of the composed
     ``tensor_sum(Tensor(tau_t * q) * (log(softmax_rows(s, tau_s)) * tau_s))
     * (-1 / m)``, and the two views' terms are averaged; the backward
-    replays the composed rules, view a first. Both views run as one (2, m, n)
-    stack of students against the swapped stack of teachers, with row
-    reductions along the last axis and each view's sum over axes 1 and 2.
+    replays the composed rules. Both views run as one stack of students
+    against the swapped stack of teachers, with row reductions along the
+    last axis and each view's sum over axes 1 and 2.
     """
     if student_temperature <= 0 or teacher_temperature <= 0:
         raise ParameterError("temperatures must be positive")
-    teachers = np.stack((t_a, t_b))
-    teacher_mean = teachers.reshape(-1, teachers.shape[-1]).mean(axis=0)
+    _views(z, 2)
+    teacher_mean = t.reshape(-1, t.shape[-1]).mean(axis=0)
     # view a's student is scored against view b's teacher, and b's against a's
-    logits = teachers[::-1] - center.center if use_centering else teachers[::-1]
+    logits = t[::-1] - center.center if use_centering else t[::-1]
     shifted = (logits - logits.max(axis=-1, keepdims=True)) / teacher_temperature
     q = np.exp(shifted)
     q /= q.sum(axis=-1, keepdims=True)
     q *= teacher_temperature
-    log_p, grad = _log_softmax_grad(np.stack((z_a.values, z_b.values)),
-                                    student_temperature)
+    log_p, grad = _log_softmax_grad(z.values, student_temperature)
     scale = -1.0 / q.shape[1]
-    value_a, value_b = (q * (log_p * student_temperature)).sum(axis=(1, 2)) * scale
+    terms = (q * (log_p * student_temperature)).sum(axis=(1, 2)) * scale
 
     def bwd(g):
-        g_a, g_b = grad(g * 0.5 * scale * q * student_temperature)
-        _hand_out((z_a, g_a), (z_b, g_b))
+        _hand_out((z, grad(g * 0.5 * scale * q * student_temperature)))
 
-    return (_make(((value_a + value_b) * 0.5).reshape(1, 1), (z_a, z_b), bwd),
-            teacher_mean)
+    return _make(((terms[0] + terms[1]) * 0.5).reshape(1, 1), (z,), bwd), teacher_mean
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +346,10 @@ def sinkhorn_knopp(scores, eps: float = 0.05, iters: int = 3) -> Tensor:
     return Tensor(p)
 
 
-def swav_loss(z_a: Tensor, z_b: Tensor, prototypes: Tensor, temperature: float = 0.1,
+def swav_loss(z: Tensor, prototypes: Tensor, temperature: float = 0.1,
               sinkhorn_eps: float = 0.05, sinkhorn_iters: int = 3) -> Tensor:
-    """Swapped prediction: each view predicts the other's Sinkhorn assignment.
+    """Swapped prediction: each of z's two views predicts the other's
+    Sinkhorn assignment.
 
     ``prototypes`` is the (K x D) bank matrix; it receives gradients only
     when it requires them (a trainable bank). Assignment targets are always
@@ -349,44 +359,41 @@ def swav_loss(z_a: Tensor, z_b: Tensor, prototypes: Tensor, temperature: float =
     The loss is one node. Per view, its values are those of the composed
     ``tensor_sum(q * log(softmax_rows(matmul(z, prototypes.T), tau))) *
     (-1 / m)``, and the two views' terms are averaged; the backward replays
-    the composed rules, view a first, and hands the bank each view's term
-    after that view's own. Both views run as one (2, m, K) stack of scores:
-    its products are ``np.matmul`` over the view axis, bit-equal to each
-    view's own, with row reductions along the last axis and each view's sum
-    over axes 1 and 2.
+    the composed rules and hands the bank view a's term, then view b's. Both
+    views run as one (2, m, K) stack of scores: its products are
+    ``np.matmul`` over the view axis, bit-equal to each view's own, with row
+    reductions along the last axis and each view's sum over axes 1 and 2.
     """
     if temperature <= 0:
         raise ParameterError(f"temperature must be positive, got {temperature}")
-    for z in (z_a, z_b):
-        if z.shape[1] != prototypes.shape[1]:
-            raise ShapeError(f"matmul inner dims disagree: {z.shape} @ "
-                             f"{prototypes.shape[::-1]}")
+    _views(z, 2)
+    if z.shape[2] != prototypes.shape[1]:
+        raise ShapeError(f"matmul inner dims disagree: {z.shape} @ "
+                         f"{prototypes.shape[::-1]}")
     protos_t = prototypes.values.T.copy()
-    z = np.stack((z_a.values, z_b.values))
-    scores = np.matmul(z, protos_t)
+    scores = np.matmul(z.values, protos_t)
     q_a = sinkhorn_knopp(scores[0], sinkhorn_eps, sinkhorn_iters).values
     q_b = sinkhorn_knopp(scores[1], sinkhorn_eps, sinkhorn_iters).values
     q = np.stack((q_b, q_a))  # each view's target is the other's assignment
     log_p, grad = _log_softmax_grad(scores, temperature)
     scale = -1.0 / scores.shape[1]
-    value_a, value_b = (q * log_p).sum(axis=(1, 2)) * scale
+    terms = (q * log_p).sum(axis=(1, 2)) * scale
 
     def bwd(g):
         g_scores = grad(g * 0.5 * scale * q)
-        g_z = np.matmul(g_scores, protos_t.T)
-        g_bank = np.matmul(z.transpose(0, 2, 1), g_scores)
-        _hand_out((z_a, g_z[0]), (prototypes, g_bank[0].T),
-                  (z_b, g_z[1]), (prototypes, g_bank[1].T))
+        g_bank = np.matmul(z.values.transpose(0, 2, 1), g_scores)
+        _hand_out((z, np.matmul(g_scores, protos_t.T)),
+                  (prototypes, g_bank[0].T), (prototypes, g_bank[1].T))
 
-    return _make(((value_a + value_b) * 0.5).reshape(1, 1), (z_a, z_b, prototypes),
-                 bwd)
+    return _make(((terms[0] + terms[1]) * 0.5).reshape(1, 1), (z, prototypes), bwd)
 
 
-def barlow_twins_loss(z_a: Tensor, z_b: Tensor, bt_lambda: float = 5e-3,
+def barlow_twins_loss(z: Tensor, bt_lambda: float = 5e-3,
                       use_decorrelation: bool = True) -> Tensor:
-    """Cross-correlation identity loss over column-standardized embeddings.
+    """Cross-correlation identity loss over column-standardized embeddings
+    of two views.
 
-    Inputs are expected post batch-norm (compose with ``batch_norm_cols``).
+    The views are expected post batch-norm (compose with ``batch_norm_cols``).
     The diagonal term pulls per-dimension correlations to 1; the off-diagonal
     term (weighted by ``bt_lambda``, dropped entirely when
     ``use_decorrelation=False``) decorrelates dimensions.
@@ -394,15 +401,16 @@ def barlow_twins_loss(z_a: Tensor, z_b: Tensor, bt_lambda: float = 5e-3,
     The loss is one node with the values of the composed ``tensor_sum(((1 -
     corr) * eye) ** 2) + tensor_sum((corr * (1 - eye)) ** 2) * bt_lambda``
     over ``corr = matmul(z_a.T, z_b) * (1 / m)``. corr receives the diagonal
-    term's gradient, then the off-diagonal one's; z_b receives its matmul
-    term before z_a receives the transposed one.
+    term's gradient, then the off-diagonal one's, and the views receive the
+    matmul and transpose rules' terms.
     """
-    m = _check_paired(z_a, z_b)
+    m = _views(z, 2)
     if m < 2:
         raise ShapeError("barlow_twins_loss needs a batch of >= 2")
-    d = z_a.shape[1]
-    a_t = z_a.values.T.copy()
-    corr = (a_t @ z_b.values) * (1.0 / m)
+    a, b = z.values[0], z.values[1]
+    d = z.shape[2]
+    a_t = a.T.copy()
+    corr = (a_t @ b) * (1.0 / m)
     eye = np.eye(d)
     diag = (1.0 - corr) * eye
     value = (diag ** 2.0).sum().reshape(1, 1)
@@ -416,35 +424,36 @@ def barlow_twins_loss(z_a: Tensor, z_b: Tensor, bt_lambda: float = 5e-3,
         if use_decorrelation:
             g_corr += g * bt_lambda * 2.0 * off ** 1.0 * off_mask
         g_corr = g_corr * (1.0 / m)
-        _hand_out((z_b, a_t.T @ g_corr), (z_a, (g_corr @ z_b.values.T).T))
+        _hand_out((z, np.stack(((g_corr @ b.T).T, a_t.T @ g_corr))))
 
-    return _make(value, (z_a, z_b), bwd)
+    return _make(value, (z,), bwd)
 
 
 # ---------------------------------------------------------------------------
 # simplified center-penalized objective
 # ---------------------------------------------------------------------------
 
-def simple_objective(z: Tensor, z_w: Tensor, center_penalty_weight: float = -1.0,
+def simple_objective(z: Tensor, center_penalty_weight: float = -1.0,
                      squared: bool = True) -> Tensor:
     """Invariance loss plus a differentiable penalty on the batch center.
 
-    0.5 * (invariance(z, z_w) - weight * ||s_batch||^2) where s_batch is the
-    mean of all 2m embedding rows. The default weight -1 turns the term into
-    an additive squared-center penalty. ``squared=False`` penalizes the raw
-    norm instead, as ``(||s_batch||^2 + 1e-24) ** 0.5``.
+    0.5 * (invariance(z) - weight * ||s_batch||^2) where s_batch is the
+    mean of all 2m embedding rows of z's two views. The default weight -1
+    turns the term into an additive squared-center penalty. ``squared=False``
+    penalizes the raw norm instead, as ``(||s_batch||^2 + 1e-24) ** 0.5``.
 
     The loss is one node with the values of the composed graph, in which
-    ``s_batch = (tensor_mean(z, 0) + tensor_mean(z_w, 0)) * 0.5``. Each input
+    ``s_batch = (tensor_mean(z_a, 0) + tensor_mean(z_b, 0)) * 0.5``. Each view
     receives the invariance term, then the center term.
     """
-    m = _check_paired(z, z_w)
+    m = _views(z, 2)
     inv_m = 1.0 / m
-    s_hat = (z.values.sum(axis=0, keepdims=True) * inv_m
-             + z_w.values.sum(axis=0, keepdims=True) * inv_m) * 0.5
+    a, b = z.values[0], z.values[1]
+    s_hat = (a.sum(axis=0, keepdims=True) * inv_m
+             + b.sum(axis=0, keepdims=True) * inv_m) * 0.5
     sq_norm = (s_hat * s_hat).sum().reshape(1, 1)
     penalty = sq_norm if squared else (sq_norm + 1e-24) ** 0.5
-    invariance = (z.values * z_w.values).sum().reshape(1, 1) * (-1.0 / m)
+    invariance = (a * b).sum().reshape(1, 1) * (-1.0 / m)
 
     def bwd(g):
         g = g * 0.5
@@ -455,6 +464,6 @@ def simple_objective(z: Tensor, z_w: Tensor, center_penalty_weight: float = -1.0
         t = g_sq_norm * s_hat
         g_mean = np.broadcast_to((t + t) * 0.5 * inv_m, z.shape)
         g = g * (-1.0 / m)
-        _hand_out((z, g * z_w.values), (z_w, g * z.values), (z, g_mean), (z_w, g_mean))
+        _hand_out((z, g * z.values[::-1]), (z, g_mean))
 
-    return _make((invariance - penalty * center_penalty_weight) * 0.5, (z, z_w), bwd)
+    return _make((invariance - penalty * center_penalty_weight) * 0.5, (z,), bwd)

@@ -4,16 +4,17 @@ helpers several test modules share.
 The composed op library builds a graph one primitive node at a time (add,
 mul, matmul, sums, relu, exp, log, ...), spelled with operators on ``Var``.
 ``centerlab`` ships only fused nodes: ``autodiff.mlp``,
-``autodiff.batch_norm_cols`` and the loss nodes. Each must match, bit for bit,
-the composed graph it replaces (``composed_*`` below): values, gradients and
-the signs of zeros.
+``autodiff.batch_norm_cols`` and the loss nodes, each over one (V, m, n) view
+stack. Each must match, bit for bit, the composed graph it replaces
+(``composed_*`` below, one 2-D graph per view): values, gradients and the
+signs of zeros. ``stack_views`` and ``first_view`` join the two forms.
 """
 
 import numpy as np
 
 from centerlab import autodiff as ad
 from centerlab.autodiff import ParameterError, ShapeError, Tensor
-from centerlab.losses import invariance_loss, sinkhorn_knopp
+from centerlab.losses import sinkhorn_knopp
 
 
 def leaf(values):
@@ -76,7 +77,7 @@ def fold_case(shape, seed=0):
 
 def _wrap(x) -> "Var":
     """x as a Var. A Tensor is re-classed in place, so it stays the same
-    graph node (an ``mlp`` row block, say); anything else is a constant."""
+    graph node (an ``mlp`` node, say); anything else is a constant."""
     if not isinstance(x, Tensor):
         return Var(x)
     x.__class__ = Var
@@ -287,6 +288,48 @@ class Var(Tensor):
 # the composed graphs that the fused nodes replace
 # ---------------------------------------------------------------------------
 
+class _InOrder:
+    """A stack's views, iterated in the order its consumer names (see
+    ``autodiff.mlp``), so that ``backward`` reaches them, and the graphs
+    behind them, in the order a composed consumer reaches its own views."""
+
+    def __init__(self, views):
+        self.views, self.stack = views, None
+
+    def __iter__(self):
+        return iter([self.views[v] for v in self.stack.view_order or range(len(self.views))])
+
+
+def stack_views(views) -> "Var":
+    """V 2-D Tensors as one (V, m, n) node. Each view that requires a
+    gradient gets its slice of the stack's, in the order the stack's
+    consumer names (one Tensor in two slots gets both slices' terms)."""
+    views = [_wrap(v) for v in views]
+
+    def bwd(g):
+        for v in stack.view_order or range(len(views)):
+            if views[v].requires_grad:
+                ad._accum(views[v], g[v])
+
+    stack = _make(np.stack([v.values for v in views]), views, bwd)
+    if stack._parents:
+        stack._parents = _InOrder(views)
+        stack._parents.stack = stack
+    return stack
+
+
+def first_view(stack) -> "Var":
+    """View 0 of a one-view (1, m, n) stack, as a 2-D node."""
+    stack = _wrap(stack)
+    if stack.shape[0] != 1:
+        raise ShapeError(f"first_view takes a one-view stack, got {stack.shape}")
+
+    def bwd(g):
+        ad._accum(stack, g[None])
+
+    return _make(stack.values[0], (stack,), bwd)
+
+
 def composed_tanh(a):
     a = _wrap(a)
     out_vals = np.tanh(a.values)
@@ -320,19 +363,18 @@ def composed_views(xs, weights, biases, acts, normalize):
 
 
 def accum_views(x, weights, biases, acts, normalize, grads, order, held=None):
-    """Each parameter's gradient, as ``mlp``'s V row blocks would hand it out
-    if each went on its own: view v's gradient, from a one-view node over
-    ``x[v]`` whose row block receives ``grads[v]``, reaches a parameter through
-    ``_accum`` one view at a time in ``order``, onto a copy of ``held`` (its
-    gradients before) or onto none."""
+    """Each parameter's gradient, as V one-view ``mlp`` nodes would hand it
+    out: view v's gradient, from a node over ``x[v:v + 1]`` that receives
+    ``grads[v]``, reaches a parameter through ``_accum`` one view at a time in
+    ``order``, onto a copy of ``held`` (its gradients before) or onto none."""
     params = (*weights, *biases)
     per_view = []
     for v in range(len(x)):
         own = [Tensor(p.values.copy(), requires_grad=True) for p in params]
-        (block,) = ad.mlp(x[v:v + 1], own[:len(weights)], own[len(weights):], acts,
-                          normalize)
-        ad.backward(ad._make(np.zeros((1, 1)), (block,),
-                             lambda g, block=block, gv=grads[v]: ad._accum(block, gv)))
+        node = ad.mlp(x[v:v + 1], own[:len(weights)], own[len(weights):], acts,
+                      normalize)
+        ad.backward(ad._make(np.zeros((1, 1)), (node,),
+                             lambda g, node=node, gv=grads[v]: ad._accum(node, gv[None])))
         per_view.append([p.grad for p in own])
     sums = []
     for i, p in enumerate(params):
@@ -415,7 +457,7 @@ def composed_simple(z, z_w, center_penalty_weight=-1.0, squared=True):
     s_hat = (tensor_mean(z, axis=0) + tensor_mean(z_w, axis=0)) * 0.5
     sq_norm = tensor_sum(s_hat * s_hat)
     penalty = sq_norm if squared else (sq_norm + 1e-24) ** 0.5
-    return (invariance_loss(z, z_w) - penalty * center_penalty_weight) * 0.5
+    return (composed_neg_cosine(z, z_w) - penalty * center_penalty_weight) * 0.5
 
 
 def composed_neg_cosine(p, t):

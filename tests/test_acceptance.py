@@ -111,15 +111,15 @@ def _linear_stack(weight: Tensor):
 def _grad_instance(kind: str, rng: np.random.Generator):
     """A scalar loss as a function of one probe tensor, plus the probe.
 
-    Embedding-level losses differentiate w.r.t. one view; architectural
-    losses differentiate w.r.t. a weight matrix on the student/online side so
-    that stop-gradiented targets stay constant under the finite-difference
-    perturbation.
+    Embedding-level losses differentiate w.r.t. their whole (V, m, n) view
+    stack; architectural losses differentiate w.r.t. a weight matrix on the
+    student/online side so that stop-gradiented targets stay constant under
+    the finite-difference perturbation.
     """
     x_a = rng.standard_normal((_BATCH, _D))
     x_b = rng.standard_normal((_BATCH, _D))
-    z_w = Tensor(rng.standard_normal((_BATCH, _D)))
-    probe_emb = Tensor(rng.standard_normal((_BATCH, _D)), requires_grad=True)
+    z_w = rng.standard_normal((_BATCH, _D))
+    probe_emb = rng.standard_normal((_BATCH, _D))
     probe_w = Tensor(rng.standard_normal((_D, _D)) / np.sqrt(_D),
                      requires_grad=True)
     seed = int(rng.integers(1 << 30))
@@ -127,41 +127,39 @@ def _grad_instance(kind: str, rng: np.random.Generator):
     def views(enc):
         return enc.forward(np.stack([x_a, x_b]))
 
+    def stack(*rows):
+        return Tensor(np.stack(rows), requires_grad=True)
+
     if kind == "invariance":
-        return (lambda t: L.invariance_loss(t, z_w)), probe_emb
+        return L.invariance_loss, stack(probe_emb, z_w)
     if kind == "simple":
-        return (lambda t: L.simple_objective(t, z_w)), probe_emb
+        return L.simple_objective, stack(probe_emb, z_w)
     if kind == "triplet":
         # unit rows bound the squared distances by 4, so margin 5 keeps the
         # hinge strictly active and the loss smooth at the probe
-        z_p = Tensor(_unit_rows(rng.standard_normal((_BATCH, _D))))
-        z_n = Tensor(_unit_rows(rng.standard_normal((_BATCH, _D))))
-        anchor = Tensor(_unit_rows(rng.standard_normal((_BATCH, _D))),
-                        requires_grad=True)
-        return (lambda t: L.triplet_loss(t, z_p, z_n, margin=5.0)), anchor
+        z_p = _unit_rows(rng.standard_normal((_BATCH, _D)))
+        z_n = _unit_rows(rng.standard_normal((_BATCH, _D)))
+        anchor = _unit_rows(rng.standard_normal((_BATCH, _D)))
+        return (lambda t: L.triplet_loss(t, margin=5.0)), stack(anchor, z_p, z_n)
     if kind == "infonce":
-        z_p = Tensor(rng.standard_normal((_BATCH, _D)))
-        return (lambda t: L.infonce_loss(t, z_p, temperature=0.1)), probe_emb
+        z_p = rng.standard_normal((_BATCH, _D))
+        return (lambda t: L.infonce_loss(t, temperature=0.1)), stack(probe_emb, z_p)
     if kind == "barlow_twins":
-        zb = batch_norm_cols(Tensor(rng.standard_normal((_BATCH, _D))))
-        return (lambda t: L.barlow_twins_loss(
-            batch_norm_cols(t), zb)), probe_emb
+        z_b = rng.standard_normal((_BATCH, _D))
+        return (lambda t: L.barlow_twins_loss(batch_norm_cols(t))), stack(probe_emb, z_b)
     if kind == "simsiam":
         enc = init_encoder([_D, _D], seed)
-        return (lambda t: L.simsiam_loss(
-            *views(enc), _linear_stack(t))), probe_w
+        return (lambda t: L.simsiam_loss(views(enc), _linear_stack(t))), probe_w
     if kind == "byol":
         pred = init_predictor(_D, seed)
         twin = EmaTwin(init_encoder([_D, _D], seed + 1), 0.9)
-        t_a, t_b = twin.forward_array(x_a), twin.forward_array(x_b)
-        return (lambda t: L.byol_loss(
-            *views(_linear_stack(t)), pred, t_a, t_b)), probe_w
+        t = twin.forward_array(np.stack([x_a, x_b]))
+        return (lambda w: L.byol_loss(views(_linear_stack(w)), pred, t)), probe_w
     if kind == "dino":
         twin = EmaTwin(init_encoder([_D, _D], seed + 1), 0.9)
         center = L.DinoCenterState(0.1 * rng.standard_normal(_D), 0.9)
-        t_a, t_b = twin.forward_array(x_a), twin.forward_array(x_b)
-        return (lambda t: L.dino_loss(
-            *views(_linear_stack(t)), t_a, t_b, center)[0]), probe_w
+        t = twin.forward_array(np.stack([x_a, x_b]))
+        return (lambda w: L.dino_loss(views(_linear_stack(w)), t, center)[0]), probe_w
     if kind == "swav":
         protos = init_prototypes(6, _D, seed, trainable=False)
         base_enc = _linear_stack(Tensor(probe_w.values.copy()))
@@ -173,7 +171,7 @@ def _grad_instance(kind: str, rng: np.random.Generator):
             # linearization point so finite differences probe only the
             # differentiable part
             with mock.patch.object(L, "sinkhorn_knopp", side_effect=[q_a, q_b]):
-                return L.swav_loss(*views(_linear_stack(t)), protos.matrix)
+                return L.swav_loss(views(_linear_stack(t)), protos.matrix)
 
         return f, probe_w
     raise AssertionError(f"no gradient instance for {kind!r}")
@@ -194,12 +192,11 @@ def test_ac01_gradient_suite_full_catalog():
 def test_ac02_triplet_infinite_margin_closed_form():
     rng = np.random.default_rng(7)
     m = _BATCH
-    z_a = Tensor(rng.standard_normal((m, _D)), requires_grad=True)
-    z_p = Tensor(rng.standard_normal((m, _D)))
-    z_n = Tensor(rng.standard_normal((m, _D)))
-    backward(L.triplet_loss(z_a, z_p, z_n, margin=None))
-    expected = (z_n.values - z_p.values) / m
-    assert np.abs(z_a.grad - expected).max() < 1e-10
+    z = Tensor(rng.standard_normal((3, m, _D)), requires_grad=True)
+    backward(L.triplet_loss(z, margin=None))
+    _, z_p, z_n = z.values
+    expected = (z_n - z_p) / m
+    assert np.abs(z.grad[0] - expected).max() < 1e-10
 
 
 def test_ac03_infonce_low_temperature_limit():
@@ -209,7 +206,7 @@ def test_ac03_infonce_low_temperature_limit():
     rng = np.random.default_rng(11)
     for _ in range(100):
         sims = rng.standard_normal((m, m))
-        loss = L.infonce_loss(Tensor(np.eye(m)), Tensor(sims.T), tau).item()
+        loss = L.infonce_loss(Tensor(np.stack([np.eye(m), sims.T])), tau).item()
         gap = (sims.max(axis=1) - np.diag(sims)).mean()
         assert abs(tau * loss - gap) < tau * np.log(m)
 

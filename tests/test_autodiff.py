@@ -12,9 +12,10 @@ from centerlab.autodiff import (ParameterError, ShapeError, Tensor, backward,
                                 grad_check)
 from oracles import (Var, accum_views, add, assert_bits_equal,
                      composed_batch_norm_cols, composed_l2_normalize_rows,
-                     composed_tanh, composed_views, exp, fold_case, leaf,
+                     composed_neg_cosine, composed_tanh, composed_triplet,
+                     composed_views, exp, first_view, fold_case, leaf,
                      logsumexp_rows, matmul, mul, power, relu, softmax_rows,
-                     stop_gradient, tensor_sum)
+                     stack_views, stop_gradient, tensor_sum)
 
 
 def grad_of(t):
@@ -61,20 +62,21 @@ class TestMatmul:
 
 
 def fused_views(xs, weights, biases, acts, normalize):
-    """The views through one `ad.mlp` node: the view Tensors themselves when
-    they carry gradients, else their (V, m, k) stack, as the trainer runs."""
+    """The views through one `ad.mlp` node, over the view Tensors' stack node
+    when they carry gradients, else over their (V, m, k) array, as the
+    trainer runs; returns the node."""
     if xs[0].requires_grad:
-        return ad.mlp(xs, weights, biases, acts, normalize)
+        return ad.mlp(stack_views(xs), weights, biases, acts, normalize)
     return ad.mlp(np.stack([x.values for x in xs]), weights, biases, acts, normalize)
 
 
 def fused_linear(h, w, b, act):
-    return ad.mlp([h], [w], [b], [act], normalize=False)[0]
+    return first_view(ad.mlp(stack_views([h]), [w], [b], [act], normalize=False))
 
 
 def normalize_rows(x):
     """Row normalisation alone: an mlp node without layers."""
-    return ad.mlp([x], [], [], [], normalize=True)[0]
+    return first_view(ad.mlp(stack_views([x]), [], [], [], normalize=True))
 
 
 # every activation in the table; one without a composed oracle fails
@@ -86,8 +88,9 @@ class TestLinear:
     def two_layer_grads(views_fn, act, h_grad, views=1, normalize=True,
                         loss_fn=None):
         """Values and every gradient of a two-layer stack whose parameters
-        `views` forwards share, under one scalar loss (by default a probe of
-        the first view plus its products with the others)."""
+        `views` forwards share, under one scalar loss of the views (in the
+        form `views_fn` gives them: one stack or a list of 2-D Tensors); by
+        default a probe of their stack."""
         rng = np.random.default_rng(17)
         w0, b0 = leaf(rng.standard_normal((3, 8))), leaf(rng.standard_normal((1, 8)))
         w1, b1 = leaf(rng.standard_normal((8, 4))), leaf(rng.standard_normal((1, 4)))
@@ -95,14 +98,13 @@ class TestLinear:
               for _ in range(views)]
         outs = views_fn(xs, [w0, w1], [b0, b1], [act, "identity"], normalize)
         if loss_fn is None:
-            loss = tensor_sum(mul(outs[0], rng.standard_normal((20, 4))))
-            for out in outs[1:]:
-                loss = loss + tensor_sum(mul(out, outs[0])) * -0.5
+            stack = stack_views(outs) if isinstance(outs, list) else outs
+            loss = tensor_sum(mul(stack, rng.standard_normal((views, 20, 4))))
         else:
-            loss = loss_fn(*outs)
+            loss = loss_fn(outs)
         backward(loss)
-        return ([out.values for out in outs]
-                + [t.grad for t in [w0, b0, w1, b1] + xs])
+        values = [out.values for out in outs] if isinstance(outs, list) else list(outs.values)
+        return values + [t.grad for t in [w0, b0, w1, b1] + xs]
 
     @pytest.mark.parametrize("views", [1, 2, 3])
     @pytest.mark.parametrize("h_grad", [False, True])
@@ -122,15 +124,20 @@ class TestLinear:
     @pytest.mark.parametrize("normalize", [True, False])
     @pytest.mark.parametrize("act", ACTIVATIONS)
     def test_stacked_views_match_composed(self, act, normalize, loss):
+        # the library loss on the mlp node's stack against the composed loss
+        # on one composed graph per view
         probe = np.random.default_rng(5).standard_normal((20, 4))
-        views, loss_fn = {
-            "probe": (1, lambda z: tensor_sum(mul(z, probe))),
-            "invariance": (2, L.invariance_loss),
-            "triplet-inf": (3, L.triplet_loss),
-            "triplet-margin": (3, lambda *z: L.triplet_loss(*z, margin=0.5)),
+        views, fused_loss, composed_loss = {
+            "probe": (1, lambda z: tensor_sum(mul(first_view(z), probe)),
+                      lambda z: tensor_sum(mul(z[0], probe))),
+            "invariance": (2, L.invariance_loss, lambda z: composed_neg_cosine(*z)),
+            "triplet-inf": (3, L.triplet_loss, lambda z: composed_triplet(*z)),
+            "triplet-margin": (3, lambda z: L.triplet_loss(z, margin=0.5),
+                               lambda z: composed_triplet(*z, margin=0.5)),
         }[loss]
         got, want = (self.two_layer_grads(fn, act, False, views, normalize, loss_fn)
-                     for fn in (fused_views, composed_views))
+                     for fn, loss_fn in ((fused_views, fused_loss),
+                                         (composed_views, composed_loss)))
         assert len(got) == len(want) == 2 * views + 4
         for g, w in zip(got, want):
             assert_bits_equal(g, w)
@@ -154,11 +161,11 @@ class TestLinear:
 
 class TestMlpFold:
     """Each parameter of an ``mlp`` over V views gets its views' gradients
-    bit for bit as ``_accum`` hands them out one at a time in row-block
-    arrival order: as one fold when it holds no gradient, view by view onto
-    the one it holds."""
+    bit for bit as ``_accum`` hands them out one at a time in the order the
+    node's consumer names: as one fold when it holds no gradient, view by
+    view onto the one it holds."""
 
-    # every arrival order of one, two and three views
+    # every order of one, two and three views
     ORDERS = [order for views in (1, 2, 3)
               for order in itertools.permutations(range(views))]
 
@@ -178,22 +185,17 @@ class TestMlpFold:
         grads = [fold_case((rows, 4), seed=10 + v) for v in range(views)]
         for g in grads:
             g[:, 0] = -0.0
-        blocks = ad.mlp(x, weights, biases, acts, normalize)
-
-        def bwd(g):
-            for v in order:
-                ad._accum(blocks[v], grads[v])
-
-        # the sweep reaches the loss's parents, and so the row blocks, in the
-        # order they are listed
-        loss = ad._make(np.zeros((1, 1)), tuple(blocks[v] for v in order), bwd)
+        node = ad.mlp(x, weights, biases, acts, normalize)
+        # as a consumer whose composed graph reaches the views in this order
+        node.view_order = order
+        loss = ad._make(np.zeros((1, 1)), (node,),
+                        lambda g: ad._accum(node, np.stack(grads)))
         params = (*weights, *biases)
         backward(loss)
         held = None
         if sweeps == 2:  # the second sweep adds onto the gradients held
             held = [p.grad.copy() for p in params]
             backward(loss)
-        assert list(blocks[0]._parents[0].grad) == list(order)
         got = [p.grad for p in params]
         want = accum_views(x, weights, biases, acts, normalize, grads, order, held)
         for g, w in zip(got, want, strict=True):
@@ -201,6 +203,35 @@ class TestMlpFold:
             assert_bits_equal(g, w)
         if rows == 1 and not normalize:  # the -0.0 column reaches the last layer
             assert any(np.signbit(g[g == 0.0]).any() for g in got)
+
+    @pytest.mark.parametrize("margin,order", [(None, (2, 0, 1)), (0.5, (1, 0, 2))],
+                             ids=["inf", "margin"])
+    def test_triplet_names_its_fold_order(self, margin, order):
+        # the composed infinite-margin graph reaches the views (n, a, p), the
+        # finite one (p, a, n); the triplet node names that order to the mlp
+        # node, whose parameters fold the views' gradients in it. The second
+        # sweep adds onto held gradients, where (p, a, n) and view order differ
+        rng = np.random.default_rng(3)
+        weights = [leaf(rng.standard_normal((3, 5))), leaf(rng.standard_normal((5, 4)))]
+        biases = [leaf(rng.standard_normal((1, 5))), leaf(rng.standard_normal((1, 4)))]
+        acts = ["tanh", "identity"]
+        x = rng.standard_normal((3, 6, 3))
+        node = ad.mlp(x, weights, biases, acts, True)
+        loss = L.triplet_loss(node, margin)
+        assert node.view_order == order
+        params = (*weights, *biases)
+        backward(loss)
+        held = [p.grad.copy() for p in params]
+        backward(loss)
+        grads = list(node.grad)
+        got = [p.grad for p in params]
+        for first, want in ((held, None), (got, held)):  # from none, then onto held
+            for g, w in zip(first, accum_views(x, weights, biases, acts, True, grads,
+                                               order, want), strict=True):
+                assert_bits_equal(g, w)
+        # and the data tell the order apart from view order
+        in_view_order = accum_views(x, weights, biases, acts, True, grads, (0, 1, 2), held)
+        assert any((g != w).any() for g, w in zip(got, in_view_order))
 
 
 class TestL2NormalizeRows:

@@ -122,11 +122,11 @@ class TestKnn:
         labels = np.array([0, 0, 1])
         assert knn_eval(emb, labels, 1) == pytest.approx(2.0 / 3.0)
         # a NaN row leaves the others leave-one-out, so the mislabeled point
-        # stays wrong; the NaN row's own inf distance sorts before its NaNs,
-        # so it is scored by its own label, as in the loop
+        # stays wrong, and the NaN row is a miss: its own inf distance sorts
+        # before its NaNs, so the vote alone would score it by its own label
         with np.errstate(invalid="ignore"):
             acc = knn_eval(np.vstack([emb, [np.nan, 0.0]]), [0, 0, 1, 1], 1)
-        assert acc == pytest.approx(3.0 / 4.0)
+        assert acc == pytest.approx(2.0 / 4.0)
 
     def test_cosine_ignores_magnitude(self):
         emb = np.array([[1.0, 0.0], [0.9, 0.1], [-1.0, 0.0], [-0.9, -0.1],
@@ -238,7 +238,9 @@ class TestKnnMatchesLoop:
                 expected = loop_knn_winners(emb, labels, emb, k, True)
                 acc, winners = knn_winners(monkeypatch, emb, labels, k)
             np.testing.assert_array_equal(winners, expected, err_msg=f"k={k}")
-            assert acc == np.count_nonzero(expected == labels) / emb.shape[0]
+            # whatever its vote, a row that is not finite is a miss
+            hits = (expected == labels) & np.isfinite(emb).all(axis=1)
+            assert acc == np.count_nonzero(hits) / emb.shape[0]
 
     def test_sum_order_set_decides_by_one_ulp(self, monkeypatch):
         emb, labels = sum_order_set()

@@ -69,27 +69,28 @@ class TestForward:
         x = np.random.default_rng(1).standard_normal(shape)
         if zero_row:
             x[..., 4, :] = 0.0
-        if len(shape) == 2:
-            graph = enc.forward([Tensor(x)])[0].values
-        else:
-            graph = np.stack([z.values for z in enc.forward(x)])
         array = enc.forward_array(x)
+        # the graph forward takes a view stack: rows are one view
+        graph = enc.forward(x if len(shape) == 3 else x[None]).values.reshape(array.shape)
         np.testing.assert_array_equal(graph, array)
         np.testing.assert_array_equal(np.signbit(graph), np.signbit(array))
 
     def test_dimension_mismatch(self):
         enc = init_encoder([3, 8, 2], seed=0)
         with pytest.raises(ShapeError):
-            enc.forward([Tensor(np.ones((4, 5)))])
+            enc.forward(np.ones((1, 4, 5)))
+        with pytest.raises(ShapeError, match="view stack"):  # rows are not a stack
+            enc.forward(np.ones((4, 3)))
 
     def test_gradient_through_full_stack(self):
+        # finite differences over every entry of a two-view input stack
         enc = init_encoder([3, 8, 2], seed=3)
-        probe = np.random.default_rng(2).standard_normal((6, 2))
+        probe = np.random.default_rng(2).standard_normal((2, 6, 2))
 
         def f(t):
-            return tensor_sum(mul(enc.forward([t])[0], probe))
+            return tensor_sum(mul(enc.forward(t), probe))
 
-        x = Tensor(np.random.default_rng(3).standard_normal((6, 3)))
+        x = Tensor(np.random.default_rng(3).standard_normal((2, 6, 3)))
         assert grad_check(f, x, tol=1e-4).passed
 
 

@@ -14,11 +14,12 @@ from centerlab.losses import (DinoCenterState, LossConfig, NumericError,
                               infonce_loss, invariance_loss, simple_objective,
                               simsiam_loss, sinkhorn_knopp, swav_loss,
                               triplet_loss)
-from oracles import (add, assert_bits_equal, composed_barlow_twins,
+from oracles import (assert_bits_equal, composed_barlow_twins,
                      composed_batch_norm_cols, composed_byol, composed_dino,
                      composed_infonce, composed_neg_cosine, composed_simple,
-                     composed_simsiam, composed_swav, composed_triplet, leaf,
-                     log, mul, softmax_rows, tensor_sum, unit_rows)
+                     composed_simsiam, composed_swav, composed_triplet,
+                     composed_views, leaf, log, mul, softmax_rows, stack_views,
+                     tensor_sum, unit_rows)
 
 
 class TestLossConfig:
@@ -58,27 +59,34 @@ class TestLossConfig:
             assert built == heads, (kind, use_predictor)
 
 
+def stacked(*views, requires_grad=False):
+    """2-D views as one (V, m, n) leaf."""
+    return Tensor(np.stack(views), requires_grad=requires_grad)
+
+
 class TestInvariance:
     def test_identical_unit_views_hit_minus_one(self):
         z = unit_rows(np.random.default_rng(0), 6, 3)
-        assert abs(invariance_loss(Tensor(z), Tensor(z)).item() + 1.0) < 1e-12
+        assert abs(invariance_loss(stacked(z, z)).item() + 1.0) < 1e-12
 
     def test_matches_direct_evaluation(self):
         rng = np.random.default_rng(1)
         a, b = rng.standard_normal((5, 4)), rng.standard_normal((5, 4))
         expected = -np.mean(np.sum(a * b, axis=1))
-        assert abs(invariance_loss(Tensor(a), Tensor(b)).item() - expected) < 1e-12
+        assert abs(invariance_loss(stacked(a, b)).item() - expected) < 1e-12
 
     def test_gradient(self):
         rng = np.random.default_rng(2)
-        b = Tensor(rng.standard_normal((5, 4)))
-        rep = grad_check(lambda t: invariance_loss(t, b),
-                         Tensor(rng.standard_normal((5, 4))), tol=1e-6)
+        b = rng.standard_normal((5, 4))
+        rep = grad_check(invariance_loss, stacked(rng.standard_normal((5, 4)), b),
+                         tol=1e-6)
         assert rep.passed
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            invariance_loss(Tensor(np.ones((3, 2))), Tensor(np.ones((4, 2))))
+        # one stack of two views: three views, or rows alone, are refused
+        for shape in ((3, 4, 2), (3, 2)):
+            with pytest.raises(ShapeError):
+                invariance_loss(Tensor(np.ones(shape)))
 
     # a twin with gradient, one without, and one operand used as both
     @pytest.mark.parametrize("pair", ["both", "one", "same"])
@@ -97,7 +105,7 @@ class TestInvariance:
             backward(loss)
             return [loss.values, a.grad, b.grad]
 
-        got = run(invariance_loss)
+        got = run(lambda a, b: invariance_loss(stack_views([a, b])))
         want = run(lambda a, b: tensor_sum(a * b) * (-1.0 / a.shape[0]))
         for g, w in zip(got, want):
             assert_bits_equal(g, w)
@@ -111,7 +119,7 @@ class TestTriplet:
         d_ap = ((a - p) ** 2).sum(axis=1)
         d_an = ((a - n) ** 2).sum(axis=1)
         expected = 0.5 * np.maximum(d_ap - d_an + margin, 0.0).mean()
-        got = triplet_loss(Tensor(a), Tensor(p), Tensor(n), margin).item()
+        got = triplet_loss(stacked(a, p, n), margin).item()
         assert abs(got - expected) < 1e-10
 
     def test_infinite_margin_limit(self):
@@ -119,41 +127,39 @@ class TestTriplet:
         a, p, n = (rng.standard_normal((7, 3)) for _ in range(3))
         expected = np.mean(np.sum(a * n, axis=1) - np.sum(a * p, axis=1))
         for margin in (None, np.inf):
-            got = triplet_loss(Tensor(a), Tensor(p), Tensor(n), margin).item()
+            got = triplet_loss(stacked(a, p, n), margin).item()
             assert abs(got - expected) < 1e-12
 
     def test_inactive_hinge_zero_loss_zero_grad(self):
-        a = leaf(np.array([[1.0, 0.0]]))
-        p = np.array([[1.0, 0.0]])
-        n = np.array([[-1.0, 0.0]])
-        loss = triplet_loss(a, Tensor(p), Tensor(n), margin=0.5)
+        z = stacked([[1.0, 0.0]], [[1.0, 0.0]], [[-1.0, 0.0]], requires_grad=True)
+        loss = triplet_loss(z, margin=0.5)
         assert loss.item() == 0.0
         backward(loss)
-        assert a.grad is None or not a.grad.any()
+        assert z.grad is None or not z.grad.any()
 
     def test_gradient_both_modes(self):
         rng = np.random.default_rng(5)
-        p = Tensor(rng.standard_normal((6, 3)))
-        n = Tensor(rng.standard_normal((6, 3)))
-        x = Tensor(rng.standard_normal((6, 3)))
-        assert grad_check(lambda t: triplet_loss(t, p, n, 1.0), x).passed
-        assert grad_check(lambda t: triplet_loss(t, p, n, None), x).passed
+        p = rng.standard_normal((6, 3))
+        n = rng.standard_normal((6, 3))
+        x = stacked(rng.standard_normal((6, 3)), p, n)
+        assert grad_check(lambda t: triplet_loss(t, 1.0), x).passed
+        assert grad_check(lambda t: triplet_loss(t, None), x).passed
 
     def test_negative_margin_rejected(self):
-        z = Tensor(np.ones((2, 2)))
+        z = Tensor(np.ones((3, 2, 2)))
         with pytest.raises(ParameterError):
-            triplet_loss(z, z, z, margin=-0.1)
+            triplet_loss(z, margin=-0.1)
 
     def test_minus_infinity_and_nan_margins_rejected(self):
         # only None and +inf select the infinite-margin mode
-        z = Tensor(np.ones((2, 2)))
+        z = Tensor(np.ones((3, 2, 2)))
         for margin in (-np.inf, np.nan):
             with pytest.raises(ParameterError, match="margin"):
-                triplet_loss(z, z, z, margin=margin)
+                triplet_loss(z, margin=margin)
         with pytest.raises(ParameterError, match="margin"):
             LossConfig(kind="triplet", margin=-np.inf).validate()
-        assert (triplet_loss(z, z, z, margin=np.inf).values
-                == triplet_loss(z, z, z, margin=None).values).all()
+        assert (triplet_loss(z, margin=np.inf).values
+                == triplet_loss(z, margin=None).values).all()
 
 
 class TestInfoNCE:
@@ -171,30 +177,26 @@ class TestInfoNCE:
     def test_within_batch_matches_direct_evaluation(self):
         rng = np.random.default_rng(6)
         a, p = unit_rows(rng, 8, 4), unit_rows(rng, 8, 4)
-        got = infonce_loss(Tensor(a), Tensor(p), temperature=0.2).item()
+        got = infonce_loss(stacked(a, p), temperature=0.2).item()
         assert abs(got - self._reference(a, p, 0.2)) < 1e-10
 
     def test_low_temperature_approaches_hard_max_gap(self):
         # as tau -> 0 the loss per row tends to (max sim - positive sim)/tau;
         # with the positive strictly dominant the loss vanishes
-        a = np.eye(3)
-        p = np.eye(3)
-        loss = infonce_loss(Tensor(a), Tensor(p), temperature=1e-3).item()
+        loss = infonce_loss(stacked(np.eye(3), np.eye(3)), temperature=1e-3).item()
         assert loss < 1e-6
 
     def test_gradient(self):
         rng = np.random.default_rng(8)
-        p = Tensor(unit_rows(rng, 6, 3))
-        x = Tensor(unit_rows(rng, 6, 3))
-        assert grad_check(lambda t: infonce_loss(t, p, temperature=0.5), x).passed
+        p = unit_rows(rng, 6, 3)
+        x = stacked(unit_rows(rng, 6, 3), p)
+        assert grad_check(lambda t: infonce_loss(t, temperature=0.5), x).passed
 
     def test_degenerate_batch_rejected(self):
-        z = Tensor(np.ones((1, 2)))
         with pytest.raises(ShapeError):
-            infonce_loss(z, z)
+            infonce_loss(Tensor(np.ones((2, 1, 2))))
         with pytest.raises(ParameterError):
-            infonce_loss(Tensor(np.ones((3, 2))), Tensor(np.ones((3, 2))),
-                         temperature=0.0)
+            infonce_loss(Tensor(np.ones((2, 3, 2))), temperature=0.0)
 
 
 class TestSimSiam:
@@ -208,25 +210,24 @@ class TestSimSiam:
 
     def test_symmetric_in_views(self):
         enc, pred, x_a, x_b = self._setup()
-        z_a, z_b = enc.forward(np.stack([x_a, x_b]))
-        ab = simsiam_loss(z_a, z_b, pred).item()
-        ba = simsiam_loss(z_b, z_a, pred).item()
+        ab = simsiam_loss(enc.forward(np.stack([x_a, x_b])), pred).item()
+        ba = simsiam_loss(enc.forward(np.stack([x_b, x_a])), pred).item()
         assert abs(ab - ba) < 1e-12
 
     def test_no_predictor_no_sg_reduces_to_invariance(self):
         enc, _, x_a, x_b = self._setup(seed=2)
-        got = simsiam_loss(*enc.forward(np.stack([x_a, x_b])),
+        got = simsiam_loss(enc.forward(np.stack([x_a, x_b])),
                            use_stop_gradient=False).item()
         z_a = enc.forward_array(x_a)
         z_b = enc.forward_array(x_b)
-        expected = invariance_loss(Tensor(z_a), Tensor(z_b)).item()
+        expected = invariance_loss(stacked(z_a, z_b)).item()
         assert abs(got - expected) < 1e-12
 
     def test_stop_gradient_toggle_changes_encoder_grads(self):
         enc, pred, x_a, x_b = self._setup(seed=3)
 
         def loss(use_stop_gradient):
-            return simsiam_loss(*enc.forward(np.stack([x_a, x_b])),
+            return simsiam_loss(enc.forward(np.stack([x_a, x_b])),
                                 pred, use_stop_gradient)
 
         backward(loss(True))
@@ -251,11 +252,11 @@ class TestByol:
             return -np.mean(np.sum(p * t, axis=1))
 
         z = enc.forward_array(np.stack([x_a, x_b]))
-        p_a, p_b = (p.values for p in pred.forward(z))
+        p_a, p_b = pred.forward(z).values
         t_a, t_b = twin.forward_array(x_a), twin.forward_array(x_b)
         expected = 0.5 * (neg_cos(p_a, t_b) + neg_cos(p_b, t_a))
-        got = byol_loss(*enc.forward(np.stack([x_a, x_b])), pred,
-                        t_a, t_b).item()
+        got = byol_loss(enc.forward(np.stack([x_a, x_b])), pred,
+                        np.stack([t_a, t_b])).item()
         assert abs(got - expected) < 1e-12
 
     def test_teacher_receives_no_gradient(self):
@@ -263,9 +264,8 @@ class TestByol:
         enc = init_encoder([3, 8, 4], seed=11)
         pred = init_predictor(4, seed=12)
         twin = EmaTwin(enc, momentum=0.9)
-        x_a, x_b = rng.standard_normal((5, 3)), rng.standard_normal((5, 3))
-        backward(byol_loss(*enc.forward(np.stack([x_a, x_b])), pred,
-                           twin.forward_array(x_a), twin.forward_array(x_b)))
+        x = np.stack([rng.standard_normal((5, 3)), rng.standard_normal((5, 3))])
+        backward(byol_loss(enc.forward(x), pred, twin.forward_array(x)))
         assert all(t.grad is None for t in twin.shadow.weights)
         assert enc.weights[0].grad is not None
         assert pred.weights[0].grad is not None
@@ -281,9 +281,8 @@ class TestDino:
 
     @staticmethod
     def _loss(enc, twin, center, x_a, x_b, *args, **kwargs):
-        return dino_loss(*enc.forward(np.stack([x_a, x_b])),
-                         twin.forward_array(x_a), twin.forward_array(x_b), center,
-                         *args, **kwargs)
+        x = np.stack([x_a, x_b])
+        return dino_loss(enc.forward(x), twin.forward_array(x), center, *args, **kwargs)
 
     def test_value_matches_direct_evaluation(self):
         enc, twin, center, x_a, x_b = self._setup(seed=13)
@@ -380,8 +379,7 @@ class TestSinkhorn:
 class TestSwav:
     @staticmethod
     def _loss(enc, protos, x_a, x_b):
-        return swav_loss(*enc.forward(np.stack([x_a, x_b])),
-                         protos.matrix)
+        return swav_loss(enc.forward(np.stack([x_a, x_b])), protos.matrix)
 
     def test_frozen_bank_gets_no_gradient(self):
         rng = np.random.default_rng(20)
@@ -401,22 +399,21 @@ class TestSwav:
         assert protos.matrix.grad is not None
 
     def test_temperature_must_be_positive(self):
-        z = Tensor(np.ones((3, 2)))
         with pytest.raises(ParameterError):
-            swav_loss(z, z, Tensor(np.ones((4, 2))), temperature=0.0)
+            swav_loss(Tensor(np.ones((2, 3, 2))), Tensor(np.ones((4, 2))), temperature=0.0)
 
     def test_sinkhorn_runs_once_per_view_view_a_first(self):
         # looked up on the module: ac01 freezes the targets with
         # side_effect=[q_a, q_b], and one call on both views' scores would
         # hand q_a to both and still pass its check
         rng = np.random.default_rng(23)
-        z_a, z_b = Tensor(unit_rows(rng, 6, 4)), Tensor(unit_rows(rng, 6, 4))
+        z = stacked(unit_rows(rng, 6, 4), unit_rows(rng, 6, 4))
         protos = init_prototypes(5, 4, seed=26).matrix
         with mock.patch.object(L, "sinkhorn_knopp", wraps=sinkhorn_knopp) as spy:
-            swav_loss(z_a, z_b, protos)
+            swav_loss(z, protos)
         assert spy.call_count == 2
-        for call, z in zip(spy.call_args_list, (z_a, z_b)):
-            np.testing.assert_allclose(call.args[0], z.values @ protos.values.T,
+        for call, view in zip(spy.call_args_list, z.values):
+            np.testing.assert_allclose(call.args[0], view @ protos.values.T,
                                        rtol=1e-12)
 
     def test_symmetric_in_views(self):
@@ -434,7 +431,7 @@ class TestBarlowTwins:
         m, d = 8, 4
         q, _ = np.linalg.qr(np.random.default_rng(23).standard_normal((m, d)))
         z = q * np.sqrt(m)
-        assert abs(barlow_twins_loss(Tensor(z), Tensor(z)).item()) < 1e-12
+        assert abs(barlow_twins_loss(stacked(z, z)).item()) < 1e-12
 
     def test_matches_direct_evaluation(self):
         rng = np.random.default_rng(24)
@@ -443,7 +440,7 @@ class TestBarlowTwins:
         lam = 0.01
         expected = (((1 - np.diag(corr)) ** 2).sum()
                     + lam * (corr[~np.eye(3, dtype=bool)] ** 2).sum())
-        got = barlow_twins_loss(Tensor(a), Tensor(b), bt_lambda=lam).item()
+        got = barlow_twins_loss(stacked(a, b), bt_lambda=lam).item()
         assert abs(got - expected) < 1e-10
 
     def test_no_decorrelation_keeps_only_diagonal(self):
@@ -451,19 +448,18 @@ class TestBarlowTwins:
         a, b = rng.standard_normal((10, 3)), rng.standard_normal((10, 3))
         corr = a.T @ b / 10
         expected = ((1 - np.diag(corr)) ** 2).sum()
-        got = barlow_twins_loss(Tensor(a), Tensor(b),
-                                use_decorrelation=False).item()
+        got = barlow_twins_loss(stacked(a, b), use_decorrelation=False).item()
         assert abs(got - expected) < 1e-10
 
     def test_gradient(self):
         rng = np.random.default_rng(26)
-        b = Tensor(rng.standard_normal((8, 3)))
-        x = Tensor(rng.standard_normal((8, 3)))
-        assert grad_check(lambda t: barlow_twins_loss(t, b, bt_lambda=0.1), x).passed
+        b = rng.standard_normal((8, 3))
+        x = stacked(rng.standard_normal((8, 3)), b)
+        assert grad_check(lambda t: barlow_twins_loss(t, bt_lambda=0.1), x).passed
 
     def test_batch_of_one_rejected(self):
         with pytest.raises(ShapeError):
-            barlow_twins_loss(Tensor(np.ones((1, 3))), Tensor(np.ones((1, 3))))
+            barlow_twins_loss(Tensor(np.ones((2, 1, 3))))
 
 
 class TestSimpleObjective:
@@ -473,7 +469,7 @@ class TestSimpleObjective:
         s_hat = np.concatenate([a, b]).mean(axis=0)
         inv = -np.mean(np.sum(a * b, axis=1))
         expected = 0.5 * (inv - (-1.0) * s_hat @ s_hat)
-        got = simple_objective(Tensor(a), Tensor(b)).item()
+        got = simple_objective(stacked(a, b)).item()
         assert abs(got - expected) < 1e-12
 
     def test_raw_norm_variant(self):
@@ -482,70 +478,76 @@ class TestSimpleObjective:
         s_hat = np.concatenate([a, b]).mean(axis=0)
         inv = -np.mean(np.sum(a * b, axis=1))
         expected = 0.5 * (inv - 2.0 * np.linalg.norm(s_hat))
-        got = simple_objective(Tensor(a), Tensor(b),
-                               center_penalty_weight=2.0, squared=False).item()
+        got = simple_objective(stacked(a, b), center_penalty_weight=2.0,
+                               squared=False).item()
         assert abs(got - expected) < 1e-9
 
     def test_penalty_gradient_pushes_center_down(self):
         # with the default weight the penalty adds +||s||^2; its gradient on a
         # common offset points away from the offset direction
         offset = np.array([[0.5, 0.5]])
-        z = leaf(np.tile(offset, (4, 1)))
         # zero partner view kills the invariance gradient, isolating the penalty
-        loss = simple_objective(z, Tensor(np.zeros((4, 2))))
+        z = stacked(np.tile(offset, (4, 1)), np.zeros((4, 2)), requires_grad=True)
+        loss = simple_objective(z)
         backward(loss)
         # the gradient projected on the offset is positive: descending it
         # moves the cloud toward the origin
-        assert (z.grad.sum(axis=0) @ offset.ravel()) > 0
+        assert (z.grad[0].sum(axis=0) @ offset.ravel()) > 0
 
     def test_gradient(self):
         rng = np.random.default_rng(29)
-        b = Tensor(rng.standard_normal((6, 3)))
-        x = Tensor(rng.standard_normal((6, 3)))
-        assert grad_check(lambda t: simple_objective(t, b), x).passed
-        assert grad_check(lambda t: simple_objective(t, b, 1.5, squared=False),
-                          x).passed
+        b = rng.standard_normal((6, 3))
+        x = stacked(rng.standard_normal((6, 3)), b)
+        assert grad_check(simple_objective, x).passed
+        assert grad_check(lambda t: simple_objective(t, 1.5, squared=False), x).passed
 
 
+# each implementation takes the views in its own form: the library's loss
+# nodes one (V, m, n) stack (and DINO and BYOL the teachers' stack), the
+# composed oracles V 2-D Tensors
 FUSED = {"invariance": invariance_loss, "simsiam": simsiam_loss, "byol": byol_loss,
          "triplet": triplet_loss, "infonce": infonce_loss,
          "dino": lambda *a, **kw: dino_loss(*a, **kw)[0], "swav": swav_loss,
          "barlow_twins": barlow_twins_loss, "simple": simple_objective,
          "batch_norm": ad.batch_norm_cols}
-COMPOSED = {"invariance": composed_neg_cosine, "simsiam": composed_simsiam,
-            "byol": composed_byol, "triplet": composed_triplet,
-            "infonce": composed_infonce,
-            "dino": composed_dino, "swav": composed_swav,
-            "barlow_twins": composed_barlow_twins, "simple": composed_simple,
-            "batch_norm": composed_batch_norm_cols}
+COMPOSED = {"invariance": lambda z: composed_neg_cosine(*z),
+            "simsiam": lambda z, *a: composed_simsiam(*z, *a),
+            "byol": lambda z, pred, t: composed_byol(*z, pred, *t),
+            "triplet": lambda z, *a: composed_triplet(*z, *a),
+            "infonce": lambda z, **kw: composed_infonce(*z, **kw),
+            "dino": lambda z, t, *a, **kw: composed_dino(*z, *t, *a, **kw),
+            "swav": lambda z, *a: composed_swav(*z, *a),
+            "barlow_twins": lambda z, *a, **kw: composed_barlow_twins(*z, *a, **kw),
+            "simple": lambda z, *a, **kw: composed_simple(*z, *a, **kw),
+            "batch_norm": lambda z: [composed_batch_norm_cols(v) for v in z]}
 
 # case -> (views, loss of (implementations, views, extras))
 ONE_NODE_CASES = {
-    "invariance": (2, lambda f, z, x: f["invariance"](*z)),
-    "simsiam": (2, lambda f, z, x: f["simsiam"](*z, x.pred)),
-    "simsiam-no-stop-gradient": (2, lambda f, z, x: f["simsiam"](*z, x.pred, False)),
-    "simsiam-no-predictor": (2, lambda f, z, x: f["simsiam"](*z)),
+    "invariance": (2, lambda f, z, x: f["invariance"](z)),
+    "simsiam": (2, lambda f, z, x: f["simsiam"](z, x.pred)),
+    "simsiam-no-stop-gradient": (2, lambda f, z, x: f["simsiam"](z, x.pred, False)),
+    "simsiam-no-predictor": (2, lambda f, z, x: f["simsiam"](z)),
     "simsiam-no-predictor-no-stop-gradient": (2, lambda f, z, x: f["simsiam"](
-        *z, None, False)),
-    "byol": (2, lambda f, z, x: f["byol"](*z, x.pred, x.t_a, x.t_b)),
-    "byol-no-predictor": (2, lambda f, z, x: f["byol"](*z, None, x.t_a, x.t_b)),
-    "triplet-inf": (3, lambda f, z, x: f["triplet"](*z)),
-    "triplet-inf-explicit": (3, lambda f, z, x: f["triplet"](*z, np.inf)),
-    "triplet-margin": (3, lambda f, z, x: f["triplet"](*z, 1.0)),
-    "infonce": (2, lambda f, z, x: f["infonce"](*z, temperature=0.3)),
-    "dino": (2, lambda f, z, x: f["dino"](*z, x.t_a, x.t_b, x.center, 0.2, 0.05)),
+        z, None, False)),
+    "byol": (2, lambda f, z, x: f["byol"](z, x.pred, x.t)),
+    "byol-no-predictor": (2, lambda f, z, x: f["byol"](z, None, x.t)),
+    "triplet-inf": (3, lambda f, z, x: f["triplet"](z)),
+    "triplet-inf-explicit": (3, lambda f, z, x: f["triplet"](z, np.inf)),
+    "triplet-margin": (3, lambda f, z, x: f["triplet"](z, 1.0)),
+    "infonce": (2, lambda f, z, x: f["infonce"](z, temperature=0.3)),
+    "dino": (2, lambda f, z, x: f["dino"](z, x.t, x.center, 0.2, 0.05)),
     "dino-no-centering": (2, lambda f, z, x: f["dino"](
-        *z, x.t_a, x.t_b, x.center, 0.2, 0.05, use_centering=False)),
-    "swav-frozen": (2, lambda f, z, x: f["swav"](*z, x.frozen, 0.2)),
-    "swav-trainable": (2, lambda f, z, x: f["swav"](*z, x.trainable, 0.2)),
-    "barlow-twins": (2, lambda f, z, x: f["barlow_twins"](*z, 0.1)),
+        z, x.t, x.center, 0.2, 0.05, use_centering=False)),
+    "swav-frozen": (2, lambda f, z, x: f["swav"](z, x.frozen, 0.2)),
+    "swav-trainable": (2, lambda f, z, x: f["swav"](z, x.trainable, 0.2)),
+    "barlow-twins": (2, lambda f, z, x: f["barlow_twins"](z, 0.1)),
     "barlow-twins-no-decor": (2, lambda f, z, x: f["barlow_twins"](
-        *z, use_decorrelation=False)),
-    # as the trainer composes them: each view batch-normed first
+        z, use_decorrelation=False)),
+    # as the trainer composes them: the views batch-normed first
     "barlow-twins-batch-norm": (2, lambda f, z, x: f["barlow_twins"](
-        *(f["batch_norm"](v) for v in z))),
-    "simple": (2, lambda f, z, x: f["simple"](*z)),
-    "simple-raw": (2, lambda f, z, x: f["simple"](*z, 1.5, squared=False)),
+        f["batch_norm"](z))),
+    "simple": (2, lambda f, z, x: f["simple"](z)),
+    "simple-raw": (2, lambda f, z, x: f["simple"](z, 1.5, squared=False)),
 }
 
 
@@ -553,7 +555,8 @@ def _extras(rng, d):
     """Teacher outputs and a DINO center, one prototype bank frozen and one
     trainable, and a predictor head."""
     protos = unit_rows(rng, 5, d)
-    return SimpleNamespace(t_a=rng.standard_normal((6, d)), t_b=rng.standard_normal((6, d)),
+    return SimpleNamespace(t=np.stack([rng.standard_normal((6, d)),
+                                       rng.standard_normal((6, d))]),
                            center=DinoCenterState(0.1 * rng.standard_normal(d)),
                            frozen=Tensor(protos), trainable=leaf(protos.copy()),
                            pred=init_predictor(d, seed=35))
@@ -574,7 +577,8 @@ class TestOneNodeLosses:
     @pytest.mark.parametrize("case", sorted(ONE_NODE_CASES))
     def test_matches_composed(self, case, inputs):
         # the loss value, every input gradient and the signs of zeros, with
-        # every view on the graph, only the first one, or the first used twice
+        # every view on the graph, only the first one, or the first two equal;
+        # the library's node takes the views' stack node
         views, loss_fn = ONE_NODE_CASES[case]
 
         def run(impl):
@@ -582,35 +586,32 @@ class TestOneNodeLosses:
             values = [unit_rows(rng, 6, 4) for _ in range(views)]
             values[0][2] = -0.0
             values[-1][4, 1] = -0.0
+            if inputs == "same":  # tied views
+                values[1] = values[0].copy()
             z = [Tensor(v, requires_grad=inputs != "first" or i == 0)
                  for i, v in enumerate(values)]
-            if inputs == "same":
-                z[1] = z[0]
             extras = _extras(rng, 4)
-            loss = mul(loss_fn(impl, z, extras), 0.3)
+            loss = mul(loss_fn(impl, stack_views(z) if impl is FUSED else z, extras), 0.3)
             backward(loss)
             return [loss.values, *_extras_grads(extras)] + [t.grad for t in z]
 
-        got, want = run(FUSED), run(COMPOSED)
-        if (case, inputs) == ("simsiam-no-stop-gradient", "same"):
-            # the one view Tensor gets four terms: the loss node hands out
-            # its two before the predictor node's two, where the composed
-            # graph interleaves them, so their sums may round differently
-            for g, w in zip(got[-2:], want[-2:]):
-                np.testing.assert_allclose(g, w, rtol=1e-15, atol=1e-17)
-            got, want = got[:-2], want[:-2]
-        assert_all_bits_equal(got, want)
+        assert_all_bits_equal(run(FUSED), run(COMPOSED))
 
     @pytest.mark.parametrize("case", sorted(ONE_NODE_CASES))
     def test_matches_composed_through_the_encoder(self, case):
-        # the views' row blocks reach the shared parameters in the order the
-        # composed graph reaches them; with three views that order rounds
+        # the library's node on the encoder's mlp node against the composed
+        # loss on one composed encoder graph per view: the mlp node folds its
+        # parameters' view gradients in the order the composed graph reaches
+        # the views, which with three views sets their rounding
         views, loss_fn = ONE_NODE_CASES[case]
 
         def run(impl):
             rng = np.random.default_rng(32)
             enc = init_encoder([2, 8, 4], seed=33)
-            z = enc.forward(rng.standard_normal((views, 6, 2)))
+            x = rng.standard_normal((views, 6, 2))
+            z = (enc.forward(x) if impl is FUSED else composed_views(
+                [Tensor(v) for v in x], enc.weights, enc.biases, enc.activations,
+                enc.output_normalize))
             extras = _extras(rng, 4)
             loss = loss_fn(impl, z, extras)
             backward(loss)
@@ -619,17 +620,31 @@ class TestOneNodeLosses:
 
         assert_all_bits_equal(run(FUSED), run(COMPOSED))
 
+    # the cases whose gradient finite differences can see: no stop-gradient
+    # target and no Sinkhorn assignment computed from the views
+    @pytest.mark.parametrize("case", [
+        "invariance", "simsiam-no-predictor-no-stop-gradient", "byol-no-predictor",
+        "triplet-inf", "triplet-margin", "infonce", "dino", "barlow-twins",
+        "barlow-twins-batch-norm", "simple", "simple-raw"])
+    def test_gradient_over_the_whole_stack(self, case):
+        # finite differences over every entry of every view
+        views, loss_fn = ONE_NODE_CASES[case]
+        rng = np.random.default_rng(36)
+        x = Tensor(np.stack([unit_rows(rng, 6, 4) for _ in range(views)]))
+        extras = _extras(rng, 4)
+        assert grad_check(lambda t: loss_fn(FUSED, t, extras), x).passed
+
     def test_every_inactive_hinge_hands_out_zeros(self):
         # zero gradients, not None, with the composed graph's signs of zero
         def run(triplet):
             a = unit_rows(np.random.default_rng(34), 5, 3)
             z = [leaf(a), leaf(a.copy()), leaf(-a)]
-            backward(triplet(*z, 0.5))
+            backward(triplet(z, 0.5))
             return [t.grad for t in z]
 
-        got = run(triplet_loss)
+        got = run(lambda z, margin: triplet_loss(stack_views(z), margin))
         assert all(g is not None and not g.any() for g in got)
-        assert_all_bits_equal(got, run(composed_triplet))
+        assert_all_bits_equal(got, run(lambda z, margin: composed_triplet(*z, margin)))
 
 
 def _stack_case(views, m, n, seed):
@@ -669,12 +684,15 @@ class TestViewStacks:
 
         def run(dino):
             z = [leaf(z_a.copy()), leaf(z_b.copy())]
-            loss = dino(*z, t_a, t_b, center, 0.2, 0.05, use_centering=use_centering)
+            loss = dino(z, center, 0.2, 0.05, use_centering=use_centering)
             backward(loss)
             return [loss.values] + [t.grad for t in z]
 
-        assert_all_bits_equal(run(FUSED["dino"]), run(composed_dino))
-        assert_bits_equal(dino_loss(Tensor(z_a), Tensor(z_b), t_a, t_b, center)[1],
+        fused = run(lambda z, *a, **kw: FUSED["dino"](
+            stack_views(z), np.stack([t_a, t_b]), *a, **kw))
+        assert_all_bits_equal(fused, run(
+            lambda z, *a, **kw: composed_dino(*z, t_a, t_b, *a, **kw)))
+        assert_bits_equal(dino_loss(stacked(z_a, z_b), np.stack([t_a, t_b]), center)[1],
                           np.concatenate([t_a, t_b]).mean(axis=0))
 
     @pytest.mark.parametrize("trainable", [True, False])
@@ -689,28 +707,31 @@ class TestViewStacks:
         def run(swav):
             z = [leaf(z_a.copy()), leaf(z_b.copy())]
             bank = Tensor(protos.copy(), requires_grad=trainable)
-            loss = swav(*z, bank, 0.2, 1.0)
+            loss = swav(z, bank, 0.2, 1.0)
             backward(loss)
             return [loss.values, bank.grad] + [t.grad for t in z]
 
-        assert_all_bits_equal(run(swav_loss), run(composed_swav))
+        assert_all_bits_equal(run(lambda z, *a: swav_loss(stack_views(z), *a)),
+                              run(COMPOSED["swav"]))
 
     @pytest.mark.parametrize("reached", ["all", "first"])
     @pytest.mark.parametrize("views", [1, 2, 3])
     @pytest.mark.parametrize("shape", [(12, 5), (9, 1)])
     def test_batch_norm_cols(self, views, shape, reached):
-        # one node over V views against V composed graphs; with "first" the
-        # loss reads view 0 only, and the other views get no gradient
+        # one node over V views against V composed graphs, under one probe of
+        # their stack; with "first" the probe weighs only view 0, and the
+        # other views get the composed graphs' gradients of a zero weight
         x, w = _stack_case(views, *shape, seed=46), _stack_case(views, *shape, seed=47)
+        if reached == "first":
+            w[1:] = 0.0
 
         def run(batch_norm):
             ts = [leaf(x[v].copy()) for v in range(views)]
-            outs = batch_norm(ts)
-            loss = tensor_sum(mul(outs[0], w[0]))
-            for v in range(1, views if reached == "all" else 1):
-                loss = add(loss, tensor_sum(mul(outs[v], w[v])))
+            out = batch_norm(ts)
+            loss = tensor_sum(mul(out, w))
             backward(loss)
-            return [loss.values] + [o.values for o in outs] + [t.grad for t in ts]
+            return [loss.values, out.values] + [t.grad for t in ts]
 
-        assert_all_bits_equal(run(ad.batch_norm_cols),
-                              run(lambda ts: [composed_batch_norm_cols(t) for t in ts]))
+        assert_all_bits_equal(
+            run(lambda ts: ad.batch_norm_cols(stack_views(ts))),
+            run(lambda ts: stack_views([composed_batch_norm_cols(t) for t in ts])))
