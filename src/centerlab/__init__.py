@@ -4,7 +4,7 @@ Nine self-supervised objectives over a minimal reverse-mode autodiff engine,
 center-vector diagnostics, and a seeded experiment harness with a CLI.
 """
 
-from .autodiff import Tensor, backward, grad_check
+from .autodiff import Tensor, backward
 from .data import gen_blobs, gen_gaussian_points, gen_moons
 from .diagnostics import (collapse_verdict, delta_dist, estimate_center,
                           knn_eval, residual_stats)

@@ -16,7 +16,6 @@ for bit live in the tests, as their oracles.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,8 +27,6 @@ __all__ = [
     "mlp",
     "batch_norm_cols",
     "backward",
-    "grad_check",
-    "GradCheckReport",
 ]
 
 
@@ -81,7 +78,7 @@ class Tensor:
     def item(self) -> float:
         if self.values.size != 1:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
-        return float(self.values[0, 0])
+        return float(self.values.item())
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -330,50 +327,3 @@ def backward(loss: Tensor) -> None:
         if node._backward_fn is not None and node.grad is not None:
             node._backward_fn(node.grad)
 
-
-# ---------------------------------------------------------------------------
-# finite-difference oracle
-# ---------------------------------------------------------------------------
-
-@dataclass
-class GradCheckReport:
-    max_rel_err: float
-    max_abs_err: float
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_rel_err < self.tol
-
-
-def grad_check(f: Callable[[Tensor], Tensor], x: Tensor,
-               step: float = 1e-5, tol: float = 1e-4) -> GradCheckReport:
-    """Compare the analytic gradient of scalar f(x) to central finite differences.
-
-    Relative error is |a - n| / max(1, |a|, |n|) per entry; the report carries
-    the worst entry.
-    """
-    if not (1e-7 <= step <= 1e-3):
-        raise ParameterError(f"step must lie in [1e-7, 1e-3], got {step}")
-    probe = Tensor(x.values.copy(), requires_grad=True)
-    out = f(probe)
-    if out.shape != (1, 1):
-        raise ShapeError(f"grad_check target must return a scalar, got {out.shape}")
-    backward(out)
-    analytic = probe.grad if probe.grad is not None else np.zeros_like(probe.values)
-
-    numeric = np.zeros_like(probe.values)
-    base = probe.values.copy()
-    for i in np.ndindex(base.shape):
-        bumped = base.copy()
-        bumped[i] = base[i] + step
-        hi = f(Tensor(bumped)).item()
-        bumped[i] = base[i] - step
-        lo = f(Tensor(bumped)).item()
-        numeric[i] = (hi - lo) / (2.0 * step)
-
-    abs_err = np.abs(analytic - numeric)
-    scale = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
-    rel_err = abs_err / scale
-    return GradCheckReport(max_rel_err=float(rel_err.max()),
-                           max_abs_err=float(abs_err.max()), tol=tol)

@@ -1,8 +1,8 @@
 """Command-line surface for the experiment harness.
 
 Subcommands: run, named, sweep, claims, list. Exit codes: 0 success,
-2 config or I/O error, 3 numeric abort, 4 a failed claim or a malformed run
-directory; each failure prints one line to stderr.
+2 config, I/O or out-of-memory error, 3 numeric abort, 4 a failed claim
+or a malformed run directory; each failure prints one line to stderr.
 """
 
 from __future__ import annotations
@@ -170,6 +170,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_COMPARISON
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

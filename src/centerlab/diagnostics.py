@@ -18,7 +18,6 @@ __all__ = [
     "CollapseReport",
     "estimate_center",
     "residual_stats",
-    "second_moment_gap",
     "delta_dist",
     "angle_to_direction",
     "knn_eval",
@@ -59,15 +58,6 @@ def residual_stats(embeddings: np.ndarray,
     return mean_norm, np.sqrt(_col_sum(dev)[0] / m)
 
 
-def second_moment_gap(embeddings: np.ndarray, center: CenterEstimate) -> float:
-    """|mean||z||^2 - ||s_hat||^2 - mean||r||^2|; zero when s_hat is the batch mean."""
-    embeddings = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
-    mean_sq = float((embeddings ** 2).sum(axis=1).mean())
-    residuals = embeddings - center.s_hat
-    mean_res_sq = float((residuals ** 2).sum(axis=1).mean())
-    return abs(mean_sq - center.norm ** 2 - mean_res_sq)
-
-
 def delta_dist(mean_t: np.ndarray, mean_prev: np.ndarray) -> float:
     """Squared Euclidean shift of the embedding mean between consecutive steps."""
     mean_t = np.asarray(mean_t, dtype=np.float64).ravel()
@@ -103,6 +93,8 @@ def knn_eval(emb: np.ndarray, labels: np.ndarray, k: int) -> float:
     emb = np.atleast_2d(np.asarray(emb, dtype=np.float64))
     labels = np.asarray(labels).astype(np.int64)
     n = emb.shape[0]
+    if labels.shape != (n,):
+        raise ParameterError(f"labels of shape {labels.shape} for {n} embeddings")
     if not 1 <= k <= n - 1:
         raise ParameterError(f"k={k} out of range (max {n - 1})")
     unit = emb / np.sqrt(_row_sum(emb * emb) + 1e-24)
@@ -192,11 +184,10 @@ def collapse_verdict(embeddings: np.ndarray, prev_mean: np.ndarray | None,
     """Binarized collapse reading: high center AND low spread.
 
     ``collapsed = center_norm > thresholds[0] and std_mean < thresholds[1]``,
-    where ``center`` is ``estimate_center(embeddings)``.
+    where ``center`` is ``estimate_center(embeddings)``. The config's
+    ``validate`` keeps both thresholds in (0, 1).
     """
     center_hi, std_lo = thresholds
-    if not (0.0 < center_hi < 1.0 and 0.0 < std_lo < 1.0):
-        raise ParameterError("thresholds must lie in (0, 1)")
     mean_res, per_dim_std = residual_stats(embeddings, center)
     std_mean = float(per_dim_std.mean())
     dd = delta_dist(center.s_hat, prev_mean) if prev_mean is not None else 0.0

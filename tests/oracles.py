@@ -8,12 +8,20 @@ mul, matmul, sums, relu, exp, log, ...), spelled with operators on ``Var``.
 stack. Each must match, bit for bit, the composed graph it replaces
 (``composed_*`` below, one 2-D graph per view): values, gradients and the
 signs of zeros. ``stack_views`` and ``first_view`` join the two forms.
+
+``grad_check`` compares any graph's gradient with central finite
+differences, and ``second_moment_gap`` measures the second-moment identity
+that the acceptance suite checks on every diagnostics tick.
 """
+
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from centerlab import autodiff as ad
-from centerlab.autodiff import ParameterError, ShapeError, Tensor
+from centerlab.autodiff import ParameterError, ShapeError, Tensor, backward
+from centerlab.diagnostics import CenterEstimate
 from centerlab.losses import sinkhorn_knopp
 
 
@@ -69,6 +77,63 @@ def fold_case(shape, seed=0):
     a[pick < 0.15] = 0.0
     a[(pick >= 0.15) & (pick < 0.3)] = -0.0
     return a
+
+
+def second_moment_gap(embeddings: np.ndarray, center: CenterEstimate) -> float:
+    """|mean||z||^2 - ||s_hat||^2 - mean||r||^2|; zero when s_hat is the batch mean."""
+    embeddings = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
+    mean_sq = float((embeddings ** 2).sum(axis=1).mean())
+    residuals = embeddings - center.s_hat
+    mean_res_sq = float((residuals ** 2).sum(axis=1).mean())
+    return abs(mean_sq - center.norm ** 2 - mean_res_sq)
+
+
+# ---------------------------------------------------------------------------
+# finite-difference oracle
+# ---------------------------------------------------------------------------
+
+@dataclass
+class GradCheckReport:
+    max_rel_err: float
+    max_abs_err: float
+    tol: float
+
+    @property
+    def passed(self) -> bool:
+        return self.max_rel_err < self.tol
+
+
+def grad_check(f: Callable[[Tensor], Tensor], x: Tensor,
+               step: float = 1e-5, tol: float = 1e-4) -> GradCheckReport:
+    """Compare the analytic gradient of scalar f(x) to central finite differences.
+
+    Relative error is |a - n| / max(1, |a|, |n|) per entry; the report carries
+    the worst entry.
+    """
+    if not (1e-7 <= step <= 1e-3):
+        raise ParameterError(f"step must lie in [1e-7, 1e-3], got {step}")
+    probe = Tensor(x.values.copy(), requires_grad=True)
+    out = f(probe)
+    if out.shape != (1, 1):
+        raise ShapeError(f"grad_check target must return a scalar, got {out.shape}")
+    backward(out)
+    analytic = probe.grad if probe.grad is not None else np.zeros_like(probe.values)
+
+    numeric = np.zeros_like(probe.values)
+    base = probe.values.copy()
+    for i in np.ndindex(base.shape):
+        bumped = base.copy()
+        bumped[i] = base[i] + step
+        hi = f(Tensor(bumped)).item()
+        bumped[i] = base[i] - step
+        lo = f(Tensor(bumped)).item()
+        numeric[i] = (hi - lo) / (2.0 * step)
+
+    abs_err = np.abs(analytic - numeric)
+    scale = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
+    rel_err = abs_err / scale
+    return GradCheckReport(max_rel_err=float(rel_err.max()),
+                           max_abs_err=float(abs_err.max()), tol=tol)
 
 
 # ---------------------------------------------------------------------------

@@ -20,14 +20,14 @@ import pytest
 
 from centerlab import claims
 from centerlab import losses as L
-from centerlab.autodiff import Tensor, backward, batch_norm_cols, grad_check
-from centerlab.diagnostics import (angle_to_direction, estimate_center,
-                                   second_moment_gap)
+from centerlab.autodiff import Tensor, backward, batch_norm_cols
+from centerlab.diagnostics import angle_to_direction, estimate_center
 from centerlab.cli import main as cli_main
 from centerlab.harness import (_OBJECTIVES, ExperimentConfig, named_experiment,
                                run_experiment)
 from centerlab.layers import (EncoderStack, EmaTwin, init_encoder,
                               init_predictor, init_prototypes)
+from oracles import grad_check, second_moment_gap
 
 # ---------------------------------------------------------------------------
 # shared experiment runs

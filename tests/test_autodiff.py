@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 import centerlab
 from centerlab import autodiff as ad
 from centerlab import losses as L
-from centerlab.autodiff import (ParameterError, ShapeError, Tensor, backward,
-                                grad_check)
+from centerlab.autodiff import ParameterError, ShapeError, Tensor, backward
 from oracles import (Var, accum_views, add, assert_bits_equal,
                      composed_batch_norm_cols, composed_l2_normalize_rows,
                      composed_neg_cosine, composed_tanh, composed_triplet,
-                     composed_views, exp, first_view, fold_case, leaf,
+                     composed_views, exp, first_view, fold_case, grad_check, leaf,
                      logsumexp_rows, matmul, mul, power, relu, softmax_rows,
                      stack_views, stop_gradient, tensor_sum)
 
@@ -396,6 +395,16 @@ class TestBatchNormCols:
         rep = grad_check(lambda t: tensor_sum(mul(ad.batch_norm_cols(t), w)),
                          Tensor(x), tol=1e-5)
         assert rep.max_rel_err < 1e-5
+
+
+class TestItem:
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 1, 1)], ids=["2-d", "view-stack"])
+    def test_reads_the_one_element(self, shape):
+        assert Tensor(np.full(shape, -2.5)).item() == -2.5
+
+    def test_more_than_one_element_rejected(self):
+        with pytest.raises(ShapeError):
+            Tensor(np.ones((2, 1, 1))).item()
 
 
 class TestBackward:

@@ -7,11 +7,10 @@ from centerlab import autodiff as ad
 from centerlab.autodiff import ParameterError
 from centerlab.diagnostics import (CenterEstimate, _nearest, angle_to_direction,
                                    collapse_verdict, delta_dist,
-                                   estimate_center, knn_eval, residual_stats,
-                                   second_moment_gap)
+                                   estimate_center, knn_eval, residual_stats)
 from centerlab.harness import DiagnosticsSpec
 from oracles import (assert_bits_equal, fold_case, knn_unit, loop_knn_winners,
-                     unit_rows)
+                     second_moment_gap, unit_rows)
 
 
 class TestEstimateCenter:
@@ -160,6 +159,13 @@ class TestKnn:
                 knn_eval(emb, labels, k)
         with pytest.raises(ParameterError):
             knn_eval(np.ones((1, 3)), np.zeros(1), 1)
+
+    @pytest.mark.parametrize("labels", [np.zeros(7), np.zeros(4), np.zeros((2, 3))],
+                             ids=["7-labels", "4-labels", "2x3-labels"])
+    def test_labels_must_match_the_embeddings(self, labels):
+        emb = np.random.default_rng(8).standard_normal((6, 2))
+        with pytest.raises(ParameterError, match="labels"):
+            knn_eval(emb, labels, 2)
 
 
 def grid_embeddings(seed, n, span=2, dim=2):
@@ -354,10 +360,10 @@ class TestNearest:
         assert peak <= 1.5 * n * n * 8, peak / (n * n * 8)
 
 
-def verdict(z, prev_mean=None, thresholds=None):
+def verdict(z, prev_mean=None):
     """`collapse_verdict` at the default diagnostics thresholds."""
     spec = DiagnosticsSpec()
-    return collapse_verdict(z, prev_mean, thresholds or (spec.center_hi, spec.std_lo),
+    return collapse_verdict(z, prev_mean, (spec.center_hi, spec.std_lo),
                             estimate_center(z))
 
 
@@ -386,7 +392,3 @@ class TestCollapseVerdict:
         report = verdict(z, prev_mean=np.array([0.0, 0.0]))
         assert report.delta_dist == 1.0
         assert verdict(z).delta_dist == 0.0
-
-    def test_invalid_thresholds(self):
-        with pytest.raises(ParameterError):
-            verdict(np.ones((3, 2)), thresholds=(1.5, 0.05))

@@ -1221,6 +1221,7 @@ class TestCli:
         pytest.param(["encoder.scheme=xavier"], "encoder.scheme", id="unknown-init-scheme"),
         pytest.param(["diagnostics.center_hi=1.5"], "diagnostics.center_hi",
                      id="center-hi-above-1"),
+        pytest.param(["diagnostics.std_lo=0"], "diagnostics.std_lo", id="std-lo-zero"),
         pytest.param(["augmentation.kind=shifted"], "augmentation.shift",
                      id="shifted-without-shift"),
         pytest.param(["loss.kind=swav", "loss.num_prototypes=1"], "loss.num_prototypes",
@@ -1265,6 +1266,20 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and field in err[0], err
         assert not any(tmp_path.iterdir())
+
+    def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+        # numpy raises a MemoryError for a kNN distance matrix it cannot
+        # allocate (100,000 points need 74.5 GiB)
+        def no_memory(emb, labels, k):
+            n = emb.shape[0]
+            raise MemoryError(f"Unable to allocate an array with shape ({n}, {n})")
+
+        monkeypatch.setattr(H, "knn_eval", no_memory)
+        argv = ["--out-dir", str(tmp_path), "--quiet", "named", "fig3-simple-vs-simsiam",
+                "--override", "num_seeds=1", "--override", "optimizer.epochs=1"]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("out of memory: Unable to allocate"), err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_named_numeric_error_exits_3(self, tmp_path, capsys):

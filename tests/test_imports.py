@@ -118,3 +118,40 @@ def test_same_field_dataclass_lint_flags(second, flagged):
 def test_no_two_dataclasses_share_their_fields():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert same_field_dataclasses(sources) == []
+
+
+def referenced_names(sources) -> set[str]:
+    """Every ``Name`` id and ``Attribute`` attr in the given sources: the
+    names code uses, not those it defines, imports or spells in strings."""
+    names = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+@pytest.mark.parametrize("source, used", [
+    ("grad_check(f, x)", True),
+    ("ad.grad_check", True),
+    ("from centerlab.autodiff import grad_check", False),
+    ("__all__ = ['grad_check']", False),
+    ("def grad_check(f, x):\n    pass\n", False),
+])
+def test_referenced_names_lint_flags(source, used):
+    assert ("grad_check" in referenced_names([source])) == used
+
+
+# a helper only the tests call lives in tests/oracles.py, not in the package
+def test_every_export_is_used_outside_the_tests():
+    users = [*SRC.glob("*.py"), *(ROOT / "scripts").glob("*.py"),
+             *(ROOT / "perfbench").glob("*.py")]
+    used = referenced_names(p.read_text() for p in users)
+    unused = []
+    for path in sorted(SRC.glob("[!_]*.py")):  # __init__.py has no __all__
+        module = importlib.import_module(f"centerlab.{path.stem}")
+        unused += [f"{path.stem}.{name}" for name in getattr(module, "__all__", ())
+                   if name not in used]
+    assert unused == []

@@ -6,7 +6,7 @@ import pytest
 
 from centerlab import autodiff as ad
 from centerlab import losses as L
-from centerlab.autodiff import ParameterError, ShapeError, Tensor, backward, grad_check
+from centerlab.autodiff import ParameterError, ShapeError, Tensor, backward
 from centerlab.harness import _OBJECTIVES, DatasetSpec, ExperimentConfig, Trainer
 from centerlab.layers import EmaTwin, init_encoder, init_predictor, init_prototypes
 from centerlab.losses import (DinoCenterState, LossConfig, NumericError,
@@ -18,8 +18,8 @@ from oracles import (assert_bits_equal, composed_barlow_twins,
                      composed_batch_norm_cols, composed_byol, composed_dino,
                      composed_infonce, composed_neg_cosine, composed_simple,
                      composed_simsiam, composed_swav, composed_triplet,
-                     composed_views, leaf, log, mul, softmax_rows, stack_views,
-                     tensor_sum, unit_rows)
+                     composed_views, grad_check, leaf, log, mul, softmax_rows,
+                     stack_views, tensor_sum, unit_rows)
 
 
 class TestLossConfig:
