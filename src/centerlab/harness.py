@@ -163,7 +163,7 @@ class ExperimentConfig:
         enc = self.encoder
         # the run directory is <out-dir>/<name>, so a name is one path component
         if (self.name in ("", ".", "..") or "/" in self.name or os.sep in self.name
-                or os.path.isabs(self.name)):
+                or "\0" in self.name or os.path.isabs(self.name)):
             raise ConfigError(f"name: {self.name!r} is not one path component")
         if self.base_seed < 0:  # numpy takes no negative seed
             raise ConfigError("base_seed: must be >= 0")
@@ -186,8 +186,9 @@ class ExperimentConfig:
         return base, augmented, encoder, sampler
 
     def _validate(self, base: ToyDataset, augmented: AugmentedSet) -> None:
-        """The rules no constructor makes: scalar bounds and cross-section
-        rules, checked against the built points."""
+        """The rules the section constructors leave out: scalar bounds, the
+        head rules the head builders trust, and cross-section rules, checked
+        against the built points."""
         aug, enc = self.augmentation, self.encoder
         opt, diag, lc = self.optimizer, self.diagnostics, self.loss
         if aug.kind == "class" and base.num_classes < 2:
@@ -279,13 +280,19 @@ def _fits(value, annotation: str) -> bool:
 def _check_types(spec, path: str) -> None:
     """Every field of a config dataclass holds values of its annotated type,
     inside lists, ``| None`` unions and config sections (the fields whose
-    default factory is a dataclass) too."""
+    default factory is a dataclass) too, and every integer but the seed fits
+    in 64 bits: numpy sizes its arrays with int64, while it hashes a seed of
+    any width."""
     for f in fields(spec):
         value, section = getattr(spec, f.name), f.default_factory
         if dataclasses.is_dataclass(section) and isinstance(value, section):
             _check_types(value, f"{path}{f.name}.")
         elif not _fits(value, f.type):
             raise ConfigError(f"{path}{f.name}: expected {f.type}, got {value!r}")
+        elif "int" in f.type and f.name != "base_seed" and not all(
+                -2**63 <= v < 2**63 for v in (value if isinstance(value, (list, tuple))
+                                              else [value])):
+            raise ConfigError(f"{path}{f.name}: {value!r} does not fit in 64 bits")
 
 
 @contextmanager

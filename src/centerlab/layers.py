@@ -47,11 +47,6 @@ class EncoderStack:
 
     def __init__(self, weights: list[Tensor], biases: list[Tensor],
                  activations: list[str], output_normalize: bool = True):
-        if len(weights) != len(biases) or len(weights) != len(activations):
-            raise ParameterError("layer lists must have equal length")
-        for act in activations:
-            if act not in _ACTIVATIONS:
-                raise ParameterError(f"unknown activation {act!r}")
         self.weights = weights
         self.biases = biases
         self.activations = activations
@@ -98,7 +93,7 @@ def init_encoder(dims: list[int], seed: int, scheme: str = "uniform",
         raise ParameterError(f"dims: every dim must be >= 1, got {dims}")
     if scheme not in _INIT_SCHEMES:
         raise ParameterError(f"scheme: unknown init scheme {scheme!r}")
-    # checked here too, since a one-layer encoder never passes it to a layer
+    # the activation rule's one home: EncoderStack and autodiff.mlp trust their names
     if activation not in _ACTIVATIONS:
         raise ParameterError(f"activation: unknown activation {activation!r}")
     rng = np.random.default_rng(seed)
@@ -126,8 +121,6 @@ def init_predictor(dim: int, seed: int, hidden_multiple: int = 4,
     The linear variant starts at identity plus a small random perturbation so
     an untrained (or frozen) head begins as a near-identity map.
     """
-    if hidden_multiple < 0:
-        raise ParameterError("hidden_multiple must be >= 0")
     if hidden_multiple == 0:
         head = init_encoder([dim, dim], seed, activation=activation)
         head.weights[0].values *= 0.1
@@ -140,8 +133,6 @@ class EmaTwin:
     """Shadow copy of an encoder updated as an exponential moving average."""
 
     def __init__(self, source: EncoderStack, momentum: float):
-        if not (0.0 <= momentum < 1.0):
-            raise ParameterError(f"momentum must be in [0, 1), got {momentum}")
         self.momentum = float(momentum)
         self.shadow = source.copy()
 
@@ -183,8 +174,6 @@ class PrototypeBank:
 def init_prototypes(num_prototypes: int, dim: int, seed: int,
                     trainable: bool = True) -> PrototypeBank:
     """Rows drawn as normalized standard Gaussians: uniform on the unit sphere."""
-    if num_prototypes < 2 or dim < 2:
-        raise ParameterError("need num_prototypes >= 2 and dim >= 2")
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((num_prototypes, dim))
     raw /= np.sqrt((raw * raw).sum(axis=1, keepdims=True))

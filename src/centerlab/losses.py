@@ -167,8 +167,6 @@ def triplet_loss(z: Tensor, margin: float | None = None) -> Tensor:
     form, (p, a, n) in the finite one.
     """
     m = _views(z, 3)
-    if margin is not None and not margin >= 0:
-        raise ParameterError(f"margin must be >= 0, got {margin}")
     a, p, n = z.values[0], z.values[1], z.values[2]
     if margin is None or margin == np.inf:
         value = ((a * n).sum().reshape(1, 1) - (a * p).sum().reshape(1, 1)) * (1.0 / m)
@@ -211,8 +209,6 @@ def infonce_loss(z: Tensor, temperature: float = 0.1) -> Tensor:
     sims receives the logsumexp term, then the diagonal's, and the views
     receive the matmul and transpose rules' terms.
     """
-    if temperature <= 0:
-        raise ParameterError(f"temperature must be positive, got {temperature}")
     m = _views(z, 2)
     if m < 2:
         raise ShapeError("within-batch negatives need a batch of >= 2")
@@ -299,8 +295,6 @@ def dino_loss(z: Tensor, t: np.ndarray, center: DinoCenterState,
     against the swapped stack of teachers, with row reductions along the
     last axis and each view's sum over axes 1 and 2.
     """
-    if student_temperature <= 0 or teacher_temperature <= 0:
-        raise ParameterError("temperatures must be positive")
     _views(z, 2)
     teacher_mean = t.reshape(-1, t.shape[-1]).mean(axis=0)
     # view a's student is scored against view b's teacher, and b's against a's
@@ -323,27 +317,21 @@ def dino_loss(z: Tensor, t: np.ndarray, center: DinoCenterState,
 # clustering / redundancy objectives
 # ---------------------------------------------------------------------------
 
-def sinkhorn_knopp(scores, eps: float = 0.05, iters: int = 3) -> Tensor:
-    """Equipartitioned soft assignments from a score matrix.
+def sinkhorn_knopp(scores: np.ndarray, eps: float = 0.05, iters: int = 3) -> np.ndarray:
+    """Equipartitioned soft assignments from an (m, K) score matrix.
 
     Starting from exp(scores/eps), alternate column renormalization (to m/K
     per column) and row renormalization (to 1 per row). Rows sum to exactly 1;
-    column sums approach m/K. Runs off-graph and returns a constant tensor.
+    column sums approach m/K. Runs off-graph and returns a new array.
     """
-    if iters < 1:
-        raise ParameterError("iters must be >= 1")
-    if eps <= 0:
-        raise ParameterError("eps must be positive")
-    vals = scores.values if isinstance(scores, Tensor) else np.atleast_2d(
-        np.asarray(scores, dtype=np.float64))
-    if not np.all(np.isfinite(vals)):
+    if not np.all(np.isfinite(scores)):
         raise NumericError("sinkhorn_knopp received non-finite scores")
-    m, k = vals.shape
-    p = np.exp((vals - vals.max()) / eps)
+    m, k = scores.shape
+    p = np.exp((scores - scores.max()) / eps)
     for _ in range(iters):
         p *= (m / k) / p.sum(axis=0, keepdims=True)
         p /= p.sum(axis=1, keepdims=True)
-    return Tensor(p)
+    return p
 
 
 def swav_loss(z: Tensor, prototypes: Tensor, temperature: float = 0.1,
@@ -364,16 +352,14 @@ def swav_loss(z: Tensor, prototypes: Tensor, temperature: float = 0.1,
     ``np.matmul`` over the view axis, bit-equal to each view's own, with row
     reductions along the last axis and each view's sum over axes 1 and 2.
     """
-    if temperature <= 0:
-        raise ParameterError(f"temperature must be positive, got {temperature}")
     _views(z, 2)
     if z.shape[2] != prototypes.shape[1]:
         raise ShapeError(f"matmul inner dims disagree: {z.shape} @ "
                          f"{prototypes.shape[::-1]}")
     protos_t = prototypes.values.T.copy()
     scores = np.matmul(z.values, protos_t)
-    q_a = sinkhorn_knopp(scores[0], sinkhorn_eps, sinkhorn_iters).values
-    q_b = sinkhorn_knopp(scores[1], sinkhorn_eps, sinkhorn_iters).values
+    q_a = sinkhorn_knopp(scores[0], sinkhorn_eps, sinkhorn_iters)
+    q_b = sinkhorn_knopp(scores[1], sinkhorn_eps, sinkhorn_iters)
     q = np.stack((q_b, q_a))  # each view's target is the other's assignment
     log_p, grad = _log_softmax_grad(scores, temperature)
     scale = -1.0 / scores.shape[1]

@@ -502,7 +502,7 @@ def composed_swav(z_a, z_b, prototypes, temperature=0.1, sinkhorn_eps=0.05,
 
     def direction(scores, q):
         log_p = log(softmax_rows(scores, temperature))
-        return tensor_sum(q * log_p) * (-1.0 / scores.shape[0])
+        return tensor_sum(mul(q, log_p)) * (-1.0 / scores.shape[0])
 
     return (direction(scores_a, q_b) + direction(scores_b, q_a)) * 0.5
 

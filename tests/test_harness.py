@@ -110,6 +110,12 @@ class TestConfigSchema:
         with pytest.raises(ConfigError, match=rf"^{section}: expected"):
             ExperimentConfig(**{section: value}).validate()
 
+    def test_only_the_seed_may_exceed_64_bits(self):
+        # numpy sizes arrays with int64 but hashes a seed of any width
+        ExperimentConfig.from_dict({"base_seed": 10**23, "num_seeds": 2**63 - 1})
+        with pytest.raises(ConfigError, match=r"^num_seeds: .* does not fit in 64 bits"):
+            ExperimentConfig.from_dict({"num_seeds": 2**63})
+
     def test_full_batch_ignores_batch_size(self):
         ExperimentConfig.from_dict({"optimizer": {"batch_mode": "full",
                                                   "batch_size": 0}})
@@ -1257,6 +1263,22 @@ class TestCli:
         # a margin of -inf used to run as the infinite-margin mode
         pytest.param(["loss.kind=triplet", "loss.margin=-Infinity"], "loss.margin",
                      id="minus-infinity-margin"),
+        # validate() is each loss and head hyperparameter's only check
+        pytest.param(["loss.kind=infonce", "loss.temperature=0"], "loss.temperature",
+                     id="infonce-zero-temperature"),
+        pytest.param(["loss.kind=dino", "loss.teacher_temperature=0"],
+                     "loss.teacher_temperature", id="dino-zero-teacher-temperature"),
+        pytest.param(["loss.kind=swav", "loss.sinkhorn_iters=0"], "loss.sinkhorn_iters",
+                     id="swav-zero-sinkhorn-iters"),
+        pytest.param(["loss.kind=byol", "loss.ema_momentum=1"], "loss.ema_momentum",
+                     id="byol-momentum-one"),
+        # sizes of 2**63 or more used to crash numpy with a ValueError
+        pytest.param([f"dataset.n_per_class={10**19}"], "dataset.n_per_class",
+                     id="n-per-class-past-int64"),
+        pytest.param([f"encoder.dims=[2,{10**19},2]"], "encoder.dims",
+                     id="layer-width-past-int64"),
+        pytest.param(["loss.kind=swav", f"loss.num_prototypes={10**19}"],
+                     "loss.num_prototypes", id="prototypes-past-int64"),
     ])
     def test_named_crashing_config_exits_2(self, tmp_path, capsys, overrides, field):
         argv = ["--out-dir", str(tmp_path), "--quiet", "named", "fig3-simple-vs-simsiam"]
@@ -1342,8 +1364,9 @@ class TestCli:
     # it outside --out-dir or make it --out-dir itself
     @pytest.mark.parametrize("name, grid", [
         ("<abs>", None), ("", None), (".", None), ("..", None), ("../up", None),
-        ("cli-tiny", "name=a/b"),
-    ], ids=["absolute", "empty", "dot", "dot-dot", "separator", "sweep-suffix"])
+        ("a\0b", None), ("cli-tiny", "name=a/b"),
+    ], ids=["absolute", "empty", "dot", "dot-dot", "separator", "nul-byte",
+            "sweep-suffix"])
     def test_name_must_be_one_path_component(self, tmp_path, monkeypatch, capsys,
                                              name, grid):
         monkeypatch.chdir(tmp_path)

@@ -155,3 +155,45 @@ def test_every_export_is_used_outside_the_tests():
         unused += [f"{path.stem}.{name}" for name in getattr(module, "__all__", ())
                    if name not in used]
     assert unused == []
+
+
+def raisers(source: str, error: str) -> set[str]:
+    """The functions whose bodies raise `error` (by bare or dotted name), as
+    dotted scopes such as ``Class.method`` or ``outer.inner``; a raise
+    outside any function or class is ``<module>``."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, [*scope, child.name])
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if ast.unparse(exc).split(".")[-1] == error:
+                    found.add(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+@pytest.mark.parametrize("source, found", [
+    ("class A:\n    def f(self):\n        if x:\n            raise E('x')\n", {"A.f"}),
+    ("def g():\n    def h():\n        raise ad.E\n", {"g.h"}),
+    ("raise E()\n", {"<module>"}),
+    ("def g():\n    raise EE('x')\n", set()),
+    ("def g():\n    try:\n        pass\n    except E:\n        raise\n", set()),
+])
+def test_raisers_lint_flags(source, found):
+    assert raisers(source, "E") == found
+
+
+# each loss and head hyperparameter range is checked once, where validate()
+# runs it; the loss functions and head builders trust the values they get
+@pytest.mark.parametrize("module, homes", [
+    ("losses.py", {"LossConfig.validate"}),
+    ("layers.py", {"init_encoder"}),
+])
+def test_parameter_errors_only_where_validate_checks(module, homes):
+    assert raisers((SRC / module).read_text(), "ParameterError") <= homes

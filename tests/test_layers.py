@@ -111,10 +111,6 @@ class TestEmaTwin:
         twin.update(enc)
         np.testing.assert_allclose(twin.shadow.weights[0].values, 0.99)
 
-    def test_momentum_one_rejected(self):
-        with pytest.raises(ParameterError):
-            EmaTwin(init_encoder([2, 2], seed=0), momentum=1.0)
-
     def test_geometric_convergence_to_constant_source(self):
         enc = init_encoder([2, 2], seed=6)
         twin = EmaTwin(enc, momentum=0.5)
@@ -159,10 +155,6 @@ class TestPrototypes:
         before = frozen.matrix.values.copy()
         frozen.renormalize()
         np.testing.assert_array_equal(frozen.matrix.values, before)
-
-    def test_too_small_bank_rejected(self):
-        with pytest.raises(ParameterError):
-            init_prototypes(1, 4, seed=0)
 
 
 class TestSgdStep:

