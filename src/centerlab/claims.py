@@ -21,10 +21,15 @@ import numpy as np
 
 from .autodiff import ParameterError
 from .diagnostics import angle_to_direction, estimate_center
-from .harness import METRICS_HEADER, ComparisonError, ExperimentConfig, Trainer
+from .harness import METRICS_HEADER, ExperimentConfig, Trainer
 from .layers import load_checkpoint
 
 _COLUMN = {name: i for i, name in enumerate(METRICS_HEADER.split(","))}
+
+
+class ComparisonError(ValueError):
+    """A run directory whose outputs cannot be compared: a missing or
+    malformed file, or variants that do not pair up."""
 
 
 @dataclass(frozen=True)

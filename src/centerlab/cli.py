@@ -16,9 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from . import claims
-from .harness import (ComparisonError, ConfigError, ExperimentConfig,
-                      NumericAbort, apply_overrides, experiment_names,
-                      named_experiment, run_experiment)
+from .harness import (ConfigError, ExperimentConfig, NumericAbort,
+                      apply_overrides, experiment_names, named_experiment,
+                      run_experiment)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -29,7 +29,7 @@ EXIT_COMPARISON = 4
 def _parse_value(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError:
+    except ValueError:  # not JSON, or an integer past Python's digit limit
         return text
 
 
@@ -165,7 +165,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ComparisonError as exc:
+    except claims.ComparisonError as exc:
         print(f"comparison error: {exc}", file=sys.stderr)
         return EXIT_COMPARISON
     except OSError as exc:

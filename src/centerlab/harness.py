@@ -32,6 +32,7 @@ import json
 import math
 import numbers
 import os
+import sys
 import time
 from collections.abc import Callable
 from contextlib import contextmanager
@@ -59,7 +60,6 @@ __all__ = [
     "ExperimentConfig",
     "ConfigError",
     "NumericAbort",
-    "ComparisonError",
     "TrainState",
     "Trainer",
     "RunResult",
@@ -83,11 +83,6 @@ class ConfigError(ValueError):
 
 class NumericAbort(ArithmeticError):
     """Training hit a non-finite loss; rows produced so far were flushed."""
-
-
-class ComparisonError(ValueError):
-    """Run outputs that cannot be compared: seeds that disagree in tick
-    structure, or a malformed file in a run directory."""
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +253,8 @@ _TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str, "bool": bo
 def _fits(value, annotation: str) -> bool:
     """Whether a value fits a field annotation such as ``list[float] | None``.
 
-    A bool fits only ``bool``, not ``int`` or ``float``, and NaN fits nothing;
+    A bool fits only ``bool``, not ``int`` or ``float``, an integer fits
+    ``float`` only up to the largest float, and NaN fits nothing;
     a config section fits none (``_check_types`` checks its fields in turn).
     """
     for option in annotation.split(" | "):
@@ -272,7 +268,9 @@ def _fits(value, annotation: str) -> bool:
         elif option in _TYPES:
             if (isinstance(value, _TYPES[option])
                     and (option == "bool") == isinstance(value, bool)
-                    and value == value):
+                    and value == value
+                    and (option != "float" or not isinstance(value, numbers.Integral)
+                         or abs(value) <= sys.float_info.max)):
                 return True
     return False
 
@@ -648,33 +646,27 @@ def _run_one_seed(trainer: Trainer, csv_path: Path,
 
 
 def _aggregate(rows_by_seed: dict[int, list[dict]], path: Path) -> None:
-    seeds = sorted(rows_by_seed)
-    runs = [rows_by_seed[s] for s in seeds]
-    ticks = [(r["epoch"], r["step"]) for r in runs[0]]
-    for run in runs[1:]:
-        if [(r["epoch"], r["step"]) for r in run] != ticks:
-            raise ComparisonError("seed runs disagree in tick structure")
+    runs = [rows_by_seed[s] for s in sorted(rows_by_seed)]
+    # the seeds of one config share its epochs and cadences, so the first
+    # seed's rows name every seed's ticks and the cells each tick fills
+    first = runs[0]
     header = ["epoch", "step"]
-    filled, stats = [], []
+    stats = []
     for col in _METRIC_COLS:
         header += [f"{col}_mean", f"{col}_std"]
-        cells = [[run[i][col] for run in runs] for i in range(len(ticks))]
-        col_filled = [tick[0] is not None for tick in cells]
-        if any((v is not None) != f for tick, f in zip(cells, col_filled) for v in tick):
-            raise ComparisonError(f"seed runs disagree in which ticks have {col}")
         # one (ticks x seeds) array: reducing it over axis 1 sums each tick's
         # seeds in the order np.mean and np.std of that tick's list do
-        full = np.array([tick for tick, f in zip(cells, col_filled) if f],
+        full = np.array([[run[i][col] for run in runs]
+                         for i, row in enumerate(first) if row[col] is not None],
                         dtype=np.float64).reshape(-1, len(runs))
-        filled.append(col_filled)
         stats.append(zip(full.mean(axis=1), full.std(axis=1)))
     with path.open("w") as fh:
         fh.write(",".join(header) + "\n")
-        for i, (epoch, step) in enumerate(ticks):
-            cells = [str(epoch), str(step)]
-            for col_filled, col_stats in zip(filled, stats):
-                cells += ([_fmt(float(v)) for v in next(col_stats)] if col_filled[i]
-                          else ["", ""])
+        for row in first:
+            cells = [str(row["epoch"]), str(row["step"])]
+            for col, col_stats in zip(_METRIC_COLS, stats):
+                cells += ([_fmt(float(v)) for v in next(col_stats)]
+                          if row[col] is not None else ["", ""])
             fh.write(",".join(cells) + "\n")
 
 

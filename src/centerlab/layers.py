@@ -139,12 +139,8 @@ class EmaTwin:
     def update(self, source: EncoderStack) -> None:
         """shadow <- (1 - momentum) * source + momentum * shadow, in place."""
         eps = self.momentum
-        pairs = list(zip(self.shadow.weights + self.shadow.biases,
-                         source.weights + source.biases))
-        for sh, src in pairs:
-            if sh.shape != src.shape:
-                raise ShapeError("EMA twin shape drifted from source")
-        for sh, src in pairs:
+        for sh, src in zip(self.shadow.weights + self.shadow.biases,
+                           source.weights + source.biases):
             sh.values *= eps
             sh.values += (1.0 - eps) * src.values
 
@@ -184,10 +180,6 @@ def sgd_step(params: Iterable[Param], lr: float,
              per_group_multipliers: dict[str, float] | None = None) -> None:
     """p <- p - lr * multiplier(group) * grad(p); zeroes grads afterwards."""
     multipliers = per_group_multipliers or {}
-    params = list(params)
-    for p in params:
-        if p.tensor.grad is None:
-            raise ValueError(f"parameter {p.name} has no gradient; run backward first")
     for p in params:
         # autodiff gives each leaf a gradient array of its own: scale it in place
         p.tensor.grad *= lr * multipliers.get(p.group, 1.0)

@@ -210,8 +210,6 @@ def infonce_loss(z: Tensor, temperature: float = 0.1) -> Tensor:
     receive the matmul and transpose rules' terms.
     """
     m = _views(z, 2)
-    if m < 2:
-        raise ShapeError("within-batch negatives need a batch of >= 2")
     a, p = z.values[0], z.values[1]
     p_t = p.T.copy()
     sims = a @ p_t                                     # (m, m), diag = positives
@@ -353,9 +351,6 @@ def swav_loss(z: Tensor, prototypes: Tensor, temperature: float = 0.1,
     reductions along the last axis and each view's sum over axes 1 and 2.
     """
     _views(z, 2)
-    if z.shape[2] != prototypes.shape[1]:
-        raise ShapeError(f"matmul inner dims disagree: {z.shape} @ "
-                         f"{prototypes.shape[::-1]}")
     protos_t = prototypes.values.T.copy()
     scores = np.matmul(z.values, protos_t)
     q_a = sinkhorn_knopp(scores[0], sinkhorn_eps, sinkhorn_iters)
@@ -391,8 +386,6 @@ def barlow_twins_loss(z: Tensor, bt_lambda: float = 5e-3,
     matmul and transpose rules' terms.
     """
     m = _views(z, 2)
-    if m < 2:
-        raise ShapeError("barlow_twins_loss needs a batch of >= 2")
     a, b = z.values[0], z.values[1]
     d = z.shape[2]
     a_t = a.T.copy()

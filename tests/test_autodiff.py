@@ -141,11 +141,6 @@ class TestLinear:
         for g, w in zip(got, want):
             assert_bits_equal(g, w)
 
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            fused_linear(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))),
-                         Tensor(np.zeros((1, 3))), "tanh")
-
     @pytest.mark.parametrize("act", ACTIVATIONS)
     def test_backward_matches_finite_differences(self, act):
         rng = np.random.default_rng(23)
@@ -383,10 +378,6 @@ class TestBatchNormCols:
         rng = np.random.default_rng(9)
         out = ad.batch_norm_cols(Tensor(rng.standard_normal((8, 4))))
         assert np.abs(out.values.mean(axis=0)).max() < 1e-12
-
-    def test_batch_of_one_rejected(self):
-        with pytest.raises(ShapeError):
-            ad.batch_norm_cols(Tensor(np.ones((1, 3))))
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(13)

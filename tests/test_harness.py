@@ -23,8 +23,8 @@ from centerlab.autodiff import ParameterError, Tensor
 from centerlab.cli import main as cli_main
 from centerlab.data import AugmentationModel, AugmentedSet, gen_blobs
 from centerlab.diagnostics import knn_eval
-from centerlab.harness import (METRICS_HEADER, ComparisonError, ConfigError,
-                               DatasetSpec, EncoderSpec, ExperimentConfig,
+from centerlab.claims import ComparisonError
+from centerlab.harness import (METRICS_HEADER, ConfigError, DatasetSpec, EncoderSpec, ExperimentConfig,
                                NumericAbort, OptimizerSpec, Trainer, _OBJECTIVES,
                                _index_table, apply_overrides, experiment_names,
                                named_experiment, run_experiment)
@@ -954,12 +954,6 @@ class TestRunExperiment:
         loop_aggregate(rows_by_seed, tmp_path / "want.csv")
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
-    def test_aggregate_rejects_a_tick_only_some_seeds_filled(self, tmp_path):
-        rows_by_seed = run_experiment(tiny_config(), tmp_path / "run").rows_by_seed
-        rows_by_seed[1][-1]["std_mean"] = None
-        with pytest.raises(ComparisonError, match="std_mean"):
-            H._aggregate(rows_by_seed, tmp_path / "agg.csv")
-
     def test_rerun_byte_identical(self, tmp_path):
         cfg = tiny_config()
         first = run_experiment(cfg, tmp_path / "a")
@@ -1279,6 +1273,13 @@ class TestCli:
                      id="layer-width-past-int64"),
         pytest.param(["loss.kind=swav", f"loss.num_prototypes={10**19}"],
                      "loss.num_prototypes", id="prototypes-past-int64"),
+        # an integer past the largest float used to pass validate() and crash
+        # the first step; one past Python's digit limit crashed the CLI's parser
+        pytest.param(["optimizer.lr=1" + "0" * 400], "optimizer.lr", id="lr-past-float"),
+        pytest.param(["dataset.sigma=1" + "0" * 400], "dataset.sigma",
+                     id="sigma-past-float"),
+        pytest.param(["optimizer.lr=1" + "0" * 5000], "optimizer.lr",
+                     id="lr-past-digit-limit"),
     ])
     def test_named_crashing_config_exits_2(self, tmp_path, capsys, overrides, field):
         argv = ["--out-dir", str(tmp_path), "--quiet", "named", "fig3-simple-vs-simsiam"]

@@ -77,8 +77,6 @@ class TestForward:
 
     def test_dimension_mismatch(self):
         enc = init_encoder([3, 8, 2], seed=0)
-        with pytest.raises(ShapeError):
-            enc.forward(np.ones((1, 4, 5)))
         with pytest.raises(ShapeError, match="view stack"):  # rows are not a stack
             enc.forward(np.ones((4, 3)))
 
@@ -173,11 +171,6 @@ class TestSgdStep:
         sgd_step([p], lr=0.1)
         np.testing.assert_allclose(p.tensor.values, [[0.8]])
         assert p.tensor.grad is None  # grads are zeroed by the step
-
-    def test_missing_grad_rejected(self):
-        p = Param("p", Tensor([[1.0]], requires_grad=True), "encoder")
-        with pytest.raises(ValueError):
-            sgd_step([p], lr=0.1)
 
     def test_predictor_multiplier_scales_only_its_group(self):
         enc_p = self._param([[1.0]], [[1.0]], "encoder")
