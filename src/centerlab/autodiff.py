@@ -8,9 +8,9 @@ over its views), ``batch_norm_cols`` (over its views) and the loss nodes in
 node over V views holds them as one (V, m, n) array and takes back one
 (V, m, n) gradient. A fresh graph is built on every training step;
 ``backward`` runs a topological sweep from a scalar loss. Gradients
-accumulate on leaves until reset to None (``layers.sgd_step`` does so after
-each update). The composed primitive graphs that the fused nodes replace bit
-for bit live in the tests, as their oracles.
+accumulate on leaves (a built stack's ``View``s share one flat leaf) until
+reset to None, as ``layers.sgd_step`` does after each update. The composed
+graphs that the fused nodes replace bit for bit live in the tests, as oracles.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ import numpy as np
 
 __all__ = [
     "Tensor",
+    "View",
+    "pack",
     "ShapeError",
     "ParameterError",
     "mlp",
@@ -84,6 +86,34 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
+class View(Tensor):
+    """A parameter stored in a group, a flat leaf holding a stack's parameters
+    end to end: its values and gradient are the group's at ``block``. ``mlp``
+    takes all of a group's Views and keeps its arrays in their ``scratch``."""
+    __slots__ = ("group", "block", "scratch")
+
+    def __init__(self, group: Tensor, block: slice, shape: tuple[int, ...], scratch: dict):
+        self.group, self.block, self.scratch = group, block, scratch
+        super().__init__(group.values[block].reshape(shape), group.requires_grad)
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self.group.grad is None else self.group.grad[self.block].reshape(self.shape)
+
+    @grad.setter
+    def grad(self, value: None) -> None:
+        assert value is None, "a View's gradient is its group's; only None clears it"
+        self.group.grad = None
+
+
+def pack(arrays: Sequence[np.ndarray], requires_grad: bool = True) -> list[View]:
+    """Views of one new group that holds copies of `arrays` end to end."""
+    group = _make(np.concatenate([np.ravel(a) for a in arrays]), (), None)
+    group.requires_grad, scratch = requires_grad, {}
+    ends = np.cumsum([a.size for a in arrays]).tolist()
+    return [View(group, slice(e - a.size, e), a.shape, scratch) for a, e in zip(arrays, ends)]
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a broadcast gradient back down to the original operand shape, one
     kept axis at a time (one axis for a row or column of a 2-D operand)."""
@@ -109,14 +139,14 @@ def _make(values: np.ndarray, parents: Sequence[Tensor],
     return t
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
+def _accum(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
     if t.grad is None:
-        # an owned copy, since g may be another node's grad or a view of one;
-        # C order, since later sums over an F-ordered g.T (from transpose)
-        # would run in another order and round differently. Unlike zeros + g,
-        # a copy keeps a -0.0 entry as -0.0; downstream that can flip the
-        # sign of an exact zero, never a value.
-        t.grad = np.array(g, dtype=np.float64, order="C")
+        # a fresh g (its giver's own, C-ordered) is handed over; any other may
+        # be another node's grad or a view of one, so it is copied, in C order,
+        # since later sums over an F-ordered g.T would run in another order
+        # and round differently. Unlike zeros + g, either keeps a -0.0 entry
+        # as -0.0; downstream that can flip the sign of an exact zero, never a value.
+        t.grad = g if fresh else np.array(g, dtype=np.float64, order="C")
     else:
         t.grad += g
 
@@ -139,13 +169,13 @@ def _row_sum(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _col_sum(a: np.ndarray) -> np.ndarray:
-    """``a.sum(axis=-2, keepdims=True)`` of rows (m, k) or views (V, m, k) bit
-    for bit: down the rows of a C-contiguous array with 2+ columns numpy folds
-    from +0.0, and ``0.0 +`` turns accumulate's -0.0 start into that."""
+def _col_sum(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``a.sum(axis=-2, keepdims=True, out=out)`` of rows (m, k) or views (V, m, k)
+    bit for bit: down the rows of a C-contiguous array with 2+ columns numpy
+    folds from +0.0, and ``0.0 +`` turns accumulate's -0.0 start into that."""
     if not (_thin(a) and a.flags.c_contiguous):
-        return a.sum(axis=-2, keepdims=True)
-    return 0.0 + np.add.accumulate(a, axis=-2)[..., -1:, :]
+        return a.sum(axis=-2, keepdims=True, out=out)
+    return np.add(0.0, np.add.accumulate(a, axis=-2)[..., -1:, :], out=out)
 
 
 # activation name -> (forward, backward rule), or None for the identity,
@@ -191,12 +221,13 @@ def mlp(x, weights: Sequence[Tensor], biases: Sequence[Tensor],
     view's own product; stacking the views as rows of one product is not.
     The backward replays, batched over the view axis, the rules of the
     composed matmul, add, activation, div, power, sum and mul nodes, not the
-    analytic normalisation Jacobian. A parameter without a gradient gets its
-    views' gradients as one left fold, one holding a gradient gets them one at
-    a time; either way in the order the node's ``view_order`` names (the order
-    in which the composed graph of its consumer reaches the views; view order
-    when None), since with three views that order sets the rounding of the
-    sums. So values and gradients are bit-identical to V composed graphs.
+    analytic normalisation Jacobian. Each view's parameter gradients fill one
+    (V, P) array per group (a loose parameter is a group of its own); a group
+    without a gradient gets its views' as one left fold, one holding a gradient
+    one at a time, in the order the node's ``view_order`` names (the order in
+    which the composed graph of its consumer reaches the views; view order when
+    None), since with three views that order sets the rounding of the sums. So
+    values and gradients are bit-identical to V composed graphs.
     """
     x_grad = isinstance(x, Tensor) and x.requires_grad
     h = x.values if isinstance(x, Tensor) else x
@@ -205,6 +236,17 @@ def mlp(x, weights: Sequence[Tensor], biases: Sequence[Tensor],
     hs, pres, s, d, out = _mlp_forward(h, weights, biases, activations, normalize, eps)
     h = hs[-1]
     views, m, n = h.shape
+    if weights and isinstance(weights[0], View) and weights[0].requires_grad:
+        # all of a group's Views: one (V, P) array, kept for the next step
+        scratch, group = weights[0].scratch, weights[0].group
+        if views not in scratch:
+            grads = np.empty((views, group.values.size))
+            scratch[views] = ((group, grads),), {
+                id(p): grads[:, p.block].reshape(views, *p.shape) for p in (*weights, *biases)}
+        targets, outs = scratch[views]
+    else:  # loose parameters, each a group of its own
+        outs = {id(p): np.empty((views, *p.shape)) for p in (*weights, *biases) if p.requires_grad}
+        targets = [(p, outs[id(p)]) for p in (*weights, *biases) if p.requires_grad]
 
     def bwd(g: np.ndarray):
         if normalize:
@@ -214,31 +256,30 @@ def mlp(x, weights: Sequence[Tensor], biases: Sequence[Tensor],
             # h * h hands each operand the same term
             t = gd * 0.5 * s ** -0.5 * h
             g = g / d + t + t
-        per_param = []
         for i in reversed(range(len(weights))):
             w, b = weights[i], biases[i]
             rule = _ACTIVATIONS[activations[i]]
             if rule is not None:
                 g = rule[1](g, pres[i], hs[i + 1])
             if b.requires_grad:  # as _unbroadcast: one row is handed on unsummed
-                per_param.append((b, g if m == 1 else _col_sum(g)))
+                _col_sum(g, outs[id(b)]) if m > 1 else np.copyto(outs[id(b)], g)
             if w.requires_grad:
-                per_param.append((w, np.matmul(hs[i].transpose(0, 2, 1), g)))
+                np.matmul(hs[i].transpose(0, 2, 1), g, out=outs[id(w)])
             if i or x_grad:
                 g = np.matmul(g, w.values.T)
         order = ref().view_order or range(views)
-        for p, per_view in per_param:
-            if p.grad is None and views > 1:
+        for t, grads in targets:
+            if t.grad is None and views > 1:
                 # _accum's copy-then-adds as one left fold
                 fold = iter(order)
-                p.grad = per_view[next(fold)] + per_view[next(fold)]
+                t.grad = grads[next(fold)] + grads[next(fold)]
                 for v in fold:
-                    p.grad += per_view[v]
+                    t.grad += grads[v]
             else:
                 for v in order:
-                    _accum(p, per_view[v])
-        if x_grad:
-            _accum(x, g)
+                    _accum(t, grads[v])
+        if x_grad:  # a layer or the normalisation made g anew
+            _accum(x, g, fresh=bool(weights) or normalize)
 
     node = _make(out, (x, *weights, *biases) if x_grad else (*weights, *biases), bwd)
     # the backward reads its node's order through a weak reference: a strong
@@ -273,7 +314,7 @@ def batch_norm_cols(x: Tensor, eps: float = 1e-12) -> Tensor:
         g_c += t
         g_c += t
         g_mean = _unbroadcast(-g_c, sd.shape) * inv_m
-        _accum(x, g_c)
+        _accum(x, g_c, fresh=True)
         _accum(x, np.broadcast_to(g_mean, g_c.shape))
 
     return _make(c / sd, (x,), bwd)

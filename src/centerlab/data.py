@@ -85,8 +85,8 @@ def default_blob_centers(num_classes: int = 3, radius: float = 3.0) -> np.ndarra
 def gen_blobs(n_per_class: int, num_classes: int = 3, sigma: float = 0.5,
               seed: int = 0) -> ToyDataset:
     """Isotropic Gaussian clusters in 2-D around ``default_blob_centers``."""
-    if n_per_class < 1:
-        raise ParameterError("n_per_class must be >= 1")
+    if n_per_class < 1 or n_per_class * num_classes * 2 * 8 > np.iinfo(np.intp).max:
+        raise ParameterError(f"n_per_class must be >= 1 and fit numpy in {num_classes} classes")
     if num_classes < 2:
         raise ParameterError("num_classes must be >= 2")
     if sigma <= 0:
@@ -108,8 +108,8 @@ def gen_moons(n_per_class: int, noise: float = 0.1, seed: int = 0,
     angular sectors (they stay separable under cosine distance); set
     ``three_classes=False`` for the standard two-moon construction.
     """
-    if n_per_class < 1:
-        raise ParameterError("n_per_class must be >= 1")
+    if n_per_class < 1 or n_per_class * 3 * 2 * 8 > np.iinfo(np.intp).max:
+        raise ParameterError("n_per_class must be >= 1 and leave points numpy can hold")
     if noise < 0:
         raise ParameterError("noise must be >= 0")
     rng = np.random.default_rng(seed)
@@ -149,8 +149,8 @@ def augment(ds: ToyDataset, model: AugmentationModel, seed: int = 0) -> Augmente
         raise ParameterError(f"kind: unknown augmentation kind {model.kind!r}")
     if model.sigma < 0:
         raise ParameterError("sigma must be >= 0")
-    if model.views < 1:
-        raise ParameterError("views must be >= 1")
+    if model.views < 1 or ds.n * model.views * ds.dim * 8 > np.iinfo(np.intp).max:
+        raise ParameterError("views must be >= 1 and leave a pool numpy can hold")
     if model.shift is not None and model.kind != "shifted":
         raise ParameterError("shift: only shifted views take a shift vector")
     if model.kind == "class":

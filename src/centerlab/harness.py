@@ -192,8 +192,9 @@ class ExperimentConfig:
         if enc.dims[0] != base.dim:
             raise ConfigError(f"encoder.dims: first dim {enc.dims[0]} does not match "
                               f"the data dim {base.dim}")
-        if enc.predictor_hidden_multiple < 0:
-            raise ConfigError("encoder.predictor_hidden_multiple: must be >= 0")
+        if not 0 <= enc.predictor_hidden_multiple * enc.dims[-1] ** 2 * 8 <= sys.maxsize:
+            raise ConfigError("encoder.predictor_hidden_multiple: must be >= 0 and leave "
+                              "a predictor numpy can hold")
         if opt.epochs < 0:
             raise ConfigError("optimizer.epochs: must be >= 0")
         if opt.lr < 0:
@@ -212,8 +213,8 @@ class ExperimentConfig:
             raise ConfigError(f"loss.kind: {lc.kind} needs class-as-augmentation "
                               "data")
         if "prototypes" in objective.heads:
-            if lc.num_prototypes < 2:
-                raise ConfigError("loss.num_prototypes: must be >= 2")
+            if lc.num_prototypes < 2 or lc.num_prototypes * enc.dims[-1] * 8 > sys.maxsize:
+                raise ConfigError("loss.num_prototypes: need >= 2 in a bank numpy can hold")
             if enc.dims[-1] < 2:
                 raise ConfigError(f"encoder.dims: {lc.kind} needs an output dim >= 2 "
                                   "for its prototypes")
@@ -250,12 +251,12 @@ class ExperimentConfig:
 _TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str, "bool": bool}
 
 
-def _fits(value, annotation: str) -> bool:
+def _fits(value, annotation: str, inf: bool = False) -> bool:
     """Whether a value fits a field annotation such as ``list[float] | None``.
 
-    A bool fits only ``bool``, not ``int`` or ``float``, an integer fits
-    ``float`` only up to the largest float, and NaN fits nothing;
-    a config section fits none (``_check_types`` checks its fields in turn).
+    A bool fits only ``bool``, not ``int`` or ``float``, a float or integer fits
+    ``float`` only if finite (or +inf, where `inf` allows it), and NaN fits
+    nothing; a config section fits none (``_check_types`` checks its fields).
     """
     for option in annotation.split(" | "):
         if option == "None":
@@ -269,8 +270,8 @@ def _fits(value, annotation: str) -> bool:
             if (isinstance(value, _TYPES[option])
                     and (option == "bool") == isinstance(value, bool)
                     and value == value
-                    and (option != "float" or not isinstance(value, numbers.Integral)
-                         or abs(value) <= sys.float_info.max)):
+                    and (option != "float" or abs(value) <= sys.float_info.max
+                         or inf and value == math.inf)):
                 return True
     return False
 
@@ -285,7 +286,7 @@ def _check_types(spec, path: str) -> None:
         value, section = getattr(spec, f.name), f.default_factory
         if dataclasses.is_dataclass(section) and isinstance(value, section):
             _check_types(value, f"{path}{f.name}.")
-        elif not _fits(value, f.type):
+        elif not _fits(value, f.type, f.metadata.get("inf", False)):
             raise ConfigError(f"{path}{f.name}: expected {f.type}, got {value!r}")
         elif "int" in f.type and f.name != "base_seed" and not all(
                 -2**63 <= v < 2**63 for v in (value if isinstance(value, (list, tuple))
@@ -482,6 +483,7 @@ class Trainer:
         self.params = [p for group in ("encoder", "predictor", "prototypes")
                        if (head := getattr(st, group)) is not None
                        for p in head.parameters(group)]
+        self.groups = {p.group: getattr(p.tensor, "group", p.tensor) for p in self.params}
         self.lr_multipliers = {"predictor": cfg.optimizer.predictor_lr_multiplier}
         self.prev_mean: np.ndarray | None = None
 
@@ -542,7 +544,7 @@ class Trainer:
         if not math.isfinite(value):
             raise NumericAbort(f"non-finite loss at step {st.step}")
         backward(loss)
-        sgd_step(self.params, cfg.optimizer.lr, self.lr_multipliers)
+        sgd_step(self.groups, cfg.optimizer.lr, self.lr_multipliers)
         if st.twin is not None:
             st.twin.update(st.encoder)
         if hook is not None:

@@ -5,7 +5,8 @@ unit-sphere output normalization, which joins the graph as one
 ``autodiff.mlp`` node over its (V, m, k) view stack, and a predictor head is
 an encoder whose input and output dims match. Teacher-side forwards
 (``forward_array``) compute the values of ``autodiff.mlp`` and never join the
-computation graph.
+computation graph. A built stack keeps its parameters in one group
+(``autodiff.pack``), which ``sgd_step`` and ``EmaTwin`` update whole.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ class EncoderStack:
         self.biases = biases
         self.activations = activations
         self.output_normalize = output_normalize
+        self.group = weights[0].group if weights and isinstance(weights[0], ad.View) else None
 
     def forward(self, x: np.ndarray | Tensor) -> Tensor:
         """One ``autodiff.mlp`` node over V views, a (V, m, k) array or a
@@ -66,17 +68,14 @@ class EncoderStack:
                                self.output_normalize)[-1]
 
     def parameters(self, group: str = "encoder") -> list[Param]:
-        params = []
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            params.append(Param(f"{group}.w{i}", w, group))
-            params.append(Param(f"{group}.b{i}", b, group))
-        return params
+        return [Param(f"{group}.{kind}{i}", t, group)
+                for i, layer in enumerate(zip(self.weights, self.biases))
+                for kind, t in zip("wb", layer)]
 
     def copy(self) -> "EncoderStack":
-        return EncoderStack(
-            [Tensor(w.values.copy(), requires_grad=False) for w in self.weights],
-            [Tensor(b.values.copy(), requires_grad=False) for b in self.biases],
-            list(self.activations), self.output_normalize)
+        params = ad.pack([p.tensor.values for p in self.parameters()], requires_grad=False)
+        return EncoderStack(params[0::2], params[1::2], list(self.activations),
+                            self.output_normalize)
 
 
 def init_encoder(dims: list[int], seed: int, scheme: str = "uniform",
@@ -89,15 +88,15 @@ def init_encoder(dims: list[int], seed: int, scheme: str = "uniform",
     """
     if len(dims) < 2:
         raise ParameterError("dims: need at least input and output dims")
-    if any(d < 1 for d in dims):
-        raise ParameterError(f"dims: every dim must be >= 1, got {dims}")
+    if any(d < 1 or d * e * 8 > np.iinfo(np.intp).max for d, e in zip(dims, dims[1:] + [1])):
+        raise ParameterError(f"dims: need dims >= 1 whose layers numpy can hold, got {dims}")
     if scheme not in _INIT_SCHEMES:
         raise ParameterError(f"scheme: unknown init scheme {scheme!r}")
     # the activation rule's one home: EncoderStack and autodiff.mlp trust their names
     if activation not in _ACTIVATIONS:
         raise ParameterError(f"activation: unknown activation {activation!r}")
     rng = np.random.default_rng(seed)
-    weights, biases, acts = [], [], []
+    arrays, acts = [], []
     n_layers = len(dims) - 1
     for i in range(n_layers):
         fan_in = dims[i]
@@ -107,10 +106,10 @@ def init_encoder(dims: list[int], seed: int, scheme: str = "uniform",
         if scheme == "biased":
             w = w + 0.75 * bound
             b = b + 0.25
-        weights.append(Tensor(w, requires_grad=True))
-        biases.append(Tensor(b, requires_grad=True))
+        arrays += [w, b]
         acts.append(activation if i < n_layers - 1 else "identity")
-    return EncoderStack(weights, biases, acts, output_normalize=output_normalize)
+    params = ad.pack(arrays)  # one group: w0, b0, w1, b1, ...
+    return EncoderStack(params[0::2], params[1::2], acts, output_normalize=output_normalize)
 
 
 def init_predictor(dim: int, seed: int, hidden_multiple: int = 4,
@@ -138,11 +137,9 @@ class EmaTwin:
 
     def update(self, source: EncoderStack) -> None:
         """shadow <- (1 - momentum) * source + momentum * shadow, in place."""
-        eps = self.momentum
-        for sh, src in zip(self.shadow.weights + self.shadow.biases,
-                           source.weights + source.biases):
-            sh.values *= eps
-            sh.values += (1.0 - eps) * src.values
+        sh = self.shadow.group.values
+        sh *= self.momentum
+        sh += (1.0 - self.momentum) * source.group.values
 
     def forward_array(self, x: np.ndarray) -> np.ndarray:
         return self.shadow.forward_array(x)
@@ -176,15 +173,15 @@ def init_prototypes(num_prototypes: int, dim: int, seed: int,
     return PrototypeBank(Tensor(raw, requires_grad=trainable), trainable)
 
 
-def sgd_step(params: Iterable[Param], lr: float,
+def sgd_step(groups: dict[str, Tensor], lr: float,
              per_group_multipliers: dict[str, float] | None = None) -> None:
-    """p <- p - lr * multiplier(group) * grad(p); zeroes grads afterwards."""
+    """p <- p - lr * multiplier(name) * grad(p) per group; clears grads afterwards."""
     multipliers = per_group_multipliers or {}
-    for p in params:
-        # autodiff gives each leaf a gradient array of its own: scale it in place
-        p.tensor.grad *= lr * multipliers.get(p.group, 1.0)
-        p.tensor.values -= p.tensor.grad
-        p.tensor.grad = None
+    for name, group in groups.items():
+        # autodiff gives each group a gradient array of its own: scale it in place
+        group.grad *= lr * multipliers.get(name, 1.0)
+        group.values -= group.grad
+        group.grad = None
 
 
 def save_checkpoint(path, params: Iterable[Param]) -> None:

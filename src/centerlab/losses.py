@@ -20,7 +20,7 @@ composed graphs, the tests' oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,7 +56,7 @@ class LossConfig:
     temperature: float = 0.1            # InfoNCE / SwAV softmax temperature
     student_temperature: float = 0.1    # DINO student
     teacher_temperature: float = 0.04   # DINO teacher (sharper)
-    margin: float | None = None         # triplet; None = infinite-margin mode
+    margin: float | None = field(default=None, metadata={"inf": True})  # triplet
     bt_lambda: float = 5e-3             # Barlow Twins off-diagonal weight
     center_penalty_weight: float = -1.0    # lagrange multiplier of the simple objective
     center_penalty_squared: bool = True    # squared center norm (raw norm if False)
@@ -106,12 +106,12 @@ def _views(z: Tensor, views: int) -> int:
 
 
 def _hand_out(*terms: tuple[Tensor, np.ndarray]) -> None:
-    """Accumulate (parent, gradient) terms in the order given, into the
-    parents that require a gradient; a one-node loss lists its terms in the
-    order the composed graph's nodes handed them out."""
+    """Accumulate (parent, gradient) terms in the order given, into the parents
+    that require a gradient; a one-node loss lists its terms in the order the
+    composed graph's nodes handed them out, each built for it alone (or a view)."""
     for parent, g in terms:
         if parent.requires_grad:
-            _accum(parent, g)
+            _accum(parent, g, fresh=g.base is None and g.flags.c_contiguous)
 
 
 def _mean_neg_cosine(p: Tensor, t: Tensor) -> Tensor:

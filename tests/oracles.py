@@ -12,6 +12,9 @@ signs of zeros. ``stack_views`` and ``first_view`` join the two forms.
 ``grad_check`` compares any graph's gradient with central finite
 differences, and ``second_moment_gap`` measures the second-moment identity
 that the acceptance suite checks on every diagnostics tick.
+``sgd_step_per_param`` and ``ema_update_per_param`` are the per-parameter
+loops that ``layers.sgd_step`` and ``EmaTwin.update`` replace with one
+update per group.
 """
 
 from dataclasses import dataclass
@@ -89,6 +92,39 @@ def second_moment_gap(embeddings: np.ndarray, center: CenterEstimate) -> float:
 
 
 # ---------------------------------------------------------------------------
+# per-parameter updates
+# ---------------------------------------------------------------------------
+
+def loose_params(params):
+    """Each ``layers.Param`` as a loose leaf: a copy of its values and of its
+    gradient, outside any group."""
+    out = []
+    for p in params:
+        t = Tensor(p.tensor.values.copy(), requires_grad=True)
+        t.grad = None if p.tensor.grad is None else p.tensor.grad.copy()
+        out.append(type(p)(p.name, t, p.group))
+    return out
+
+
+def sgd_step_per_param(params, lr, per_group_multipliers=None):
+    """p <- p - lr * multiplier(group) * grad(p), one parameter at a time;
+    zeroes grads afterwards."""
+    multipliers = per_group_multipliers or {}
+    for p in params:
+        p.tensor.grad *= lr * multipliers.get(p.group, 1.0)
+        p.tensor.values -= p.tensor.grad
+        p.tensor.grad = None
+
+
+def ema_update_per_param(shadow, source, momentum):
+    """shadow <- (1 - momentum) * source + momentum * shadow, one parameter
+    of the two stacks at a time."""
+    for sh, src in zip(shadow.weights + shadow.biases, source.weights + source.biases):
+        sh.values *= momentum
+        sh.values += (1.0 - momentum) * src.values
+
+
+# ---------------------------------------------------------------------------
 # finite-difference oracle
 # ---------------------------------------------------------------------------
 
@@ -142,10 +178,11 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor,
 
 def _wrap(x) -> "Var":
     """x as a Var. A Tensor is re-classed in place, so it stays the same
-    graph node (an ``mlp`` node, say); anything else is a constant."""
+    graph node (an ``mlp`` node, say), and a group's View stays a View;
+    anything else is a constant."""
     if not isinstance(x, Tensor):
         return Var(x)
-    x.__class__ = Var
+    x.__class__ = VarView if isinstance(x, ad.View) else Var
     return x
 
 
@@ -347,6 +384,28 @@ class Var(Tensor):
 
     def __rtruediv__(self, other):
         return div(other, self)
+
+
+class VarView(ad.View, Var):
+    """A group's View with the Var operators. A composed graph hands it its
+    gradients one at a time, so its gradient takes an array too: the array
+    is written into its block of the group's gradient, which starts as -0.0
+    where the group held none, since -0.0 + g is g bit for bit."""
+
+    __slots__ = ()
+
+    @property
+    def grad(self):
+        return ad.View.grad.fget(self)
+
+    @grad.setter
+    def grad(self, value):
+        if value is None:
+            self.group.grad = None
+            return
+        if self.group.grad is None:
+            self.group.grad = np.full(self.group.values.shape, -0.0)
+        self.group.grad[self.block] = value.reshape(-1)
 
 
 # ---------------------------------------------------------------------------

@@ -153,15 +153,25 @@ class TestLinear:
             assert rep.max_rel_err < 1e-6
 
 
+def two_layer_params(rng, grouped):
+    """The weights and biases of a (3, 5, 4) stack: Views of one group, as
+    ``init_encoder`` builds them, or loose leaves, each a group of its own."""
+    arrays = [rng.standard_normal(shape) for shape in ((3, 5), (1, 5), (5, 4), (1, 4))]
+    params = ad.pack(arrays) if grouped else [leaf(a) for a in arrays]
+    return params[0::2], params[1::2]
+
+
 class TestMlpFold:
     """Each parameter of an ``mlp`` over V views gets its views' gradients
     bit for bit as ``_accum`` hands them out one at a time in the order the
-    node's consumer names: as one fold when it holds no gradient, view by
-    view onto the one it holds."""
+    node's consumer names: as one fold when its group holds no gradient,
+    view by view onto the one it holds."""
 
     # every order of one, two and three views
     ORDERS = [order for views in (1, 2, 3)
               for order in itertools.permutations(range(views))]
+
+    GROUPED = True
 
     @pytest.mark.parametrize("sweeps", [1, 2])
     @pytest.mark.parametrize("rows", [1, 6])
@@ -170,8 +180,7 @@ class TestMlpFold:
     def test_fold_matches_accum(self, order, normalize, rows, sweeps):
         rng = np.random.default_rng(31)
         views = len(order)
-        weights = [leaf(rng.standard_normal((3, 5))), leaf(rng.standard_normal((5, 4)))]
-        biases = [leaf(rng.standard_normal((1, 5))), leaf(rng.standard_normal((1, 4)))]
+        weights, biases = two_layer_params(rng, self.GROUPED)
         acts = ["tanh", "identity"]
         x = fold_case((views, rows, 3), seed=1)
         # gradients spanning 20 decades, so the order of the adds shows, and a
@@ -206,8 +215,7 @@ class TestMlpFold:
         # node, whose parameters fold the views' gradients in it. The second
         # sweep adds onto held gradients, where (p, a, n) and view order differ
         rng = np.random.default_rng(3)
-        weights = [leaf(rng.standard_normal((3, 5))), leaf(rng.standard_normal((5, 4)))]
-        biases = [leaf(rng.standard_normal((1, 5))), leaf(rng.standard_normal((1, 4)))]
+        weights, biases = two_layer_params(rng, self.GROUPED)
         acts = ["tanh", "identity"]
         x = rng.standard_normal((3, 6, 3))
         node = ad.mlp(x, weights, biases, acts, True)
@@ -226,6 +234,12 @@ class TestMlpFold:
         # and the data tell the order apart from view order
         in_view_order = accum_views(x, weights, biases, acts, True, grads, (0, 1, 2), held)
         assert any((g != w).any() for g, w in zip(got, in_view_order))
+
+
+class TestMlpFoldLoose(TestMlpFold):
+    """The same folds for loose parameters, each a group of its own."""
+
+    GROUPED = False
 
 
 class TestL2NormalizeRows:
@@ -443,7 +457,32 @@ def zeros_then_add(t, g):
 
 
 class TestAccum:
-    """First writes copy the incoming gradient into an owned C-ordered array."""
+    """First writes copy the incoming gradient into an owned C-ordered array,
+    unless its giver built it for that write alone."""
+
+    def test_shared_first_gradients_are_copied(self):
+        # an array its giver still holds (the caller's own, a node's grad
+        # passed through, a transposed view) must not become another
+        # tensor's gradient: a later += would write through to the giver
+        g = np.arange(6.0).reshape(1, 2, 3)
+        x = leaf(np.ones((1, 2, 3)))
+        node = ad.mlp(x, [], [], [], normalize=False)  # hands its gradient on
+        backward(ad._make(np.zeros((1, 1)), (node,), lambda _: ad._accum(node, g)))
+        for a, b in ((node.grad, g), (x.grad, node.grad), (x.grad, g)):
+            assert not np.shares_memory(a, b)
+        t = leaf(np.ones((3, 2)))
+        L._hand_out((t, g[0].T))
+        assert not np.shares_memory(t.grad, g) and t.grad.flags.c_contiguous
+        np.testing.assert_array_equal(t.grad, g[0].T)
+
+    def test_fresh_first_gradients_are_handed_over(self):
+        t, u = leaf(np.ones((2, 3))), leaf(np.ones((2, 3)))
+        g = np.arange(6.0).reshape(2, 3)
+        ad._accum(t, g, fresh=True)
+        assert t.grad is g
+        h = g * 2.0  # a loss term: built for its hand-out alone
+        L._hand_out((u, h))
+        assert u.grad is h
 
     def test_grads_c_contiguous_after_transposed_matmul(self):
         rng = np.random.default_rng(5)

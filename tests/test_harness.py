@@ -1280,6 +1280,26 @@ class TestCli:
                      id="sigma-past-float"),
         pytest.param(["optimizer.lr=1" + "0" * 5000], "optimizer.lr",
                      id="lr-past-digit-limit"),
+        # JSON reads 1e400 as +inf, which used to pass validate() and end in
+        # a numeric abort (exit 3) after the first variant's run directory
+        pytest.param(["optimizer.lr=1e400"], "optimizer.lr", id="infinite-lr"),
+        pytest.param(["dataset.sigma=1e400"], "dataset.sigma", id="infinite-dataset-sigma"),
+        pytest.param(["dataset.noise=1e400"], "dataset.noise", id="infinite-moons-noise"),
+        # sizes below 2**63 whose arrays numpy refuses used to crash with a
+        # ValueError, the predictor's only after a run directory was written
+        pytest.param([f"dataset.n_per_class={2**62}"], "dataset.n_per_class",
+                     id="n-per-class-past-numpy"),
+        pytest.param([f"encoder.predictor_hidden_multiple={2**62}"],
+                     "encoder.predictor_hidden_multiple", id="predictor-past-numpy"),
+        pytest.param([f"encoder.dims=[2,{2**62},2]"], "encoder.dims",
+                     id="layer-width-past-numpy"),
+        pytest.param(["loss.kind=swav", f"loss.num_prototypes={2**60}"],
+                     "loss.num_prototypes", id="prototypes-past-numpy"),
+        pytest.param([f"dataset.num_classes={2**62}"], f"in {2**62} classes",
+                     id="classes-past-numpy"),
+        # np.repeat's count overflowed: the process died of a segmentation fault
+        pytest.param(["augmentation.kind=centered", f"augmentation.views={2**62}"],
+                     "augmentation.views", id="views-past-numpy"),
     ])
     def test_named_crashing_config_exits_2(self, tmp_path, capsys, overrides, field):
         argv = ["--out-dir", str(tmp_path), "--quiet", "named", "fig3-simple-vs-simsiam"]
@@ -1289,6 +1309,16 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and field in err[0], err
         assert not any(tmp_path.iterdir())
+
+    def test_infinite_margin_runs(self, tmp_path, capsys):
+        # +inf is the one infinite float a field takes: the triplet margin's
+        # infinite-margin mode, as None is
+        argv = ["--out-dir", str(tmp_path), "--quiet", "named", "fig3-simple-vs-simsiam"]
+        for override in ("loss.kind=triplet", "loss.margin=1e400", "num_seeds=1",
+                         "optimizer.epochs=1"):
+            argv += ["--override", override]
+        assert cli_main(argv) == 0
+        assert capsys.readouterr().err == ""
 
     def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
         # numpy raises a MemoryError for a kNN distance matrix it cannot

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from centerlab.autodiff import ParameterError, ShapeError, Tensor
-from centerlab.layers import (EmaTwin, Param, init_encoder, init_predictor,
+from centerlab.autodiff import ParameterError, ShapeError, Tensor, backward
+from centerlab.harness import Trainer, named_experiment, run_experiment
+from centerlab.layers import (EmaTwin, init_encoder, init_predictor,
                               init_prototypes, load_checkpoint,
                               save_checkpoint, sgd_step)
-from oracles import grad_check, mul, tensor_sum
+from oracles import (assert_bits_equal, ema_update_per_param, grad_check, loose_params,
+                     mul, sgd_step_per_param, tensor_sum)
 
 
 class TestInitEncoder:
@@ -156,28 +158,118 @@ class TestPrototypes:
 
 
 class TestSgdStep:
-    def _param(self, value, grad, group="encoder"):
+    # a loose leaf is a group of its own
+    def _group(self, value, grad):
         t = Tensor(value, requires_grad=True)
         t.grad = np.asarray(grad, dtype=np.float64).reshape(t.shape)
-        return Param("p", t, group)
+        return t
 
     def test_zero_lr_no_change(self):
-        p = self._param([[1.0]], [[2.0]])
-        sgd_step([p], lr=0.0)
-        assert p.tensor.values[0, 0] == 1.0
+        t = self._group([[1.0]], [[2.0]])
+        sgd_step({"encoder": t}, lr=0.0)
+        assert t.values[0, 0] == 1.0
 
     def test_scalar_arithmetic(self):
-        p = self._param([[1.0]], [[2.0]])
-        sgd_step([p], lr=0.1)
-        np.testing.assert_allclose(p.tensor.values, [[0.8]])
-        assert p.tensor.grad is None  # grads are zeroed by the step
+        t = self._group([[1.0]], [[2.0]])
+        sgd_step({"encoder": t}, lr=0.1)
+        np.testing.assert_allclose(t.values, [[0.8]])
+        assert t.grad is None  # grads are zeroed by the step
 
     def test_predictor_multiplier_scales_only_its_group(self):
-        enc_p = self._param([[1.0]], [[1.0]], "encoder")
-        pred_p = self._param([[1.0]], [[1.0]], "predictor")
-        sgd_step([enc_p, pred_p], lr=0.1, per_group_multipliers={"predictor": 0.01})
-        np.testing.assert_allclose(enc_p.tensor.values, [[0.9]])
-        np.testing.assert_allclose(pred_p.tensor.values, [[0.999]])
+        enc, pred = self._group([[1.0]], [[1.0]]), self._group([[1.0]], [[1.0]])
+        sgd_step({"encoder": enc, "predictor": pred}, lr=0.1,
+                 per_group_multipliers={"predictor": 0.01})
+        np.testing.assert_allclose(enc.values, [[0.9]])
+        np.testing.assert_allclose(pred.values, [[0.999]])
+
+
+class TestGroupedUpdates:
+    """``sgd_step`` and ``EmaTwin.update`` update each group's flat arrays in
+    one pass, bit for bit as the per-parameter loops do, signs of zeros too."""
+
+    @staticmethod
+    def _stepped_trainer():
+        # s24: a linear predictor whose learning rate is 0.01 of the encoder's
+        cfg = dict(named_experiment("s24-predictor-lr"))["multiplier-0.01"]
+        trainer = Trainer(cfg, seed=0)
+        idx = np.arange(cfg.optimizer.batch_size)
+        x = np.stack([trainer.augmented.points[idx], trainer.augmented.points[idx[::-1]]])
+        backward(trainer.objective.step(trainer.state, cfg.loss, x,
+                                        trainer.state.encoder.forward(x))[0])
+        for group in trainer.groups.values():
+            # -0.0 against a value of 0.0 and of -0.0, and an encoder step
+            # at lr 0.5 that takes a value to exactly 0.0
+            group.values[:3] = [0.0, -0.0, 0.25]
+            group.grad[:3] = [-0.0, 0.0, 0.5]
+        return trainer
+
+    def test_sgd_step_matches_the_per_parameter_loop(self):
+        trainer = self._stepped_trainer()
+        assert set(trainer.groups) == {"encoder", "predictor"}
+        assert trainer.lr_multipliers == {"predictor": 0.01}
+        want = loose_params(trainer.params)
+        sgd_step_per_param(want, 0.5, trainer.lr_multipliers)
+        sgd_step(trainer.groups, 0.5, trainer.lr_multipliers)
+        for got, ref in zip(trainer.params, want, strict=True):
+            assert_bits_equal(got.tensor.values, ref.tensor.values)
+            assert got.tensor.grad is None
+        # the zero entries kept their signs, and the last one reached 0.0
+        assert np.signbit(trainer.groups["encoder"].values[:3]).tolist() == [False, True, False]
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.5, 0.99])
+    def test_ema_update_matches_the_per_parameter_loop(self, momentum):
+        trainer = self._stepped_trainer()
+        source = trainer.state.encoder
+        twin, want = EmaTwin(source, momentum), EmaTwin(source, momentum)
+        source.group.values += 0.5 * np.random.default_rng(4).standard_normal(
+            source.group.values.shape)
+        source.group.values[:2] = [-0.0, 0.0]
+        twin.shadow.group.values[:2] = [-0.0, -0.0]
+        want.shadow.group.values[:2] = [-0.0, -0.0]
+        for _ in range(3):
+            twin.update(source)
+            ema_update_per_param(want.shadow, source, momentum)
+        assert_bits_equal(twin.shadow.group.values, want.shadow.group.values)
+
+
+class TestGroupIntegrity:
+    """Every parameter's values stay a view of its group's values: a
+    parameter rebound to an array of its own would read stale values while
+    ``sgd_step`` moves the group."""
+
+    @staticmethod
+    def assert_grouped(params, group):
+        assert sum(p.tensor.values.size for p in params) == group.values.size
+        for p in params:
+            assert np.shares_memory(p.tensor.values, group.values), p.name
+            assert p.tensor.group is group
+
+    def test_after_a_run(self, tmp_path):
+        cfg = dict(named_experiment("s24-predictor-lr"))["multiplier-0.1"]
+        cfg.optimizer.epochs, cfg.num_seeds = 2, 1
+        trainer = run_experiment(cfg, tmp_path).trainers[0]
+        for name, group in trainer.groups.items():
+            self.assert_grouped([p for p in trainer.params if p.group == name], group)
+        self.assert_grouped(trainer.state.predictor.parameters(),
+                            trainer.groups["predictor"])
+
+    def test_after_load_checkpoint(self, tmp_path):
+        enc = init_encoder([3, 8, 2], seed=9)
+        save_checkpoint(tmp_path / "ckpt.npz", enc.parameters())
+        load_checkpoint(tmp_path / "ckpt.npz", enc.parameters())
+        self.assert_grouped(enc.parameters(), enc.group)
+
+    def test_after_copy(self):
+        enc = init_encoder([3, 8, 2], seed=9)
+        twin = enc.copy()
+        self.assert_grouped(twin.parameters(), twin.group)
+        assert not np.shares_memory(twin.group.values, enc.group.values)
+        assert not twin.group.requires_grad
+        assert_bits_equal(twin.group.values, enc.group.values)
+
+    def test_linear_predictor(self):
+        pred = init_predictor(4, seed=0, hidden_multiple=0)
+        self.assert_grouped(pred.parameters("predictor"), pred.group)
 
 
 def test_predictor_requires_square_dims():
