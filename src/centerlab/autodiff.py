@@ -151,17 +151,18 @@ def _accum(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
         t.grad += g
 
 
-# numpy reduces across the short axis of a long, thin array with one inner
+# numpy runs an op across the short axis of a long, thin array with one inner
 # loop call per row; from about 256 rows on (crossover 128-384 rows for 2-4
-# columns), whole-column adds in numpy's own order are faster
+# columns), whole-column calls in numpy's own order are faster. A caller
+# decides thinness once per array and hands the answer to each helper below
 def _thin(a: np.ndarray) -> bool:
     return 2 <= a.shape[-1] <= 4 and a.size >= 256 * a.shape[-1]
 
 
-def _row_sum(a: np.ndarray) -> np.ndarray:
+def _row_sum(a: np.ndarray, thin: bool) -> np.ndarray:
     """``a.sum(axis=-1, keepdims=True)`` bit for bit: below 8 elements numpy's
     sum is a left fold from +0.0, so a thin array folds its columns."""
-    if not _thin(a):
+    if not thin:
         return a.sum(axis=-1, keepdims=True)
     out = 0.0 + a[..., 0:1]
     for j in range(1, a.shape[-1]):
@@ -169,13 +170,39 @@ def _row_sum(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _col_sum(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _col_sum(a: np.ndarray, thin: bool, out: np.ndarray | None = None) -> np.ndarray:
     """``a.sum(axis=-2, keepdims=True, out=out)`` of rows (m, k) or views (V, m, k)
     bit for bit: down the rows of a C-contiguous array with 2+ columns numpy
     folds from +0.0, and ``0.0 +`` turns accumulate's -0.0 start into that."""
-    if not (_thin(a) and a.flags.c_contiguous):
+    if not (thin and a.flags.c_contiguous):
         return a.sum(axis=-2, keepdims=True, out=out)
     return np.add(0.0, np.add.accumulate(a, axis=-2)[..., -1:, :], out=out)
+
+
+# an elementwise op rounds each element alone, so running it one column at a
+# time gives numpy's broadcast bit for bit (all but the sign of a NaN that
+# meets a NaN, which numpy's inner loop picks and no output shows)
+def _by_col(op: np.ufunc, a: np.ndarray, col: np.ndarray, thin: bool) -> np.ndarray:
+    """``op(a, col)`` for a (..., 1) column `col` broadcast across each row of `a`."""
+    if not thin:
+        return op(a, col)
+    out = np.empty_like(a)
+    for j in range(a.shape[-1]):
+        op(a[..., j:j + 1], col, out=out[..., j:j + 1])
+    return out
+
+
+def _by_row(op: np.ufunc, a: np.ndarray, row: np.ndarray, thin: bool,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """``op(a, row, out=out)`` for an (n,) or (1, n) row `row` broadcast down
+    the rows of `a`; ``out=a`` runs it in place."""
+    if not thin:
+        return op(a, row, out=out)
+    if out is None:
+        out = np.empty_like(a)
+    for j in range(a.shape[-1]):
+        op(a[..., j:j + 1], row[..., j:j + 1], out=out[..., j:j + 1])
+    return out
 
 
 # activation name -> (forward, backward rule), or None for the identity,
@@ -192,20 +219,23 @@ _ACTIVATIONS: dict[str, tuple[Callable, Callable] | None] = {
 def _mlp_forward(h: np.ndarray, weights: Sequence[Tensor], biases: Sequence[Tensor],
                  activations: Sequence[str], normalize: bool, eps: float = 1e-12):
     """``mlp``'s values, off the graph, for rows (m, k) or views (V, m, k): the
-    layer inputs (the last layer's output last), the pre-activations, the row
-    norms squared plus eps^2 and their roots (None unnormalised), the output."""
-    hs, pres = [h], []
+    layer inputs (the last layer's output last), the pre-activations, whether
+    each layer input is ``_thin`` (the output's answer last), the row norms
+    squared plus eps^2 and their roots (None unnormalised), the output."""
+    hs, pres, thin = [h], [], [_thin(h)]
     for w, b, act in zip(weights, biases, activations):
         pres.append(np.matmul(hs[-1], w.values))
-        pres[-1] += b.values  # in place on the product's fresh array
+        thin.append(_thin(pres[-1]))
+        # in place on the product's fresh array
+        _by_row(np.add, pres[-1], b.values, thin[-1], out=pres[-1])
         rule = _ACTIVATIONS[act]
         hs.append(pres[-1] if rule is None else rule[0](pres[-1]))
     h = hs[-1]
     if not normalize:
-        return hs, pres, None, None, h
-    s = _row_sum(h * h) + eps * eps
+        return hs, pres, thin, None, None, h
+    s = _row_sum(h * h, thin[-1]) + eps * eps
     d = s ** 0.5
-    return hs, pres, s, d, h / d
+    return hs, pres, thin, s, d, _by_col(np.divide, h, d, thin[-1])
 
 
 def mlp(x, weights: Sequence[Tensor], biases: Sequence[Tensor],
@@ -233,7 +263,7 @@ def mlp(x, weights: Sequence[Tensor], biases: Sequence[Tensor],
     h = x.values if isinstance(x, Tensor) else x
     if h.ndim != 3:
         raise ShapeError(f"mlp takes a (V, m, k) view stack, got shape {h.shape}")
-    hs, pres, s, d, out = _mlp_forward(h, weights, biases, activations, normalize, eps)
+    hs, pres, thin, s, d, out = _mlp_forward(h, weights, biases, activations, normalize, eps)
     h = hs[-1]
     views, m, n = h.shape
     if weights and isinstance(weights[0], View) and weights[0].requires_grad:
@@ -250,19 +280,22 @@ def mlp(x, weights: Sequence[Tensor], biases: Sequence[Tensor],
 
     def bwd(g: np.ndarray):
         if normalize:
-            gd = -g * h / (d ** 2)
+            gd = _by_col(np.divide, -g * h, d ** 2, thin[-1])
             if n != 1:  # as _unbroadcast to d's shape
-                gd = _row_sum(gd)
-            # h * h hands each operand the same term
-            t = gd * 0.5 * s ** -0.5 * h
-            g = g / d + t + t
+                gd = _row_sum(gd, thin[-1])
+            # h * h hands each operand the same term; the composed graph's
+            # column * h, commuted
+            t = _by_col(np.multiply, h, gd * 0.5 * s ** -0.5, thin[-1])
+            g = _by_col(np.divide, g, d, thin[-1])
+            g += t
+            g += t
         for i in reversed(range(len(weights))):
             w, b = weights[i], biases[i]
             rule = _ACTIVATIONS[activations[i]]
             if rule is not None:
                 g = rule[1](g, pres[i], hs[i + 1])
             if b.requires_grad:  # as _unbroadcast: one row is handed on unsummed
-                _col_sum(g, outs[id(b)]) if m > 1 else np.copyto(outs[id(b)], g)
+                _col_sum(g, thin[i + 1], outs[id(b)]) if m > 1 else np.copyto(outs[id(b)], g)
             if w.requires_grad:
                 np.matmul(hs[i].transpose(0, 2, 1), g, out=outs[id(w)])
             if i or x_grad:

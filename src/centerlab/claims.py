@@ -66,6 +66,8 @@ class _Variant:
                     header, *rows = list(csv.reader(fh)) or [[]]
                 if ",".join(header) != METRICS_HEADER:
                     raise ValueError("not a metrics CSV")
+                if not rows:  # tick 0 writes the first row
+                    raise ValueError("header only: the run stopped before its first tick")
                 tables.append(np.array([[float(c) if c else np.nan for c in r]
                                         for r in rows]))  # a ragged row fails here
             self.table = np.array(tables)  # as do seeds with other tick counts

@@ -7,11 +7,12 @@ the autodiff graph.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ParameterError, _col_sum, _row_sum
+from .autodiff import ParameterError, _by_row, _col_sum, _row_sum, _thin
 
 __all__ = [
     "CenterEstimate",
@@ -33,12 +34,13 @@ class CenterEstimate:
 
 
 def estimate_center(embeddings: np.ndarray) -> CenterEstimate:
-    """Mean of embedding rows, as ``embeddings.mean(axis=0)`` bit for bit."""
+    """Mean of embedding rows, as ``embeddings.mean(axis=0)`` bit for bit, and
+    its norm, as ``np.linalg.norm``'s ``sqrt(x.dot(x))`` for a 1-D vector."""
     embeddings = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
     if embeddings.shape[0] < 1:
         raise ParameterError("estimate_center needs at least one embedding")
-    s_hat = _col_sum(embeddings)[0] / embeddings.shape[0]
-    return CenterEstimate(s_hat, float(np.linalg.norm(s_hat)))
+    s_hat = _col_sum(embeddings, _thin(embeddings))[0] / embeddings.shape[0]
+    return CenterEstimate(s_hat, math.sqrt(s_hat.dot(s_hat)))
 
 
 def residual_stats(embeddings: np.ndarray,
@@ -50,12 +52,13 @@ def residual_stats(embeddings: np.ndarray,
     embeddings = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
     if embeddings.shape[1] != center.s_hat.shape[0]:
         raise ParameterError("embedding and center dimensions disagree")
-    residuals = embeddings - center.s_hat
-    mean_norm = float(np.sqrt(_row_sum(residuals ** 2)[:, 0]).mean())
+    thin = _thin(embeddings)
+    residuals = _by_row(np.subtract, embeddings, center.s_hat, thin)
+    mean_norm = float(np.sqrt(_row_sum(residuals ** 2, thin)[:, 0]).mean())
     m = residuals.shape[0]
-    dev = residuals - _col_sum(residuals) / m
+    dev = _by_row(np.subtract, residuals, _col_sum(residuals, thin) / m, thin)
     dev *= dev
-    return mean_norm, np.sqrt(_col_sum(dev)[0] / m)
+    return mean_norm, np.sqrt(_col_sum(dev, thin)[0] / m)
 
 
 def delta_dist(mean_t: np.ndarray, mean_prev: np.ndarray) -> float:
@@ -97,7 +100,7 @@ def knn_eval(emb: np.ndarray, labels: np.ndarray, k: int) -> float:
         raise ParameterError(f"labels of shape {labels.shape} for {n} embeddings")
     if not 1 <= k <= n - 1:
         raise ParameterError(f"k={k} out of range (max {n - 1})")
-    unit = emb / np.sqrt(_row_sum(emb * emb) + 1e-24)
+    unit = emb / np.sqrt(_row_sum(emb * emb, _thin(emb)) + 1e-24)
     dists = unit @ unit.copy().T
     np.subtract(1.0, dists, out=dists)
     np.fill_diagonal(dists, np.inf)

@@ -501,34 +501,38 @@ class Trainer:
                    rng: np.random.Generator) -> list[np.ndarray]:
         """Each batch's (V, m, k) views in batch order, drawn on `rng` and
         gathered with one ``take``: its anchors, a uniform other member of each
-        row's group (the row itself if alone) and any negatives."""
+        row's group (the row itself if alone) and any negatives. One walk over
+        the epoch's rows picks every partner, looked up with one index."""
         size = self.group_table.shape[1]
         ahead = 0 if self.objective.negatives else self.augmented.n // 4
+        anchors = np.concatenate(batches)
+        owns = self.group_pos[anchors].tolist()
+        ends = np.cumsum([idx.shape[0] for idx in batches]).tolist()
         draws = iter(())  # partner draws read ahead, carried from batch to batch
-        rows = []
-        for idx in batches:
-            if size == 1:  # alone in its group, a row is its own partner
-                rows += [idx, idx]
-            else:
-                picks = []
-                for own in self.group_pos[idx].tolist():
-                    for pick in draws:
-                        if pick != own:
-                            break
-                    else:  # the chunk ran out: every row from here on needs a draw
-                        pick = own
-                        while pick == own:
-                            draws = iter(rng.integers(
-                                size, size=max(idx.shape[0] - len(picks), ahead)).tolist())
-                            pick = next((p for p in draws if p != own), own)
-                    picks.append(pick)
-                rows += [idx, self.group_table[self.group_row[idx], picks]]
+        picks, negatives = [], []
+        for idx, end in zip(batches, ends):
+            for own in owns[len(picks):end]:
+                for pick in draws:
+                    if pick != own:
+                        break
+                else:  # the chunk ran out: every row left in the batch needs a draw
+                    pick = own
+                    while pick == own and size > 1:  # alone, a row is its own partner
+                        draws = iter(rng.integers(
+                            size, size=max(end - len(picks), ahead)).tolist())
+                        pick = next((p for p in draws if p != own), own)
+                picks.append(pick)
             if self.objective.negatives:
-                rows.append(self._negatives(idx, rng))
+                negatives.append(self._negatives(idx, rng))
+        partners = self.group_table[self.group_row[anchors],
+                                    np.fromiter(picks, np.intp, len(picks))]
+        rows = []
+        for i, (a, b) in enumerate(zip([0] + ends, ends)):
+            rows += [anchors[a:b], partners[a:b], *negatives[i:i + 1]]
         x = self.augmented.points.take(np.concatenate(rows), axis=0)
         views = 2 + self.objective.negatives
-        ends = np.cumsum([views * idx.shape[0] for idx in batches]).tolist()
-        return [x[a:b].reshape(views, -1, x.shape[1]) for a, b in zip([0] + ends, ends)]
+        return [x[views * a:views * b].reshape(views, -1, x.shape[1])
+                for a, b in zip([0] + ends, ends)]
 
     # -- one optimizer step ---------------------------------------------
     def train_step(self, idx: np.ndarray, x: np.ndarray) -> float:
@@ -639,7 +643,9 @@ def _run_one_seed(trainer: Trainer, csv_path: Path,
                 for idx, x in zip(batches, trainer.draw_epoch(batches, pair_rng)):
                     epoch_losses.append(trainer.train_step(idx, x))
                 if epoch % cfg.diagnostics.cadence == 0 or epoch == cfg.optimizer.epochs:
-                    tick(epoch, float(np.mean(epoch_losses)))
+                    # np.mean's sum and division, without its wrapper
+                    tick(epoch, float(np.add.reduce(np.array(epoch_losses))
+                                      / len(epoch_losses)))
         except NumericAbort:
             # flush a final row flagged non-finite, then re-raise
             tick(cfg.optimizer.epochs, float("nan"), aborted=True)

@@ -10,9 +10,9 @@ from centerlab import autodiff as ad
 from centerlab import losses as L
 from centerlab.autodiff import ParameterError, ShapeError, Tensor, backward
 from oracles import (Var, accum_views, add, assert_bits_equal,
-                     composed_batch_norm_cols, composed_l2_normalize_rows,
-                     composed_neg_cosine, composed_tanh, composed_triplet,
-                     composed_views, exp, first_view, fold_case, grad_check, leaf,
+                     composed_batch_norm_cols, composed_neg_cosine, composed_tanh,
+                     composed_triplet, composed_views, exp, first_view, fold_case,
+                     grad_check, leaf,
                      logsumexp_rows, matmul, mul, power, relu, softmax_rows,
                      stack_views, stop_gradient, tensor_sum)
 
@@ -263,23 +263,38 @@ class TestL2NormalizeRows:
         backward(proxy)
         np.testing.assert_allclose(grad_of(x), np.zeros_like(x.values), atol=1e-9)
 
-    @pytest.mark.parametrize("cols", [1, 5])
-    def test_matches_composed_with_a_zero_row(self, cols):
-        def grads(normalize):
+    # rows or a view stack, normalised alone or after one layer as wide as
+    # its input; the (300, 2) rows and the (2, 1000, 2) stack are thin, so
+    # the node runs its broadcasts and sums column by column
+    @pytest.mark.parametrize("shape,act", [
+        ((40, 1), None), ((40, 5), None), ((300, 2), None), ((300, 2), "identity"),
+        ((300, 2), "tanh"), ((2, 1000, 2), None), ((2, 1000, 2), "identity"),
+        ((2, 1000, 2), "tanh")], ids=[
+        "1", "5", "300x2", "300x2-identity", "300x2-tanh", "2x1000x2",
+        "2x1000x2-identity", "2x1000x2-tanh"])
+    def test_matches_composed_with_a_zero_row(self, shape, act):
+        def grads(views_fn):
             rng = np.random.default_rng(31)
-            x = leaf(rng.standard_normal((40, cols)))
-            upstream = rng.standard_normal((40, cols))
+            views, (m, n) = (shape[0] if len(shape) == 3 else 1), shape[-2:]
+            xs = [leaf(rng.standard_normal((m, n))) for _ in range(views)]
+            upstream = rng.standard_normal((views, m, n))
             # a zero row, and a row of -0.0 that meets a -0.0 gradient: the
             # sign of its input gradient depends on the composed sum order
-            x.values[7] = 0.0
-            x.values[8] = upstream[8] = -0.0
-            out = normalize(x)
-            backward(tensor_sum(mul(out, upstream)))
-            return out.values, x.grad
+            for x, up in zip(xs, upstream):
+                x.values[7] = 0.0
+                x.values[8] = up[8] = -0.0
+            ws, bs = ([leaf(rng.standard_normal(s))] if act else []
+                      for s in ((n, n), (1, n)))
+            out = views_fn(xs, ws, bs, [act] if act else [], True)
+            stack = stack_views(out) if isinstance(out, list) else out
+            backward(tensor_sum(mul(stack, upstream)))
+            return [stack.values] + [t.grad for t in (*ws, *bs, *xs)]
 
-        got, want = grads(normalize_rows), grads(composed_l2_normalize_rows)
-        np.testing.assert_array_equal(got[0][7:9], 0.0)
-        for g, w in zip(got, want):
+        got, want = grads(fused_views), grads(composed_views)
+        assert ad._thin(got[0]) == (shape[-2] > 40)
+        if act is None:
+            np.testing.assert_array_equal(got[0][:, 7:9], 0.0)
+        for g, w in zip(got, want, strict=True):
             assert_bits_equal(g, w)
 
     @given(st.integers(min_value=0, max_value=10_000))
@@ -606,7 +621,7 @@ class TestFolds:
     def test_row_sum(self, shape, thin, seed):
         a = fold_case(shape, seed)
         for x in (a, np.asfortranarray(a), -a, np.zeros(shape), -np.zeros(shape)):
-            assert_bits_equal(ad._row_sum(x), x.sum(axis=-1, keepdims=True))
+            assert_bits_equal(ad._row_sum(x, thin), x.sum(axis=-1, keepdims=True))
 
     # 2-D shapes first, then mlp's (V, m, k) bias sums
     @pytest.mark.parametrize("shape,thin", sorted(FOLD_SHAPES, key=lambda c: len(c[0])))
@@ -614,7 +629,7 @@ class TestFolds:
     def test_col_sum(self, shape, thin, seed):
         a = fold_case(shape, seed)
         for x in (a, np.asfortranarray(a), -a, np.zeros(shape), -np.zeros(shape)):
-            assert_bits_equal(ad._col_sum(x), x.sum(axis=-2, keepdims=True))
+            assert_bits_equal(ad._col_sum(x, thin), x.sum(axis=-2, keepdims=True))
 
     def test_cancelling_entries(self):
         # in numpy's order each row and column sums to 0.0 or 1.0; a pairwise
@@ -622,9 +637,61 @@ class TestFolds:
         a = np.tile([[1e16, 1.0, -1e16], [1.0, -1e16, 1e16],
                      [-1e16, 1e16, 1.0], [-0.0, -0.0, -0.0]], (128, 1))
         assert ad._thin(a)
-        assert_bits_equal(ad._row_sum(a), a.sum(axis=-1, keepdims=True))
-        assert_bits_equal(ad._col_sum(a), a.sum(axis=0, keepdims=True))
-        assert_bits_equal(ad._col_sum(a[::-1].copy()), a[::-1].sum(axis=0, keepdims=True))
+        assert_bits_equal(ad._row_sum(a, True), a.sum(axis=-1, keepdims=True))
+        assert_bits_equal(ad._col_sum(a, True), a.sum(axis=0, keepdims=True))
+        assert_bits_equal(ad._col_sum(a[::-1].copy(), True), a[::-1].sum(axis=0, keepdims=True))
+
+
+def special_case(shape, seed=0, nan=True):
+    """``fold_case`` with +-inf entries, and NaN ones when `nan`."""
+    a = fold_case(shape, seed)
+    pick = np.random.default_rng(seed + 100).random(shape)
+    a[pick < 0.05] = np.inf
+    a[(pick >= 0.05) & (pick < 0.1)] = -np.inf
+    if nan:
+        a[(pick >= 0.1) & (pick < 0.15)] = np.nan
+    return a
+
+
+# binary ops whose operands do not commute, and two that do
+BROADCAST_OPS = [np.subtract, np.divide, np.add, np.multiply]
+
+
+class TestBroadcasts:
+    """``_by_col`` and ``_by_row`` are numpy's broadcasts bit for bit, given
+    either answer of the thin rule on every shape: C- and F-ordered, with
+    -0.0, +-inf and NaN entries, and in place. Only the array holds NaNs:
+    where a NaN meets a NaN, which one's sign comes out is numpy's inner
+    loop's choice, and an F-ordered array's contiguous columns take another
+    loop than the whole array (46 signs of a (1000, 16) add differ).
+    """
+
+    @staticmethod
+    def operands(shape):
+        a = special_case(shape)
+        return a, np.asfortranarray(a), -a
+
+    @pytest.mark.parametrize("shape", [shape for shape, _ in FOLD_SHAPES])
+    @pytest.mark.parametrize("thin", [False, True])
+    def test_by_col(self, shape, thin):
+        col = special_case((*shape[:-1], 1), 1, nan=False)
+        with np.errstate(all="ignore"):
+            for a, op in itertools.product(self.operands(shape), BROADCAST_OPS):
+                assert_bits_equal(ad._by_col(op, a, col, thin), op(a, col))
+                assert_bits_equal(ad._by_col(op, a, -col, thin), op(a, -col))
+
+    @pytest.mark.parametrize("shape", [shape for shape, _ in FOLD_SHAPES])
+    @pytest.mark.parametrize("thin", [False, True])
+    def test_by_row(self, shape, thin):
+        row = special_case((1, shape[-1]), 2, nan=False)
+        with np.errstate(all="ignore"):
+            for a, op, r in itertools.product(self.operands(shape), BROADCAST_OPS,
+                                              (row, row[0], -row)):
+                want = op(a, r)
+                assert_bits_equal(ad._by_row(op, a, r, thin), want)
+                inplace = a.copy(order="K")
+                assert ad._by_row(op, inplace, r, thin, out=inplace) is inplace
+                assert_bits_equal(inplace, want)
 
 
 @pytest.mark.parametrize("trial", range(20))

@@ -49,24 +49,38 @@ class TestResiduals:
             residual_stats(np.ones((4, 2)), est)
 
 
+def with_row(z, row):
+    """`z` with its middle row replaced by `row`."""
+    out = z.copy()
+    out[z.shape[0] // 2] = row
+    return out
+
+
 class TestStatsMatchNumpy:
-    """The center and residual statistics equal numpy's mean and std bit for
-    bit, on both sides of ``autodiff._thin``: 1 row, 1 column, 2-4 columns
-    at 256+ rows, 8+ columns."""
+    """The center, its norm and the residual statistics equal numpy's mean,
+    ``np.linalg.norm`` and std bit for bit, on both sides of
+    ``autodiff._thin``: 1 row, 1 column, 2-4 columns at 256+ rows, 8+
+    columns; also with a -0.0 row and rows holding +-inf or NaN."""
 
     @pytest.mark.parametrize("shape", [(1, 3), (300, 1), (255, 2), (256, 2),
                                        (1000, 3), (300, 4), (300, 8), (1000, 16)])
     @pytest.mark.parametrize("seed", range(3))
     def test_center_and_residuals(self, shape, seed):
         z = fold_case(shape, seed)
-        for x in (z, -z, np.zeros(shape), -np.zeros(shape),
-                  np.tile([[1e16, 1.0], [-1e16, -0.0]], (128, 1))):
-            est = estimate_center(x)
-            assert_bits_equal(est.s_hat, x.mean(axis=0))
-            mean_norm, per_dim_std = residual_stats(x, est)
-            r = x - est.s_hat
-            assert mean_norm == float(np.sqrt((r ** 2).sum(axis=1)).mean())
-            assert_bits_equal(per_dim_std, r.std(axis=0))
+        cases = [z, -z, np.zeros(shape), -np.zeros(shape),
+                 np.tile([[1e16, 1.0], [-1e16, -0.0]], (128, 1)),
+                 with_row(z, -0.0), with_row(np.zeros(shape), -0.0), with_row(z, np.inf),
+                 with_row(z, -np.inf), with_row(z, np.nan)]
+        cases.append(with_row(z, np.resize([np.inf, -np.inf, np.nan], shape[1])))
+        with np.errstate(invalid="ignore"):
+            for x in cases:
+                est = estimate_center(x)
+                assert_bits_equal(est.s_hat, x.mean(axis=0))
+                assert_bits_equal(est.norm, np.linalg.norm(x.mean(axis=0)))
+                mean_norm, per_dim_std = residual_stats(x, est)
+                r = x - est.s_hat
+                assert_bits_equal(mean_norm, float(np.sqrt((r ** 2).sum(axis=1)).mean()))
+                assert_bits_equal(per_dim_std, r.std(axis=0))
         assert ad._thin(z) == (shape in ((256, 2), (1000, 3), (300, 4)))
 
 

@@ -30,7 +30,8 @@ from centerlab.harness import (METRICS_HEADER, ConfigError, DatasetSpec, Encoder
                                named_experiment, run_experiment)
 from centerlab.layers import EncoderStack
 from centerlab.losses import LossConfig
-from oracles import composed_views, loop_knn_winners, stack_views
+from oracles import (assert_bits_equal, composed_views, fold_case, loop_knn_winners,
+                     stack_views)
 
 
 def tiny_config(**loss_kw) -> ExperimentConfig:
@@ -586,22 +587,54 @@ class TestTrainer:
         assert knn == np.count_nonzero(hits) / labels.shape[0] == 3 / 30
 
     def test_thin_folds_keep_seed_csvs(self, tmp_path, monkeypatch):
-        # the full-batch s21 arm reduces (1000 x 2) arrays through the folds;
-        # with numpy's own reductions in their place the CSVs are the same bytes
+        # the full-batch s21 arm reduces and broadcasts (2 x 1000 x 2) and
+        # (1000 x 2) arrays column by column; with numpy's own sums and
+        # broadcasts in their place the CSVs are the same bytes
         from centerlab import diagnostics
 
         cfg = registry_config("s21-collapse-grid", "full-centered", **{
             "optimizer.epochs": 3, "num_seeds": 2, "record_wall_time": False})
         folded = run_experiment(cfg, tmp_path / "folds")
         assert ad._thin(folded.trainers[cfg.base_seed].eval_embeddings())
+        thin = set()  # the answers the helpers were handed
+
+        def plain_op(op, a, b, is_thin, out=None):
+            thin.add(is_thin)
+            return op(a, b, out=out)
+
         for module in (ad, diagnostics):
-            monkeypatch.setattr(module, "_row_sum",
-                                lambda a: a.sum(axis=-1, keepdims=True))
-        monkeypatch.setattr(diagnostics, "_col_sum",
-                            lambda a: a.sum(axis=0, keepdims=True))
+            monkeypatch.setattr(module, "_row_sum", lambda a, is_thin: (
+                thin.add(is_thin), a.sum(axis=-1, keepdims=True))[1])
+            monkeypatch.setattr(module, "_col_sum", lambda a, is_thin, out=None: (
+                thin.add(is_thin), a.sum(axis=-2, keepdims=True, out=out))[1])
+            monkeypatch.setattr(module, "_by_row", plain_op)
+        monkeypatch.setattr(ad, "_by_col", plain_op)
         plain = run_experiment(cfg, tmp_path / "numpy")
+        assert thin == {False, True}
         for a, b in zip(folded.seed_csvs, plain.seed_csvs, strict=True):
             assert a.read_bytes() == b.read_bytes()
+
+    def test_epoch_loss_is_np_mean(self, monkeypatch, tmp_path):
+        # an epoch's loss is np.mean of its steps' losses, bit for bit: 1, 7,
+        # 8, 9 and 20 steps (numpy sums 8+ values pairwise) of losses that
+        # span 20 decades, so the order of the sum shows
+        for losses in ([3.0], *(fold_case((n,), n).tolist() for n in (7, 8, 9, 20)),
+                       [1.0, float("nan"), 2.0]):
+            want = np.mean(losses)
+            got = np.add.reduce(np.array(losses)) / len(losses)
+            assert_bits_equal(got, want)
+        # and the run ticks the mean of the losses its steps return
+        steps = []
+        train_step = Trainer.train_step
+        monkeypatch.setattr(Trainer, "train_step", lambda self, idx, x: (
+            steps.append(train_step(self, idx, x)), steps[-1])[1])
+        cfg = apply_overrides(tiny_config(), {"optimizer.batch_size": 4, "num_seeds": 1})
+        rows = run_experiment(cfg, tmp_path).rows_by_seed[cfg.base_seed]
+        per_epoch = len(steps) // cfg.optimizer.epochs
+        assert per_epoch == 8
+        for row in rows[1:]:
+            epoch = steps[(row["epoch"] - 1) * per_epoch:row["epoch"] * per_epoch]
+            assert_bits_equal(row["loss"], np.mean(epoch))
 
 
 def loop_partners(trainer, members, idx, rng):
@@ -1468,6 +1501,23 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "collapse-mini-centered/seed0.csv" in err[0]
 
+    def test_claims_name_a_run_that_stopped_before_its_first_tick(self, tmp_path,
+                                                                monkeypatch, capsys):
+        # a run that dies before its epoch-0 tick leaves its seed CSV's header
+        def out_of_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(H, "knn_eval", out_of_memory)
+        key = "fig3-simple-vs-simsiam"
+        assert cli_main(["--out-dir", str(tmp_path), "--quiet", "named", key,
+                         "--override", "optimizer.epochs=1",
+                         "--override", "num_seeds=1"]) == 2
+        capsys.readouterr()
+        assert cli_main(["--out-dir", str(tmp_path), "claims", key]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].endswith("/seed0.csv: header only: the run stopped before its first tick")
+
     def test_claims_without_key_skips_missing_experiments(self, s21_one_epoch,
                                                           tmp_path, capsys):
         shutil.copytree(s21_one_epoch, tmp_path / s21_one_epoch.name)
@@ -1494,6 +1544,8 @@ class TestCli:
          "seed0.csv: could not convert"),
         (["claims", "s21-collapse-grid"], {_CSV: f"{METRICS_HEADER}\n0,0,0,,\xff,0,0,0,,\n".encode("latin-1")},
          4, "seed0.csv: 'utf-8' codec"),
+        (["claims", "s21-collapse-grid"], {_CSV: f"{METRICS_HEADER}\n".encode()}, 4,
+         "seed0.csv: header only: the run stopped before its first tick"),
         (["--out-dir", "elsewhere", "claims", "s21-collapse-grid"], {}, 2,
          "collapse-mini-centered/config.json"),
         (["claims", "s21-collapse-grid", "no-such-key"], {}, 2,
@@ -1504,7 +1556,7 @@ class TestCli:
         (["--out-dir", "m.csv", "named", "fig3-simple-vs-simsiam"], {"m.csv": b""}, 2,
          "Not a directory"),
     ], ids=["checkpoint-missing-parameter", "checkpoint-wrong-shape",
-            "checkpoint-not-archive", "cell-not-number", "metrics-not-utf8",
+            "checkpoint-not-archive", "cell-not-number", "metrics-not-utf8", "metrics-header-only",
             "missing-run-directory", "unknown-key", "config-not-utf8", "run-directory",
             "out-dir-is-file"])
     def test_bad_input_prints_one_line(self, s21_one_epoch, tmp_path, argv, files,
