@@ -15,7 +15,10 @@ line over their variants' `aggregate.csv`. Two trees that print the
 same digest wrote byte-identical CSVs, so a change meant to be exact can be
 checked against its parent, and a change that adds an experiment can show
 that every other experiment kept its digest. Imports centerlab from this
-checkout's `src/`, ahead of PYTHONPATH, and prints the package's path first.
+checkout's `src/`, ahead of PYTHONPATH, and prints the package's path first,
+with the numpy version and the BLAS numpy was built with: the digest rests on
+numpy's summation orders (einsum's among them), so a line that differs on
+another host can be traced to a library change.
 
 At the default seeds the digest lines are compared with the ones pinned in
 `registry_digest.expected` beside this script; on any difference the script
@@ -31,6 +34,8 @@ import hashlib
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -93,7 +98,9 @@ def main(argv=None) -> int:
     ap.add_argument("--out", type=Path, default=None,
                     help="an empty directory for the runs (default: a temporary one)")
     args = ap.parse_args(argv)
-    print(f"centerlab from {Path(harness.__file__).resolve().parent}")
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    print(f"centerlab from {Path(harness.__file__).resolve().parent}, numpy "
+          f"{np.__version__}, BLAS {blas['name']} {blas['version']}")
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
         digest, n, per_experiment, aggregates = registry_digest(

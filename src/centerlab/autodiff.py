@@ -151,10 +151,15 @@ def _accum(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
         t.grad += g
 
 
-# numpy runs an op across the short axis of a long, thin array with one inner
-# loop call per row; from about 256 rows on (crossover 128-384 rows for 2-4
-# columns), whole-column calls in numpy's own order are faster. A caller
-# decides thinness once per array and hands the answer to each helper below
+# numpy runs an op across the short axis of a long array with one inner loop
+# call per row; from about 256 rows on (crossover 128-384 rows), whole-column
+# calls in numpy's own order are faster: for every op on a thin array (2-4
+# columns), for column sums on any long one (2+ columns). A caller decides
+# once per array and hands the answer to each helper below
+def _long(a: np.ndarray) -> bool:
+    return a.shape[-1] >= 2 and a.size >= 256 * a.shape[-1]
+
+
 def _thin(a: np.ndarray) -> bool:
     return 2 <= a.shape[-1] <= 4 and a.size >= 256 * a.shape[-1]
 
@@ -170,13 +175,17 @@ def _row_sum(a: np.ndarray, thin: bool) -> np.ndarray:
     return out
 
 
-def _col_sum(a: np.ndarray, thin: bool, out: np.ndarray | None = None) -> np.ndarray:
+def _col_sum(a: np.ndarray, long: bool, out: np.ndarray | None = None) -> np.ndarray:
     """``a.sum(axis=-2, keepdims=True, out=out)`` of rows (m, k) or views (V, m, k)
     bit for bit: down the rows of a C-contiguous array with 2+ columns numpy
-    folds from +0.0, and ``0.0 +`` turns accumulate's -0.0 start into that."""
-    if not (thin and a.flags.c_contiguous):
+    folds from +0.0, one inner loop per row, and einsum runs the same fold one
+    inner loop per column (one column numpy sums pairwise, einsum does not)."""
+    if not (long and a.flags.c_contiguous):
         return a.sum(axis=-2, keepdims=True, out=out)
-    return np.add(0.0, np.add.accumulate(a, axis=-2)[..., -1:, :], out=out)
+    if out is None:
+        return np.einsum("...ij->...j", a)[..., None, :]
+    np.einsum("...ij->...j", a, out=out[..., 0, :])
+    return out
 
 
 # an elementwise op rounds each element alone, so running it one column at a
@@ -220,22 +229,23 @@ def _mlp_forward(h: np.ndarray, weights: Sequence[Tensor], biases: Sequence[Tens
                  activations: Sequence[str], normalize: bool, eps: float = 1e-12):
     """``mlp``'s values, off the graph, for rows (m, k) or views (V, m, k): the
     layer inputs (the last layer's output last), the pre-activations, whether
-    each layer input is ``_thin`` (the output's answer last), the row norms
-    squared plus eps^2 and their roots (None unnormalised), the output."""
-    hs, pres, thin = [h], [], [_thin(h)]
+    each is ``_long``, whether the last layer's output is ``_thin``, the row
+    norms squared plus eps^2 and their roots (None unnormalised), the output."""
+    hs, pres, long, thin = [h], [], [], _thin(h)
     for w, b, act in zip(weights, biases, activations):
         pres.append(np.matmul(hs[-1], w.values))
-        thin.append(_thin(pres[-1]))
+        long.append(_long(pres[-1]))
+        thin = long[-1] and pres[-1].shape[-1] <= 4  # _thin, given its answer
         # in place on the product's fresh array
-        _by_row(np.add, pres[-1], b.values, thin[-1], out=pres[-1])
+        _by_row(np.add, pres[-1], b.values, thin, out=pres[-1])
         rule = _ACTIVATIONS[act]
         hs.append(pres[-1] if rule is None else rule[0](pres[-1]))
     h = hs[-1]
     if not normalize:
-        return hs, pres, thin, None, None, h
-    s = _row_sum(h * h, thin[-1]) + eps * eps
+        return hs, pres, long, thin, None, None, h
+    s = _row_sum(h * h, thin) + eps * eps
     d = s ** 0.5
-    return hs, pres, thin, s, d, _by_col(np.divide, h, d, thin[-1])
+    return hs, pres, long, thin, s, d, _by_col(np.divide, h, d, thin)
 
 
 def mlp(x, weights: Sequence[Tensor], biases: Sequence[Tensor],
@@ -263,7 +273,7 @@ def mlp(x, weights: Sequence[Tensor], biases: Sequence[Tensor],
     h = x.values if isinstance(x, Tensor) else x
     if h.ndim != 3:
         raise ShapeError(f"mlp takes a (V, m, k) view stack, got shape {h.shape}")
-    hs, pres, thin, s, d, out = _mlp_forward(h, weights, biases, activations, normalize, eps)
+    hs, pres, long, thin, s, d, out = _mlp_forward(h, weights, biases, activations, normalize, eps)
     h = hs[-1]
     views, m, n = h.shape
     if weights and isinstance(weights[0], View) and weights[0].requires_grad:
@@ -280,13 +290,13 @@ def mlp(x, weights: Sequence[Tensor], biases: Sequence[Tensor],
 
     def bwd(g: np.ndarray):
         if normalize:
-            gd = _by_col(np.divide, -g * h, d ** 2, thin[-1])
+            gd = _by_col(np.divide, -g * h, d ** 2, thin)
             if n != 1:  # as _unbroadcast to d's shape
-                gd = _row_sum(gd, thin[-1])
+                gd = _row_sum(gd, thin)
             # h * h hands each operand the same term; the composed graph's
             # column * h, commuted
-            t = _by_col(np.multiply, h, gd * 0.5 * s ** -0.5, thin[-1])
-            g = _by_col(np.divide, g, d, thin[-1])
+            t = _by_col(np.multiply, h, gd * 0.5 * s ** -0.5, thin)
+            g = _by_col(np.divide, g, d, thin)
             g += t
             g += t
         for i in reversed(range(len(weights))):
@@ -295,7 +305,7 @@ def mlp(x, weights: Sequence[Tensor], biases: Sequence[Tensor],
             if rule is not None:
                 g = rule[1](g, pres[i], hs[i + 1])
             if b.requires_grad:  # as _unbroadcast: one row is handed on unsummed
-                _col_sum(g, thin[i + 1], outs[id(b)]) if m > 1 else np.copyto(outs[id(b)], g)
+                _col_sum(g, long[i], outs[id(b)]) if m > 1 else np.copyto(outs[id(b)], g)
             if w.requires_grad:
                 np.matmul(hs[i].transpose(0, 2, 1), g, out=outs[id(w)])
             if i or x_grad:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ParameterError, _by_row, _col_sum, _row_sum, _thin
+from .autodiff import ParameterError, _by_row, _col_sum, _long, _row_sum, _thin
 
 __all__ = [
     "CenterEstimate",
@@ -39,7 +39,7 @@ def estimate_center(embeddings: np.ndarray) -> CenterEstimate:
     embeddings = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
     if embeddings.shape[0] < 1:
         raise ParameterError("estimate_center needs at least one embedding")
-    s_hat = _col_sum(embeddings, _thin(embeddings))[0] / embeddings.shape[0]
+    s_hat = _col_sum(embeddings, _long(embeddings))[0] / embeddings.shape[0]
     return CenterEstimate(s_hat, math.sqrt(s_hat.dot(s_hat)))
 
 
@@ -48,17 +48,17 @@ def residual_stats(embeddings: np.ndarray,
     """(mean residual norm, per-dimension std) of r = z - s_hat.
 
     The std is ``r.std(axis=0)`` bit for bit, in numpy's own order: sum,
-    divide by m, subtract, square in place, sum, divide, root."""
+    divide by m, subtract, square in place, sum, divide, root; the mean norm is
+    ``np.mean``'s own sum and division."""
     embeddings = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
     if embeddings.shape[1] != center.s_hat.shape[0]:
         raise ParameterError("embedding and center dimensions disagree")
-    thin = _thin(embeddings)
+    m, thin, long = embeddings.shape[0], _thin(embeddings), _long(embeddings)
     residuals = _by_row(np.subtract, embeddings, center.s_hat, thin)
-    mean_norm = float(np.sqrt(_row_sum(residuals ** 2, thin)[:, 0]).mean())
-    m = residuals.shape[0]
-    dev = _by_row(np.subtract, residuals, _col_sum(residuals, thin) / m, thin)
+    mean_norm = float(np.add.reduce(np.sqrt(_row_sum(residuals ** 2, thin)[:, 0])) / m)
+    dev = _by_row(np.subtract, residuals, _col_sum(residuals, long) / m, thin)
     dev *= dev
-    return mean_norm, np.sqrt(_col_sum(dev, thin)[0] / m)
+    return mean_norm, np.sqrt(_col_sum(dev, long)[0] / m)
 
 
 def delta_dist(mean_t: np.ndarray, mean_prev: np.ndarray) -> float:
@@ -192,7 +192,7 @@ def collapse_verdict(embeddings: np.ndarray, prev_mean: np.ndarray | None,
     """
     center_hi, std_lo = thresholds
     mean_res, per_dim_std = residual_stats(embeddings, center)
-    std_mean = float(per_dim_std.mean())
+    std_mean = float(np.add.reduce(per_dim_std) / per_dim_std.shape[0])  # np.mean's own
     dd = delta_dist(center.s_hat, prev_mean) if prev_mean is not None else 0.0
     return CollapseReport(
         center_norm=center.norm,

@@ -297,6 +297,27 @@ class TestL2NormalizeRows:
         for g, w in zip(got, want, strict=True):
             assert_bits_equal(g, w)
 
+    # collapse-full's encoder, dims [3, 8, 2] over a (2, 1000, 3) stack: the
+    # hidden layer is long but not thin, so only its bias gradient's sum runs
+    # by columns (einsum), and every broadcast of it runs as one numpy call
+    @pytest.mark.parametrize("act", ["identity", "tanh"])
+    def test_matches_composed_on_a_long_wide_hidden_layer(self, act):
+        def grads(views_fn):
+            rng = np.random.default_rng(32)
+            xs = [leaf(fold_case((1000, 3), v) * 1e-12) for v in range(2)]
+            upstream = rng.standard_normal((2, 1000, 2))
+            ws = [leaf(rng.standard_normal(s)) for s in ((3, 8), (8, 2))]
+            bs = [leaf(rng.standard_normal(s)) for s in ((1, 8), (1, 2))]
+            out = views_fn(xs, ws, bs, [act, "identity"], True)
+            stack = stack_views(out) if isinstance(out, list) else out
+            backward(tensor_sum(mul(stack, upstream)))
+            return [stack.values] + [t.grad for t in (*ws, *bs, *xs)]
+
+        hidden = np.empty((2, 1000, 8))
+        assert ad._long(hidden) and not ad._thin(hidden)
+        for g, w in zip(grads(fused_views), grads(composed_views), strict=True):
+            assert_bits_equal(g, w)
+
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=25, deadline=None)
     def test_output_rows_unit_norm(self, seed):
@@ -608,13 +629,26 @@ FOLD_SHAPES = [((1, 3), False), ((300, 1), False), ((255, 2), False),
                ((3, 86, 3), True), ((2, 1000, 8), False)]
 
 
+# (shape, long) on both sides of the long rule (2+ columns, 256+ rows in
+# all): 255/256 rows, either side of numpy's 8,192-element buffer, 20,000
+# rows, a three-view stack of collapse-full's hidden width and 32 columns
+LONG_SHAPES = [((255, 2), False), ((256, 2), True), ((2, 127, 5), False),
+               ((2, 128, 5), True), ((8192, 2), True), ((8193, 2), True),
+               ((1024, 8), True), ((1025, 8), True), ((20000, 2), True),
+               ((3, 1000, 8), True), ((300, 32), True), ((1000, 1), False)]
+
+
 class TestFolds:
     """``_row_sum`` and ``_col_sum`` are numpy's sums bit for bit, on both
-    sides of the thin rule."""
+    sides of the thin and the long rule."""
 
     @pytest.mark.parametrize("shape,thin", FOLD_SHAPES)
     def test_thin_rule(self, shape, thin):
         assert ad._thin(np.empty(shape)) == thin
+
+    @pytest.mark.parametrize("shape,long", LONG_SHAPES)
+    def test_long_rule(self, shape, long):
+        assert ad._long(np.empty(shape)) == long
 
     @pytest.mark.parametrize("shape,thin", FOLD_SHAPES)
     @pytest.mark.parametrize("seed", range(3))
@@ -628,15 +662,63 @@ class TestFolds:
     @pytest.mark.parametrize("seed", range(3))
     def test_col_sum(self, shape, thin, seed):
         a = fold_case(shape, seed)
+        assert thin <= ad._long(a)  # every thin array is long
         for x in (a, np.asfortranarray(a), -a, np.zeros(shape), -np.zeros(shape)):
-            assert_bits_equal(ad._col_sum(x, thin), x.sum(axis=-2, keepdims=True))
+            assert_bits_equal(ad._col_sum(x, ad._long(x)), x.sum(axis=-2, keepdims=True))
+
+    @pytest.mark.parametrize("shape,long", LONG_SHAPES)
+    @pytest.mark.parametrize("seed", range(2))
+    def test_col_sum_long(self, shape, long, seed):
+        a = fold_case(shape, seed)
+        one_nan = a.copy()
+        one_nan[..., shape[-2] // 2, 0] = -np.nan
+        with np.errstate(invalid="ignore"):
+            for x in (a, -a, np.zeros(shape), -np.zeros(shape), one_nan,
+                      special_case(shape, seed, nan=False)):
+                assert_bits_equal(ad._col_sum(x, long), x.sum(axis=-2, keepdims=True))
+            # where a NaN meets a NaN, which sign comes out is the inner loop's
+            # choice, as in the broadcasts (from 8 columns on, einsum's and
+            # sum's differ), so NaN entries match by place only
+            x = special_case(shape, seed)
+            got, want = ad._col_sum(x, long), x.sum(axis=-2, keepdims=True)
+            np.testing.assert_array_equal(got, want)
+            assert_bits_equal(np.where(np.isnan(got), 0.0, got), np.where(np.isnan(want), 0.0, want))
+        # on values of one scale a fold's order shows: the mutant that folds
+        # the rows in reverse fails where _col_sum passes
+        x = np.random.default_rng(seed).standard_normal(shape)
+        want = x.sum(axis=-2, keepdims=True)
+        assert_bits_equal(ad._col_sum(x, long), want)
+        with pytest.raises(AssertionError):
+            assert_bits_equal(ad._col_sum(x[..., ::-1, :].copy(), long), want)
+
+    @pytest.mark.parametrize("shape", [(2, 1000, 2), (3, 1000, 8), (2, 300, 32)])
+    def test_col_sum_into_a_strided_block(self, shape):
+        # as mlp's bias gradients: each view's row of one (V, P) array; values
+        # of one scale, so the order of the fold shows in its bits
+        a = np.random.default_rng(0).standard_normal(shape)
+        views, _, k = shape
+        out = np.empty((views, k + 5))[:, 2:k + 2].reshape(views, 1, k)
+        assert ad._long(a) and not out.flags.c_contiguous
+        assert ad._col_sum(a, True, out) is out
+        assert_bits_equal(out, a.sum(axis=-2, keepdims=True))
+
+    @pytest.mark.parametrize("x", [fold_case((1000, 1)), np.asfortranarray(fold_case((1000, 8))),
+                                   fold_case((2, 8, 1000)).transpose(0, 2, 1)],
+                             ids=["one-column", "F-ordered", "transposed-stack"])
+    def test_col_sum_of_what_einsum_sums_otherwise(self, x):
+        # numpy sums these pairwise and einsum does not, so each must take sum
+        want = x.sum(axis=-2, keepdims=True)
+        assert not np.array_equal(np.einsum("...ij->...j", x)[..., None, :], want)
+        assert_bits_equal(ad._col_sum(x, ad._long(x)), want)
+        if x.shape[-1] > 1:
+            assert_bits_equal(ad._col_sum(x, True), want)
 
     def test_cancelling_entries(self):
         # in numpy's order each row and column sums to 0.0 or 1.0; a pairwise
         # sum of a column gives 128.0
         a = np.tile([[1e16, 1.0, -1e16], [1.0, -1e16, 1e16],
                      [-1e16, 1e16, 1.0], [-0.0, -0.0, -0.0]], (128, 1))
-        assert ad._thin(a)
+        assert ad._thin(a) and ad._long(a)
         assert_bits_equal(ad._row_sum(a, True), a.sum(axis=-1, keepdims=True))
         assert_bits_equal(ad._col_sum(a, True), a.sum(axis=0, keepdims=True))
         assert_bits_equal(ad._col_sum(a[::-1].copy(), True), a[::-1].sum(axis=0, keepdims=True))

@@ -59,8 +59,8 @@ def with_row(z, row):
 class TestStatsMatchNumpy:
     """The center, its norm and the residual statistics equal numpy's mean,
     ``np.linalg.norm`` and std bit for bit, on both sides of
-    ``autodiff._thin``: 1 row, 1 column, 2-4 columns at 256+ rows, 8+
-    columns; also with a -0.0 row and rows holding +-inf or NaN."""
+    ``autodiff._thin`` and ``_long``: 1 row, 1 column, 2-4 columns at 256+
+    rows, 8+ columns; also with a -0.0 row and rows holding +-inf or NaN."""
 
     @pytest.mark.parametrize("shape", [(1, 3), (300, 1), (255, 2), (256, 2),
                                        (1000, 3), (300, 4), (300, 8), (1000, 16)])
@@ -82,6 +82,24 @@ class TestStatsMatchNumpy:
                 assert_bits_equal(mean_norm, float(np.sqrt((r ** 2).sum(axis=1)).mean()))
                 assert_bits_equal(per_dim_std, r.std(axis=0))
         assert ad._thin(z) == (shape in ((256, 2), (1000, 3), (300, 4)))
+        assert ad._long(z) == (shape[0] >= 256 and shape[1] >= 2)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 1000])
+    def test_means_are_np_mean(self, n):
+        # the mean residual norm over n rows and std_mean over n columns are
+        # np.mean bit for bit (numpy sums 8+ values pairwise), also with a
+        # NaN; values of one scale, so the order of a sum shows in its bits
+        rng = np.random.default_rng(n)
+        z = rng.standard_normal((n, 3))
+        est = estimate_center(z)
+        mean_norm, _ = residual_stats(z, est)
+        assert_bits_equal(mean_norm, float(np.sqrt(((z - est.s_hat) ** 2).sum(axis=1)).mean()))
+        x = rng.standard_normal((5, n)) * rng.uniform(0.5, 2.0, n)
+        for x in (x, with_row(x, np.nan)):
+            with np.errstate(invalid="ignore"):
+                center = estimate_center(x)
+                report = collapse_verdict(x, None, (0.5, 0.5), center)
+                assert_bits_equal(report.std_mean, float(residual_stats(x, center)[1].mean()))
 
 
 class TestSecondMomentGap:

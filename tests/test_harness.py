@@ -588,15 +588,16 @@ class TestTrainer:
 
     def test_thin_folds_keep_seed_csvs(self, tmp_path, monkeypatch):
         # the full-batch s21 arm reduces and broadcasts (2 x 1000 x 2) and
-        # (1000 x 2) arrays column by column; with numpy's own sums and
-        # broadcasts in their place the CSVs are the same bytes
+        # (1000 x 2) arrays column by column, and sums (2 x 1000 x 8) ones
+        # by einsum; with numpy's own sums and broadcasts in their place the
+        # CSVs are the same bytes
         from centerlab import diagnostics
 
         cfg = registry_config("s21-collapse-grid", "full-centered", **{
             "optimizer.epochs": 3, "num_seeds": 2, "record_wall_time": False})
         folded = run_experiment(cfg, tmp_path / "folds")
         assert ad._thin(folded.trainers[cfg.base_seed].eval_embeddings())
-        thin = set()  # the answers the helpers were handed
+        thin, long = set(), set()  # the answers the helpers were handed
 
         def plain_op(op, a, b, is_thin, out=None):
             thin.add(is_thin)
@@ -605,12 +606,14 @@ class TestTrainer:
         for module in (ad, diagnostics):
             monkeypatch.setattr(module, "_row_sum", lambda a, is_thin: (
                 thin.add(is_thin), a.sum(axis=-1, keepdims=True))[1])
-            monkeypatch.setattr(module, "_col_sum", lambda a, is_thin, out=None: (
-                thin.add(is_thin), a.sum(axis=-2, keepdims=True, out=out))[1])
+            monkeypatch.setattr(module, "_col_sum", lambda a, is_long, out=None: (
+                long.add((is_long, a.shape[-1])), a.sum(axis=-2, keepdims=True, out=out))[1])
             monkeypatch.setattr(module, "_by_row", plain_op)
         monkeypatch.setattr(ad, "_by_col", plain_op)
         plain = run_experiment(cfg, tmp_path / "numpy")
         assert thin == {False, True}
+        # every column sum, the 8-wide hidden bias gradient's too, is long
+        assert long == {(True, 2), (True, 8)}
         for a, b in zip(folded.seed_csvs, plain.seed_csvs, strict=True):
             assert a.read_bytes() == b.read_bytes()
 
