@@ -68,8 +68,14 @@ class _Variant:
                     raise ValueError("not a metrics CSV")
                 if not rows:  # tick 0 writes the first row
                     raise ValueError("header only: the run stopped before its first tick")
-                tables.append(np.array([[float(c) if c else np.nan for c in r]
-                                        for r in rows]))  # a ragged row fails here
+                table = np.array([[float(c) if c else np.nan for c in r]
+                                  for r in rows])  # a ragged row fails here
+                if table.shape[1:] != (len(_COLUMN),):
+                    raise ValueError(f"rows of {table.shape[1]} cells, not {len(_COLUMN)}")
+                aborted = table[table[:, _COLUMN["epoch"]] == -1, _COLUMN["step"]]
+                if aborted.size:  # NumericAbort's row
+                    raise ValueError(f"the run aborted at step {aborted[0]:.0f}")
+                tables.append(table)
             self.table = np.array(tables)  # as do seeds with other tick counts
         except (ValueError, csv.Error) as exc:  # also bytes that are not UTF-8
             raise ComparisonError(f"{path}: {exc}") from exc
@@ -86,8 +92,8 @@ class _Variant:
         for seed, trainer in out.items():
             path = self.dir / f"seed{seed}.npz"
             try:
-                load_checkpoint(path, trainer.params)
-            # a missing parameter, a wrong shape, or a file that is no archive
+                load_checkpoint(path, trainer.groups)
+            # a missing group, a wrong shape, or a file that is no archive
             except (ValueError, EOFError, zipfile.BadZipFile) as exc:
                 raise ComparisonError(f"{path}: {exc}") from exc
         return out

@@ -104,7 +104,6 @@ class DatasetSpec:
 @dataclass
 class EncoderSpec:
     dims: list[int] = field(default_factory=lambda: [2, 16, 2])
-    scheme: str = "uniform"
     activation: str = "tanh"
     output_normalize: bool = True
     predictor_hidden_multiple: int = 4
@@ -167,8 +166,7 @@ class ExperimentConfig:
         with _section("augmentation"):
             augmented = augment(base, self.augmentation, seed=seed + 20_000)
         with _section("encoder"):
-            encoder = init_encoder(enc.dims, seed + 10_000, scheme=enc.scheme,
-                                   activation=enc.activation,
+            encoder = init_encoder(enc.dims, seed + 10_000, activation=enc.activation,
                                    output_normalize=enc.output_normalize)
         with _section("optimizer"):
             sampler = BatchSampler(self.optimizer.batch_mode,
@@ -480,10 +478,8 @@ class Trainer:
         st = self.state = TrainState(encoder, **{
             h: _HEADS[h](cfg, encoder, seed) for h in self.objective.heads})
         # a parameter's learning-rate group is the name of the head that owns it
-        self.params = [p for group in ("encoder", "predictor", "prototypes")
-                       if (head := getattr(st, group)) is not None
-                       for p in head.parameters(group)]
-        self.groups = {p.group: getattr(p.tensor, "group", p.tensor) for p in self.params}
+        self.groups = {name: head.group for name in ("encoder", "predictor", "prototypes")
+                       if (head := getattr(st, name)) is not None and head.group is not None}
         self.lr_multipliers = {"predictor": cfg.optimizer.predictor_lr_multiplier}
         self.prev_mean: np.ndarray | None = None
 
@@ -600,12 +596,9 @@ TickCallback = Callable[["Trainer", int, CollapseReport, np.ndarray], None]
 
 @dataclass
 class RunResult:
-    config: ExperimentConfig
-    seed_csvs: list[Path]
     aggregate_csv: Path
     rows_by_seed: dict[int, list[dict]]
     trainers: dict[int, Trainer]
-    checkpoints: list[Path]
 
 
 def _run_one_seed(trainer: Trainer, csv_path: Path,
@@ -691,24 +684,18 @@ def run_experiment(cfg: ExperimentConfig, out_dir,
     # the config as `centerlab run` takes it: claims rebuild trainers from it
     (out / "config.json").write_text(
         json.dumps(dataclasses.asdict(cfg), indent=1, sort_keys=True) + "\n")
-    seed_csvs, checkpoints = [], []
     rows_by_seed: dict[int, list[dict]] = {}
     trainers: dict[int, Trainer] = {}
     for i in range(cfg.num_seeds):
         seed = cfg.base_seed + i
         if i:
             trainer = Trainer(cfg, seed)
-        csv_path = out / f"seed{seed}.csv"
-        rows = _run_one_seed(trainer, csv_path, tick_callback)
-        rows_by_seed[seed] = rows
+        rows_by_seed[seed] = _run_one_seed(trainer, out / f"seed{seed}.csv", tick_callback)
         trainers[seed] = trainer
-        seed_csvs.append(csv_path)
-        ckpt = out / f"seed{seed}.npz"
-        save_checkpoint(ckpt, trainer.params)
-        checkpoints.append(ckpt)
+        save_checkpoint(out / f"seed{seed}.npz", trainer.groups)
     agg = out / "aggregate.csv"
     _aggregate(rows_by_seed, agg)
-    return RunResult(cfg, seed_csvs, agg, rows_by_seed, trainers, checkpoints)
+    return RunResult(agg, rows_by_seed, trainers)
 
 
 # ---------------------------------------------------------------------------

@@ -11,16 +11,12 @@ computation graph. A built stack keeps its parameters in one group
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
-
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import _ACTIVATIONS, ParameterError, ShapeError, Tensor
 
 __all__ = [
-    "Param",
     "EncoderStack",
     "EmaTwin",
     "PrototypeBank",
@@ -31,16 +27,6 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
 ]
-
-_INIT_SCHEMES = ("uniform", "biased")
-
-
-@dataclass(frozen=True)
-class Param:
-    """Named parameter with its learning-rate group (encoder/predictor/prototypes)."""
-    name: str
-    tensor: Tensor
-    group: str
 
 
 class EncoderStack:
@@ -67,47 +53,30 @@ class EncoderStack:
         return ad._mlp_forward(h, self.weights, self.biases, self.activations,
                                self.output_normalize)[-1]
 
-    def parameters(self, group: str = "encoder") -> list[Param]:
-        return [Param(f"{group}.{kind}{i}", t, group)
-                for i, layer in enumerate(zip(self.weights, self.biases))
-                for kind, t in zip("wb", layer)]
-
     def copy(self) -> "EncoderStack":
-        params = ad.pack([p.tensor.values for p in self.parameters()], requires_grad=False)
+        # the group's own order, w0, b0, w1, ...: EmaTwin averages flat groups
+        params = ad.pack([t.values for layer in zip(self.weights, self.biases)
+                          for t in layer], requires_grad=False)
         return EncoderStack(params[0::2], params[1::2], list(self.activations),
                             self.output_normalize)
 
 
-def init_encoder(dims: list[int], seed: int, scheme: str = "uniform",
-                 activation: str = "tanh", output_normalize: bool = True) -> EncoderStack:
-    """Build an MLP with fan-in-scaled uniform weights.
-
-    ``scheme="biased"`` adds a constant positive offset to every weight so the
-    initial embedding cloud sits off-center on the sphere (non-uniform
-    initialization study); default is the symmetric scheme.
-    """
+def init_encoder(dims: list[int], seed: int, activation: str = "tanh",
+                 output_normalize: bool = True) -> EncoderStack:
+    """Build an MLP with fan-in-scaled uniform weights and zero biases."""
     if len(dims) < 2:
         raise ParameterError("dims: need at least input and output dims")
-    if any(d < 1 or d * e * 8 > np.iinfo(np.intp).max for d, e in zip(dims, dims[1:] + [1])):
+    if any(d < 1 or d * e * 8 > np.iinfo(np.intp).max for d, e in zip(dims, [*dims[1:], 1])):
         raise ParameterError(f"dims: need dims >= 1 whose layers numpy can hold, got {dims}")
-    if scheme not in _INIT_SCHEMES:
-        raise ParameterError(f"scheme: unknown init scheme {scheme!r}")
     # the activation rule's one home: EncoderStack and autodiff.mlp trust their names
     if activation not in _ACTIVATIONS:
         raise ParameterError(f"activation: unknown activation {activation!r}")
     rng = np.random.default_rng(seed)
     arrays, acts = [], []
-    n_layers = len(dims) - 1
-    for i in range(n_layers):
-        fan_in = dims[i]
+    for i, (fan_in, fan_out) in enumerate(zip(dims, dims[1:]), 1):
         bound = 1.0 / np.sqrt(fan_in)
-        w = rng.uniform(-bound, bound, size=(dims[i], dims[i + 1]))
-        b = np.zeros((1, dims[i + 1]))
-        if scheme == "biased":
-            w = w + 0.75 * bound
-            b = b + 0.25
-        arrays += [w, b]
-        acts.append(activation if i < n_layers - 1 else "identity")
+        arrays += [rng.uniform(-bound, bound, size=(fan_in, fan_out)), np.zeros((1, fan_out))]
+        acts.append(activation if i < len(dims) - 1 else "identity")
     params = ad.pack(arrays)  # one group: w0, b0, w1, b1, ...
     return EncoderStack(params[0::2], params[1::2], acts, output_normalize=output_normalize)
 
@@ -146,20 +115,16 @@ class EmaTwin:
 
 
 class PrototypeBank:
-    """K x D bank of prototype vectors; frozen banks stay bit-identical."""
+    """K x D bank of prototype vectors; a trainable bank's matrix is its
+    group, and a frozen bank has none and stays bit-identical."""
 
-    def __init__(self, matrix: Tensor, trainable: bool):
+    def __init__(self, matrix: Tensor):
         self.matrix = matrix
-        self.trainable = bool(trainable)
-
-    def parameters(self, group: str = "prototypes") -> list[Param]:
-        if not self.trainable:
-            return []
-        return [Param(f"{group}.matrix", self.matrix, group)]
+        self.group = matrix if matrix.requires_grad else None
 
     def renormalize(self) -> None:
         """Project a trainable bank's rows back onto the unit sphere, in place."""
-        if self.trainable:
+        if self.group is not None:
             m = self.matrix.values
             m /= np.sqrt((m * m).sum(axis=1, keepdims=True))
 
@@ -170,7 +135,7 @@ def init_prototypes(num_prototypes: int, dim: int, seed: int,
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((num_prototypes, dim))
     raw /= np.sqrt((raw * raw).sum(axis=1, keepdims=True))
-    return PrototypeBank(Tensor(raw, requires_grad=trainable), trainable)
+    return PrototypeBank(Tensor(raw, requires_grad=trainable))
 
 
 def sgd_step(groups: dict[str, Tensor], lr: float,
@@ -184,19 +149,21 @@ def sgd_step(groups: dict[str, Tensor], lr: float,
         group.grad = None
 
 
-def save_checkpoint(path, params: Iterable[Param]) -> None:
-    """Dump named parameter arrays; float64 round-trip is bit-exact (npz)."""
-    arrays = {p.name: p.tensor.values for p in params}
-    np.savez(path, **arrays)
+def save_checkpoint(path, groups: dict[str, Tensor]) -> None:
+    """Dump each group's float64 values under its name; the npz round-trip is
+    bit-exact."""
+    np.savez(path, **{name: group.values for name, group in groups.items()})
 
 
-def load_checkpoint(path, params: Iterable[Param]) -> None:
+def load_checkpoint(path, groups: dict[str, Tensor]) -> None:
+    """Copy each group's array into the group in place, so its Views keep
+    sharing the group's memory."""
     with np.load(path) as data:
-        for p in params:
-            if p.name not in data.files:
-                raise ValueError(f"checkpoint missing parameter {p.name}")
-            arr = data[p.name]
-            if arr.shape != p.tensor.shape:
-                raise ShapeError(
-                    f"checkpoint shape {arr.shape} != parameter shape {p.tensor.shape}")
-            p.tensor.values[...] = arr
+        for name, group in groups.items():
+            if name not in data.files:
+                raise ValueError(f"checkpoint lacks group {name}")
+            arr = data[name]
+            if arr.shape != group.values.shape:
+                raise ShapeError(f"checkpoint group {name} has shape {arr.shape}, "
+                                 f"not {group.values.shape}")
+            group.values[...] = arr

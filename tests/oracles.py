@@ -95,25 +95,36 @@ def second_moment_gap(embeddings: np.ndarray, center: CenterEstimate) -> float:
 # per-parameter updates
 # ---------------------------------------------------------------------------
 
-def loose_params(params):
-    """Each ``layers.Param`` as a loose leaf: a copy of its values and of its
-    gradient, outside any group."""
+def group_params(trainer):
+    """(group name, parameter) for each parameter of each of a trainer's
+    groups: a stack's ``weights + biases``, a trainable bank's matrix."""
     out = []
-    for p in params:
-        t = Tensor(p.tensor.values.copy(), requires_grad=True)
-        t.grad = None if p.tensor.grad is None else p.tensor.grad.copy()
-        out.append(type(p)(p.name, t, p.group))
+    for name in trainer.groups:
+        head = getattr(trainer.state, name)
+        out += [(name, t) for t in
+                ([head.matrix] if name == "prototypes" else head.weights + head.biases)]
+    return out
+
+
+def loose_params(params):
+    """Each (group name, parameter) pair with the parameter as a loose leaf:
+    a copy of its values and of its gradient, outside any group."""
+    out = []
+    for name, p in params:
+        t = Tensor(p.values.copy(), requires_grad=True)
+        t.grad = None if p.grad is None else p.grad.copy()
+        out.append((name, t))
     return out
 
 
 def sgd_step_per_param(params, lr, per_group_multipliers=None):
-    """p <- p - lr * multiplier(group) * grad(p), one parameter at a time;
-    zeroes grads afterwards."""
+    """p <- p - lr * multiplier(group) * grad(p), one (group name, parameter)
+    pair at a time; zeroes grads afterwards."""
     multipliers = per_group_multipliers or {}
-    for p in params:
-        p.tensor.grad *= lr * multipliers.get(p.group, 1.0)
-        p.tensor.values -= p.tensor.grad
-        p.tensor.grad = None
+    for name, p in params:
+        p.grad *= lr * multipliers.get(name, 1.0)
+        p.values -= p.grad
+        p.grad = None
 
 
 def ema_update_per_param(shadow, source, momentum):

@@ -273,11 +273,11 @@ def test_ac11_barlow_twins_batch_norm_prevents_collapse(runs):
 def test_ac12_swav_fixed_prototypes_do_not_collapse(runs):
     group = runs("swav-fixed-protos")
     group.hold(claims.ac12)
-    # a frozen bank is no parameter, so no checkpoint holds it
+    # a frozen bank is no group, so no checkpoint holds it
     fixed = group.results["fixed"]
     for seed, trainer in fixed.trainers.items():
-        fresh = init_prototypes(fixed.config.loss.num_prototypes,
-                                fixed.config.encoder.dims[-1],
+        fresh = init_prototypes(trainer.cfg.loss.num_prototypes,
+                                trainer.cfg.encoder.dims[-1],
                                 seed + 12_000, trainable=False)
         assert np.array_equal(trainer.state.prototypes.matrix.values,
                               fresh.matrix.values), seed
@@ -297,10 +297,10 @@ def test_ac14_rerun_is_byte_identical(runs, tmp_path):
         cfg.record_wall_time = False
         again = run_experiment(cfg, tmp_path / "rerun")
         prev = first.results[label]
-        pairs = zip(prev.seed_csvs + [prev.aggregate_csv],
-                    again.seed_csvs + [again.aggregate_csv])
-        for p_first, p_again in pairs:
-            assert p_first.read_bytes() == p_again.read_bytes(), p_first.name
+        names = [f"seed{s}.csv" for s in prev.rows_by_seed] + [again.aggregate_csv.name]
+        for name in names:
+            assert ((first.run_dir / cfg.name / name).read_bytes()
+                    == (tmp_path / "rerun" / cfg.name / name).read_bytes()), name
 
 
 def test_ac15_second_moment_identity_every_tick(runs):

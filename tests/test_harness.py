@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,9 +51,30 @@ def drawn_step(trainer, idx, rng) -> float:
     return trainer.train_step(idx, trainer.draw_epoch([idx], rng)[0])
 
 
+def seed_files(out, cfg, suffix=".csv") -> list[Path]:
+    """The ``seed<s><suffix>`` file of each seed a run of `cfg` writes under `out`."""
+    return [Path(out) / cfg.name / f"seed{s}{suffix}"
+            for s in range(cfg.base_seed, cfg.base_seed + cfg.num_seeds)]
+
+
 class TestConfigSchema:
     def test_defaults_validate(self):
         ExperimentConfig().validate()
+
+    def test_tuple_dims_validate_and_train(self, tmp_path):
+        # a tuple fits `encoder.dims`' list[int]; init_encoder's size check
+        # used to add a list to it and raise TypeError inside validate()
+        as_list, as_tuple = tiny_config(), tiny_config()
+        as_tuple.encoder = EncoderSpec(dims=(2, 16, 2))
+        for cfg in (as_list, as_tuple):
+            cfg.optimizer.epochs, cfg.num_seeds = 1, 1
+        as_tuple.validate()
+        result = run_experiment(as_tuple, tmp_path / "tuple")
+        assert [row["epoch"] for row in result.rows_by_seed[0]] == [0, 1]
+        run_experiment(as_list, tmp_path / "list")
+        for name in ("seed0.csv", "seed0.npz", "config.json"):
+            assert ((tmp_path / "tuple" / "tiny" / name).read_bytes()
+                    == (tmp_path / "list" / "tiny" / name).read_bytes()), name
 
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="learning_rate"):
@@ -205,7 +227,6 @@ _OVERRIDES = {
     "encoder.dims": _lists(st.lists(st.integers(1, 8), min_size=1, max_size=3)
                            .map(lambda rest: [2] + rest),
                            st.lists(st.integers(-1, 8), max_size=4)),
-    "encoder.scheme": _kinds("uniform", "biased"),
     "encoder.activation": _kinds("tanh", "relu", "identity"),
     "encoder.output_normalize": _bools(),
     "encoder.predictor_hidden_multiple": _ints(0, 2),
@@ -416,7 +437,7 @@ class TestTrainer:
             for idx in (np.arange(15), np.arange(15, 30), np.arange(30)):
                 drawn_step(trainer, idx, rng)
             st = trainer.state
-            arrays = [p.tensor.values for p in trainer.params]
+            arrays = [group.values for group in trainer.groups.values()]
             if st.twin is not None:
                 arrays += [t.values for t in st.twin.shadow.weights + st.twin.shadow.biases]
             if st.dino_center is not None:
@@ -455,21 +476,23 @@ class TestTrainer:
     def test_params_group_by_owning_head(self, tmp_path, loss_kw, heads):
         cfg = tiny_config(**loss_kw)
         cfg.optimizer.epochs, cfg.num_seeds = 1, 1
-        result = run_experiment(cfg, tmp_path)
-        trainer = result.trainers[0]
-        owned = {}
+        trainer = run_experiment(cfg, tmp_path).trainers[0]
+        assert list(trainer.groups) == list(heads)
         for head in heads:
             owner = getattr(trainer.state, head)
-            tensors = ([owner.matrix] if head == "prototypes"
-                       else owner.weights + owner.biases)
-            owned.update({id(t): head for t in tensors})
-        assert {id(p.tensor): p.group for p in trainer.params} == owned
-        keys = {"encoder": ["encoder.w0", "encoder.b0", "encoder.w1", "encoder.b1"],
-                "predictor": ["predictor.w0", "predictor.b0", "predictor.w1",
-                              "predictor.b1"],
-                "prototypes": ["prototypes.matrix"]}
-        with np.load(result.checkpoints[0]) as ckpt:
-            assert ckpt.files == [k for head in heads for k in keys[head]]
+            if head == "prototypes":  # a trainable bank's matrix is its group
+                assert owner.group is owner.matrix is trainer.groups[head]
+            else:
+                assert owner.group is trainer.groups[head]
+                assert all(t.group is owner.group for t in owner.weights + owner.biases)
+        if trainer.state.prototypes is not None and "prototypes" not in heads:
+            assert trainer.state.prototypes.group is None
+        # a checkpoint holds one flat float64 array per group, in group order
+        with np.load(seed_files(tmp_path, cfg, ".npz")[0]) as ckpt:
+            assert ckpt.files == list(heads)
+            for head in heads:
+                assert ckpt[head].dtype == np.float64
+                assert_bits_equal(ckpt[head], trainer.groups[head].values)
 
     def test_predictor_multiplier_scales_only_the_predictor_step(self):
         idx = np.arange(15)
@@ -478,15 +501,14 @@ class TestTrainer:
             cfg = tiny_config(kind="simsiam")
             cfg.optimizer.predictor_lr_multiplier = mult
             trainer = Trainer(cfg, seed=0)
-            before = [p.tensor.values.copy() for p in trainer.params]
+            before = {name: g.values.copy() for name, g in trainer.groups.items()}
             drawn_step(trainer, idx, np.random.default_rng(0))
-            moved[mult] = [(p.group, p.tensor.values - b)
-                           for p, b in zip(trainer.params, before)]
-        for (group, half), (_, full) in zip(moved[0.5], moved[1.0]):
-            if group == "encoder":
-                np.testing.assert_array_equal(half, full)
-            else:
-                np.testing.assert_allclose(half, 0.5 * full, rtol=1e-9, atol=1e-15)
+            moved[mult] = {name: g.values - before[name]
+                           for name, g in trainer.groups.items()}
+        assert list(moved[0.5]) == list(moved[1.0]) == ["encoder", "predictor"]
+        np.testing.assert_array_equal(moved[0.5]["encoder"], moved[1.0]["encoder"])
+        np.testing.assert_allclose(moved[0.5]["predictor"], 0.5 * moved[1.0]["predictor"],
+                                   rtol=1e-9, atol=1e-15)
 
     def test_partners_stay_within_group(self):
         trainer = index_trainer(tiny_config(), seed=0)
@@ -614,7 +636,8 @@ class TestTrainer:
         assert thin == {False, True}
         # every column sum, the 8-wide hidden bias gradient's too, is long
         assert long == {(True, 2), (True, 8)}
-        for a, b in zip(folded.seed_csvs, plain.seed_csvs, strict=True):
+        for a, b in zip(seed_files(tmp_path / "folds", cfg),
+                        seed_files(tmp_path / "numpy", cfg), strict=True):
             assert a.read_bytes() == b.read_bytes()
 
     def test_epoch_loss_is_np_mean(self, monkeypatch, tmp_path):
@@ -847,8 +870,9 @@ class TestEpochDraw:
         first.train_step(idx, x)
         assert len(seen) == 1 and seen[0] is x
         second.train_step(idx, x.copy())
-        for a, b in zip(first.params, second.params, strict=True):
-            assert a.tensor.values.tobytes() == b.tensor.values.tobytes()
+        assert list(first.groups) == list(second.groups)
+        for a, b in zip(first.groups.values(), second.groups.values(), strict=True):
+            assert a.values.tobytes() == b.values.tobytes()
 
 
 class TestIndexTables:
@@ -954,13 +978,14 @@ class TestRunExperiment:
     def test_outputs_and_schema(self, tmp_path):
         cfg = tiny_config()
         result = run_experiment(cfg, tmp_path)
-        assert len(result.seed_csvs) == 2
-        text = result.seed_csvs[0].read_text().splitlines()
+        assert sorted(result.rows_by_seed) == sorted(result.trainers) == [0, 1]
+        assert sorted(p.name for p in (tmp_path / "tiny").iterdir()) == [
+            "aggregate.csv", "config.json", "seed0.csv", "seed0.npz", "seed1.csv", "seed1.npz"]
+        text = seed_files(tmp_path, cfg)[0].read_text().splitlines()
         assert text[0] == METRICS_HEADER
         # epochs=2, cadence=1 -> init tick + 2 epoch ticks
         assert len(text) == 1 + 3
-        assert result.aggregate_csv.exists()
-        assert all(p.exists() for p in result.checkpoints)
+        assert result.aggregate_csv == tmp_path / "tiny" / "aggregate.csv"
         for rows in result.rows_by_seed.values():
             assert all(list(row) == METRICS_HEADER.split(",") for row in rows)
         agg = result.aggregate_csv.read_text().splitlines()
@@ -994,7 +1019,8 @@ class TestRunExperiment:
         cfg = tiny_config()
         first = run_experiment(cfg, tmp_path / "a")
         second = run_experiment(cfg, tmp_path / "b")
-        for p1, p2 in zip(first.seed_csvs, second.seed_csvs):
+        for p1, p2 in zip(seed_files(tmp_path / "a", cfg), seed_files(tmp_path / "b", cfg),
+                          strict=True):
             assert p1.read_bytes() == p2.read_bytes()
         assert (first.aggregate_csv.read_bytes()
                 == second.aggregate_csv.read_bytes())
@@ -1029,7 +1055,7 @@ class TestRunExperiment:
         config_json = tmp_path / "a" / "tiny" / "config.json"
         assert ExperimentConfig.from_file(config_json) == cfg
         assert cli_main(["--out-dir", str(tmp_path / "b"), "run", str(config_json)]) == 0
-        for path in first.seed_csvs + [first.aggregate_csv]:
+        for path in seed_files(tmp_path / "a", cfg) + [first.aggregate_csv]:
             assert path.read_bytes() == (tmp_path / "b" / "tiny" / path.name).read_bytes()
 
     def test_invalid_config_writes_nothing(self, tmp_path):
@@ -1132,6 +1158,38 @@ class TestRegistry:
                 last = list(csv.DictReader(fh))[-1]
             assert float(last["center_norm_mean"]) == pytest.approx(
                 var.column("center_norm")[:, -1].mean(), rel=1e-11)
+
+
+class TestCheckpoints:
+    @pytest.mark.parametrize("loss_kw, groups", [
+        ({"kind": "simsiam"}, ["encoder", "predictor"]),
+        ({"kind": "swav"}, ["encoder", "prototypes"]),
+        ({"kind": "swav", "prototypes_trainable": False}, ["encoder"]),
+        ({"kind": "byol", "use_predictor": False}, ["encoder"]),
+    ], ids=["simsiam", "swav", "swav-frozen", "byol-no-predictor"])
+    def test_round_trip_through_claims(self, tmp_path, loss_kw, groups):
+        # claims rebuild each seed's trainer and load its checkpoint in
+        # place: every group comes back bit for bit, and every parameter
+        # still reads its group's memory
+        cfg = tiny_config(**loss_kw)
+        cfg.optimizer.epochs = 1
+        trained = run_experiment(cfg, tmp_path).trainers
+        loaded = claims._Variant(tmp_path, cfg.name).trainers()
+        assert list(loaded) == list(trained) == [0, 1]
+        for seed, trainer in loaded.items():
+            want = trained[seed]
+            assert list(trainer.groups) == list(want.groups) == groups
+            fresh = Trainer(cfg, seed).groups["encoder"].values
+            assert fresh.tobytes() != want.groups["encoder"].values.tobytes()
+            for name, group in trainer.groups.items():
+                assert group.values.tobytes() == want.groups[name].values.tobytes(), name
+                head = getattr(trainer.state, name)
+                for t in [head.matrix] if name == "prototypes" else head.weights + head.biases:
+                    assert np.shares_memory(t.values, group.values), name
+            if want.state.prototypes is not None:  # a frozen bank is rebuilt from the seed
+                assert (trainer.state.prototypes.matrix.values.tobytes()
+                        == want.state.prototypes.matrix.values.tobytes())
+            assert trainer.eval_embeddings().tobytes() == want.eval_embeddings().tobytes()
 
 
 def _npz(**arrays) -> bytes:
@@ -1521,6 +1579,27 @@ class TestCli:
         assert len(err) == 1
         assert err[0].endswith("/seed0.csv: header only: the run stopped before its first tick")
 
+    def test_claims_name_an_aborted_run(self, tmp_path, capsys):
+        # a rerun that aborts rewrites its seed CSV to end in the abort row
+        # (epoch -1); claims used to judge that row as a finished run's last
+        key = "fig3-simple-vs-simsiam"
+        assert cli_main(["--out-dir", str(tmp_path), "--quiet", "named", key,
+                         "--override", "optimizer.epochs=1",
+                         "--override", "num_seeds=1"]) == 0
+        folder = tmp_path / key / "simple-blobs"
+        raw = json.loads((folder / "config.json").read_text())
+        raw["loss"].update(kind="dino", student_temperature=0.001)
+        (tmp_path / "abort.json").write_text(json.dumps(raw))
+        assert cli_main(["--out-dir", str(tmp_path / key), "--quiet", "run",
+                         str(tmp_path / "abort.json")]) == 3
+        last = (folder / "seed0.csv").read_text().splitlines()[-1].split(",")
+        assert last[1] == "-1"
+        capsys.readouterr()
+        assert cli_main(["--out-dir", str(tmp_path), "claims", key]) == 4
+        out, err = capsys.readouterr()
+        assert not out and len(err.splitlines()) == 1
+        assert err.rstrip().endswith(f"simple-blobs/seed0.csv: the run aborted at step {last[2]}")
+
     def test_claims_without_key_skips_missing_experiments(self, s21_one_epoch,
                                                           tmp_path, capsys):
         shutil.copytree(s21_one_epoch, tmp_path / s21_one_epoch.name)
@@ -1538,10 +1617,14 @@ class TestCli:
     # metrics files) or would (a claim's run directory); the last field is a
     # part of the one stderr line: the path, field or file at fault
     @pytest.mark.parametrize("argv, files, code, names", [
-        (["claims", "s21-collapse-grid"], {_CKPT: _npz(**{"encoder.w0": np.zeros((3, 8))})}, 4,
-         "seed0.npz: checkpoint missing parameter encoder.b0"),
-        (["claims", "s21-collapse-grid"], {_CKPT: _npz(**{"encoder.w0": np.zeros((2, 8))})}, 4,
-         "seed0.npz: checkpoint shape (2, 8)"),
+        # a checkpoint of per-parameter arrays, as runs wrote before each
+        # group became one array, lacks its group
+        (["claims", "s21-collapse-grid"], {_CKPT: _npz(**{"encoder.w0": np.zeros((3, 8)),
+                                                          "encoder.b0": np.zeros((1, 8))})},
+         4, "seed0.npz: checkpoint lacks group encoder"),
+        # s21's [3, 8, 2] encoder holds 3*8 + 8 + 8*2 + 2 = 50 parameters
+        (["claims", "s21-collapse-grid"], {_CKPT: _npz(encoder=np.zeros(49))}, 4,
+         "seed0.npz: checkpoint group encoder has shape (49,), not (50,)"),
         (["claims", "s21-collapse-grid"], {_CKPT: b"not an archive"}, 4, "seed0.npz: "),
         (["claims", "s21-collapse-grid"], {_CSV: f"{METRICS_HEADER}\n0,0,0,,abc,0,0,0,,\n".encode()}, 4,
          "seed0.csv: could not convert"),
@@ -1549,6 +1632,14 @@ class TestCli:
          4, "seed0.csv: 'utf-8' codec"),
         (["claims", "s21-collapse-grid"], {_CSV: f"{METRICS_HEADER}\n".encode()}, 4,
          "seed0.csv: header only: the run stopped before its first tick"),
+        # a NumericAbort's row has epoch -1
+        (["claims", "s21-collapse-grid"],
+         {_CSV: f"{METRICS_HEADER}\n0,0,0,,0.1,0,0,0,,\n0,-1,7,nan,0.3,0,0,0,,\n".encode()}, 4,
+         "seed0.csv: the run aborted at step 7"),
+        # rows of one width other than the header's: each used to fail on a
+        # column index past the row, with a traceback
+        (["claims", "s21-collapse-grid"], {_CSV: f"{METRICS_HEADER}\n0,0\n0,1\n".encode()}, 4,
+         "seed0.csv: rows of 2 cells, not 10"),
         (["--out-dir", "elsewhere", "claims", "s21-collapse-grid"], {}, 2,
          "collapse-mini-centered/config.json"),
         (["claims", "s21-collapse-grid", "no-such-key"], {}, 2,
@@ -1560,6 +1651,7 @@ class TestCli:
          "Not a directory"),
     ], ids=["checkpoint-missing-parameter", "checkpoint-wrong-shape",
             "checkpoint-not-archive", "cell-not-number", "metrics-not-utf8", "metrics-header-only",
+            "metrics-aborted-run", "metrics-short-rows",
             "missing-run-directory", "unknown-key", "config-not-utf8", "run-directory",
             "out-dir-is-file"])
     def test_bad_input_prints_one_line(self, s21_one_epoch, tmp_path, argv, files,

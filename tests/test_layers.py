@@ -6,8 +6,8 @@ from centerlab.harness import Trainer, named_experiment, run_experiment
 from centerlab.layers import (EmaTwin, init_encoder, init_predictor,
                               init_prototypes, load_checkpoint,
                               save_checkpoint, sgd_step)
-from oracles import (assert_bits_equal, ema_update_per_param, grad_check, loose_params,
-                     mul, sgd_step_per_param, tensor_sum)
+from oracles import (assert_bits_equal, ema_update_per_param, grad_check, group_params,
+                     loose_params, mul, sgd_step_per_param, tensor_sum)
 
 
 class TestInitEncoder:
@@ -34,15 +34,6 @@ class TestInitEncoder:
         enc = init_encoder([3, 8, 2], seed=0)
         center = enc.forward_array(x).mean(axis=0)
         assert np.linalg.norm(center) < 0.3
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_biased_scheme_shifts_the_center(self, seed):
-        x = np.random.default_rng(123).standard_normal((1000, 3))
-        default = init_encoder([3, 8, 2], seed)
-        biased = init_encoder([3, 8, 2], seed, scheme="biased")
-        norm_default = np.linalg.norm(default.forward_array(x).mean(axis=0))
-        norm_biased = np.linalg.norm(biased.forward_array(x).mean(axis=0))
-        assert norm_biased > norm_default
 
 
 class TestForward:
@@ -142,7 +133,10 @@ class TestPrototypes:
         assert np.linalg.norm(bank.matrix.values.mean(axis=0)) < 0.05
 
     def test_frozen_bank_has_no_parameters(self):
-        assert init_prototypes(8, 4, seed=0, trainable=False).parameters() == []
+        # a trainable bank's matrix is its group; a frozen bank has none
+        assert init_prototypes(8, 4, seed=0, trainable=False).group is None
+        bank = init_prototypes(8, 4, seed=0)
+        assert bank.group is bank.matrix and bank.matrix.requires_grad
 
     def test_renormalize_after_a_step(self):
         bank = init_prototypes(8, 4, seed=0)
@@ -207,12 +201,13 @@ class TestGroupedUpdates:
         trainer = self._stepped_trainer()
         assert set(trainer.groups) == {"encoder", "predictor"}
         assert trainer.lr_multipliers == {"predictor": 0.01}
-        want = loose_params(trainer.params)
+        want = loose_params(group_params(trainer))
         sgd_step_per_param(want, 0.5, trainer.lr_multipliers)
         sgd_step(trainer.groups, 0.5, trainer.lr_multipliers)
-        for got, ref in zip(trainer.params, want, strict=True):
-            assert_bits_equal(got.tensor.values, ref.tensor.values)
-            assert got.tensor.grad is None
+        for (name, got), (ref_name, ref) in zip(group_params(trainer), want, strict=True):
+            assert name == ref_name
+            assert_bits_equal(got.values, ref.values)
+            assert got.grad is None
         # the zero entries kept their signs, and the last one reached 0.0
         assert np.signbit(trainer.groups["encoder"].values[:3]).tolist() == [False, True, False]
 
@@ -238,38 +233,39 @@ class TestGroupIntegrity:
     ``sgd_step`` moves the group."""
 
     @staticmethod
-    def assert_grouped(params, group):
-        assert sum(p.tensor.values.size for p in params) == group.values.size
-        for p in params:
-            assert np.shares_memory(p.tensor.values, group.values), p.name
-            assert p.tensor.group is group
+    def assert_grouped(stack, group):
+        params = stack.weights + stack.biases
+        assert stack.group is group
+        assert sum(p.values.size for p in params) == group.values.size
+        for i, p in enumerate(params):
+            assert np.shares_memory(p.values, group.values), i
+            assert p.group is group
 
     def test_after_a_run(self, tmp_path):
         cfg = dict(named_experiment("s24-predictor-lr"))["multiplier-0.1"]
         cfg.optimizer.epochs, cfg.num_seeds = 2, 1
         trainer = run_experiment(cfg, tmp_path).trainers[0]
         for name, group in trainer.groups.items():
-            self.assert_grouped([p for p in trainer.params if p.group == name], group)
-        self.assert_grouped(trainer.state.predictor.parameters(),
-                            trainer.groups["predictor"])
+            self.assert_grouped(getattr(trainer.state, name), group)
+        assert list(trainer.groups) == ["encoder", "predictor"]
 
     def test_after_load_checkpoint(self, tmp_path):
         enc = init_encoder([3, 8, 2], seed=9)
-        save_checkpoint(tmp_path / "ckpt.npz", enc.parameters())
-        load_checkpoint(tmp_path / "ckpt.npz", enc.parameters())
-        self.assert_grouped(enc.parameters(), enc.group)
+        save_checkpoint(tmp_path / "ckpt.npz", {"encoder": enc.group})
+        load_checkpoint(tmp_path / "ckpt.npz", {"encoder": enc.group})
+        self.assert_grouped(enc, enc.group)
 
     def test_after_copy(self):
         enc = init_encoder([3, 8, 2], seed=9)
         twin = enc.copy()
-        self.assert_grouped(twin.parameters(), twin.group)
+        self.assert_grouped(twin, twin.group)
         assert not np.shares_memory(twin.group.values, enc.group.values)
         assert not twin.group.requires_grad
         assert_bits_equal(twin.group.values, enc.group.values)
 
     def test_linear_predictor(self):
         pred = init_predictor(4, seed=0, hidden_multiple=0)
-        self.assert_grouped(pred.parameters("predictor"), pred.group)
+        self.assert_grouped(pred, pred.group)
 
 
 def test_predictor_requires_square_dims():
@@ -279,12 +275,30 @@ def test_predictor_requires_square_dims():
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
     enc = init_encoder([3, 8, 2], seed=9)
-    params = enc.parameters()
-    original = [p.tensor.values.copy() for p in params]
+    bank = init_prototypes(4, 2, seed=9)
+    groups = {"encoder": enc.group, "prototypes": bank.group}
+    params = enc.weights + enc.biases + [bank.matrix]
+    original = [p.values.copy() for p in params]
     path = tmp_path / "ckpt.npz"
-    save_checkpoint(path, params)
+    save_checkpoint(path, groups)
+    with np.load(path) as ckpt:  # one float64 array per group
+        assert ckpt.files == ["encoder", "prototypes"]
+        assert [ckpt[name].dtype for name in ckpt.files] == [np.float64] * 2
     for p in params:
-        p.tensor.values += np.pi
-    load_checkpoint(path, params)
+        p.values += np.pi
+    load_checkpoint(path, groups)
     for p, orig in zip(params, original):
-        np.testing.assert_array_equal(p.tensor.values, orig)
+        np.testing.assert_array_equal(p.values, orig)
+
+
+@pytest.mark.parametrize("arrays, match", [
+    ({"encoder.w0": np.zeros((3, 8))}, "lacks group encoder"),
+    ({"encoder": np.zeros((1, 50))}, r"group encoder has shape \(1, 50\), not \(50,\)"),
+], ids=["per-parameter-keys", "wrong-shape"])
+def test_checkpoint_load_checks_each_group(tmp_path, arrays, match):
+    enc = init_encoder([3, 8, 2], seed=9)
+    before = enc.group.values.copy()
+    np.savez(tmp_path / "ckpt.npz", **arrays)
+    with pytest.raises(ValueError, match=match):
+        load_checkpoint(tmp_path / "ckpt.npz", {"encoder": enc.group})
+    assert_bits_equal(enc.group.values, before)
