@@ -43,14 +43,28 @@ def _parse_overrides(pairs: list[str]) -> dict[str, object]:
     return overrides
 
 
+def _split_values(values: str) -> list[str]:
+    """A grid axis's values, split at the commas outside brackets, so that a
+    list value reaches `_parse_value` whole."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(values):
+        depth += (ch == "[") - (ch == "]")
+        if ch == "," and depth == 0:
+            parts.append(values[start:i])
+            start = i + 1
+    return parts + [values[start:]]
+
+
 def _parse_grid(specs: list[str]) -> list[dict[str, object]]:
-    axes = []
+    axes: dict[str, list] = {}
     for spec in specs:
         if "=" not in spec:
             raise ConfigError(f"grid axis {spec!r} is not of the form key=v1,v2")
         key, _, values = spec.partition("=")
-        axes.append([(key, _parse_value(v)) for v in values.split(",")])
-    return [dict(combo) for combo in itertools.product(*axes)]
+        if key in axes:  # one grid point would take only the last axis's value
+            raise ConfigError(f"grid key {key} is named by two --grid axes")
+        axes[key] = [(key, _parse_value(v)) for v in _split_values(values)]
+    return [dict(combo) for combo in itertools.product(*axes.values())]
 
 
 # a diverging run reports itself as one `numeric abort` line; the overflow

@@ -5,8 +5,9 @@ initialization, batch order and pairing all derive from the run seed, so
 repeated runs produce bit-identical metrics rows. What each loss kind needs
 (its heads, negatives, class views, smallest batch and step) is one row of
 ``_OBJECTIVES``, and each head has one builder in ``_HEADS``. The per-step
-ordering is pinned: one student forward of the step's drawn views -> loss ->
-backward -> optimizer step -> EMA twin update -> the loss's post-step hook
+ordering is pinned: one student forward of the step's drawn views -> a
+waiting full-batch tick, on the forward's view 0 (``_run_one_seed``) -> loss
+-> backward -> optimizer step -> EMA twin update -> the loss's post-step hook
 (DINO's center update, SwAV's prototype renormalization) -> diagnostics.
 
 Before an epoch's first step, ``Trainer.draw_epoch``, the pair generator's
@@ -28,6 +29,7 @@ A diagnostics tick scores kNN leave-one-out over the base points' embeddings.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import numbers
@@ -482,6 +484,7 @@ class Trainer:
                        if (head := getattr(st, name)) is not None and head.group is not None}
         self.lr_multipliers = {"predictor": cfg.optimizer.predictor_lr_multiplier}
         self.prev_mean: np.ndarray | None = None
+        self.waiting_tick: Callable[..., None] | None = None  # see _run_one_seed
 
     # -- batch construction ---------------------------------------------
     def _negatives(self, idx: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -536,6 +539,11 @@ class Trainer:
         benchmark's tracer reads `idx`, as the step's pair count `len(idx)`."""
         cfg, st = self.cfg, self.state
         z = st.encoder.forward(x)
+        if self.waiting_tick is not None:
+            tick, self.waiting_tick = self.waiting_tick, None
+            emb = z.values[0]
+            emb.flags.writeable = False
+            tick(emb)
         try:
             loss, hook = self.objective.step(st, cfg.loss, x, z)
         except NumericError as exc:
@@ -557,9 +565,12 @@ class Trainer:
         """Embeddings of the full augmented pool (off-graph)."""
         return self.state.encoder.forward_array(self.augmented.points)
 
-    def diagnostics_tick(self, epoch: int) -> tuple[CollapseReport, float | None, np.ndarray]:
+    def diagnostics_tick(self, epoch: int, emb: np.ndarray | None = None
+                         ) -> tuple[CollapseReport, float | None, np.ndarray]:
+        """Verdict and kNN on the pool's embeddings `emb`, eval_embeddings() if None."""
         cfg = self.cfg
-        emb = self.eval_embeddings()
+        if emb is None:
+            emb = self.eval_embeddings()
         center = estimate_center(emb)
         report = collapse_verdict(emb, self.prev_mean,
                                   (cfg.diagnostics.center_hi, cfg.diagnostics.std_lo),
@@ -603,21 +614,29 @@ class RunResult:
 
 def _run_one_seed(trainer: Trainer, csv_path: Path,
                   tick_callback: TickCallback | None) -> list[dict]:
+    """Train one seed; each tick writes a CSV row, timed at its epoch's end.
+
+    A full batch is ``arange(n)`` and stacked matmul is bit-equal per view, so
+    a full-batch tick at any epoch but 0 and the last waits in
+    ``trainer.waiting_tick`` and reads the next step's view 0, not its own
+    pool forward; its callback's `emb` is a read-only view of the step's
+    values. A tick still waiting at an abort runs its own pool forward."""
     cfg, seed = trainer.cfg, trainer.seed
     rows: list[dict] = []
     start = time.monotonic()
 
-    def tick(epoch: int, loss: float | None, aborted: bool = False) -> None:
+    def tick(epoch: int, loss: float | None, now: float,
+             emb: np.ndarray | None = None, aborted: bool = False) -> None:
         """Diagnostics at `epoch` and one CSV row; an abort row has epoch -1
         and reaches no callback."""
-        report, knn, emb = trainer.diagnostics_tick(epoch)
+        report, knn, emb = trainer.diagnostics_tick(epoch, emb)
         row = {"seed": seed, "epoch": -1 if aborted else epoch,
                "step": trainer.state.step, "loss": loss,
                "center_norm": report.center_norm,
                "mean_residual_norm": report.mean_residual_norm,
                "std_mean": report.std_mean, "delta_dist": report.delta_dist,
                "knn_accuracy": knn,
-               "wall_time_ms": (int(1000.0 * (time.monotonic() - start))
+               "wall_time_ms": (int(1000.0 * (now - start))
                                 if cfg.record_wall_time else None)}
         fh.write(",".join(_fmt(row[c]) for c in _COLUMNS) + "\n")
         fh.flush()
@@ -627,7 +646,7 @@ def _run_one_seed(trainer: Trainer, csv_path: Path,
 
     with csv_path.open("w") as fh:
         fh.write(METRICS_HEADER + "\n")
-        tick(0, None)
+        tick(0, None, time.monotonic())
         try:
             for epoch in range(1, cfg.optimizer.epochs + 1):
                 epoch_losses = []
@@ -637,11 +656,18 @@ def _run_one_seed(trainer: Trainer, csv_path: Path,
                     epoch_losses.append(trainer.train_step(idx, x))
                 if epoch % cfg.diagnostics.cadence == 0 or epoch == cfg.optimizer.epochs:
                     # np.mean's sum and division, without its wrapper
-                    tick(epoch, float(np.add.reduce(np.array(epoch_losses))
-                                      / len(epoch_losses)))
+                    args = (epoch, float(np.add.reduce(np.array(epoch_losses))
+                                         / len(epoch_losses)), time.monotonic())
+                    if cfg.optimizer.batch_mode == "full" and epoch < cfg.optimizer.epochs:
+                        trainer.waiting_tick = functools.partial(tick, *args)
+                    else:
+                        tick(*args)
         except NumericAbort:
-            # flush a final row flagged non-finite, then re-raise
-            tick(cfg.optimizer.epochs, float("nan"), aborted=True)
+            # flush a waiting tick and a final row flagged non-finite, then re-raise
+            waiting, trainer.waiting_tick = trainer.waiting_tick, None
+            if waiting is not None:
+                waiting()
+            tick(cfg.optimizer.epochs, float("nan"), time.monotonic(), aborted=True)
             raise
     return rows
 

@@ -10,6 +10,8 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import types
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -1074,6 +1076,114 @@ class TestRunExperiment:
         assert seen == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
 
 
+def full_batch_config(variant: str, **overrides) -> ExperimentConfig:
+    """s21's full-batch arm, or fig3's blobs config trained full-batch as loss
+    kind `variant`: 150 class views, so each step's (V, 150, 2) stack is thin
+    and long while the (150, 2) pool forward is neither."""
+    if variant == "s21":
+        cfg = registry_config("s21-collapse-grid", "full-centered")
+    else:
+        cfg = registry_config("fig3-simple-vs-simsiam", "simple-blobs", **{
+            "loss.kind": variant, "dataset.n_per_class": 50,
+            "optimizer.batch_mode": "full", "diagnostics.knn_cadence": 2})
+    return apply_overrides(cfg, {"num_seeds": 1, "record_wall_time": False, **overrides})
+
+
+class TestFullBatchTicks:
+    """A full-batch tick between two epochs reads view 0 of the next step's
+    student forward instead of running its own pool forward."""
+
+    @pytest.mark.parametrize("variant, cadence, epochs", [
+        ("s21", 1, 4), ("s21", 2, 5), ("s21", 3, 5), ("s21", 1, 0), ("s21", 1, 1),
+        ("triplet", 1, 3), ("barlow_twins", 1, 3), ("dino", 2, 4), ("simsiam", 1, 3),
+    ])
+    def test_tick_is_the_pool_forward(self, tmp_path, monkeypatch, variant, cadence, epochs):
+        from centerlab import layers
+
+        cfg = full_batch_config(variant, **{"diagnostics.cadence": cadence,
+                                            "optimizer.epochs": epochs})
+        ticks, pool_forwards, in_callback = [], [], []
+        forward_array = layers.EncoderStack.forward_array
+
+        def counted(self, x):
+            if not in_callback and x is trainer.augmented.points:
+                pool_forwards.append(len(ticks))  # the tick it serves
+            return forward_array(self, x)
+
+        def callback(tr, epoch, report, emb):
+            in_callback.append(True)
+            assert emb.tobytes() == tr.eval_embeddings().tobytes()
+            in_callback.clear()
+            ticks.append((epoch, tr.state.step, emb.flags.writeable))
+
+        trainer = Trainer(cfg, cfg.base_seed)
+        monkeypatch.setattr(layers.EncoderStack, "forward_array", counted)
+        rows = H._run_one_seed(trainer, tmp_path / "seed.csv", callback)
+        last = [e for e in range(1, epochs + 1) if e % cadence == 0 or e == epochs]
+        assert ticks == [(0, 0, True)] + [(e, e, e == epochs) for e in last]
+        assert [row["epoch"] for row in rows] == [0] + last
+        # only epoch 0 and the last epoch run their own pool forward
+        assert pool_forwards == ([0, len(ticks) - 1] if epochs else [0])
+        assert trainer.waiting_tick is None
+
+    def test_rows_are_timed_at_their_epochs_end(self, tmp_path, monkeypatch):
+        # the clock reads the number of steps begun, so a row timed inside
+        # the next step's forward would read one epoch late
+        original = H.Trainer.train_step
+        begun = [0]
+
+        def counting(self, idx, x):
+            begun[0] += 1
+            return original(self, idx, x)
+
+        monkeypatch.setattr(H.Trainer, "train_step", counting)
+        monkeypatch.setattr(H, "time", types.SimpleNamespace(monotonic=lambda: float(begun[0])))
+        cfg = full_batch_config("s21", **{"optimizer.epochs": 5, "diagnostics.cadence": 2,
+                                          "record_wall_time": True})
+        rows = run_experiment(cfg, tmp_path).rows_by_seed[cfg.base_seed]
+        assert [(row["epoch"], row["wall_time_ms"]) for row in rows] == [
+            (0, 0), (2, 2000), (4, 4000), (5, 5000)]
+
+    def test_a_run_leaves_no_reference_cycle(self, tmp_path):
+        # a waiting tick refers to its trainer; none is left once the run ends
+        cfg = full_batch_config("s21", **{"optimizer.epochs": 3})
+        result = run_experiment(cfg, tmp_path)
+        ref = weakref.ref(result.trainers[cfg.base_seed])
+        assert ref().waiting_tick is None
+        gc.collect()
+        gc.disable()
+        try:
+            del result
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_abort_while_a_tick_waits(self, tmp_path, monkeypatch):
+        # the third step aborts before its forward, so epoch 2's tick is
+        # still waiting: it runs its own pool forward, then the abort row
+        cfg = full_batch_config("s21", **{"optimizer.epochs": 4})
+        run_experiment(cfg, tmp_path / "clean")
+        clean = seed_files(tmp_path / "clean", cfg)[0].read_text().splitlines()
+        original = H.Trainer.train_step
+        trainers = []
+
+        def poisoned(self, idx, x):
+            trainers.append(self)
+            if self.state.step == 2:
+                raise NumericAbort("non-finite loss injected for test")
+            return original(self, idx, x)
+
+        monkeypatch.setattr(H.Trainer, "train_step", poisoned)
+        with pytest.raises(NumericAbort):
+            run_experiment(cfg, tmp_path / "poisoned")
+        text = seed_files(tmp_path / "poisoned", cfg)[0].read_text().splitlines()
+        assert len(text) == 5
+        assert text[:4] == clean[:4]  # header, epochs 0, 1 and 2
+        abort = text[4].split(",")
+        assert abort[:4] == [str(cfg.base_seed), "-1", "2", "nan"]
+        assert trainers[-1].waiting_tick is None
+
+
 def test_reimport_frees_previous_modules():
     # a process that re-imports centerlab (a benchmark, a notebook reload)
     # must not keep the previous import's classes alive
@@ -1517,6 +1627,35 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "runs" / "cli-tiny-lr0.1" / "seed0.csv").exists()
         assert (tmp_path / "runs" / "cli-tiny-lr0.2" / "seed0.csv").exists()
+
+    def test_repeated_grid_key_exits_2(self, tmp_path, monkeypatch, capsys):
+        # the grid point would keep only the last axis's value and write one run
+        monkeypatch.chdir(tmp_path)
+        self._config_file(tmp_path)
+        assert cli_main(["sweep", "cfg.json", "--grid", "optimizer.lr=0.1",
+                         "--grid", "optimizer.lr=0.2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "config error: grid key optimizer.lr is named by two --grid axes"]
+        assert not (tmp_path / "runs").exists()
+
+    # an axis splits only at the commas outside brackets, so each list value
+    # reaches the config whole
+    @pytest.mark.parametrize("axis, values", [
+        ("encoder.dims=[2,16,2],[2,32,2]", [[2, 16, 2], [2, 32, 2]]),
+        ("encoder.activation=relu,tanh", ["relu", "tanh"]),
+        ("optimizer.lr=0.1,0.2", [0.1, 0.2]),
+    ], ids=["list", "text", "number"])
+    def test_grid_axis_values(self, tmp_path, axis, values):
+        runs = tmp_path / "runs"
+        assert cli_main(["--out-dir", str(runs), "--quiet", "sweep",
+                         str(self._config_file(tmp_path)), "--grid", axis]) == 0
+        section, key = axis.partition("=")[0].split(".")
+        run_dirs = sorted(runs.iterdir())
+        assert [d.name for d in run_dirs] == [f"cli-tiny-{key}{v}" for v in values]
+        assert [json.loads((d / "config.json").read_text())[section][key]
+                for d in run_dirs] == values
 
     # --seed beats the config's base_seed; a sweep names each grid point
     # after the last part of each axis key, in axis order, and a base_seed
