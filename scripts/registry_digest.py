@@ -53,6 +53,7 @@ LOSS_SWAPS = {
     "triplet-margin-blobs": {"loss.kind": "triplet", "loss.margin": 0.5},
 }
 EXPECTED = Path(__file__).with_suffix(".expected")
+BASE_SEED, NUM_SEEDS = 5, 2  # the seeds EXPECTED pins
 
 
 def _digest(out: Path, csvs: list[str]) -> str:
@@ -67,25 +68,43 @@ def _files(out: Path, keys, pattern: str) -> list[str]:
                   for key in keys for p in (out / key).rglob(pattern))
 
 
+def digest_runs() -> dict[str, list[harness.ExperimentConfig]]:
+    """Each digest line's configs, by key: every registered experiment's
+    variants, then each loss swap."""
+    simple_blobs = dict(harness.named_experiment(SWAPPED_EXPERIMENT))[SWAPPED_VARIANT]
+    runs = {name: [cfg for _, cfg in harness.named_experiment(name)]
+            for name in harness.experiment_names()}
+    runs.update({key: [harness.apply_overrides(simple_blobs, {"name": key, **overrides})]
+                 for key, overrides in LOSS_SWAPS.items()})
+    return runs
+
+
+def key_digest(out: Path, key: str, configs, base_seed: int, num_seeds: int
+               ) -> tuple[str, int]:
+    """Run `configs` into `<out>/<key>/`: (digest, count) of their seed CSVs."""
+    for cfg in configs:
+        harness.run_experiment(harness.apply_overrides(cfg, {
+            "base_seed": base_seed, "num_seeds": num_seeds,
+            "record_wall_time": False}), out / key)
+    own = _files(out, [key], "seed*.csv")
+    return _digest(out, own), len(own)
+
+
+def digest_line(key: str, digest: str, count: int) -> str:
+    swap = "" if key in harness.experiment_names() else (
+        f" ({SWAPPED_EXPERIMENT} {SWAPPED_VARIANT}, not in the total)")
+    return f"{digest}  {count} seed CSVs, {key}{swap}"
+
+
 def registry_digest(out: Path, base_seed: int, num_seeds: int
                     ) -> tuple[str, int, dict[str, tuple[str, int]], tuple[str, int]]:
     """(total digest, CSV count, {experiment or loss swap: (digest, CSV count)},
     (aggregate digest, aggregate count)); the total and the aggregate digest
     cover the registered experiments only."""
+    digests = {key: key_digest(out, key, configs, base_seed, num_seeds)
+               for key, configs in digest_runs().items()}
     names = harness.experiment_names()
-    simple_blobs = dict(harness.named_experiment(SWAPPED_EXPERIMENT))[SWAPPED_VARIANT]
-    swaps = {key: harness.apply_overrides(simple_blobs, {"name": key, **overrides})
-             for key, overrides in LOSS_SWAPS.items()}
-    runs = [(name, cfg) for name in names for _, cfg in harness.named_experiment(name)]
-    for key, cfg in runs + list(swaps.items()):
-        cfg = harness.apply_overrides(cfg, {
-            "base_seed": base_seed, "num_seeds": num_seeds, "record_wall_time": False})
-        harness.run_experiment(cfg, out / key)
     csvs = _files(out, names, "seed*.csv")
-    digests = {}
-    for key in [*names, *swaps]:
-        own = _files(out, [key], "seed*.csv")
-        digests[key] = (_digest(out, own), len(own))
     aggregates = _files(out, names, "aggregate.csv")
     return (_digest(out, csvs), len(csvs), digests,
             (_digest(out, aggregates), len(aggregates)))
@@ -93,8 +112,8 @@ def registry_digest(out: Path, base_seed: int, num_seeds: int
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--base-seed", type=int, default=5)
-    ap.add_argument("--num-seeds", type=int, default=2)
+    ap.add_argument("--base-seed", type=int, default=BASE_SEED)
+    ap.add_argument("--num-seeds", type=int, default=NUM_SEEDS)
     ap.add_argument("--out", type=Path, default=None,
                     help="an empty directory for the runs (default: a temporary one)")
     args = ap.parse_args(argv)
@@ -109,18 +128,12 @@ def main(argv=None) -> int:
         with tempfile.TemporaryDirectory() as tmp:
             digest, n, per_experiment, aggregates = registry_digest(
                 Path(tmp), args.base_seed, args.num_seeds)
-    names = harness.experiment_names()
-    lines = []
-    for key, (exp_digest, exp_n) in per_experiment.items():
-        swap = "" if key in names else (
-            f" ({SWAPPED_EXPERIMENT} {SWAPPED_VARIANT}, not in the total)")
-        lines.append(f"{exp_digest}  {exp_n} seed CSVs, {key}{swap}")
+    lines = [digest_line(key, *pair) for key, pair in per_experiment.items()]
     lines.append(f"{digest}  {n} seed CSVs, base seed {args.base_seed}, "
                  f"{args.num_seeds} seeds per variant")
     lines.append(f"{aggregates[0]}  {aggregates[1]} aggregate CSVs")
     print("\n".join(lines))
-    if (args.base_seed, args.num_seeds) != (ap.get_default("base_seed"),
-                                            ap.get_default("num_seeds")):
+    if (args.base_seed, args.num_seeds) != (BASE_SEED, NUM_SEEDS):
         return 0
     expected = EXPECTED.read_text().splitlines()
     if lines == expected:

@@ -55,6 +55,11 @@ def _split_values(values: str) -> list[str]:
     return parts + [values[start:]]
 
 
+def _label(value) -> str:
+    """A grid value as a run name shows it; a list's items are joined by ``x``."""
+    return "x".join(map(_label, value)) if isinstance(value, list) else str(value)
+
+
 def _parse_grid(specs: list[str]) -> list[dict[str, object]]:
     axes: dict[str, list] = {}
     for spec in specs:
@@ -171,7 +176,7 @@ def main(argv: list[str] | None = None) -> int:
             for combo in grid:
                 overrides = {**fixed, **combo}
                 if combo:  # the suffixed name goes through build()'s name check
-                    suffix = "-".join(f"{k.split('.')[-1]}{v}" for k, v in combo.items())
+                    suffix = "-".join(f"{k.split('.')[-1]}{_label(v)}" for k, v in combo.items())
                     overrides["name"] = f"{cfg.name}-{suffix}"
                 variant = apply_overrides(cfg, overrides) if overrides else cfg
                 configs.append((variant.name if combo else label, variant))

@@ -12,11 +12,12 @@ waiting full-batch tick, on the forward's view 0 (``_run_one_seed``) -> loss
 
 Before an epoch's first step, ``Trainer.draw_epoch``, the pair generator's
 only reader, draws every batch's views in batch order and gathers them with
-one ``take``; a step trains on the slab it is handed. The draw reads the
-stream draw for draw as per-item loops do, so the seed CSVs are byte-identical
-to theirs: a partner is one ``integers(group size)`` per row, drawn again
-while it picks the row itself; a negative is one draw for the other class,
-then one for its member, after its batch's partners. Partner draws come in
+one ``take`` (a full batch fills its one slab in place); a step trains on the
+slab it is handed. The draw reads the stream draw for draw as per-item loops
+do, so the seed CSVs are byte-identical to theirs: a partner is one
+``integers(group size)`` per row, drawn again while it picks the row itself;
+a negative is one draw for the other class, then one for its member, after
+its batch's partners. Partner draws come in
 chunks of at least the rows left in the batch. Without negatives a chunk reads
 ahead (at least a quarter of the view pool) and the draws left unread carry to
 the next batch of the same call, so only the generator's state between batches
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import numbers
@@ -475,6 +477,12 @@ class Trainer:
         self.seed = seed
         self.group_table, self.group_row, self.group_pos = _index_table(
             self.augmented.group, "group")
+        # each row's group as a flat offset into group_table; the bytes of the
+        # pool in order, which only a batch that is that order matches, and
+        # its rows' group positions, which such a batch (a full one) reads
+        self.group_base = self.group_row * self.group_table.shape[1]
+        self.pool_bytes = np.arange(self.augmented.n).tobytes()
+        self.pool_owns = self.group_pos.tolist()
 
         self.objective = _OBJECTIVES[cfg.loss.kind]
         st = self.state = TrainState(encoder, **{
@@ -498,17 +506,24 @@ class Trainer:
 
     def draw_epoch(self, batches: list[np.ndarray],
                    rng: np.random.Generator) -> list[np.ndarray]:
-        """Each batch's (V, m, k) views in batch order, drawn on `rng` and
-        gathered with one ``take``: its anchors, a uniform other member of each
-        row's group (the row itself if alone) and any negatives. One walk over
-        the epoch's rows picks every partner, looked up with one index."""
-        size = self.group_table.shape[1]
-        ahead = 0 if self.objective.negatives else self.augmented.n // 4
+        """Each batch's (V, m, k) views in batch order, drawn on `rng`: its
+        anchors, a uniform other member of each row's group (the row itself if
+        alone) and any negatives. One walk over the epoch's rows picks every
+        partner, looked up with one flat ``take``. The batches themselves
+        choose the slabs' form: one batch that is the pool in order (a full
+        batch) reads the positions built at ``__init__`` and fills its one slab
+        in place; other batches are gathered with one ``take`` into
+        consecutive rows, indexed by one reshape when they share one size."""
+        aug, size = self.augmented, self.group_table.shape[1]
+        views = 2 + self.objective.negatives
+        ahead = 0 if self.objective.negatives else aug.n // 4
+        pool = len(batches) == 1 and batches[0].tobytes() == self.pool_bytes
         anchors = np.concatenate(batches)
-        owns = self.group_pos[anchors].tolist()
-        ends = np.cumsum([idx.shape[0] for idx in batches]).tolist()
+        owns = self.pool_owns if pool else self.group_pos[anchors].tolist()
+        ends = list(itertools.accumulate([idx.shape[0] for idx in batches]))
+        cols = np.empty((views, anchors.shape[0]), np.intp)  # each view's rows
         draws = iter(())  # partner draws read ahead, carried from batch to batch
-        picks, negatives = [], []
+        picks = []
         for idx, end in zip(batches, ends):
             for own in owns[len(picks):end]:
                 for pick in draws:
@@ -522,14 +537,21 @@ class Trainer:
                         pick = next((p for p in draws if p != own), own)
                 picks.append(pick)
             if self.objective.negatives:
-                negatives.append(self._negatives(idx, rng))
-        partners = self.group_table[self.group_row[anchors],
-                                    np.fromiter(picks, np.intp, len(picks))]
-        rows = []
-        for i, (a, b) in enumerate(zip([0] + ends, ends)):
-            rows += [anchors[a:b], partners[a:b], *negatives[i:i + 1]]
-        x = self.augmented.points.take(np.concatenate(rows), axis=0)
-        views = 2 + self.objective.negatives
+                cols[2, end - idx.shape[0]:end] = self._negatives(idx, rng)
+        base = self.group_base if pool else self.group_base[anchors]
+        cols[1] = self.group_table.take(base + np.fromiter(picks, np.intp, len(picks)))
+        if pool:
+            x = np.empty((views, *aug.points.shape))
+            x[0] = aug.points
+            # the rows are in range; "clip" takes without a buffered copy
+            aug.points.take(cols[1:], axis=0, out=x[1:], mode="clip")
+            return [x]
+        cols[0] = anchors
+        if len({idx.shape[0] for idx in batches}) == 1:  # one size: one reshape
+            return list(aug.points.take(
+                cols.reshape(views, len(batches), ends[0]).swapaxes(0, 1), axis=0))
+        x = aug.points.take(np.concatenate(
+            [cols[v, a:b] for a, b in zip([0] + ends, ends) for v in range(views)]), axis=0)
         return [x[views * a:views * b].reshape(views, -1, x.shape[1])
                 for a, b in zip([0] + ends, ends)]
 

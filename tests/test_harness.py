@@ -2,6 +2,7 @@ import copy
 import csv
 import dataclasses
 import gc
+import importlib.util
 import io
 import json
 import os
@@ -749,17 +750,22 @@ class TestPairSamplersMatchLoop:
     `run_experiment` calls it, and leaves each epoch's pair generator in the
     loops' state or just past it (`assert_in_loop_state`)."""
 
+    @staticmethod
+    def _assert_same_batches(trainer, batches, key):
+        """`batches` drawn on a generator seeded `key` give the loops' rows."""
+        rng, ref = np.random.default_rng(key), np.random.default_rng(key)
+        for got, want in zip(drawn_rows(trainer, batches, rng),
+                             loop_rows(trainer, batches, ref), strict=True):
+            np.testing.assert_array_equal(got, want)
+        assert_in_loop_state(trainer, batches, rng, ref)
+
     def _assert_same_stream(self, cfg, epochs, seed=3):
         """Compare over `epochs` epochs; returns the batch sizes seen."""
         trainer = index_trainer(cfg, seed)
         batch_sizes = set()
         for epoch in range(1, epochs + 1):
             batches = trainer.sampler.epoch_batches(trainer.augmented.n, epoch)
-            rng, ref = (np.random.default_rng([seed + 40_000, epoch]) for _ in range(2))
-            for got, want in zip(drawn_rows(trainer, batches, rng),
-                                 loop_rows(trainer, batches, ref), strict=True):
-                np.testing.assert_array_equal(got, want)
-            assert_in_loop_state(trainer, batches, rng, ref)
+            self._assert_same_batches(trainer, batches, [seed + 40_000, epoch])
             batch_sizes.update(idx.shape[0] for idx in batches)
         return batch_sizes
 
@@ -770,6 +776,33 @@ class TestPairSamplersMatchLoop:
     def test_s21_mini_batch(self):
         cfg = registry_config("s21-collapse-grid", "mini-centered")
         assert self._assert_same_stream(cfg, epochs=3) == {50}
+
+    # a full batch is the pool in order, and only that one batch reads the
+    # positions and offsets built for it: every other batch of every row
+    # must still draw the loops' rows
+    def test_one_mini_batch_of_every_row(self):
+        cfg = registry_config("s21-collapse-grid", "mini-centered",
+                              **{"optimizer.batch_size": 1000})
+        trainer = index_trainer(cfg, seed=3)
+        (idx,) = trainer.sampler.epoch_batches(trainer.augmented.n, 1)
+        assert idx.shape[0] == trainer.augmented.n
+        assert np.any(idx != np.arange(idx.shape[0]))  # a permutation, not the order
+        assert self._assert_same_stream(cfg, epochs=3) == {1000}
+
+    @pytest.mark.parametrize("batch", [
+        lambda n: np.arange(n)[::-1],
+        lambda n: np.arange(n)[::-1].copy(),
+        lambda n: np.arange(n - 1),
+        lambda n: np.arange(1, n),
+        lambda n: np.arange(n, dtype=np.int32),
+    ], ids=["reversed-view", "reversed", "prefix", "suffix", "int32"])
+    def test_full_trainer_handed_other_rows(self, batch):
+        cfg = registry_config("s21-collapse-grid", "full-centered")
+        trainer = index_trainer(cfg, seed=3)
+        assert trainer.cfg.optimizer.batch_mode == "full"
+        for epoch in (1, 2):
+            self._assert_same_batches(trainer, [batch(trainer.augmented.n)],
+                                      [40_003, epoch])
 
     @pytest.mark.parametrize("variant", ["simple-blobs", "simple-moons"])
     def test_class_augmentation(self, variant):
@@ -860,6 +893,22 @@ class TestEpochDraw:
             assert rng.bit_generator.state == drawn  # the steps drew nothing
             assert_in_loop_state(trainer, batches, rng, ref)
         assert sizes == {15, 3}
+
+    @pytest.mark.parametrize("kind", list(_OBJECTIVES))
+    def test_full_batch_slab(self, monkeypatch, kind):
+        # the pool in order fills its one slab in place
+        cfg = apply_overrides(tiny_config(kind=kind), {"optimizer.batch_mode": "full"})
+        trainer = Trainer(cfg, seed=3)
+        batches = trainer.sampler.epoch_batches(trainer.augmented.n, 1)
+        rng, ref = (np.random.default_rng([40_003, 1]) for _ in range(2))
+        (x,) = trainer.draw_epoch(batches, rng)
+        (rows,) = loop_rows(trainer, batches, ref)
+        assert x.tobytes() == trainer.augmented.points.take(rows, axis=0).tobytes()
+        assert x.dtype == np.float64 and x.flags.c_contiguous
+        assert_in_loop_state(trainer, batches, rng, ref)
+        seen = self.step_inputs(trainer, monkeypatch)
+        trainer.train_step(batches[0], x)
+        assert len(seen) == 1 and seen[0] is x
 
     @pytest.mark.parametrize("kind", list(_OBJECTIVES))
     def test_step_trains_on_the_views_it_is_handed(self, monkeypatch, kind):
@@ -1270,6 +1319,26 @@ class TestRegistry:
                 var.column("center_norm")[:, -1].mean(), rel=1e-11)
 
 
+
+def registry_digest_script() -> types.ModuleType:
+    """scripts/registry_digest.py, loaded as a module."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "registry_digest.py"
+    spec = importlib.util.spec_from_file_location("registry_digest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the pinned lines that cover the pair stream: a full batch and mini batches
+# whose read-ahead draws carry (s21), and negatives drawn after each batch's
+# partners (triplet); a byte moved in the stream moves one of them
+@pytest.mark.parametrize("key", ["s21-collapse-grid", "triplet-blobs"])
+def test_registry_digest_pins_the_pair_stream(tmp_path, key):
+    script = registry_digest_script()
+    digest = script.key_digest(tmp_path, key, script.digest_runs()[key],
+                               script.BASE_SEED, script.NUM_SEEDS)
+    assert script.digest_line(key, *digest) in script.EXPECTED.read_text().splitlines()
+
 class TestCheckpoints:
     @pytest.mark.parametrize("loss_kw, groups", [
         ({"kind": "simsiam"}, ["encoder", "predictor"]),
@@ -1579,10 +1648,12 @@ class TestCli:
     # both once ran every config and left only the last one's outputs
     @pytest.mark.parametrize("argv, run_dir", [
         (["sweep", "cfg.json", "--grid", "optimizer.lr=0.1,0.10"], ["cli-tiny-lr0.1"]),
+        (["sweep", "cfg.json", "--grid", "encoder.dims=[2,16,2],[2, 16, 2]"],
+         ["cli-tiny-dims2x16x2"]),
         (["named", "s24-predictor-lr", "--override", "name=x",
           "--override", "num_seeds=1", "--override", "optimizer.epochs=1"],
          ["s24-predictor-lr", "x"]),
-    ], ids=["sweep-equal-values", "named-one-name"])
+    ], ids=["sweep-equal-values", "sweep-equal-lists", "named-one-name"])
     def test_configs_sharing_a_run_directory_exit_2(self, tmp_path, monkeypatch,
                                                      capsys, argv, run_dir):
         monkeypatch.chdir(tmp_path)
@@ -1642,18 +1713,20 @@ class TestCli:
 
     # an axis splits only at the commas outside brackets, so each list value
     # reaches the config whole
-    @pytest.mark.parametrize("axis, values", [
-        ("encoder.dims=[2,16,2],[2,32,2]", [[2, 16, 2], [2, 32, 2]]),
-        ("encoder.activation=relu,tanh", ["relu", "tanh"]),
-        ("optimizer.lr=0.1,0.2", [0.1, 0.2]),
+    # a list value names its run by its items, with no space, bracket or comma
+    @pytest.mark.parametrize("axis, values, labels", [
+        ("encoder.dims=[2,16,2],[2,32,2]", [[2, 16, 2], [2, 32, 2]],
+         ["2x16x2", "2x32x2"]),
+        ("encoder.activation=relu,tanh", ["relu", "tanh"], ["relu", "tanh"]),
+        ("optimizer.lr=0.1,0.2", [0.1, 0.2], ["0.1", "0.2"]),
     ], ids=["list", "text", "number"])
-    def test_grid_axis_values(self, tmp_path, axis, values):
+    def test_grid_axis_values(self, tmp_path, axis, values, labels):
         runs = tmp_path / "runs"
         assert cli_main(["--out-dir", str(runs), "--quiet", "sweep",
                          str(self._config_file(tmp_path)), "--grid", axis]) == 0
         section, key = axis.partition("=")[0].split(".")
         run_dirs = sorted(runs.iterdir())
-        assert [d.name for d in run_dirs] == [f"cli-tiny-{key}{v}" for v in values]
+        assert [d.name for d in run_dirs] == [f"cli-tiny-{key}{v}" for v in labels]
         assert [json.loads((d / "config.json").read_text())[section][key]
                 for d in run_dirs] == values
 
