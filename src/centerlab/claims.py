@@ -21,7 +21,7 @@ import numpy as np
 
 from .autodiff import ParameterError
 from .diagnostics import angle_to_direction, estimate_center
-from .harness import METRICS_HEADER, ExperimentConfig, Trainer
+from .harness import METRICS_HEADER, ConfigError, ExperimentConfig, Trainer
 from .layers import load_checkpoint
 
 _COLUMN = {name: i for i, name in enumerate(METRICS_HEADER.split(","))}
@@ -56,10 +56,15 @@ class _Variant:
 
     def __init__(self, run_dir, name: str):
         self.dir = Path(run_dir) / name
-        self.cfg = ExperimentConfig.from_file(self.dir / "config.json")
+        path = self.dir / "config.json"
+        try:
+            self.cfg = ExperimentConfig.from_file(path)
+        except ConfigError as exc:  # invalid JSON, or a field an older version wrote
+            # the invalid-JSON message names the file already
+            raise ComparisonError(f"{path}: {str(exc).removeprefix(f'{path}: ')}") from exc
         base = self.cfg.base_seed
         self.seeds = list(range(base, base + self.cfg.num_seeds))
-        tables, path = [], self.dir
+        tables = []
         try:
             for path in (self.dir / f"seed{s}.csv" for s in self.seeds):
                 with open(path, newline="", encoding="utf-8") as fh:

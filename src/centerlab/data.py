@@ -101,14 +101,16 @@ def gen_blobs(n_per_class: int, num_classes: int = 3, sigma: float = 0.5,
 
 
 def gen_moons(n_per_class: int, noise: float = 0.1, seed: int = 0,
-              three_classes: bool = True) -> ToyDataset:
+              num_classes: int = 3) -> ToyDataset:
     """Two interleaving half-circles, plus a displaced arc as a third class.
 
     The third arc sits at (-2, -0.5) so all three classes occupy distinct
-    angular sectors (they stay separable under cosine distance); set
-    ``three_classes=False`` for the standard two-moon construction.
+    angular sectors (they stay separable under cosine distance);
+    ``num_classes=2`` is the standard two-moon construction.
     """
-    if n_per_class < 1 or n_per_class * 3 * 2 * 8 > np.iinfo(np.intp).max:
+    if num_classes not in (2, 3):
+        raise ParameterError("num_classes must be 2 or 3")
+    if n_per_class < 1 or n_per_class * num_classes * 2 * 8 > np.iinfo(np.intp).max:
         raise ParameterError("n_per_class must be >= 1 and leave points numpy can hold")
     if noise < 0:
         raise ParameterError("noise must be >= 0")
@@ -118,7 +120,7 @@ def gen_moons(n_per_class: int, noise: float = 0.1, seed: int = 0,
         np.stack([np.cos(t), np.sin(t)], axis=1),
         np.stack([1.0 - np.cos(t), 0.5 - np.sin(t)], axis=1),
     ]
-    if three_classes:
+    if num_classes == 3:
         arcs.append(np.stack([-2.0 + np.cos(t), -0.5 + np.sin(t)], axis=1))
     points = np.concatenate(arcs)
     labels = np.concatenate([np.full(n_per_class, c, dtype=np.int64)
@@ -127,15 +129,15 @@ def gen_moons(n_per_class: int, noise: float = 0.1, seed: int = 0,
     return ToyDataset(points, labels)
 
 
-def gen_gaussian_points(n: int, dim: int, seed: int = 0) -> ToyDataset:
-    """Standard-normal points centered at the origin, single dummy class."""
-    if n < 1:
-        raise ParameterError("n must be >= 1")
+def gen_gaussian_points(n_per_class: int, dim: int, seed: int = 0) -> ToyDataset:
+    """Standard-normal points centered at the origin, all of one dummy class."""
     if dim < 1:
         raise ParameterError("dim must be >= 1")
+    if n_per_class < 1 or n_per_class * dim * 8 > np.iinfo(np.intp).max:
+        raise ParameterError(f"n_per_class must be >= 1 and leave {dim}-d points numpy can hold")
     rng = np.random.default_rng(seed)
-    points = rng.standard_normal((n, dim))
-    return ToyDataset(points, np.zeros(n, dtype=np.int64))
+    points = rng.standard_normal((n_per_class, dim))
+    return ToyDataset(points, np.zeros(n_per_class, dtype=np.int64))
 
 
 def augment(ds: ToyDataset, model: AugmentationModel, seed: int = 0) -> AugmentedSet:

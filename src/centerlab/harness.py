@@ -96,13 +96,11 @@ class NumericAbort(ArithmeticError):
 @dataclass
 class DatasetSpec:
     kind: str = "blobs"                # blobs | moons | gaussian
-    n_per_class: int = 100
-    n: int = 100                       # gaussian point count
+    n_per_class: int = 100             # gaussian: the count of its one class
     dim: int = 3                       # gaussian dimension
-    num_classes: int = 3
+    num_classes: int = 3               # blobs; moons take 2 or 3
     sigma: float = 0.5                 # blob spread
     noise: float = 0.1                 # moons jitter
-    three_classes: bool = True
 
 
 @dataclass
@@ -124,8 +122,7 @@ class OptimizerSpec:
 
 @dataclass
 class DiagnosticsSpec:
-    cadence: int = 1                   # epochs between ticks
-    knn_cadence: int = 5               # ticks between kNN evaluations
+    knn_cadence: int = 5               # epochs between kNN evaluations
     knn_k: int = 5
     center_hi: float = 0.8
     std_lo: float = 0.05
@@ -203,8 +200,8 @@ class ExperimentConfig:
             raise ConfigError("optimizer.lr: must be >= 0")
         if opt.predictor_lr_multiplier <= 0:
             raise ConfigError("optimizer.predictor_lr_multiplier: must be > 0")
-        if diag.cadence < 1 or diag.knn_cadence < 1:
-            raise ConfigError("diagnostics cadences must be >= 1")
+        if diag.knn_cadence < 1:
+            raise ConfigError("diagnostics.knn_cadence: must be >= 1")
         for name in ("center_hi", "std_lo"):
             if not 0.0 < getattr(diag, name) < 1.0:
                 raise ConfigError(f"diagnostics.{name}: must lie in (0, 1)")
@@ -253,12 +250,12 @@ class ExperimentConfig:
 _TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str, "bool": bool}
 
 
-def _fits(value, annotation: str, inf: bool = False) -> bool:
+def _fits(value, annotation: str) -> bool:
     """Whether a value fits a field annotation such as ``list[float] | None``.
 
     A bool fits only ``bool``, not ``int`` or ``float``, a float or integer fits
-    ``float`` only if finite (or +inf, where `inf` allows it), and NaN fits
-    nothing; a config section fits none (``_check_types`` checks its fields).
+    ``float`` only if finite, and NaN fits nothing; a config section fits none
+    (``_check_types`` checks its fields).
     """
     for option in annotation.split(" | "):
         if option == "None":
@@ -272,8 +269,7 @@ def _fits(value, annotation: str, inf: bool = False) -> bool:
             if (isinstance(value, _TYPES[option])
                     and (option == "bool") == isinstance(value, bool)
                     and value == value
-                    and (option != "float" or abs(value) <= sys.float_info.max
-                         or inf and value == math.inf)):
+                    and (option != "float" or abs(value) <= sys.float_info.max)):
                 return True
     return False
 
@@ -288,7 +284,7 @@ def _check_types(spec, path: str) -> None:
         value, section = getattr(spec, f.name), f.default_factory
         if dataclasses.is_dataclass(section) and isinstance(value, section):
             _check_types(value, f"{path}{f.name}.")
-        elif not _fits(value, f.type, f.metadata.get("inf", False)):
+        elif not _fits(value, f.type):
             raise ConfigError(f"{path}{f.name}: expected {f.type}, got {value!r}")
         elif "int" in f.type and f.name != "base_seed" and not all(
                 -2**63 <= v < 2**63 for v in (value if isinstance(value, (list, tuple))
@@ -372,9 +368,9 @@ def _build_dataset(spec: DatasetSpec, seed: int) -> ToyDataset:
                                  sigma=spec.sigma, seed=seed)
     if spec.kind == "moons":
         return toydata.gen_moons(spec.n_per_class, noise=spec.noise, seed=seed,
-                                 three_classes=spec.three_classes)
+                                 num_classes=spec.num_classes)
     if spec.kind == "gaussian":
-        return toydata.gen_gaussian_points(spec.n, spec.dim, seed=seed)
+        return toydata.gen_gaussian_points(spec.n_per_class, spec.dim, seed=seed)
     raise ParameterError(f"kind: unknown dataset kind {spec.kind!r}")
 
 
@@ -463,8 +459,7 @@ _OBJECTIVES: dict[str, _Objective] = {
             use_decorrelation=lc.use_decorrelation), None),
         min_batch=2),
     "simple": _Objective(
-        lambda st, lc, x, z: (L.simple_objective(
-            z, lc.center_penalty_weight, squared=lc.center_penalty_squared), None)),
+        lambda st, lc, x, z: (L.simple_objective(z, lc.center_penalty_weight), None)),
 }
 
 
@@ -599,7 +594,7 @@ class Trainer:
                                   center)
         self.prev_mean = center.s_hat
         knn_acc: float | None = None
-        want_knn = (epoch % (cfg.diagnostics.cadence * cfg.diagnostics.knn_cadence) == 0
+        want_knn = (epoch % cfg.diagnostics.knn_cadence == 0
                     or epoch == cfg.optimizer.epochs)
         if want_knn and self.dataset.num_classes >= 2:
             # class views are the base points, row for row
@@ -636,7 +631,8 @@ class RunResult:
 
 def _run_one_seed(trainer: Trainer, csv_path: Path,
                   tick_callback: TickCallback | None) -> list[dict]:
-    """Train one seed; each tick writes a CSV row, timed at its epoch's end.
+    """Train one seed; every epoch ticks, and each tick writes a CSV row, timed
+    at its epoch's end.
 
     A full batch is ``arange(n)`` and stacked matmul is bit-equal per view, so
     a full-batch tick at any epoch but 0 and the last waits in
@@ -676,14 +672,13 @@ def _run_one_seed(trainer: Trainer, csv_path: Path,
                 pair_rng = np.random.default_rng([seed + 40_000, epoch])
                 for idx, x in zip(batches, trainer.draw_epoch(batches, pair_rng)):
                     epoch_losses.append(trainer.train_step(idx, x))
-                if epoch % cfg.diagnostics.cadence == 0 or epoch == cfg.optimizer.epochs:
-                    # np.mean's sum and division, without its wrapper
-                    args = (epoch, float(np.add.reduce(np.array(epoch_losses))
-                                         / len(epoch_losses)), time.monotonic())
-                    if cfg.optimizer.batch_mode == "full" and epoch < cfg.optimizer.epochs:
-                        trainer.waiting_tick = functools.partial(tick, *args)
-                    else:
-                        tick(*args)
+                # np.mean's sum and division, without its wrapper
+                args = (epoch, float(np.add.reduce(np.array(epoch_losses))
+                                     / len(epoch_losses)), time.monotonic())
+                if cfg.optimizer.batch_mode == "full" and epoch < cfg.optimizer.epochs:
+                    trainer.waiting_tick = functools.partial(tick, *args)
+                else:
+                    tick(*args)
         except NumericAbort:
             # flush a waiting tick and a final row flagged non-finite, then re-raise
             waiting, trainer.waiting_tick = trainer.waiting_tick, None
@@ -758,7 +753,7 @@ def _blobs(name: str, loss_kind: str, **loss_kw) -> ExperimentConfig:
         encoder=EncoderSpec(dims=[2, 16, 2]),
         loss=LossConfig(kind=loss_kind, **loss_kw),
         optimizer=OptimizerSpec(lr=0.5, epochs=60, batch_mode="mini", batch_size=50),
-        diagnostics=DiagnosticsSpec(cadence=1, knn_cadence=5),
+        diagnostics=DiagnosticsSpec(knn_cadence=5),
         num_seeds=5,
     )
     return cfg
@@ -776,14 +771,14 @@ def _collapse_grid_config(name: str, batch_mode: str, shifted: bool) -> Experime
     shift = (0.5 * np.ones(3) / np.sqrt(3)).tolist() if shifted else None
     return ExperimentConfig(
         name=name,
-        dataset=DatasetSpec(kind="gaussian", n=100, dim=3),
+        dataset=DatasetSpec(kind="gaussian", n_per_class=100, dim=3),
         augmentation=AugmentationModel(kind="shifted" if shifted else "centered",
                                        sigma=0.3, shift=shift, views=10),
         encoder=EncoderSpec(dims=[3, 8, 2], activation="identity"),
         loss=LossConfig(kind="invariance"),
         optimizer=OptimizerSpec(lr=0.05, epochs=200 if batch_mode == "mini" else 500,
                                 batch_mode=batch_mode, batch_size=50),
-        diagnostics=DiagnosticsSpec(cadence=1, knn_cadence=10),
+        diagnostics=DiagnosticsSpec(knn_cadence=10),
         num_seeds=5,
     )
 

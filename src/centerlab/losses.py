@@ -20,7 +20,7 @@ composed graphs, the tests' oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,10 +56,9 @@ class LossConfig:
     temperature: float = 0.1            # InfoNCE / SwAV softmax temperature
     student_temperature: float = 0.1    # DINO student
     teacher_temperature: float = 0.04   # DINO teacher (sharper)
-    margin: float | None = field(default=None, metadata={"inf": True})  # triplet
+    margin: float | None = None         # triplet; None: the infinite margin
     bt_lambda: float = 5e-3             # Barlow Twins off-diagonal weight
     center_penalty_weight: float = -1.0    # lagrange multiplier of the simple objective
-    center_penalty_squared: bool = True    # squared center norm (raw norm if False)
     ema_momentum: float = 0.99          # BYOL / DINO teacher momentum
     dino_center_momentum: float = 0.9
     sinkhorn_iters: int = 3
@@ -157,8 +156,8 @@ def triplet_loss(z: Tensor, margin: float | None = None) -> Tensor:
 
     With a finite margin: mean of max(||a-p||^2 - ||a-n||^2 + margin, 0) / 2,
     composed as ``tensor_sum(relu(d_ap - d_an + margin)) * (0.5 / m)`` with
-    ``d_ap = tensor_sum((z_a - z_p) * (z_a - z_p), 1)``. With ``margin=None``
-    (or +inf), the infinite-margin limit mean(-<a,p> + <a,n>), composed as
+    ``d_ap = tensor_sum((z_a - z_p) * (z_a - z_p), 1)``. With ``margin=None``,
+    the infinite-margin limit mean(-<a,p> + <a,n>), composed as
     ``(tensor_sum(z_a * z_n) - tensor_sum(z_a * z_p)) * (1 / m)``. The
     backward hands each view the composed rules' terms in the order
     ``backward`` runs them (a gets four in the finite form, one per
@@ -168,7 +167,7 @@ def triplet_loss(z: Tensor, margin: float | None = None) -> Tensor:
     """
     m = _views(z, 3)
     a, p, n = z.values[0], z.values[1], z.values[2]
-    if margin is None or margin == np.inf:
+    if margin is None:
         value = ((a * n).sum().reshape(1, 1) - (a * p).sum().reshape(1, 1)) * (1.0 / m)
 
         def bwd(g):
@@ -412,14 +411,12 @@ def barlow_twins_loss(z: Tensor, bt_lambda: float = 5e-3,
 # simplified center-penalized objective
 # ---------------------------------------------------------------------------
 
-def simple_objective(z: Tensor, center_penalty_weight: float = -1.0,
-                     squared: bool = True) -> Tensor:
+def simple_objective(z: Tensor, center_penalty_weight: float = -1.0) -> Tensor:
     """Invariance loss plus a differentiable penalty on the batch center.
 
     0.5 * (invariance(z) - weight * ||s_batch||^2) where s_batch is the
     mean of all 2m embedding rows of z's two views. The default weight -1
-    turns the term into an additive squared-center penalty. ``squared=False``
-    penalizes the raw norm instead, as ``(||s_batch||^2 + 1e-24) ** 0.5``.
+    turns the term into an additive squared-center penalty.
 
     The loss is one node with the values of the composed graph, in which
     ``s_batch = (tensor_mean(z_a, 0) + tensor_mean(z_b, 0)) * 0.5``. Each view
@@ -431,18 +428,14 @@ def simple_objective(z: Tensor, center_penalty_weight: float = -1.0,
     s_hat = (a.sum(axis=0, keepdims=True) * inv_m
              + b.sum(axis=0, keepdims=True) * inv_m) * 0.5
     sq_norm = (s_hat * s_hat).sum().reshape(1, 1)
-    penalty = sq_norm if squared else (sq_norm + 1e-24) ** 0.5
     invariance = (a * b).sum().reshape(1, 1) * (-1.0 / m)
 
     def bwd(g):
         g = g * 0.5
-        g_sq_norm = -g * center_penalty_weight
-        if not squared:
-            g_sq_norm = g_sq_norm * 0.5 * (sq_norm + 1e-24) ** -0.5
         # s_hat * s_hat hands each operand the same term
-        t = g_sq_norm * s_hat
+        t = -g * center_penalty_weight * s_hat
         g_mean = np.broadcast_to((t + t) * 0.5 * inv_m, z.shape)
         g = g * (-1.0 / m)
         _hand_out((z, g * z.values[::-1]), (z, g_mean))
 
-    return _make((invariance - penalty * center_penalty_weight) * 0.5, (z,), bwd)
+    return _make((invariance - sq_norm * center_penalty_weight) * 0.5, (z,), bwd)

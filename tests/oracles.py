@@ -533,7 +533,7 @@ def composed_batch_norm_cols(x, eps=1e-12):
 def composed_triplet(z_a, z_p, z_n, margin=None):
     z_a, z_p, z_n = map(_wrap, (z_a, z_p, z_n))
     m = z_a.shape[0]
-    if margin is None or not np.isfinite(margin):
+    if margin is None:
         return (tensor_sum(z_a * z_n) - tensor_sum(z_a * z_p)) * (1.0 / m)
     d_ap = tensor_sum((z_a - z_p) * (z_a - z_p), axis=1)
     d_an = tensor_sum((z_a - z_n) * (z_a - z_n), axis=1)
@@ -588,11 +588,10 @@ def composed_barlow_twins(z_a, z_b, bt_lambda=5e-3, use_decorrelation=True):
     return diag_term + off_term * bt_lambda
 
 
-def composed_simple(z, z_w, center_penalty_weight=-1.0, squared=True):
+def composed_simple(z, z_w, center_penalty_weight=-1.0):
     s_hat = (tensor_mean(z, axis=0) + tensor_mean(z_w, axis=0)) * 0.5
     sq_norm = tensor_sum(s_hat * s_hat)
-    penalty = sq_norm if squared else (sq_norm + 1e-24) ** 0.5
-    return (composed_neg_cosine(z, z_w) - penalty * center_penalty_weight) * 0.5
+    return (composed_neg_cosine(z, z_w) - sq_norm * center_penalty_weight) * 0.5
 
 
 def composed_neg_cosine(p, t):

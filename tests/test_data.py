@@ -53,6 +53,9 @@ class TestGenerators:
             gen_moons(0)
         with pytest.raises(ParameterError, match="noise"):
             gen_moons(10, noise=-0.1)
+        for num_classes in (1, 4):
+            with pytest.raises(ParameterError, match="^num_classes must be 2 or 3"):
+                gen_moons(10, num_classes=num_classes)
 
     def test_moons_noise_free_points_lie_on_arcs(self):
         ds = gen_moons(80, noise=0.0, seed=0)
@@ -69,9 +72,21 @@ class TestGenerators:
         assert np.bincount(ds.labels).tolist() == [30, 30, 30]
 
     def test_moons_two_class_option(self):
-        ds = gen_moons(30, three_classes=False)
+        ds = gen_moons(30, num_classes=2)
         assert ds.num_classes == 2
-        assert ds.n == 60
+        assert np.bincount(ds.labels).tolist() == [30, 30]
+        # the two arcs are the three-class construction's first two
+        two, three = (gen_moons(30, noise=0.0, num_classes=k) for k in (2, 3))
+        np.testing.assert_array_equal(two.points, three.points[:60])
+
+    def test_gaussian_rejects_bad_params(self):
+        with pytest.raises(ParameterError, match="^n_per_class"):
+            gen_gaussian_points(0, 3)
+        # numpy refuses the array: a ParameterError before it is asked for
+        with pytest.raises(ParameterError, match="^n_per_class"):
+            gen_gaussian_points(2**62, 3)
+        with pytest.raises(ParameterError, match="^dim"):
+            gen_gaussian_points(10, 0)
 
     def test_gaussian_points_centered(self):
         ds = gen_gaussian_points(5000, 3, seed=1)

@@ -111,7 +111,7 @@ class TestConfigSchema:
                     "diagnostics": {"knn_k": knn_k}}
 
         blobs = {"kind": "blobs", "n_per_class": 10, "num_classes": 4}
-        moons = {"kind": "moons", "n_per_class": 10, "three_classes": False}
+        moons = {"kind": "moons", "n_per_class": 10, "num_classes": 2}
         ExperimentConfig.from_dict(cfg(blobs, 39))
         ExperimentConfig.from_dict(cfg(moons, 19))
         for dataset, knn_k in ((blobs, 40), (moons, 20), (blobs, 0)):
@@ -170,11 +170,11 @@ class TestOverrides:
             apply_overrides(tiny_config(), {"optimizer.beta": 0.5})
 
     def test_nan_fits_no_float_field(self):
-        # +-inf fits one: a margin of +inf is the triplet's infinite-margin
-        # mode, and -inf is left to LossConfig.validate, which rejects it
-        assert apply_overrides(tiny_config(), {"loss.margin": np.inf}).loss.margin == np.inf
-        with pytest.raises(ConfigError, match="loss.margin"):
-            apply_overrides(tiny_config(), {"loss.margin": np.nan})
+        # nor does +-inf: None is the triplet's infinite margin
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ConfigError, match=r"^loss\.margin: expected float \| None"):
+                apply_overrides(tiny_config(), {"loss.margin": value})
+        assert apply_overrides(tiny_config(), {"loss.margin": None}).loss.margin is None
 
     def test_override_does_not_mutate_original(self):
         cfg = tiny_config()
@@ -216,12 +216,10 @@ _OVERRIDES = {
     "record_wall_time": _bools(),
     "dataset.kind": _kinds("blobs", "moons", "gaussian"),
     "dataset.n_per_class": _ints(1, 20),
-    "dataset.n": _ints(1, 60),
     "dataset.dim": _ints(1, 8),
     "dataset.num_classes": _ints(2, 3),
     "dataset.sigma": _floats(0.1, 2.0),
     "dataset.noise": _floats(0.0, 0.5),
-    "dataset.three_classes": _bools(),
     "augmentation.kind": _kinds("class", "centered", "shifted"),
     "augmentation.sigma": _floats(0.0, 0.5),
     "augmentation.shift": _lists(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4),
@@ -240,7 +238,6 @@ _OVERRIDES = {
     "loss.margin": _lists(st.one_of(st.none(), st.floats(0.0, 2.0)), _ANY_FLOAT),
     "loss.bt_lambda": _floats(0.0, 0.1),
     "loss.center_penalty_weight": _floats(-2.0, 2.0),
-    "loss.center_penalty_squared": _bools(),
     "loss.ema_momentum": _floats(0.0, 0.99),
     "loss.dino_center_momentum": _floats(0.0, 0.99),
     "loss.sinkhorn_iters": _ints(1, 3),
@@ -256,7 +253,6 @@ _OVERRIDES = {
     "optimizer.batch_mode": _kinds("mini", "full"),
     "optimizer.batch_size": _ints(1, 70),
     "optimizer.predictor_lr_multiplier": _floats(0.01, 2.0),
-    "diagnostics.cadence": _ints(1, 2),
     "diagnostics.knn_cadence": _ints(1, 2),
     "diagnostics.knn_k": _ints(1, 70),
     "diagnostics.center_hi": _floats(0.01, 0.99),
@@ -278,7 +274,7 @@ def _overrides(draw):
 def _property_base() -> ExperimentConfig:
     return ExperimentConfig(
         name="prop",
-        dataset=DatasetSpec(kind="blobs", n_per_class=10, n=20, dim=2),
+        dataset=DatasetSpec(kind="blobs", n_per_class=10, dim=2),
         augmentation=AugmentationModel(views=2),
         encoder=EncoderSpec(dims=[2, 8, 2]),
         loss=LossConfig(num_prototypes=4),
@@ -1034,7 +1030,7 @@ class TestRunExperiment:
             "aggregate.csv", "config.json", "seed0.csv", "seed0.npz", "seed1.csv", "seed1.npz"]
         text = seed_files(tmp_path, cfg)[0].read_text().splitlines()
         assert text[0] == METRICS_HEADER
-        # epochs=2, cadence=1 -> init tick + 2 epoch ticks
+        # epochs=2 -> init tick + 2 epoch ticks
         assert len(text) == 1 + 3
         assert result.aggregate_csv == tmp_path / "tiny" / "aggregate.csv"
         for rows in result.rows_by_seed.values():
@@ -1142,15 +1138,14 @@ class TestFullBatchTicks:
     """A full-batch tick between two epochs reads view 0 of the next step's
     student forward instead of running its own pool forward."""
 
-    @pytest.mark.parametrize("variant, cadence, epochs", [
-        ("s21", 1, 4), ("s21", 2, 5), ("s21", 3, 5), ("s21", 1, 0), ("s21", 1, 1),
-        ("triplet", 1, 3), ("barlow_twins", 1, 3), ("dino", 2, 4), ("simsiam", 1, 3),
+    @pytest.mark.parametrize("variant, epochs", [
+        ("s21", 4), ("s21", 5), ("s21", 0), ("s21", 1),
+        ("triplet", 3), ("barlow_twins", 3), ("dino", 4), ("simsiam", 3),
     ])
-    def test_tick_is_the_pool_forward(self, tmp_path, monkeypatch, variant, cadence, epochs):
+    def test_tick_is_the_pool_forward(self, tmp_path, monkeypatch, variant, epochs):
         from centerlab import layers
 
-        cfg = full_batch_config(variant, **{"diagnostics.cadence": cadence,
-                                            "optimizer.epochs": epochs})
+        cfg = full_batch_config(variant, **{"optimizer.epochs": epochs})
         ticks, pool_forwards, in_callback = [], [], []
         forward_array = layers.EncoderStack.forward_array
 
@@ -1168,9 +1163,8 @@ class TestFullBatchTicks:
         trainer = Trainer(cfg, cfg.base_seed)
         monkeypatch.setattr(layers.EncoderStack, "forward_array", counted)
         rows = H._run_one_seed(trainer, tmp_path / "seed.csv", callback)
-        last = [e for e in range(1, epochs + 1) if e % cadence == 0 or e == epochs]
-        assert ticks == [(0, 0, True)] + [(e, e, e == epochs) for e in last]
-        assert [row["epoch"] for row in rows] == [0] + last
+        assert ticks == [(0, 0, True)] + [(e, e, e == epochs) for e in range(1, epochs + 1)]
+        assert [row["epoch"] for row in rows] == list(range(epochs + 1))
         # only epoch 0 and the last epoch run their own pool forward
         assert pool_forwards == ([0, len(ticks) - 1] if epochs else [0])
         assert trainer.waiting_tick is None
@@ -1187,11 +1181,10 @@ class TestFullBatchTicks:
 
         monkeypatch.setattr(H.Trainer, "train_step", counting)
         monkeypatch.setattr(H, "time", types.SimpleNamespace(monotonic=lambda: float(begun[0])))
-        cfg = full_batch_config("s21", **{"optimizer.epochs": 5, "diagnostics.cadence": 2,
-                                          "record_wall_time": True})
+        cfg = full_batch_config("s21", **{"optimizer.epochs": 5, "record_wall_time": True})
         rows = run_experiment(cfg, tmp_path).rows_by_seed[cfg.base_seed]
         assert [(row["epoch"], row["wall_time_ms"]) for row in rows] == [
-            (0, 0), (2, 2000), (4, 4000), (5, 5000)]
+            (e, 1000 * e) for e in range(6)]
 
     def test_a_run_leaves_no_reference_cycle(self, tmp_path):
         # a waiting tick refers to its trainer; none is left once the run ends
@@ -1380,6 +1373,7 @@ def _npz(**arrays) -> bytes:
 # the first CSV ac05 reads and the first checkpoint ac06 loads
 _CSV = "runs/s21-collapse-grid/collapse-mini-centered/seed0.csv"
 _CKPT = "runs/s21-collapse-grid/collapse-mini-shifted/seed0.npz"
+_CFG = "runs/s21-collapse-grid/collapse-full-centered/config.json"
 
 
 @pytest.fixture(scope="module")
@@ -1470,12 +1464,15 @@ class TestCli:
         "augmentation.kind=foo",
         "optimizer.batch_mode=x",
         "encoder.dims=[2]",
+        "diagnostics.knn_cadence=0",
+        # fig3's blobs take four classes, its moons two or three
+        "dataset.num_classes=4",
     ])
     def test_named_invalid_override_exits_2(self, tmp_path, capsys, override):
         code = cli_main(["--out-dir", str(tmp_path), "--quiet",
                          "named", "fig3-simple-vs-simsiam", "--override", override])
         assert code == 2
-        assert override.split("=")[0] in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"config error: {override.split('=')[0]}")
         assert not any(tmp_path.iterdir())
 
     # bad configs that used to pass validate() and crash with a traceback
@@ -1558,6 +1555,11 @@ class TestCli:
         pytest.param(["optimizer.lr=1e400"], "optimizer.lr", id="infinite-lr"),
         pytest.param(["dataset.sigma=1e400"], "dataset.sigma", id="infinite-dataset-sigma"),
         pytest.param(["dataset.noise=1e400"], "dataset.noise", id="infinite-moons-noise"),
+        # None is the one spelling of the triplet's infinite margin
+        pytest.param(["loss.kind=triplet", "loss.margin=1e400"], "loss.margin",
+                     id="infinite-margin"),
+        pytest.param(["loss.kind=triplet", "loss.margin=Infinity"], "loss.margin",
+                     id="plus-infinity-margin"),
         # sizes below 2**63 whose arrays numpy refuses used to crash with a
         # ValueError, the predictor's only after a run directory was written
         pytest.param([f"dataset.n_per_class={2**62}"], "dataset.n_per_class",
@@ -1570,6 +1572,8 @@ class TestCli:
                      "loss.num_prototypes", id="prototypes-past-numpy"),
         pytest.param([f"dataset.num_classes={2**62}"], f"in {2**62} classes",
                      id="classes-past-numpy"),
+        pytest.param(["dataset.kind=gaussian", f"dataset.n_per_class={2**62}"],
+                     "dataset.n_per_class", id="gaussian-points-past-numpy"),
         # np.repeat's count overflowed: the process died of a segmentation fault
         pytest.param(["augmentation.kind=centered", f"augmentation.views={2**62}"],
                      "augmentation.views", id="views-past-numpy"),
@@ -1583,11 +1587,10 @@ class TestCli:
         assert len(err) == 1 and field in err[0], err
         assert not any(tmp_path.iterdir())
 
-    def test_infinite_margin_runs(self, tmp_path, capsys):
-        # +inf is the one infinite float a field takes: the triplet margin's
-        # infinite-margin mode, as None is
+    def test_null_margin_runs(self, tmp_path, capsys):
+        # None is the triplet's infinite-margin mode
         argv = ["--out-dir", str(tmp_path), "--quiet", "named", "fig3-simple-vs-simsiam"]
-        for override in ("loss.kind=triplet", "loss.margin=1e400", "num_seeds=1",
+        for override in ("loss.kind=triplet", "loss.margin=null", "num_seeds=1",
                          "optimizer.epochs=1"):
             argv += ["--override", override]
         assert cli_main(argv) == 0
@@ -1854,6 +1857,11 @@ class TestCli:
          "seed0.csv: rows of 2 cells, not 10"),
         (["--out-dir", "elsewhere", "claims", "s21-collapse-grid"], {}, 2,
          "collapse-mini-centered/config.json"),
+        # a key the config no longer has used to exit 2 naming no file
+        (["claims", "s21-collapse-grid"], {_CFG: b'{"diagnostics": {"cadence": 1}}'}, 4,
+         "collapse-full-centered/config.json: unknown config key(s): diagnostics.cadence"),
+        (["claims", "s21-collapse-grid"], {_CFG: b"{not json"}, 4,
+         "collapse-full-centered/config.json: invalid JSON"),
         (["claims", "s21-collapse-grid", "no-such-key"], {}, 2,
          "unknown experiment(s) no-such-key"),
         (["run", "spec.json"], {"spec.json": b'{"name": "\xff"}'}, 2,
@@ -1864,7 +1872,7 @@ class TestCli:
     ], ids=["checkpoint-missing-parameter", "checkpoint-wrong-shape",
             "checkpoint-not-archive", "cell-not-number", "metrics-not-utf8", "metrics-header-only",
             "metrics-aborted-run", "metrics-short-rows",
-            "missing-run-directory", "unknown-key", "config-not-utf8", "run-directory",
+            "missing-run-directory", "config-removed-key", "config-not-json", "unknown-key", "config-not-utf8", "run-directory",
             "out-dir-is-file"])
     def test_bad_input_prints_one_line(self, s21_one_epoch, tmp_path, argv, files,
                                        code, names):
@@ -1878,4 +1886,4 @@ class TestCli:
         assert out.returncode == code, out.stderr
         assert "Traceback" not in out.stderr
         assert len(out.stderr.splitlines()) == 1, out.stderr
-        assert names in out.stderr
+        assert out.stderr.count(names) == 1, out.stderr

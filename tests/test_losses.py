@@ -7,7 +7,8 @@ import pytest
 from centerlab import autodiff as ad
 from centerlab import losses as L
 from centerlab.autodiff import ParameterError, ShapeError, Tensor, backward
-from centerlab.harness import _OBJECTIVES, DatasetSpec, ExperimentConfig, Trainer
+from centerlab.harness import (_OBJECTIVES, ConfigError, DatasetSpec, ExperimentConfig,
+                               Trainer)
 from centerlab.layers import EmaTwin, init_encoder, init_predictor, init_prototypes
 from centerlab.losses import (DinoCenterState, LossConfig, NumericError,
                               barlow_twins_loss, byol_loss, dino_loss,
@@ -126,9 +127,8 @@ class TestTriplet:
         rng = np.random.default_rng(4)
         a, p, n = (rng.standard_normal((7, 3)) for _ in range(3))
         expected = np.mean(np.sum(a * n, axis=1) - np.sum(a * p, axis=1))
-        for margin in (None, np.inf):
-            got = triplet_loss(stacked(a, p, n), margin).item()
-            assert abs(got - expected) < 1e-12
+        got = triplet_loss(stacked(a, p, n), None).item()
+        assert abs(got - expected) < 1e-12
 
     def test_inactive_hinge_zero_loss_zero_grad(self):
         z = stacked([[1.0, 0.0]], [[1.0, 0.0]], [[-1.0, 0.0]], requires_grad=True)
@@ -146,12 +146,13 @@ class TestTriplet:
         assert grad_check(lambda t: triplet_loss(t, None), x).passed
 
     def test_minus_infinity_and_nan_margins_rejected(self):
-        # only None and +inf select the infinite-margin mode
-        z = Tensor(np.ones((3, 2, 2)))
+        # only None selects the infinite-margin mode: a config's type check
+        # rejects every non-finite margin, and LossConfig.validate -inf
         with pytest.raises(ParameterError, match="margin"):
             LossConfig(kind="triplet", margin=-np.inf).validate()
-        assert (triplet_loss(z, margin=np.inf).values
-                == triplet_loss(z, margin=None).values).all()
+        for margin in (-np.inf, np.nan, np.inf):
+            with pytest.raises(ConfigError, match=r"^loss\.margin: expected"):
+                ExperimentConfig.from_dict({"loss": {"kind": "triplet", "margin": margin}})
 
 
 class TestInfoNCE:
@@ -447,16 +448,6 @@ class TestSimpleObjective:
         got = simple_objective(stacked(a, b)).item()
         assert abs(got - expected) < 1e-12
 
-    def test_raw_norm_variant(self):
-        rng = np.random.default_rng(28)
-        a, b = rng.standard_normal((6, 3)), rng.standard_normal((6, 3))
-        s_hat = np.concatenate([a, b]).mean(axis=0)
-        inv = -np.mean(np.sum(a * b, axis=1))
-        expected = 0.5 * (inv - 2.0 * np.linalg.norm(s_hat))
-        got = simple_objective(stacked(a, b), center_penalty_weight=2.0,
-                               squared=False).item()
-        assert abs(got - expected) < 1e-9
-
     def test_penalty_gradient_pushes_center_down(self):
         # with the default weight the penalty adds +||s||^2; its gradient on a
         # common offset points away from the offset direction
@@ -474,7 +465,7 @@ class TestSimpleObjective:
         b = rng.standard_normal((6, 3))
         x = stacked(rng.standard_normal((6, 3)), b)
         assert grad_check(simple_objective, x).passed
-        assert grad_check(lambda t: simple_objective(t, 1.5, squared=False), x).passed
+        assert grad_check(lambda t: simple_objective(t, 1.5), x).passed
 
 
 # each implementation takes the views in its own form: the library's loss
@@ -507,7 +498,6 @@ ONE_NODE_CASES = {
     "byol": (2, lambda f, z, x: f["byol"](z, x.pred, x.t)),
     "byol-no-predictor": (2, lambda f, z, x: f["byol"](z, None, x.t)),
     "triplet-inf": (3, lambda f, z, x: f["triplet"](z)),
-    "triplet-inf-explicit": (3, lambda f, z, x: f["triplet"](z, np.inf)),
     "triplet-margin": (3, lambda f, z, x: f["triplet"](z, 1.0)),
     "infonce": (2, lambda f, z, x: f["infonce"](z, temperature=0.3)),
     "dino": (2, lambda f, z, x: f["dino"](z, x.t, x.center, 0.2, 0.05)),
@@ -522,7 +512,7 @@ ONE_NODE_CASES = {
     "barlow-twins-batch-norm": (2, lambda f, z, x: f["barlow_twins"](
         f["batch_norm"](z))),
     "simple": (2, lambda f, z, x: f["simple"](z)),
-    "simple-raw": (2, lambda f, z, x: f["simple"](z, 1.5, squared=False)),
+    "simple-weighted": (2, lambda f, z, x: f["simple"](z, 1.5)),
 }
 
 
@@ -600,7 +590,7 @@ class TestOneNodeLosses:
     @pytest.mark.parametrize("case", [
         "invariance", "simsiam-no-predictor-no-stop-gradient", "byol-no-predictor",
         "triplet-inf", "triplet-margin", "infonce", "dino", "barlow-twins",
-        "barlow-twins-batch-norm", "simple", "simple-raw"])
+        "barlow-twins-batch-norm", "simple", "simple-weighted"])
     def test_gradient_over_the_whole_stack(self, case):
         # finite differences over every entry of every view
         views, loss_fn = ONE_NODE_CASES[case]
