@@ -40,7 +40,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from centerlab import harness  # noqa: E402
+from centerlab import harness, registry  # noqa: E402
 
 # loss swaps of fig3's simple-blobs, name -> overrides: the two the benchmark's
 # objective-catalog workload runs, where triplet is the one objective whose
@@ -71,9 +71,9 @@ def _files(out: Path, keys, pattern: str) -> list[str]:
 def digest_runs() -> dict[str, list[harness.ExperimentConfig]]:
     """Each digest line's configs, by key: every registered experiment's
     variants, then each loss swap."""
-    simple_blobs = dict(harness.named_experiment(SWAPPED_EXPERIMENT))[SWAPPED_VARIANT]
-    runs = {name: [cfg for _, cfg in harness.named_experiment(name)]
-            for name in harness.experiment_names()}
+    simple_blobs = dict(registry.named_experiment(SWAPPED_EXPERIMENT))[SWAPPED_VARIANT]
+    runs = {name: [cfg for _, cfg in registry.named_experiment(name)]
+            for name in registry.experiment_names()}
     runs.update({key: [harness.apply_overrides(simple_blobs, {"name": key, **overrides})]
                  for key, overrides in LOSS_SWAPS.items()})
     return runs
@@ -91,7 +91,7 @@ def key_digest(out: Path, key: str, configs, base_seed: int, num_seeds: int
 
 
 def digest_line(key: str, digest: str, count: int) -> str:
-    swap = "" if key in harness.experiment_names() else (
+    swap = "" if key in registry.experiment_names() else (
         f" ({SWAPPED_EXPERIMENT} {SWAPPED_VARIANT}, not in the total)")
     return f"{digest}  {count} seed CSVs, {key}{swap}"
 
@@ -103,7 +103,7 @@ def registry_digest(out: Path, base_seed: int, num_seeds: int
     cover the registered experiments only."""
     digests = {key: key_digest(out, key, configs, base_seed, num_seeds)
                for key, configs in digest_runs().items()}
-    names = harness.experiment_names()
+    names = registry.experiment_names()
     csvs = _files(out, names, "seed*.csv")
     aggregates = _files(out, names, "aggregate.csv")
     return (_digest(out, csvs), len(csvs), digests,

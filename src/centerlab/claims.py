@@ -234,9 +234,3 @@ def ac13(run_dir) -> list[Verdict]:
             + [Verdict("ac13 knn_accuracy gain of the fast predictor > 0.2",
                        fast_knn - slow_knn, ">", 0.2)])
 
-
-# registry experiment -> the claims judged on its run directory
-CLAIMS = {"bt-no-decor": (ac11,), "fig3-simple-vs-simsiam": (ac08,),
-          "fig4-simsiam-ablations": (ac07,), "fig7-byol-momentum": (ac09,),
-          "s21-collapse-grid": (ac05, ac06), "s22-dino-centering": (ac10,),
-          "s24-predictor-lr": (ac13,), "swav-fixed-protos": (ac12,)}

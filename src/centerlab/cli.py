@@ -15,10 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import claims
+from . import claims, registry
 from .harness import (ConfigError, ExperimentConfig, NumericAbort,
-                      apply_overrides, experiment_names, named_experiment,
-                      run_experiment)
+                      apply_overrides, run_experiment)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -118,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_claims.add_argument("keys", nargs="*", metavar="KEY",
                           help="registered experiment (default: all of them)")
 
-    sub.add_parser("list", help="list registered experiments")
+    sub.add_parser("list", help="list registered experiments and their questions")
     return parser
 
 
@@ -128,28 +127,31 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "list":
-            for name in experiment_names():
-                print(name)
+            for key in registry.experiment_names():
+                print(f"{key}  {registry.EXPERIMENTS[key].question}")
             return EXIT_OK
 
         if args.command == "claims":
-            unknown = [key for key in args.keys if key not in claims.CLAIMS]
+            names = registry.experiment_names()
+            unknown = [key for key in args.keys if key not in names]
             if unknown:
                 print(f"unknown experiment(s) {', '.join(unknown)}; available: "
-                      f"{', '.join(claims.CLAIMS)}", file=sys.stderr)
+                      f"{', '.join(names)}", file=sys.stderr)
                 return EXIT_CONFIG
-            keys = args.keys
-            if not keys:  # a partial run tree: judge what it holds
-                keys = [key for key in claims.CLAIMS if (Path(args.out_dir) / key).exists()]
-                skipped = [key for key in claims.CLAIMS if key not in keys]
-                if skipped:
-                    print(f"no run directory under {args.out_dir} for "
-                          f"{', '.join(skipped)}; skipped", file=sys.stderr)
-                if not keys:
+            twice = sorted({key for key in args.keys if args.keys.count(key) > 1})
+            if twice:  # each naming would print the verdicts again
+                print(f"experiment(s) {', '.join(twice)} named more than once", file=sys.stderr)
+                return EXIT_CONFIG
+            keys = args.keys or names
+            missing = [key for key in keys if not (Path(args.out_dir) / key).exists()]
+            if missing:  # with no key, a partial run tree: judge what it holds
+                print(f"no run directory under {args.out_dir} for {', '.join(missing)}"
+                      f"{'' if args.keys else '; skipped'}", file=sys.stderr)
+                if args.keys or missing == keys:
                     return EXIT_CONFIG
             all_passed = True
-            for key in keys:
-                for claim in claims.CLAIMS[key]:
+            for key in (key for key in keys if key not in missing):
+                for claim in registry.EXPERIMENTS[key].claims:
                     for v in claim(Path(args.out_dir) / key):
                         all_passed &= v.passed
                         print(f"{key}  {v.claim}  {'PASS' if v.passed else 'FAIL'}  "
@@ -161,7 +163,7 @@ def main(argv: list[str] | None = None) -> int:
         seed = {} if args.seed is None else {"base_seed": args.seed}
         if args.command == "named":
             try:
-                variants = named_experiment(args.key)
+                variants = registry.named_experiment(args.key)
             except KeyError as exc:
                 print(exc.args[0], file=sys.stderr)
                 return EXIT_CONFIG

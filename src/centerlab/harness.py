@@ -1,4 +1,4 @@
-"""Declarative experiment runner: configs, training loop, metrics, registry.
+"""Declarative experiment runner: configs, training loop, metrics.
 
 A run is a pure function of its config (seeds included): generation,
 initialization, batch order and pairing all derive from the run seed, so
@@ -68,8 +68,6 @@ __all__ = [
     "Trainer",
     "RunResult",
     "run_experiment",
-    "named_experiment",
-    "experiment_names",
     "METRICS_HEADER",
 ]
 
@@ -741,149 +739,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir,
     return RunResult(agg, rows_by_seed, trainers)
 
 
-# ---------------------------------------------------------------------------
-# named experiment registry
-# ---------------------------------------------------------------------------
-
-def _blobs(name: str, loss_kind: str, **loss_kw) -> ExperimentConfig:
-    cfg = ExperimentConfig(
-        name=name,
-        dataset=DatasetSpec(kind="blobs", n_per_class=100, sigma=1.5),
-        augmentation=AugmentationModel(kind="class"),
-        encoder=EncoderSpec(dims=[2, 16, 2]),
-        loss=LossConfig(kind=loss_kind, **loss_kw),
-        optimizer=OptimizerSpec(lr=0.5, epochs=60, batch_mode="mini", batch_size=50),
-        diagnostics=DiagnosticsSpec(knn_cadence=5),
-        num_seeds=5,
-    )
-    return cfg
-
-
-def _moons(name: str, loss_kind: str, **loss_kw) -> ExperimentConfig:
-    cfg = _blobs(name, loss_kind, **loss_kw)
-    cfg.dataset = DatasetSpec(kind="moons", n_per_class=100, noise=0.25)
-    cfg.encoder = EncoderSpec(dims=[2, 32, 2])
-    cfg.optimizer.lr = 0.2
-    return cfg
-
-
-def _collapse_grid_config(name: str, batch_mode: str, shifted: bool) -> ExperimentConfig:
-    shift = (0.5 * np.ones(3) / np.sqrt(3)).tolist() if shifted else None
-    return ExperimentConfig(
-        name=name,
-        dataset=DatasetSpec(kind="gaussian", n_per_class=100, dim=3),
-        augmentation=AugmentationModel(kind="shifted" if shifted else "centered",
-                                       sigma=0.3, shift=shift, views=10),
-        encoder=EncoderSpec(dims=[3, 8, 2], activation="identity"),
-        loss=LossConfig(kind="invariance"),
-        optimizer=OptimizerSpec(lr=0.05, epochs=200 if batch_mode == "mini" else 500,
-                                batch_mode=batch_mode, batch_size=50),
-        diagnostics=DiagnosticsSpec(knn_cadence=10),
-        num_seeds=5,
-    )
-
-
-def _registry() -> dict[str, Callable[[], list[tuple[str, ExperimentConfig]]]]:
-    def fig3():
-        out = []
-        for ds, make in (("blobs", _blobs), ("moons", _moons)):
-            out.append((f"simple-{ds}", make(f"simple-{ds}", "simple")))
-            out.append((f"simsiam-{ds}", make(f"simsiam-{ds}", "simsiam")))
-        return out
-
-    def fig4():
-        out = []
-        for ds, make in (("blobs", _blobs), ("moons", _moons)):
-            out.append((f"standard-{ds}", make(f"standard-{ds}", "simsiam")))
-            out.append((f"no-predictor-{ds}",
-                        make(f"no-predictor-{ds}", "simsiam", use_predictor=False)))
-            out.append((f"no-stopgrad-{ds}",
-                        make(f"no-stopgrad-{ds}", "simsiam", use_stop_gradient=False)))
-        return out
-
-    def fig7():
-        out = []
-        for eps in (0.5, 0.9, 0.99):
-            cfg = _blobs(f"byol-momentum-{eps}", "byol", ema_momentum=eps)
-            # heavier class overlap + a longer budget separate the momentum
-            # settings: slow teachers keep the center down, fast ones drift up
-            cfg.dataset.sigma = 2.0
-            cfg.optimizer.epochs = 120
-            out.append((f"momentum-{eps}", cfg))
-        return out
-
-    def s21():
-        out = []
-        for mode in ("mini", "full"):
-            for aug in ("centered", "shifted"):
-                key = f"{mode}-{aug}"
-                out.append((key, _collapse_grid_config(f"collapse-{key}",
-                                                       mode, aug == "shifted")))
-        return out
-
-    def s22():
-        base = _blobs("dino-centering", "dino")
-        no_center = _blobs("dino-no-centering", "dino", use_centering=False)
-        for cfg in (base, no_center):
-            cfg.encoder.dims = [2, 16, 8]
-            cfg.optimizer.lr = 0.5
-            cfg.optimizer.epochs = 150
-        return [("centering", base), ("no-centering", no_center)]
-
-    def s24():
-        out = []
-        for mult in (0.01, 0.1, 1.0):
-            cfg = _blobs(f"predictor-lr-{mult}", "simsiam")
-            # a linear predictor isolates the tracking-speed mechanism: when
-            # it cannot keep up it degenerates into a fixed linear target map
-            cfg.encoder.predictor_hidden_multiple = 0
-            cfg.optimizer.predictor_lr_multiplier = mult
-            out.append((f"multiplier-{mult}", cfg))
-        return out
-
-    def bt():
-        full = _blobs("bt-full", "barlow_twins")
-        no_decor = _blobs("bt-no-decor", "barlow_twins", use_decorrelation=False)
-        for cfg in (full, no_decor):
-            cfg.dataset.sigma = 1.4
-            cfg.encoder.dims = [2, 16, 4]
-            cfg.loss.bt_lambda = 5e-3
-            cfg.optimizer.lr = 0.1
-            cfg.optimizer.epochs = 150
-        return [("full", full), ("no-decor", no_decor)]
-
-    def swav():
-        fixed = _blobs("swav-fixed", "swav", prototypes_trainable=False)
-        learnable = _blobs("swav-learnable", "swav", prototypes_trainable=True)
-        for cfg in (fixed, learnable):
-            cfg.encoder.dims = [2, 16, 2]
-            # one prototype per latent cluster: a learnable bank can settle
-            # onto the class structure while a frozen random one cannot
-            cfg.loss.num_prototypes = 3
-            cfg.optimizer.lr = 0.2
-            cfg.optimizer.epochs = 60
-        return [("fixed", fixed), ("learnable", learnable)]
-
-    return {
-        "fig3-simple-vs-simsiam": fig3,
-        "fig4-simsiam-ablations": fig4,
-        "fig7-byol-momentum": fig7,
-        "s21-collapse-grid": s21,
-        "s22-dino-centering": s22,
-        "s24-predictor-lr": s24,
-        "bt-no-decor": bt,
-        "swav-fixed-protos": swav,
-    }
-
-
-def experiment_names() -> list[str]:
-    return sorted(_registry())
-
-
 def named_experiment(name: str) -> list[tuple[str, ExperimentConfig]]:
-    """Frozen configs for a registered experiment (variant name, config)."""
-    registry = _registry()
-    if name not in registry:
-        available = ", ".join(sorted(registry))
-        raise KeyError(f"unknown experiment {name!r}; available: {available}")
-    return registry[name]()
+    from .registry import named_experiment as variants  # the registry imports this module
+    return variants(name)  # perfbench's workloads look the registry up here

@@ -30,10 +30,10 @@ from centerlab.diagnostics import knn_eval
 from centerlab.claims import ComparisonError
 from centerlab.harness import (METRICS_HEADER, ConfigError, DatasetSpec, EncoderSpec, ExperimentConfig,
                                NumericAbort, OptimizerSpec, Trainer, _OBJECTIVES,
-                               _index_table, apply_overrides, experiment_names,
-                               named_experiment, run_experiment)
+                               _index_table, apply_overrides, run_experiment)
 from centerlab.layers import EncoderStack
 from centerlab.losses import LossConfig
+from centerlab.registry import EXPERIMENTS, experiment_names, named_experiment
 from oracles import (assert_bits_equal, composed_views, fold_case, loop_knn_winners,
                      stack_views)
 
@@ -1263,7 +1263,7 @@ class TestRegistry:
             named_experiment("does-not-exist")
 
     def test_every_experiment_has_claims(self):
-        assert set(claims.CLAIMS) == set(experiment_names())
+        assert all(record.claims for record in EXPERIMENTS.values())
 
     # ac05 and ac13 read the collapse thresholds from the run's config.json
     def test_collapse_thresholds(self):
@@ -1331,6 +1331,18 @@ def test_registry_digest_pins_the_pair_stream(tmp_path, key):
     digest = script.key_digest(tmp_path, key, script.digest_runs()[key],
                                script.BASE_SEED, script.NUM_SEEDS)
     assert script.digest_line(key, *digest) in script.EXPECTED.read_text().splitlines()
+
+
+def test_registry_digest_expects_every_record():
+    # a record added without its pinned line would fail only when the script runs
+    script = registry_digest_script()
+    lines = script.EXPECTED.read_text().splitlines()
+    assert lines[-2].endswith(f"seed CSVs, base seed {script.BASE_SEED}, "
+                              f"{script.NUM_SEEDS} seeds per variant")
+    assert lines[-1].endswith(" aggregate CSVs")
+    named = [line.split(", ", 1)[1].split(" (")[0] for line in lines[:-2]]
+    assert named == [*experiment_names(), *script.LOSS_SWAPS]
+
 
 class TestCheckpoints:
     @pytest.mark.parametrize("loss_kw, groups", [
@@ -1402,7 +1414,7 @@ class TestCli:
     def test_list(self, capsys):
         assert cli_main(["list"]) == 0
         out = capsys.readouterr().out.splitlines()
-        assert out == experiment_names()
+        assert out == [f"{key}  {EXPERIMENTS[key].question}" for key in experiment_names()]
 
     def test_run_writes_metrics(self, tmp_path, capsys):
         cfg = self._config_file(tmp_path)
@@ -1823,10 +1835,20 @@ class TestCli:
         judged = {line.split()[0] for line in out.splitlines()}
         assert judged == {"s21-collapse-grid"}
         assert len(err.splitlines()) == 1
-        skipped = [key for key in claims.CLAIMS if key != "s21-collapse-grid"]
+        skipped = [key for key in experiment_names() if key != "s21-collapse-grid"]
         assert err.rstrip().endswith(f"for {', '.join(skipped)}; skipped")
         assert cli_main(["--out-dir", str(tmp_path / "empty"), "claims"]) == 2
         assert "skipped" in capsys.readouterr().err
+
+    def test_claims_named_keys_need_their_run_directories(self, s21_one_epoch,
+                                                         tmp_path, capsys):
+        # in the no-key path's words; a named key is not skipped, so none is judged
+        shutil.copytree(s21_one_epoch, tmp_path / s21_one_epoch.name)
+        assert cli_main(["--out-dir", str(tmp_path), "claims", "s21-collapse-grid",
+                         "bt-no-decor", "swav-fixed-protos"]) == 2
+        out, err = capsys.readouterr()
+        assert not out
+        assert err == f"no run directory under {tmp_path} for bt-no-decor, swav-fixed-protos\n"
 
     # each input once printed a traceback and exited 1 (compare's spec and
     # metrics files) or would (a claim's run directory); the last field is a
@@ -1855,8 +1877,10 @@ class TestCli:
         # column index past the row, with a traceback
         (["claims", "s21-collapse-grid"], {_CSV: f"{METRICS_HEADER}\n0,0\n0,1\n".encode()}, 4,
          "seed0.csv: rows of 2 cells, not 10"),
+        # a named key without its run directory used to name the first
+        # variant's config.json, as if the directory held a broken run
         (["--out-dir", "elsewhere", "claims", "s21-collapse-grid"], {}, 2,
-         "collapse-mini-centered/config.json"),
+         "no run directory under elsewhere for s21-collapse-grid\n"),
         # a key the config no longer has used to exit 2 naming no file
         (["claims", "s21-collapse-grid"], {_CFG: b'{"diagnostics": {"cadence": 1}}'}, 4,
          "collapse-full-centered/config.json: unknown config key(s): diagnostics.cadence"),
@@ -1864,6 +1888,9 @@ class TestCli:
          "collapse-full-centered/config.json: invalid JSON"),
         (["claims", "s21-collapse-grid", "no-such-key"], {}, 2,
          "unknown experiment(s) no-such-key"),
+        # a repeated key used to print its verdicts twice and exit 0
+        (["claims", "bt-no-decor", "s21-collapse-grid", "bt-no-decor"], {}, 2,
+         "experiment(s) bt-no-decor named more than once"),
         (["run", "spec.json"], {"spec.json": b'{"name": "\xff"}'}, 2,
          "spec.json: invalid JSON"),
         (["run", "."], {}, 2, "Is a directory"),
@@ -1872,7 +1899,8 @@ class TestCli:
     ], ids=["checkpoint-missing-parameter", "checkpoint-wrong-shape",
             "checkpoint-not-archive", "cell-not-number", "metrics-not-utf8", "metrics-header-only",
             "metrics-aborted-run", "metrics-short-rows",
-            "missing-run-directory", "config-removed-key", "config-not-json", "unknown-key", "config-not-utf8", "run-directory",
+            "missing-run-directory", "config-removed-key", "config-not-json", "unknown-key",
+            "repeated-key", "config-not-utf8", "run-directory",
             "out-dir-is-file"])
     def test_bad_input_prints_one_line(self, s21_one_epoch, tmp_path, argv, files,
                                        code, names):

@@ -1,5 +1,8 @@
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -212,3 +215,14 @@ SHAPE_ERROR_HOMES = {
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_shape_errors_only_where_shapes_are_not_fixed(path):
     assert raisers(path.read_text(), "ShapeError") <= SHAPE_ERROR_HOMES.get(path.name, set())
+
+
+# README says the package does not import them, and the benchmark times
+# `import centerlab` every round
+def test_package_import_leaves_out_claims_registry_and_cli():
+    script = ("import sys, centerlab; print(sorted({'centerlab.claims', 'centerlab.registry',"
+              " 'centerlab.cli'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"

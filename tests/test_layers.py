@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from centerlab.autodiff import ParameterError, ShapeError, Tensor, backward
-from centerlab.harness import Trainer, named_experiment, run_experiment
+from centerlab.harness import Trainer, run_experiment
+from centerlab.registry import named_experiment
 from centerlab.layers import (EmaTwin, init_encoder, init_predictor,
                               init_prototypes, load_checkpoint,
                               save_checkpoint, sgd_step)
